@@ -4,9 +4,8 @@ Every report-producing subcommand writes JSON or flat CSV with the fully
 resolved configuration echoed into the header (CSV: ``# key value`` comment
 lines, which are themselves valid config-file lines; JSON: a ``config``
 object), so a report can always be regenerated from its own header.  The
-``workers`` and ``out`` options control scheduling and placement only and
-are deliberately left out of the echo: runs that differ only in those
-produce byte-identical reports.
+``out`` option controls placement only and is deliberately left out of the
+echo: runs that differ only in it produce byte-identical reports.
 
 Exit codes: 0 success, 2 invalid configuration or input data, 3 enumeration
 or state-space cap exceeded, 4 numeric failure.
@@ -41,8 +40,21 @@ from .secrecy import (
     robustness_sweep,
     typical_set_growth,
 )
-from .sources import load_model, make_bernoulli, make_uniform, save_model, train_markov
-from .words import bytes_to_symbols, symbols_to_bytes, text_to_word, word_to_text
+from .sources import (
+    _open_for,
+    load_model,
+    make_bernoulli,
+    make_uniform,
+    save_model,
+    train_markov,
+)
+from .words import (
+    bytes_to_symbols,
+    index_to_word,
+    symbols_to_bytes,
+    text_to_word,
+    word_to_text,
+)
 
 _CHUNK_BYTES = 1 << 16
 
@@ -85,7 +97,7 @@ def _load_source(spec_text: str):
 # per-subcommand echo order as (flag name, parsed attribute) pairs, resolved
 # after parsing so defaults are included.  Echoed flag names are the real
 # option names, which makes every report header a replayable config file.
-# 'workers' and 'out' never appear: they cannot change report contents.
+# 'out' never appears: it cannot change report contents.
 _ECHO_KEYS: dict[str, tuple[tuple[str, str], ...]] = {
     "train": (("corpus", "corpus"), ("bits", "bits"), ("n", "n"),
               ("order", "order"), ("alpha", "alpha")),
@@ -221,23 +233,9 @@ def _write_csv(fh, config: dict[str, str], columns: tuple[str, ...], rows) -> No
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-class _open_out:
-    """Open an output path for text, '-' or None meaning stdout."""
-
-    def __init__(self, path):
-        self._path = path
-        self._fh = None
-
-    def __enter__(self):
-        if self._path in (None, "-"):
-            return sys.stdout
-        self._fh = open(self._path, "w", encoding="utf-8", newline="")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
-        return False
+def _report_target(path):
+    """The ``--out`` value as an ``_open_for`` target; '-' or None is stdout."""
+    return sys.stdout if path in (None, "-") else path
 
 
 def _series_rows(results_rows, first_column: str):
@@ -281,7 +279,7 @@ def _run_cipher_pass(args, direction: str) -> int:
         with open(args.key, encoding="utf-8") as fh:
             key = text_to_word(fh.read(), n)
         result = apply_word(data, key)
-        with _open_out(args.out) as fh:
+        with _open_for(_report_target(args.out), "w") as fh:
             fh.write(word_to_text(result, n) + "\n")
         return 0
     in_fh, close_in = _open_binary(args.in_path, "rb")
@@ -348,7 +346,7 @@ def _cmd_entropy(config: RunConfig) -> int:
             rows.append({"m": m, "metric": "block_entropy", "value": value})
         results["block_entropies"] = blocks
     print(f"entropy rate: {model.entropy_rate():.12g} bits/symbol")
-    with _open_out(args.out) as fh:
+    with _open_for(_report_target(args.out), "w") as fh:
         if args.format == "json":
             _write_json(fh, config.echo(), results)
         else:
@@ -363,12 +361,12 @@ def _cmd_posterior(config: RunConfig) -> int:
     ym = _load_source(args.y_model)
     spec = additive_cipher(xm.alphabet_size)
     z = text_to_word(args.z, spec.alphabet_size)
-    table = posterior(xm, ym, spec, z, workers=args.workers)
+    table = posterior(xm, ym, spec, z)
     print(
         f"log2 P(z) = {table.log_marginal:.12g} over "
         f"{table.log_posterior.size} plaintexts"
     )
-    with _open_out(args.out) as fh:
+    with _open_for(_report_target(args.out), "w") as fh:
         if args.format == "json":
             results = {
                 "t": table.length,
@@ -376,7 +374,7 @@ def _cmd_posterior(config: RunConfig) -> int:
                 "rows": [
                     {
                         "plaintext": word_to_text(
-                            np.array(_unpack(u, spec.alphabet_size, table.length)),
+                            index_to_word(u, spec.alphabet_size, table.length),
                             spec.alphabet_size,
                         ),
                         "log2_posterior": float(lp),
@@ -394,13 +392,6 @@ def _cmd_posterior(config: RunConfig) -> int:
     return 0
 
 
-def _unpack(index: int, n: int, length: int) -> list[int]:
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, out[pos] = divmod(index, n)
-    return out
-
-
 def _cmd_psi(config: RunConfig) -> int:
     args = config.args
     xm = _load_source(args.x_model)
@@ -413,7 +404,6 @@ def _cmd_psi(config: RunConfig) -> int:
         built = build_typical_set(
             xm, ym, spec, z, args.eps, args.h_ref,
             bracket_order=args.m, member_cap=args.member_cap,
-            workers=args.workers,
         )
         results = built.as_dict()
         rows = [(built.length, k, v) for k, v in results.items() if k != "t"]
@@ -427,12 +417,12 @@ def _cmd_psi(config: RunConfig) -> int:
         points = typical_set_growth(
             xm, ym, spec, args.t_list, args.eps, args.seed,
             h_ref=args.h_ref, bracket_order=args.m,
-            member_cap=args.member_cap, workers=args.workers,
+            member_cap=args.member_cap,
         )
         results = {"series": [p.as_dict() for p in points]}
         rows = _series_rows([p.as_dict() for p in points], "t")
         print("growth series:", ", ".join(f"t={p.t}: {p.growth:.6g}" for p in points))
-    with _open_out(args.out) as fh:
+    with _open_for(_report_target(args.out), "w") as fh:
         if args.format == "json":
             _write_json(fh, config.echo(), results)
         else:
@@ -448,7 +438,6 @@ def _cmd_smb(config: RunConfig) -> int:
     report = concentration_experiment(
         xm, ym, spec, args.t_list, args.samples, args.eps, args.delta,
         args.seed, h_ref=args.h_ref, bracket_order=args.m,
-        workers=args.workers,
     )
     results = report.as_dict()
     rows = _series_rows(results["rows"], "t")
@@ -461,7 +450,7 @@ def _cmd_smb(config: RunConfig) -> int:
             f"t={t}: {f:.4f}" for t, f in zip(report.lengths, report.band_fractions)
         ),
     )
-    with _open_out(args.out) as fh:
+    with _open_for(_report_target(args.out), "w") as fh:
         if args.format == "json":
             _write_json(fh, config.echo(), results)
         else:
@@ -474,14 +463,14 @@ def _cmd_bounds(config: RunConfig) -> int:
     xm = _load_source(args.x_model)
     ym = _load_source(args.y_model)
     spec = additive_cipher(xm.alphabet_size)
-    report = certify_bounds(xm, ym, spec, args.m, workers=args.workers)
+    report = certify_bounds(xm, ym, spec, args.m)
     results = report.as_dict()
     rows = [(args.m, key, value) for key, value in results.items()]
     print(
         f"h(X|Z) in [{report.bracket.lower:.12g}, {report.bracket.upper:.12g}], "
         f"corollary bound {report.bound_corollary:.12g}"
     )
-    with _open_out(args.out) as fh:
+    with _open_for(_report_target(args.out), "w") as fh:
         if args.format == "json":
             _write_json(fh, config.echo(), results)
         else:
@@ -496,7 +485,6 @@ def _cmd_sweep(config: RunConfig) -> int:
     reports = robustness_sweep(
         xm, spec, args.tau_list, args.m,
         t_list=args.t_list or None, epsilon=args.eps, seed=args.seed,
-        workers=args.workers,
     )
     results = [r.as_dict() for r in reports]
     rows = []
@@ -514,7 +502,7 @@ def _cmd_sweep(config: RunConfig) -> int:
         "h(X|Z) lower bounds:",
         ", ".join(f"tau={r.tau:g}: {r.bracket.lower:.12g}" for r in reports),
     )
-    with _open_out(args.out) as fh:
+    with _open_for(_report_target(args.out), "w") as fh:
         if args.format == "json":
             _write_json(fh, config.echo(), results)
         else:
@@ -536,7 +524,6 @@ def _build_parser() -> _Parser:
         if needs_y:
             p.add_argument("--y-model", required=True)
         p.add_argument("--seed", type=int, required=seed_required)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
 

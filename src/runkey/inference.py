@@ -18,14 +18,12 @@ built on that identity:
   no closed form, between the standard monotone conditional-entropy bounds
   ``H(Z_{m+1} | Z_1..Z_m, S_1) <= h(Z) <= H(Z_{m+1} | Z_1..Z_m)``.
 
-Enumerations are split into fixed-size index blocks; worker threads only
-change which blocks run concurrently, never block boundaries or combination
-order, so results are bit-identical for any worker count.
+Enumerations run over fixed-size index blocks, one after another in index
+order, so their working memory stays bounded.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,24 +36,15 @@ from .errors import (
     StateCapError,
     UnsupportedCipherError,
 )
-from .sources import SourceModel, xlog2x
+from .sources import SourceModel, _log2_safe, xlog2x
 from .words import as_word
 
 DEFAULT_WORD_CAP = 1 << 24
 DEFAULT_STATE_CAP = 1 << 16
 
-# entries per enumeration block; fixed so block boundaries never depend on
-# the worker count (bit-reproducibility) and memory stays bounded
+# float64 cells (32 MiB) per enumeration block and per dense operator; it
+# exists to bound working memory
 _CELL = 1 << 22
-
-
-def _map_ordered(fn, items, workers: int) -> list:
-    """Apply ``fn`` over ``items`` preserving order, optionally on threads."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def log2sumexp(values: np.ndarray) -> float:
@@ -65,13 +54,6 @@ def log2sumexp(values: np.ndarray) -> float:
     if top == -np.inf:
         return -np.inf
     return top + float(np.log2(np.exp2(values - top).sum()))
-
-
-def _log2_table(table: np.ndarray) -> np.ndarray:
-    out = np.full(table.shape, -np.inf)
-    mask = table > 0.0
-    out[mask] = np.log2(table[mask])
-    return out
 
 
 def _digit_matrix(n: int, width: int) -> np.ndarray:
@@ -116,37 +98,29 @@ class _ProductChain:
         self.alpha0 = np.outer(xm.stationary, ym.stationary).ravel()
         next_x = self._context_successors(sx, n, xm.order)
         next_y = self._context_successors(sy, n, ym.order)
+        rows = (np.arange(sx)[:, None] * sy + np.arange(sy)[None, :]).ravel()
+        triples: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
+        for a in range(n):
+            wx = xm.transition[:, a]
+            cols_x = next_x[:, a] * sy
+            for b in range(n):
+                v = int(spec.coder[a, b])
+                triples[v][0].append(rows)
+                triples[v][1].append((cols_x[:, None] + next_y[:, b][None, :]).ravel())
+                triples[v][2].append((wx[:, None] * ym.transition[:, b][None, :]).ravel())
+        self.A = [
+            sp.csr_matrix(
+                (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
+                shape=(size, size),
+            )
+            for r, c, d in triples
+        ]
         self.dense = n * size * size <= _CELL
-        rows = (np.arange(sx)[:, None] * sy + np.arange(sy)[None, :])
         if self.dense:
-            dense = np.zeros((n, size, size))
-            for a in range(n):
-                wx = xm.transition[:, a]
-                cols_x = next_x[:, a] * sy
-                for b in range(n):
-                    v = int(spec.coder[a, b])
-                    cols = cols_x[:, None] + next_y[:, b][None, :]
-                    dense[v][rows, cols] += wx[:, None] * ym.transition[:, b][None, :]
+            dense = np.empty((n, size, size))
+            for v, matrix in enumerate(self.A):
+                dense[v] = matrix.toarray()
             self.A = dense
-        else:
-            triples: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
-            for a in range(n):
-                wx = xm.transition[:, a]
-                cols_x = next_x[:, a] * sy
-                for b in range(n):
-                    v = int(spec.coder[a, b])
-                    cols = (cols_x[:, None] + next_y[:, b][None, :]).ravel()
-                    data = (wx[:, None] * ym.transition[:, b][None, :]).ravel()
-                    triples[v][0].append(rows.ravel())
-                    triples[v][1].append(cols)
-                    triples[v][2].append(data)
-            self.A = [
-                sp.csr_matrix(
-                    (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
-                    shape=(size, size),
-                )
-                for r, c, d in triples
-            ]
 
     @staticmethod
     def _context_successors(states: int, n: int, k: int) -> np.ndarray:
@@ -171,8 +145,9 @@ class _ProductChain:
     def forward_log2(self, observations: np.ndarray) -> np.ndarray:
         """Scaled forward pass: log2 P(z) for a batch of ciphertext rows.
 
-        Each row's result depends only on that row, so batching and worker
-        scheduling cannot change individual values.
+        Identical arguments give identical results.  A row's value does not
+        depend on the other rows, but the matrix kernel chosen for a batch
+        shape can move it by float rounding (about 1e-13 at S=128).
         """
         obs = np.atleast_2d(np.asarray(observations, dtype=np.int64))
         batch, t = obs.shape
@@ -224,7 +199,6 @@ def joint_log2_table(
     ciphertext,
     *,
     cap: int = DEFAULT_WORD_CAP,
-    workers: int = 1,
 ) -> np.ndarray:
     """log2 of ``P_X(x) * P_Y(y(x, z))`` for every plaintext word x.
 
@@ -247,8 +221,8 @@ def joint_log2_table(
             "posterior enumeration needs a key-recoverable cipher"
         )
     kx, ky = xm.order, ym.order
-    log_tx = _log2_table(xm.transition)
-    log_ty = _log2_table(ym.transition)
+    log_tx = _log2_safe(xm.transition)
+    log_ty = _log2_safe(ym.transition)
     max_k = max(kx, ky)
     period = n**max_k
     head = min(t, max_k)
@@ -307,15 +281,11 @@ def joint_log2_table(
     all_terms = [level_terms(jj) for jj in range(j, t)]
     out = np.empty(n**t)
     block_size = max(period, (_CELL // tail) // period * period)
-    starts = list(range(0, arr.shape[0], block_size))
-
-    def run(start: int) -> None:
+    for start in range(0, arr.shape[0], block_size):
         sub = arr[start : start + block_size]
         for terms in all_terms:
             sub = grow(sub, terms)
         out[start * tail : (start + block_size) * tail] = sub
-
-    _map_ordered(run, starts, workers)
     return out
 
 
@@ -393,7 +363,6 @@ def posterior(
     ciphertext,
     *,
     cap: int = DEFAULT_WORD_CAP,
-    workers: int = 1,
 ) -> PosteriorTable:
     """Exhaustive posterior ``P(x | z)`` over all plaintexts of length ``len(z)``.
 
@@ -402,7 +371,7 @@ def posterior(
     """
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
-    numerators = joint_log2_table(xm, ym, spec, z, cap=cap, workers=workers)
+    numerators = joint_log2_table(xm, ym, spec, z, cap=cap)
     log_marginal = log2sumexp(numerators)
     if log_marginal == -np.inf:
         raise ValueError("ciphertext has probability zero under these models")
@@ -426,7 +395,6 @@ def z_block_entropies(
     start_state: int | None = None,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> np.ndarray:
     """Block entropies ``H(Z_1..Z_j)`` in bits for all ``j <= length``.
 
@@ -435,7 +403,7 @@ def z_block_entropies(
     Index 0 of the returned array is 0 by convention.
     """
     chain = _ProductChain(xm, ym, spec, state_cap)
-    return _entropies_for_chain(chain, length, start_state, cap, workers)
+    return _entropies_for_chain(chain, length, start_state, cap)
 
 
 def _entropies_for_chain(
@@ -443,7 +411,6 @@ def _entropies_for_chain(
     length: int,
     start_state: int | None,
     cap: int,
-    workers: int,
 ) -> np.ndarray:
     n, size = chain.n, chain.size
     if length < 1:
@@ -469,17 +436,12 @@ def _entropies_for_chain(
     remaining = length - depth
     per_prefix = n**remaining * size
     block_size = max(1, _CELL // per_prefix)
-    starts = list(range(0, front.shape[0], block_size))
-
-    def run(start: int) -> np.ndarray:
+    for start in range(0, front.shape[0], block_size):
         sub = front[start : start + block_size]
         partial = np.zeros(remaining)
         for level in range(remaining):
             sub = chain.extend(sub)
             partial[level] = -xlog2x(sub.sum(axis=1)).sum()
-        return partial
-
-    for partial in _map_ordered(run, starts, workers):
         totals[depth + 1 :] += partial
     return totals
 
@@ -522,7 +484,6 @@ def hz_bracket(
     *,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> EntropyBracket:
     """Sandwich bounds on the ciphertext entropy rate h(Z).
 
@@ -534,14 +495,14 @@ def hz_bracket(
     if m < 0:
         raise ValueError("bracket order must be >= 0")
     chain = _ProductChain(xm, ym, spec, state_cap)
-    totals = _entropies_for_chain(chain, m + 1, None, cap, workers)
+    totals = _entropies_for_chain(chain, m + 1, None, cap)
     upper = totals[m + 1] - totals[m]
     lower = 0.0
     for state in range(chain.size):
         weight = chain.alpha0[state]
         if weight <= 0.0:
             continue
-        cond = _entropies_for_chain(chain, m + 1, state, cap, workers)
+        cond = _entropies_for_chain(chain, m + 1, state, cap)
         lower += weight * (cond[m + 1] - cond[m])
     log_n = float(np.log2(chain.n))
     lower = min(max(lower, 0.0), log_n)
@@ -557,7 +518,6 @@ def hm_conditional(
     *,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> float:
     """m-order conditional entropy ``h_m(X|Z) = h_m(X,Z) - h_m(Z)`` in bits.
 
@@ -569,11 +529,9 @@ def hm_conditional(
         raise UnsupportedCipherError(
             "conditional entropies need a key-recoverable cipher"
         )
-    totals = z_block_entropies(
-        xm, ym, spec, m + 1, cap=cap, state_cap=state_cap, workers=workers
-    )
+    totals = z_block_entropies(xm, ym, spec, m + 1, cap=cap, state_cap=state_cap)
     hm_z = totals[m + 1] / (m + 1)
-    return xm.block_entropy(m, cap=cap) + ym.block_entropy(m, cap=cap) - hm_z
+    return xm.block_entropy(m) + ym.block_entropy(m) - hm_z
 
 
 def hxz_bracket(
@@ -584,7 +542,6 @@ def hxz_bracket(
     *,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> EntropyBracket:
     """Bracket for the equivocation rate ``h(X|Z) = h(X) + h(Y) - h(Z)``.
 
@@ -594,9 +551,7 @@ def hxz_bracket(
     log2 n.
     """
     n = _check_alphabets(xm, ym, spec)
-    z_bracket = hz_bracket(
-        xm, ym, spec, m, cap=cap, state_cap=state_cap, workers=workers
-    )
+    z_bracket = hz_bracket(xm, ym, spec, m, cap=cap, state_cap=state_cap)
     base = xm.entropy_rate() + ym.entropy_rate()
     log_n = float(np.log2(n))
     lower = min(max(base - z_bracket.upper, 0.0), log_n)

@@ -28,7 +28,6 @@ from .inference import (
     DEFAULT_STATE_CAP,
     DEFAULT_WORD_CAP,
     EntropyBracket,
-    _map_ordered,
     _ProductChain,
     hxz_bracket,
     posterior,
@@ -37,8 +36,7 @@ from .sources import SourceModel, _walk_batch, make_bernoulli
 
 DEFAULT_MEMBER_CAP = 1 << 22
 
-# fixed Monte Carlo batch width; never derived from the worker count, so
-# grouping (and therefore every float) is identical for any parallelism
+# Monte Carlo samples per batch; it exists to bound working memory
 _SAMPLE_CHUNK = 2048
 
 
@@ -108,7 +106,6 @@ def build_typical_set(
     member_cap: int = DEFAULT_MEMBER_CAP,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> TypicalSet:
     """Exhaustively construct the typical deciphering set of a ciphertext.
 
@@ -122,9 +119,9 @@ def build_typical_set(
         raise ValueError("epsilon must be positive")
     if h_ref is None:
         h_ref = hxz_bracket(
-            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap, workers=workers
+            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap
         ).midpoint
-    table = posterior(xm, ym, spec, ciphertext, cap=cap, workers=workers)
+    table = posterior(xm, ym, spec, ciphertext, cap=cap)
     t = table.length
     rate = -table.log_posterior / t
     band = np.abs(rate - h_ref) < 0.5 * epsilon
@@ -175,7 +172,6 @@ def typical_set_growth(
     member_cap: int = DEFAULT_MEMBER_CAP,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> list[GrowthPoint]:
     """Growth exponent of the typical set along a ladder of lengths.
 
@@ -185,7 +181,7 @@ def typical_set_growth(
     """
     if h_ref is None:
         h_ref = hxz_bracket(
-            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap, workers=workers
+            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap
         ).midpoint
     points = []
     for t in t_list:
@@ -194,7 +190,7 @@ def typical_set_growth(
         z = spec.encrypt(x, y)
         built = build_typical_set(
             xm, ym, spec, z, epsilon, h_ref,
-            member_cap=member_cap, cap=cap, state_cap=state_cap, workers=workers,
+            member_cap=member_cap, cap=cap, state_cap=state_cap,
         )
         points.append(GrowthPoint(t=int(t), growth=built.growth, mass=built.mass))
     return points
@@ -261,7 +257,6 @@ def concentration_experiment(
     bracket_order: int = 10,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> ConcentrationReport:
     """Monte Carlo check that the posterior surprisal rate concentrates.
 
@@ -270,35 +265,33 @@ def concentration_experiment(
     ``log2 P(z)`` from the forward recursion (so lengths up to 10^4 stay
     cheap), and reports the fraction landing strictly inside the epsilon band
     around ``h_ref``.  Per-sample seeds derive from
-    ``(seed, t, sample_index, stream)``; results are independent of batching
-    and worker count.
+    ``(seed, t, sample_index, stream)``, so identical arguments give identical
+    reports; the batch width moves the statistics only by float rounding.
     """
+    lengths = [int(t) for t in t_list]
     if epsilon <= 0.0 or not 0.0 < delta < 1.0:
         raise ValueError("need epsilon > 0 and 0 < delta < 1")
     if samples < 1:
         raise ValueError("need at least one sample per length")
+    if any(t < 1 for t in lengths):
+        raise ValueError("every length must be >= 1")
     if spec.key_table is None:
         raise UnsupportedCipherError(
             "the surprisal statistic needs a key-recoverable cipher"
         )
     if h_ref is None:
         h_ref = hxz_bracket(
-            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap, workers=workers
+            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap
         ).midpoint
     chain = _ProductChain(xm, ym, spec, state_cap)
 
-    lengths: list[int] = [int(t) for t in t_list]
     fractions: list[float] = []
     means: list[float] = []
     variances: list[float] = []
     for t in lengths:
-        chunks = [
-            (start, min(start + _SAMPLE_CHUNK, samples))
-            for start in range(0, samples, _SAMPLE_CHUNK)
-        ]
-
-        def run(bounds: tuple[int, int]) -> np.ndarray:
-            start, stop = bounds
+        chunks = []
+        for start in range(0, samples, _SAMPLE_CHUNK):
+            stop = min(start + _SAMPLE_CHUNK, samples)
             width = stop - start
             ux = np.empty((width, t + 1))
             uy = np.empty((width, t + 1))
@@ -313,9 +306,8 @@ def concentration_experiment(
             y_words, log_py = _walk_batch(ym, uy)
             z_words = spec.coder[x_words, y_words]
             log_pz = chain.forward_log2(z_words)
-            return -(log_px + log_py - log_pz) / t
-
-        stats = np.concatenate(_map_ordered(run, chunks, workers))
+            chunks.append(-(log_px + log_py - log_pz) / t)
+        stats = np.concatenate(chunks)
         fractions.append(float(np.mean(np.abs(stats - h_ref) < epsilon)))
         means.append(float(stats.mean()))
         variances.append(float(stats.var()))
@@ -379,7 +371,6 @@ def certify_bounds(
     *,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> SecrecyReport:
     """Compute and certify the closed-form equivocation bounds at order m.
 
@@ -391,9 +382,7 @@ def certify_bounds(
     log_n = float(np.log2(spec.alphabet_size))
     h_x, h_y = xm.entropy_rate(), ym.entropy_rate()
     r_x, r_y = xm.redundancy(), ym.redundancy()
-    bracket = hxz_bracket(
-        xm, ym, spec, m, cap=cap, state_cap=state_cap, workers=workers
-    )
+    bracket = hxz_bracket(xm, ym, spec, m, cap=cap, state_cap=state_cap)
     bound = h_x + h_y - log_n
     forms = (h_x - r_y, h_y - r_x, log_n - (r_x + r_y))
     for value in forms:
@@ -428,7 +417,6 @@ def robustness_sweep(
     member_cap: int = DEFAULT_MEMBER_CAP,
     cap: int = DEFAULT_WORD_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    workers: int = 1,
 ) -> list[SecrecyReport]:
     """Certified bounds for key models ``P(0) = 0.5 - tau, P(1) = 0.5 + tau``.
 
@@ -446,16 +434,14 @@ def robustness_sweep(
         if not 0.0 <= tau < 0.5:
             raise ValueError(f"tau {tau!r} outside [0, 0.5)")
         ym = make_bernoulli((0.5 - tau, 0.5 + tau))
-        base = certify_bounds(
-            xm, ym, spec, m, cap=cap, state_cap=state_cap, workers=workers
-        )
+        base = certify_bounds(xm, ym, spec, m, cap=cap, state_cap=state_cap)
         series: tuple[GrowthPoint, ...] = ()
         if t_list is not None:
             series = tuple(
                 typical_set_growth(
                     xm, ym, spec, t_list, epsilon, seed,
                     h_ref=base.bracket.midpoint, member_cap=member_cap,
-                    cap=cap, state_cap=state_cap, workers=workers,
+                    cap=cap, state_cap=state_cap,
                 )
             )
         reports.append(

@@ -292,17 +292,21 @@ class SourceModel:
         """log2(n) minus the entropy rate, in [0, log2 n]."""
         return float(np.log2(self._n) - self.entropy_rate())
 
-    def block_entropy(self, m: int, *, cap: int = DEFAULT_BLOCK_CAP) -> float:
-        """Per-letter entropy of length-(m+1) blocks, by exact enumeration.
+    def block_entropy(self, m: int) -> float:
+        """Per-letter entropy of length-(m+1) blocks, in closed form.
 
+        Blocks of L = m+1 <= k symbols follow the stationary marginal law;
+        longer ones satisfy the chain rule ``H(X^L) = H(pi_k) + (L-k) h``.
         Non-increasing in m and lower-bounded by the entropy rate.
         """
         if m < 0:
             raise ValueError("block entropy order must be >= 0")
-        logp = self.log2_block_prob_array(m + 1, cap=cap)
+        length = m + 1
+        head = min(length, self._k)
+        logp = self._log2_marginal(head) if head else np.zeros(1)
         finite = np.isfinite(logp)
         total = -float(np.sum(np.exp2(logp[finite]) * logp[finite]))
-        return total / (m + 1)
+        return (total + (length - head) * self.entropy_rate()) / length
 
     # -- block probabilities ------------------------------------------------
     def _log2_marginal(self, length: int) -> np.ndarray:

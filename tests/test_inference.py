@@ -293,14 +293,23 @@ def test_chunked_enumeration_bit_identical(monkeypatch):
     reference = inference.joint_log2_table(xm, ym, SPEC2, z)
     reference_totals = inference.z_block_entropies(xm, ym, SPEC2, 8)
     monkeypatch.setattr(inference_module, "_CELL", 64)
-    for workers in (1, 3):
-        assert np.array_equal(
-            inference.joint_log2_table(xm, ym, SPEC2, z, workers=workers), reference
-        )
-        assert np.array_equal(
-            inference.z_block_entropies(xm, ym, SPEC2, 8, workers=workers),
-            reference_totals,
-        )
+    assert np.array_equal(inference.joint_log2_table(xm, ym, SPEC2, z), reference)
+    assert np.array_equal(inference.z_block_entropies(xm, ym, SPEC2, 8), reference_totals)
+
+
+def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
+    rng = np.random.default_rng(8)
+    # order-0 pairs put several (a, b) contributions on one operator entry
+    for n, kx, ky in ((2, 2, 1), (3, 1, 1), (3, 0, 0), (4, 0, 0), (4, 1, 0)):
+        xm, ym = random_model(rng, n, kx), random_model(rng, n, ky)
+        spec = cipher.additive_cipher(n)
+        dense = inference._ProductChain(xm, ym, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(inference_module, "_CELL", 0)
+            csr = inference._ProductChain(xm, ym, spec)
+        assert dense.dense and not csr.dense
+        for v in range(n):
+            assert np.array_equal(csr.A[v].toarray(), dense.A[v])
 
 
 def test_log2sumexp():

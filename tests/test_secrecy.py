@@ -168,13 +168,15 @@ def test_concentration_statistic_matches_direct_posterior():
     assert abs(report.means[0] - expected) <= 1e-10
 
 
-def test_concentration_determinism_across_workers():
+def test_concentration_determinism_across_chunk_sizes(monkeypatch):
     kwargs = dict(t_list=[40, 80], samples=500, epsilon=0.05, delta=0.01, seed=12)
-    reports = [
-        secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, workers=w, **kwargs)
-        for w in (1, 2, 5)
-    ]
-    assert reports[0] == reports[1] == reports[2]
+    reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
+    assert secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs) == reference
+    for chunk in (1, 7):
+        monkeypatch.setattr(secrecy, "_SAMPLE_CHUNK", chunk)
+        report = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
+        assert np.allclose(report.means, reference.means, rtol=0.0, atol=1e-12)
+        assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
 
 
 def test_concentration_validates_arguments():
@@ -182,6 +184,8 @@ def test_concentration_validates_arguments():
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 0, 0.05, 0.01, seed=1)
     with pytest.raises(ValueError):
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 5, -1.0, 0.01, seed=1)
+    with pytest.raises(ValueError):
+        secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10, 0], 5, 0.05, 0.01, seed=1)
     ident = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
     with pytest.raises(UnsupportedCipherError):
         secrecy.concentration_experiment(MARKOV, BIASED, ident, [10], 5, 0.05, 0.01, seed=1)

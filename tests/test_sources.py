@@ -10,7 +10,6 @@ import oracles
 from runkey import sources
 from runkey.errors import (
     ConvergenceError,
-    EnumerationCapError,
     InvalidDistributionError,
     ModelFormatError,
     NotErgodicError,
@@ -211,11 +210,27 @@ def test_block_entropy_monotone_and_above_rate():
         assert all(v >= model.entropy_rate() - 1e-10 for v in values)
 
 
-def test_block_entropy_cap():
-    with pytest.raises(EnumerationCapError):
-        UNIFORM2.block_entropy(40)
-    # the cap is overridable
-    assert abs(UNIFORM2.block_entropy(16, cap=1 << 18) - 1.0) <= 1e-12
+def test_block_entropy_closed_form_matches_enumeration():
+    rng = np.random.default_rng(29)
+    for n, k in ((2, 0), (3, 0), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 4)):
+        model = random_model(rng, n, k)
+        for m in range(5):
+            logp = model.log2_block_prob_array(m + 1)
+            finite = np.isfinite(logp)
+            enumerated = -float(np.sum(np.exp2(logp[finite]) * logp[finite])) / (m + 1)
+            assert abs(model.block_entropy(m) - enumerated) <= 1e-12
+
+
+def test_block_entropy_large_m_needs_no_enumeration():
+    # 2**61 blocks: far beyond any enumeration, exact by the chain rule
+    assert abs(UNIFORM2.block_entropy(60) - 1.0) <= 1e-12
+    rng = np.random.default_rng(31)
+    for n, k in ((2, 2), (3, 1), (26, 1)):
+        model = random_model(rng, n, k)
+        head = sources.entropy_bits(model.stationary)
+        expected = (head + (61 - k) * model.entropy_rate()) / 61
+        assert abs(model.block_entropy(60) - expected) <= 1e-12
+        assert model.entropy_rate() - 1e-12 <= model.block_entropy(60) <= model.block_entropy(59)
 
 
 def test_entropy_bounds():
