@@ -7,7 +7,7 @@ deciphering sets with their mass and growth exponents, concentration
 experiments, and certified closed-form secrecy lower bounds.
 """
 
-from .cipher import CipherSpec, additive_cipher, decrypt, encrypt, encrypt_stream
+from .cipher import CipherSpec, additive_cipher
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -20,8 +20,7 @@ from .errors import (
     UnsupportedCipherError,
 )
 from .inference import (
-    DEFAULT_STATE_CAP,
-    DEFAULT_WORD_CAP,
+    DEFAULT_ENTRY_CAP,
     EntropyBracket,
     PosteriorTable,
     hm_conditional,
@@ -46,7 +45,7 @@ from .secrecy import (
     typical_set_growth,
 )
 from .sources import (
-    DEFAULT_BLOCK_CAP,
+    DEFAULT_WORD_CAP,
     SourceModel,
     entropy_bits,
     load_model,
@@ -75,9 +74,8 @@ __all__ = [
     "CertificationError",
     "ConcentrationReport",
     "ConvergenceError",
-    "DEFAULT_BLOCK_CAP",
+    "DEFAULT_ENTRY_CAP",
     "DEFAULT_MEMBER_CAP",
-    "DEFAULT_STATE_CAP",
     "DEFAULT_WORD_CAP",
     "EntropyBracket",
     "EnumerationCapError",
@@ -98,9 +96,6 @@ __all__ = [
     "bytes_to_symbols",
     "certify_bounds",
     "concentration_experiment",
-    "decrypt",
-    "encrypt",
-    "encrypt_stream",
     "entropy_bits",
     "hm_conditional",
     "hxz_bracket",

@@ -136,30 +136,3 @@ def additive_cipher(alphabet_size: int) -> CipherSpec:
     decoder = (idx[:, None] - idx[None, :]) % n
     return CipherSpec(n, coder, decoder)
 
-
-def encrypt(spec: CipherSpec, plaintext, key) -> np.ndarray:
-    """Module-level alias for :meth:`CipherSpec.encrypt`."""
-    return spec.encrypt(plaintext, key)
-
-
-def decrypt(spec: CipherSpec, ciphertext, key) -> np.ndarray:
-    """Module-level alias for :meth:`CipherSpec.decrypt`."""
-    return spec.decrypt(ciphertext, key)
-
-
-def encrypt_stream(spec: CipherSpec, plaintext_chunks, key_chunks):
-    """Encrypt two aligned chunk iterators lazily, yielding ciphertext chunks.
-
-    Chunks from the two iterators must have matching lengths pairwise; this
-    keeps corpus-scale encryption at fixed memory.
-    """
-    plain_iter = iter(plaintext_chunks)
-    key_iter = iter(key_chunks)
-    while True:
-        x = next(plain_iter, None)
-        y = next(key_iter, None)
-        if x is None and y is None:
-            return
-        if x is None or y is None:
-            raise ValueError("plaintext and key streams have different lengths")
-        yield spec.encrypt(x, y)

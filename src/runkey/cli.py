@@ -7,13 +7,21 @@ object), so a report can always be regenerated from its own header.  The
 ``out`` option controls placement only and is deliberately left out of the
 echo: runs that differ only in it produce byte-identical reports.
 
+``--config FILE`` reads options from a plain ``key value`` file (``#``
+lines are comments) or replays a report: a CSV report (first line
+``# subcommand <name>``) through its leading ``# key value`` block, a JSON
+report (first character ``{``) through its ``config`` object.  A file naming
+another subcommand is rejected.
+
 Exit codes: 0 success, 2 invalid configuration or input data, 3 enumeration
-or state-space cap exceeded, 4 numeric failure.
+or operator-entry cap exceeded or memory exhausted, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import sys
 from dataclasses import dataclass
 
@@ -152,28 +160,51 @@ class RunConfig:
         return out
 
 
-def _read_config_file(path: str) -> list[str]:
-    """Turn ``key value`` lines into command-line tokens (flags win later)."""
-    tokens: list[str] = []
+def _config_pairs(fh) -> list[tuple[str, str]]:
+    """(key, value) pairs of a plain config file, a CSV report or a JSON report."""
+    first = fh.readline()
+    if first.startswith("{"):
+        try:
+            config = json.loads(first + fh.read())["config"]
+            return [(str(key), str(value)) for key, value in config.items()]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(
+                "JSON config file is not a report with a 'config' object"
+            ) from exc
+    report = first.split()[:2] == ["#", "subcommand"]
+    pairs = []
+    for raw in itertools.chain([first], fh):
+        line = raw.strip()
+        if report:
+            if not line.startswith("#"):
+                break  # end of the report header
+            line = line[1:]
+        elif not line or line.startswith("#"):
+            continue
+        parts = line.split(maxsplit=1)
+        if parts:
+            pairs.append((parts[0], parts[1] if len(parts) > 1 else ""))
+    return pairs
+
+
+def _read_config_file(path: str, subcommand: str) -> list[str]:
+    """Turn a config file's options into command-line tokens (flags win later)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(maxsplit=1)
-                key = parts[0]
-                if key == "subcommand":
-                    continue
-                value = parts[1] if len(parts) > 1 else ""
-                if value.lower() == "true" or value == "":
-                    tokens.append(f"--{key}")
-                elif value.lower() == "false":
-                    continue
-                else:
-                    tokens.extend([f"--{key}", value])
+            pairs = _config_pairs(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    tokens: list[str] = []
+    for key, value in pairs:
+        if key == "subcommand":
+            if value != subcommand:
+                raise ConfigError(
+                    f"config file {path!r} is for {value!r}, not {subcommand!r}"
+                )
+        elif value.lower() == "true" or value == "":
+            tokens.append(f"--{key}")
+        elif value.lower() != "false":
+            tokens.extend([f"--{key}", value])
     return tokens
 
 
@@ -195,8 +226,6 @@ def _fmt(value) -> str:
 
 
 def _json_value(value) -> str:
-    import json as _json
-
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -206,13 +235,13 @@ def _json_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if value != value or value in (float("inf"), float("-inf")):
-            return _json.dumps(_fmt(value))  # JSON has no inf/nan literals
+            return json.dumps(_fmt(value))  # JSON has no inf/nan literals
         return f"{value:.12g}"
     if isinstance(value, str):
-        return _json.dumps(value)
+        return json.dumps(value)
     if isinstance(value, dict):
         inner = ", ".join(
-            f"{_json.dumps(str(k))}: {_json_value(v)}" for k, v in value.items()
+            f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in value.items()
         )
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
@@ -619,10 +648,10 @@ def _splice_config(argv: list[str]) -> list[str]:
         if item == "--config":
             if i + 1 >= len(rest):
                 raise ConfigError("--config needs a file path")
-            tokens.extend(_read_config_file(rest[i + 1]))
+            tokens.extend(_read_config_file(rest[i + 1], argv[0]))
             i += 2
         elif item.startswith("--config="):
-            tokens.extend(_read_config_file(item.split("=", 1)[1]))
+            tokens.extend(_read_config_file(item.split("=", 1)[1], argv[0]))
             i += 1
         else:
             cleaned.append(item)
@@ -639,7 +668,7 @@ def main(argv=None) -> int:
         return _DISPATCH[args.subcommand](config)
     except ConfigError as exc:
         return _fail("config", exc, 2)
-    except (EnumerationCapError, StateCapError) as exc:
+    except (EnumerationCapError, StateCapError, MemoryError) as exc:
         return _fail("cap", exc, 3)
     except (ConvergenceError, CertificationError) as exc:
         return _fail("numeric", exc, 4)
@@ -655,7 +684,7 @@ def main(argv=None) -> int:
 
 
 def _fail(category: str, exc: Exception, code: int) -> int:
-    message = " ".join(str(exc).split())
+    message = " ".join(str(exc).split()) or type(exc).__name__
     print(f"error: {category}: {message}", file=sys.stderr)
     return code
 

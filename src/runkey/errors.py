@@ -22,7 +22,12 @@ class EnumerationCapError(RunkeyError, ValueError):
 
 
 class StateCapError(RunkeyError, ValueError):
-    """The joint hidden state space exceeds the configured cap."""
+    """The product chain's operators would store more entries than the cap.
+
+    Raised before any operator is built, from the count n * n * S of stored
+    operator entries (n symbols, S product states) against
+    ``runkey.inference.DEFAULT_ENTRY_CAP``.
+    """
 
 
 class UnsupportedCipherError(RunkeyError, ValueError):

@@ -7,9 +7,11 @@ with ``y(x, z)`` the unique key word mapping x to z.  Everything here is
 built on that identity:
 
 - :func:`posterior` enumerates all ``n**t`` plaintexts of an observed
-  ciphertext exactly (log-space throughout, capped enumeration);
+  ciphertext exactly (log-space throughout, at most ``DEFAULT_WORD_CAP``
+  words);
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
-  a scaled forward recursion over the product context chain of X and Y;
+  a scaled forward recursion over the product context chain of X and Y, whose
+  per-symbol operators hold at most ``DEFAULT_ENTRY_CAP`` stored entries;
 - :func:`hm_conditional` evaluates the m-order conditional entropy
   ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
   a bijective re-indexing of the independent (X, Y) law);
@@ -19,7 +21,8 @@ built on that identity:
   ``H(Z_{m+1} | Z_1..Z_m, S_1) <= h(Z) <= H(Z_{m+1} | Z_1..Z_m)``.
 
 Enumerations run over fixed-size index blocks, one after another in index
-order, so their working memory stays bounded.
+order, so their working memory stays bounded.  The caps are module constants
+checked where the memory is allocated, not arguments.
 """
 
 from __future__ import annotations
@@ -36,14 +39,15 @@ from .errors import (
     StateCapError,
     UnsupportedCipherError,
 )
-from .sources import SourceModel, _log2_safe, xlog2x
+from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, xlog2x
 from .words import as_word
 
-DEFAULT_WORD_CAP = 1 << 24
-DEFAULT_STATE_CAP = 1 << 16
+# stored entries of the product-chain operators, n * n * S before the build
+# sums duplicates; a byte-alphabet pair with S = 256 contexts is exactly at it
+DEFAULT_ENTRY_CAP = 1 << 24
 
-# float64 cells (32 MiB) per enumeration block and per dense operator; it
-# exists to bound working memory
+# float64 cells (32 MiB) per enumeration block, per dense operator and per
+# forward batch; it exists to bound working memory
 _CELL = 1 << 22
 
 
@@ -81,17 +85,18 @@ class _ProductChain:
     ``sx * Sy + sy``.  For each ciphertext symbol v, ``A[v][s, s']`` is the
     probability of emitting v from state s while moving to s'; summing A[v]
     over v gives the product-chain transition matrix.  Matrices are dense
-    for small state spaces and CSR-sparse beyond that.
+    for small state spaces and CSR-sparse beyond that; both are applied the
+    same way, one symbol's matrix at a time.
     """
 
-    def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec,
-                 state_cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
         n = _check_alphabets(xm, ym, spec)
         sx, sy = xm.num_states, ym.num_states
         size = sx * sy
-        if size > state_cap:
+        if n * n * size > DEFAULT_ENTRY_CAP:
             raise StateCapError(
-                f"product state space {sx}*{sy} exceeds cap {state_cap}"
+                f"product chain of {sx}*{sy} states needs {n}*{n}*{size} "
+                f"operator entries, over cap {DEFAULT_ENTRY_CAP}"
             )
         self.n = n
         self.size = size
@@ -115,12 +120,13 @@ class _ProductChain:
             )
             for r, c, d in triples
         ]
-        self.dense = n * size * size <= _CELL
-        if self.dense:
-            dense = np.empty((n, size, size))
+        dense = n * size * size <= _CELL
+        if dense:
+            stacked = np.empty((n, size, size))
             for v, matrix in enumerate(self.A):
-                dense[v] = matrix.toarray()
-            self.A = dense
+                stacked[v] = matrix.toarray()
+            self.A = stacked
+        self.dense = dense
 
     @staticmethod
     def _context_successors(states: int, n: int, k: int) -> np.ndarray:
@@ -133,14 +139,10 @@ class _ProductChain:
     def extend(self, arr: np.ndarray) -> np.ndarray:
         """One prefix-tree level: (Np, S) joint mass -> (Np*n, S)."""
         prefixes = arr.shape[0]
-        out = np.empty((prefixes * self.n, self.size))
-        view = out.reshape(prefixes, self.n, self.size)
-        if self.dense:
-            view[:] = np.matmul(arr, self.A).transpose(1, 0, 2)
-        else:
-            for v in range(self.n):
-                view[:, v, :] = arr @ self.A[v]
-        return out
+        out = np.empty((prefixes, self.n, self.size))
+        for v in range(self.n):
+            out[:, v, :] = arr @ self.A[v]
+        return out.reshape(-1, self.size)
 
     def forward_log2(self, observations: np.ndarray) -> np.ndarray:
         """Scaled forward pass: log2 P(z) for a batch of ciphertext rows.
@@ -156,16 +158,12 @@ class _ProductChain:
         dead = np.zeros(batch, dtype=bool)
         for j in range(t):
             symbols = obs[:, j]
-            if self.dense:
-                stacked = np.matmul(alpha, self.A)  # (n, batch, size)
-                alpha = stacked[symbols, np.arange(batch), :]
-            else:
-                fresh = np.empty_like(alpha)
-                for v in range(self.n):
-                    hit = np.nonzero(symbols == v)[0]
-                    if hit.size:
-                        fresh[hit] = alpha[hit] @ self.A[v]
-                alpha = fresh
+            fresh = np.empty_like(alpha)
+            for v in range(self.n):
+                hit = np.nonzero(symbols == v)[0]
+                if hit.size:
+                    fresh[hit] = alpha[hit] @ self.A[v]
+            alpha = fresh
             scale = alpha.sum(axis=1)
             bad = ~(scale > 0.0)
             if bad.any():
@@ -183,12 +181,10 @@ def log_marginal_forward(
     ym: SourceModel,
     spec: CipherSpec,
     ciphertext,
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Exact ``log2 P(z)`` by the forward recursion, linear in ``len(z)``."""
     z = as_word(ciphertext, spec.alphabet_size)
-    chain = _ProductChain(xm, ym, spec, state_cap)
+    chain = _ProductChain(xm, ym, spec)
     return float(chain.forward_log2(z[None, :])[0])
 
 
@@ -197,8 +193,6 @@ def joint_log2_table(
     ym: SourceModel,
     spec: CipherSpec,
     ciphertext,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
 ) -> np.ndarray:
     """log2 of ``P_X(x) * P_Y(y(x, z))`` for every plaintext word x.
 
@@ -211,9 +205,9 @@ def joint_log2_table(
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
     t = z.size
-    if n**t > cap:
+    if n**t > DEFAULT_WORD_CAP:
         raise EnumerationCapError(
-            f"enumerating {n}**{t} plaintexts exceeds cap {cap}"
+            f"enumerating {n}**{t} plaintexts exceeds cap {DEFAULT_WORD_CAP}"
         )
     key_table = spec.key_table
     if key_table is None:
@@ -230,14 +224,14 @@ def joint_log2_table(
     if head == 0:
         arr = np.zeros(1)
     else:
-        ax = xm.log2_block_prob_array(head, cap=cap)
+        ax = xm.log2_block_prob_array(head)
         digits = _digit_matrix(n, head)
         key_digits = key_table[digits, z[None, :head]]
         valid = (key_digits >= 0).all(axis=1)
         packed = np.zeros(digits.shape[0], dtype=np.int64)
         for pos in range(head):
             packed = packed * n + np.maximum(key_digits[:, pos], 0)
-        ay = ym.log2_block_prob_array(head, cap=cap)
+        ay = ym.log2_block_prob_array(head)
         arr = ax + np.where(valid, ay[packed], -np.inf)
     if t == head:
         return arr
@@ -361,8 +355,6 @@ def posterior(
     ym: SourceModel,
     spec: CipherSpec,
     ciphertext,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
 ) -> PosteriorTable:
     """Exhaustive posterior ``P(x | z)`` over all plaintexts of length ``len(z)``.
 
@@ -371,7 +363,7 @@ def posterior(
     """
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
-    numerators = joint_log2_table(xm, ym, spec, z, cap=cap)
+    numerators = joint_log2_table(xm, ym, spec, z)
     log_marginal = log2sumexp(numerators)
     if log_marginal == -np.inf:
         raise ValueError("ciphertext has probability zero under these models")
@@ -393,8 +385,6 @@ def z_block_entropies(
     length: int,
     *,
     start_state: int | None = None,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> np.ndarray:
     """Block entropies ``H(Z_1..Z_j)`` in bits for all ``j <= length``.
 
@@ -402,22 +392,20 @@ def z_block_entropies(
     time 1 instead of its stationary law (used by the bracket lower bound).
     Index 0 of the returned array is 0 by convention.
     """
-    chain = _ProductChain(xm, ym, spec, state_cap)
-    return _entropies_for_chain(chain, length, start_state, cap)
+    chain = _ProductChain(xm, ym, spec)
+    return _entropies_for_chain(chain, length, start_state)
 
 
 def _entropies_for_chain(
-    chain: _ProductChain,
-    length: int,
-    start_state: int | None,
-    cap: int,
+    chain: _ProductChain, length: int, start_state: int | None
 ) -> np.ndarray:
     n, size = chain.n, chain.size
     if length < 1:
         raise ValueError("block length must be >= 1")
-    if n**length > cap:
+    if n**length > DEFAULT_WORD_CAP:
         raise EnumerationCapError(
-            f"enumerating {n}**{length} ciphertext blocks exceeds cap {cap}"
+            f"enumerating {n}**{length} ciphertext blocks exceeds cap "
+            f"{DEFAULT_WORD_CAP}"
         )
     if start_state is None:
         front = chain.alpha0[None, :].copy()
@@ -481,9 +469,6 @@ def hz_bracket(
     ym: SourceModel,
     spec: CipherSpec,
     m: int,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> EntropyBracket:
     """Sandwich bounds on the ciphertext entropy rate h(Z).
 
@@ -494,15 +479,15 @@ def hz_bracket(
     """
     if m < 0:
         raise ValueError("bracket order must be >= 0")
-    chain = _ProductChain(xm, ym, spec, state_cap)
-    totals = _entropies_for_chain(chain, m + 1, None, cap)
+    chain = _ProductChain(xm, ym, spec)
+    totals = _entropies_for_chain(chain, m + 1, None)
     upper = totals[m + 1] - totals[m]
     lower = 0.0
     for state in range(chain.size):
         weight = chain.alpha0[state]
         if weight <= 0.0:
             continue
-        cond = _entropies_for_chain(chain, m + 1, state, cap)
+        cond = _entropies_for_chain(chain, m + 1, state)
         lower += weight * (cond[m + 1] - cond[m])
     log_n = float(np.log2(chain.n))
     lower = min(max(lower, 0.0), log_n)
@@ -515,9 +500,6 @@ def hm_conditional(
     ym: SourceModel,
     spec: CipherSpec,
     m: int,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """m-order conditional entropy ``h_m(X|Z) = h_m(X,Z) - h_m(Z)`` in bits.
 
@@ -529,7 +511,7 @@ def hm_conditional(
         raise UnsupportedCipherError(
             "conditional entropies need a key-recoverable cipher"
         )
-    totals = z_block_entropies(xm, ym, spec, m + 1, cap=cap, state_cap=state_cap)
+    totals = z_block_entropies(xm, ym, spec, m + 1)
     hm_z = totals[m + 1] / (m + 1)
     return xm.block_entropy(m) + ym.block_entropy(m) - hm_z
 
@@ -539,9 +521,6 @@ def hxz_bracket(
     ym: SourceModel,
     spec: CipherSpec,
     m: int,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> EntropyBracket:
     """Bracket for the equivocation rate ``h(X|Z) = h(X) + h(Y) - h(Z)``.
 
@@ -551,7 +530,7 @@ def hxz_bracket(
     log2 n.
     """
     n = _check_alphabets(xm, ym, spec)
-    z_bracket = hz_bracket(xm, ym, spec, m, cap=cap, state_cap=state_cap)
+    z_bracket = hz_bracket(xm, ym, spec, m)
     base = xm.entropy_rate() + ym.entropy_rate()
     log_n = float(np.log2(n))
     lower = min(max(base - z_bracket.upper, 0.0), log_n)

@@ -24,19 +24,13 @@ import numpy as np
 
 from .cipher import CipherSpec
 from .errors import CertificationError, UnsupportedCipherError
-from .inference import (
-    DEFAULT_STATE_CAP,
-    DEFAULT_WORD_CAP,
-    EntropyBracket,
-    _ProductChain,
-    hxz_bracket,
-    posterior,
-)
+from .inference import _CELL, EntropyBracket, _ProductChain, hxz_bracket, posterior
 from .sources import SourceModel, _walk_batch, make_bernoulli
 
 DEFAULT_MEMBER_CAP = 1 << 22
 
-# Monte Carlo samples per batch; it exists to bound working memory
+# Monte Carlo samples per batch, lowered so a batch's forward state holds at
+# most _CELL floats; it exists to bound working memory
 _SAMPLE_CHUNK = 2048
 
 
@@ -104,8 +98,6 @@ def build_typical_set(
     *,
     bracket_order: int = 8,
     member_cap: int = DEFAULT_MEMBER_CAP,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> TypicalSet:
     """Exhaustively construct the typical deciphering set of a ciphertext.
 
@@ -118,10 +110,8 @@ def build_typical_set(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if h_ref is None:
-        h_ref = hxz_bracket(
-            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap
-        ).midpoint
-    table = posterior(xm, ym, spec, ciphertext, cap=cap)
+        h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
+    table = posterior(xm, ym, spec, ciphertext)
     t = table.length
     rate = -table.log_posterior / t
     band = np.abs(rate - h_ref) < 0.5 * epsilon
@@ -170,8 +160,6 @@ def typical_set_growth(
     h_ref: float | None = None,
     bracket_order: int = 8,
     member_cap: int = DEFAULT_MEMBER_CAP,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[GrowthPoint]:
     """Growth exponent of the typical set along a ladder of lengths.
 
@@ -180,17 +168,14 @@ def typical_set_growth(
     with :func:`build_typical_set`.
     """
     if h_ref is None:
-        h_ref = hxz_bracket(
-            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap
-        ).midpoint
+        h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     points = []
     for t in t_list:
         x = xm.sample(t, np.random.SeedSequence((seed, t, 0)))
         y = ym.sample(t, np.random.SeedSequence((seed, t, 1)))
         z = spec.encrypt(x, y)
         built = build_typical_set(
-            xm, ym, spec, z, epsilon, h_ref,
-            member_cap=member_cap, cap=cap, state_cap=state_cap,
+            xm, ym, spec, z, epsilon, h_ref, member_cap=member_cap
         )
         points.append(GrowthPoint(t=int(t), growth=built.growth, mass=built.mass))
     return points
@@ -255,8 +240,6 @@ def concentration_experiment(
     *,
     h_ref: float | None = None,
     bracket_order: int = 10,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> ConcentrationReport:
     """Monte Carlo check that the posterior surprisal rate concentrates.
 
@@ -280,18 +263,17 @@ def concentration_experiment(
             "the surprisal statistic needs a key-recoverable cipher"
         )
     if h_ref is None:
-        h_ref = hxz_bracket(
-            xm, ym, spec, bracket_order, cap=cap, state_cap=state_cap
-        ).midpoint
-    chain = _ProductChain(xm, ym, spec, state_cap)
+        h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
+    chain = _ProductChain(xm, ym, spec)
+    chunk = max(1, min(_SAMPLE_CHUNK, _CELL // chain.size))
 
     fractions: list[float] = []
     means: list[float] = []
     variances: list[float] = []
     for t in lengths:
         chunks = []
-        for start in range(0, samples, _SAMPLE_CHUNK):
-            stop = min(start + _SAMPLE_CHUNK, samples)
+        for start in range(0, samples, chunk):
+            stop = min(start + chunk, samples)
             width = stop - start
             ux = np.empty((width, t + 1))
             uy = np.empty((width, t + 1))
@@ -368,9 +350,6 @@ def certify_bounds(
     ym: SourceModel,
     spec: CipherSpec,
     m: int,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> SecrecyReport:
     """Compute and certify the closed-form equivocation bounds at order m.
 
@@ -382,7 +361,7 @@ def certify_bounds(
     log_n = float(np.log2(spec.alphabet_size))
     h_x, h_y = xm.entropy_rate(), ym.entropy_rate()
     r_x, r_y = xm.redundancy(), ym.redundancy()
-    bracket = hxz_bracket(xm, ym, spec, m, cap=cap, state_cap=state_cap)
+    bracket = hxz_bracket(xm, ym, spec, m)
     bound = h_x + h_y - log_n
     forms = (h_x - r_y, h_y - r_x, log_n - (r_x + r_y))
     for value in forms:
@@ -415,8 +394,6 @@ def robustness_sweep(
     epsilon: float = 0.05,
     seed: int | None = None,
     member_cap: int = DEFAULT_MEMBER_CAP,
-    cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[SecrecyReport]:
     """Certified bounds for key models ``P(0) = 0.5 - tau, P(1) = 0.5 + tau``.
 
@@ -434,14 +411,13 @@ def robustness_sweep(
         if not 0.0 <= tau < 0.5:
             raise ValueError(f"tau {tau!r} outside [0, 0.5)")
         ym = make_bernoulli((0.5 - tau, 0.5 + tau))
-        base = certify_bounds(xm, ym, spec, m, cap=cap, state_cap=state_cap)
+        base = certify_bounds(xm, ym, spec, m)
         series: tuple[GrowthPoint, ...] = ()
         if t_list is not None:
             series = tuple(
                 typical_set_growth(
                     xm, ym, spec, t_list, epsilon, seed,
                     h_ref=base.bracket.midpoint, member_cap=member_cap,
-                    cap=cap, state_cap=state_cap,
                 )
             )
         reports.append(

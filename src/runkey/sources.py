@@ -34,7 +34,8 @@ from .errors import (
 )
 from .words import as_word
 
-DEFAULT_BLOCK_CAP = 1 << 26
+# exhaustive enumerations (words, blocks, plaintexts) stop at this many entries
+DEFAULT_WORD_CAP = 1 << 24
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -317,20 +318,18 @@ class SourceModel:
             pi = pi.sum(axis=tuple(range(length, k)))
         return _log2_safe(np.asarray(pi, dtype=float).reshape(-1))
 
-    def log2_block_prob_array(
-        self, length: int, *, cap: int = DEFAULT_BLOCK_CAP
-    ) -> np.ndarray:
+    def log2_block_prob_array(self, length: int) -> np.ndarray:
         """log2 probabilities of all ``n**length`` words of the given length.
 
         Words are indexed as packed base-n integers.  Raises
-        EnumerationCapError when ``n**length`` exceeds ``cap``.
+        EnumerationCapError when ``n**length`` exceeds ``DEFAULT_WORD_CAP``.
         """
         if length < 1:
             raise ValueError("block length must be >= 1")
         n, k = self._n, self._k
-        if n**length > cap:
+        if n**length > DEFAULT_WORD_CAP:
             raise EnumerationCapError(
-                f"enumerating {n}**{length} words exceeds cap {cap}"
+                f"enumerating {n}**{length} words exceeds cap {DEFAULT_WORD_CAP}"
             )
         if length <= k:
             return self._log2_marginal(length)

@@ -114,13 +114,3 @@ def test_key_for_recovers_additive_key():
     x = rng.integers(0, 26, 64)
     y = rng.integers(0, 26, 64)
     assert np.array_equal(spec.key_for(x, spec.encrypt(x, y)), y)
-
-
-def test_encrypt_stream_chunks():
-    spec = cipher.additive_cipher(2)
-    x_chunks = [np.array([0, 1]), np.array([1, 1, 0])]
-    y_chunks = [np.array([1, 1]), np.array([0, 1, 1])]
-    out = np.concatenate(list(cipher.encrypt_stream(spec, x_chunks, y_chunks)))
-    assert out.tolist() == [1, 0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        list(cipher.encrypt_stream(spec, [np.array([0])], []))

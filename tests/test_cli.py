@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from runkey import cli, sources
+from runkey import cli, inference, sources
 
 MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 KEY = "bernoulli:0.45,0.55"
@@ -57,3 +58,57 @@ def test_bounds_report_is_repeatable(x_model, tmp_path):
     record = json.loads(reports[0])
     assert record["config"]["m"] == "3"
     assert record["results"]["h_xz_lower"] <= record["results"]["h_xz_upper"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_report_header_replays(fmt, x_model, tmp_path):
+    first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "3",
+            "--format", fmt, "--out", str(first)]
+    assert cli.main(argv) == 0
+    assert cli.main(["bounds", "--config", str(first), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_report_for_another_subcommand_is_rejected(x_model, tmp_path, capsys):
+    report = tmp_path / "bounds.csv"
+    argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "2",
+            "--format", "csv", "--out", str(report)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["smb", "--config", str(report)]) == 2
+    assert _error_line(capsys).startswith("error: config:")
+
+
+def test_plain_config_file_keeps_comments(x_model, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a comment\nsubcommand bounds\nx-model {x_model}\n"
+                      f"y-model {KEY}\n\n# m 9\nm 3\n", encoding="utf-8")
+    replayed, direct = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["bounds", "--config", str(config), "--out", str(replayed)]) == 0
+    assert cli.main(["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "3",
+                     "--out", str(direct)]) == 0
+    assert replayed.read_bytes() == direct.read_bytes()
+
+
+def test_smb_over_the_entry_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # two order-1 models over n=4 store 4 * 4 * 16 operator entries
+    model = sources.make_markov(4, 1, np.full((4, 4), 0.25))
+    path = tmp_path / "x.model"
+    sources.save_model(model, str(path))
+    monkeypatch.setattr(inference, "DEFAULT_ENTRY_CAP", 4 * 4 * 16 - 1)
+    argv = ["smb", "--x-model", str(path), "--y-model", str(path), "--t", "5",
+            "--samples", "4", "--eps", "0.05", "--delta", "0.1", "--seed", "1",
+            "--h-ref", "1.0", "--out", str(tmp_path / "smb.json")]
+    assert cli.main(argv) == 3
+    assert _error_line(capsys).startswith("error: cap:")
+
+
+def test_memory_exhaustion_exits_3(x_model, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "certify_bounds", exhausted)
+    argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "2"]
+    assert cli.main(argv) == 3
+    assert _error_line(capsys) == "error: cap: MemoryError"

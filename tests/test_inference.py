@@ -172,10 +172,22 @@ def test_forward_impossible_ciphertext_is_neg_inf():
     assert inference.log_marginal_forward(ones, zero_key, SPEC2, [0, 0]) == -np.inf
 
 
-def test_state_cap():
-    big = sources.make_markov(2, 9, np.full((512, 2), 0.5))
+def test_entry_cap_checked_before_the_build(monkeypatch):
+    # n * n * S stored entries: 2 * 2 * 64 for two order-3 binary models
+    xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
+    assert inference.log_marginal_forward(xm, xm, SPEC2, [0, 1]) == -2.0
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
+    monkeypatch.setattr(inference_module.sp, "csr_matrix", None)  # never reached
     with pytest.raises(StateCapError):
-        inference.log_marginal_forward(big, big, SPEC2, [0, 1], state_cap=256)
+        inference.log_marginal_forward(xm, xm, SPEC2, [0, 1])
+
+
+def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
+    # n=256 with S=256 product states (order 1 against i.i.d.) is exactly at
+    # the cap; two order-1 byte models (S=65,536) would store 2**32 entries
+    assert 256 * 256 * 256 <= inference.DEFAULT_ENTRY_CAP
+    assert 256 * 256 * 65536 > inference.DEFAULT_ENTRY_CAP
 
 
 # -- conditional entropies -----------------------------------------------------------
@@ -310,6 +322,12 @@ def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
         assert dense.dense and not csr.dense
         for v in range(n):
             assert np.array_equal(csr.A[v].toarray(), dense.A[v])
+        z = rng.integers(0, n, size=(16, 12))
+        assert np.abs(dense.forward_log2(z) - csr.forward_log2(z)).max() <= 1e-12
+        front = dense.alpha0[None, :]
+        for _ in range(3):
+            via_dense, front = dense.extend(front), csr.extend(front)
+            assert np.abs(via_dense - front).max() <= 1e-12
 
 
 def test_log2sumexp():
