@@ -39,8 +39,8 @@ from .errors import (
     StateCapError,
     UnsupportedCipherError,
 )
-from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, xlog2x
-from .words import as_word
+from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, _open_for, xlog2x
+from .words import as_word, index_to_word, word_to_index, word_to_text
 
 # stored entries of the product-chain operators, n * n * S before the build
 # sums duplicates; a byte-alphabet pair with S = 256 contexts is exactly at it
@@ -60,9 +60,14 @@ def log2sumexp(values: np.ndarray) -> float:
     return top + float(np.log2(np.exp2(values - top).sum()))
 
 
-def _digit_matrix(n: int, width: int) -> np.ndarray:
-    """Digits (most significant first) of all base-n integers below n**width."""
-    idx = np.arange(n**width, dtype=np.int64)
+def _digit_matrix(
+    n: int, width: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Digits (most significant first) of the base-n integers in [start, stop).
+
+    ``stop`` defaults to ``n**width``, which gives every width-digit integer.
+    """
+    idx = np.arange(start, n**width if stop is None else stop, dtype=np.int64)
     digits = np.empty((idx.size, width), dtype=np.int64)
     for pos in range(width - 1, -1, -1):
         idx, digits[:, pos] = np.divmod(idx, n)
@@ -312,19 +317,13 @@ class PosteriorTable:
         word = as_word(plaintext, self.alphabet_size)
         if word.size != self.length:
             raise ValueError("plaintext length does not match the ciphertext")
-        index = 0
-        for sym in word.tolist():
-            index = index * self.alphabet_size + sym
-        return float(self.log_posterior[index])
+        return float(self.log_posterior[word_to_index(word, self.alphabet_size)])
 
     def prob(self, plaintext) -> float:
         return float(np.exp2(self.log2_prob(plaintext)))
 
     def to_csv(self, target) -> None:
         """Write (plaintext-as-base-n-string, log2_posterior) rows."""
-        from .words import word_to_text
-        from .sources import _open_for
-
         n, t = self.alphabet_size, self.length
         with _open_for(target, "w") as fh:
             fh.write("plaintext,log2_posterior\n")
@@ -335,16 +334,11 @@ class PosteriorTable:
                 chunk = 1 << 16
                 for start in range(0, self.log_posterior.size, chunk):
                     stop = min(start + chunk, self.log_posterior.size)
-                    digits = np.empty((stop - start, t), dtype=np.int64)
-                    idx = np.arange(start, stop, dtype=np.int64)
-                    for pos in range(t - 1, -1, -1):
-                        idx, digits[:, pos] = np.divmod(idx, n)
+                    digits = _digit_matrix(n, t, start, stop)
                     texts = alphabet[digits].view(f"S{t}").ravel()
                     for text, value in zip(texts, self.log_posterior[start:stop]):
                         fh.write(f"{text.decode('ascii')},{value:.12g}\n")
             else:
-                from .words import index_to_word
-
                 for u, value in enumerate(self.log_posterior):
                     text = word_to_text(index_to_word(u, n, t), n)
                     fh.write(f"{text},{value:.12g}\n")
@@ -413,24 +407,17 @@ def _entropies_for_chain(
         front = np.zeros((1, size))
         front[0, start_state] = 1.0
     totals = np.zeros(length + 1)
-    depth = 0
-    while depth < length and n ** (depth + 1) * size <= _CELL:
-        front = chain.extend(front)
-        depth += 1
-        totals[depth] = -xlog2x(front.sum(axis=1)).sum()
-    if depth == length:
-        return totals
+    # depth first over blocks of rows: one block of at most _CELL cells per level
+    rows = max(1, _CELL // (n * size))
 
-    remaining = length - depth
-    per_prefix = n**remaining * size
-    block_size = max(1, _CELL // per_prefix)
-    for start in range(0, front.shape[0], block_size):
-        sub = front[start : start + block_size]
-        partial = np.zeros(remaining)
-        for level in range(remaining):
-            sub = chain.extend(sub)
-            partial[level] = -xlog2x(sub.sum(axis=1)).sum()
-        totals[depth + 1 :] += partial
+    def descend(block: np.ndarray, depth: int) -> None:
+        level = chain.extend(block)
+        totals[depth + 1] += -xlog2x(level.sum(axis=1)).sum()
+        if depth + 1 < length:
+            for start in range(0, level.shape[0], rows):
+                descend(level[start : start + rows], depth + 1)
+
+    descend(front, 0)
     return totals
 
 

@@ -109,6 +109,8 @@ def build_typical_set(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if member_cap < 1:
+        raise ValueError("member cap must be at least 1")
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     table = posterior(xm, ym, spec, ciphertext)

@@ -14,7 +14,11 @@ Conventions used throughout:
   significant, so emitting ``a`` from context ``s`` leads to
   ``(s*n + a) % n**k``;
 - the stationary vector is the law of any k consecutive symbols, which makes
-  block probabilities position-independent.
+  block probabilities position-independent;
+- the context chain is one ``scipy.sparse`` matrix P.  It serves the
+  ergodicity check (a strong-component search, run only for tables with a
+  zero entry), the half-lazy power iteration for the stationary law, and the
+  ``pi = pi P`` residual certificate.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     ConvergenceError,
@@ -32,13 +37,16 @@ from .errors import (
     ModelFormatError,
     NotErgodicError,
 )
-from .words import as_word
+from .words import as_word, word_to_index
 
 # exhaustive enumerations (words, blocks, plaintexts) stop at this many entries
 DEFAULT_WORD_CAP = 1 << 24
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+# power iteration stops at this L1 step residual, or fails after this many steps
+_POWER_TOL = 1e-12
+_POWER_STEPS = 10**6
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:
@@ -75,122 +83,74 @@ def _validate_rows(table: np.ndarray) -> None:
         )
 
 
-def _closed_class_count(adjacency: list[list[int]]) -> int:
-    """Number of closed communicating classes of a finite directed graph.
+def _chain_matrix(table: np.ndarray, n: int) -> sp.csr_matrix:
+    """The context chain of a (n**k, n) emission table as one sparse matrix.
 
-    Kosaraju's algorithm, iterative so large context spaces cannot hit the
-    recursion limit.  A class is closed when no edge leaves it; an ergodic
-    chain has exactly one.
+    Row s holds ``table[s, a]`` at column ``(s*n + a) % n**k``; only the
+    positive entries are stored, so the stored entries are the chain's edges.
     """
-    size = len(adjacency)
-    visited = [False] * size
-    order: list[int] = []
-    for root in range(size):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    break
-            else:
-                order.append(node)
-                stack.pop()
-
-    reverse: list[list[int]] = [[] for _ in range(size)]
-    for node, targets in enumerate(adjacency):
-        for nxt in targets:
-            reverse[nxt].append(node)
-
-    component = [-1] * size
-    n_components = 0
-    for root in reversed(order):
-        if component[root] >= 0:
-            continue
-        component[root] = n_components
-        stack2 = [root]
-        while stack2:
-            node = stack2.pop()
-            for nxt in reverse[node]:
-                if component[nxt] < 0:
-                    component[nxt] = n_components
-                    stack2.append(nxt)
-        n_components += 1
-
-    closed = [True] * n_components
-    for node, targets in enumerate(adjacency):
-        for nxt in targets:
-            if component[nxt] != component[node]:
-                closed[component[node]] = False
-    return sum(closed)
+    size = table.shape[0]
+    rows, syms = np.nonzero(table)
+    cols = (rows * n + syms) % size
+    return sp.csr_matrix((table[rows, syms], (rows, cols)), shape=(size, size))
 
 
-def _power_iteration(step, size: int, tol: float, max_iter: int) -> np.ndarray:
-    """Fixed point of a stochastic operator by damped power iteration.
+def _require_one_closed_class(chain: sp.csr_matrix, positive: bool) -> None:
+    """Raise NotErgodicError unless the chain has exactly one closed class.
+
+    ``positive`` says the table behind the chain has no zero entry; every
+    state then reaches every other (a context within k steps), so only a
+    table with a zero pays for the strong-component search and its import.
+    A class is closed when no edge leaves it.
+    """
+    if positive:
+        return
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(chain, connection="strong")
+    rows, cols = chain.nonzero()
+    leaving = labels[rows] != labels[cols]
+    if count - np.unique(labels[rows[leaving]]).size != 1:
+        raise NotErgodicError("the chain has more than one closed class")
+
+
+def _power_iteration(step: sp.csr_matrix) -> np.ndarray:
+    """Stationary law by damped power iteration with ``step = P.T``.
 
     The half-lazy update ``(pi + pi @ P) / 2`` has the same fixed point and
     converges even for periodic chains.  The returned vector satisfies
-    ``||step(pi) - pi||_1 < tol``.
+    ``||pi @ P - pi||_1 < _POWER_TOL``.
     """
+    size = step.shape[0]
     pi = np.full(size, 1.0 / size)
-    for _ in range(max_iter):
-        nxt = step(pi)
-        if np.abs(nxt - pi).sum() < tol:
+    for _ in range(_POWER_STEPS):
+        nxt = step @ pi
+        if np.abs(nxt - pi).sum() < _POWER_TOL:
             pi = np.maximum(pi, 0.0)
             return pi / pi.sum()
         pi = 0.5 * (nxt + pi)
     raise ConvergenceError(
-        f"power iteration did not reach residual {tol:g} in {max_iter} steps"
+        f"power iteration did not reach residual {_POWER_TOL:g} "
+        f"in {_POWER_STEPS} steps"
     )
 
 
-def stationary_distribution(
-    transition, *, tol: float = 1e-12, max_iter: int = 10**6
-) -> np.ndarray:
+def stationary_distribution(transition) -> np.ndarray:
     """Stationary distribution of a square row-stochastic matrix.
 
-    Raises NotErgodicError when the chain has more than one closed class
-    (the fixed point is then not unique), and ConvergenceError when power
-    iteration fails to reach ``tol``.
+    The matrix is checked and iterated as a sparse matrix, exactly like a
+    model's context chain.  Raises NotErgodicError when the chain has more
+    than one closed class (the fixed point is then not unique; transient
+    states are fine and get mass 0), and ConvergenceError when power
+    iteration does not reach an L1 step residual of 1e-12 in 10**6 steps.
     """
     matrix = np.asarray(transition, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidDistributionError("transition matrix must be square")
     _validate_rows(matrix)
-    adjacency = [np.nonzero(row > 0.0)[0].tolist() for row in matrix]
-    if _closed_class_count(adjacency) != 1:
-        raise NotErgodicError("transition matrix has more than one closed class")
-    return _power_iteration(lambda pi: pi @ matrix, matrix.shape[0], tol, max_iter)
-
-
-def _context_step(table: np.ndarray, n: int, k: int):
-    """Stationary-update operator over packed contexts for a (n**k, n) table."""
-    if k == 0:
-        return lambda pi: pi
-    tail = n ** (k - 1)
-
-    def step(pi: np.ndarray) -> np.ndarray:
-        # next context (v, a) collects mass from contexts (b, v) emitting a
-        mass = (pi[:, None] * table).reshape(n, tail, n)
-        return mass.sum(axis=0).reshape(-1)
-
-    return step
-
-
-def _context_adjacency(table: np.ndarray, n: int, k: int) -> list[list[int]]:
-    if k == 0:
-        return [[0]]
-    size = table.shape[0]
-    tail = n ** (k - 1)
-    adjacency: list[list[int]] = []
-    for s in range(size):
-        base = (s % tail) * n
-        adjacency.append([base + a for a in range(n) if table[s, a] > 0.0])
-    return adjacency
+    chain = sp.csr_matrix(matrix)
+    _require_one_closed_class(chain, bool(matrix.all()))
+    return _power_iteration(chain.T.tocsr())
 
 
 class SourceModel:
@@ -209,6 +169,12 @@ class SourceModel:
         Stationary law over contexts; computed by power iteration when
         omitted, validated against ``pi = pi P`` when given.
 
+    The context chain is held as one sparse matrix P (row s holds
+    ``transition[s, a]`` at column ``(s*n + a) % n**k``).  Construction
+    raises NotErgodicError unless P has exactly one closed class, and
+    InvalidDistributionError unless the law satisfies ``pi = pi P`` to
+    within 1e-10 in L1.
+
     Instances are immutable (arrays are frozen) and safe to share between
     threads; sampling takes an explicit seed.
     """
@@ -226,12 +192,11 @@ class SourceModel:
                 f"transition table must have shape ({n**k}, {n}), got {table.shape}"
             )
         _validate_rows(table)
-        if _closed_class_count(_context_adjacency(table, n, k)) != 1:
-            raise NotErgodicError(
-                "context chain is reducible: more than one closed class"
-            )
+        chain = _chain_matrix(table, n)
+        _require_one_closed_class(chain, bool(table.all()))
+        step = chain.T.tocsr()
         if stationary is None:
-            pi = _power_iteration(_context_step(table, n, k), n**k, 1e-12, 10**6)
+            pi = _power_iteration(step)
         else:
             pi = np.array(stationary, dtype=float)
             if pi.shape != (n**k,):
@@ -241,7 +206,7 @@ class SourceModel:
             if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-9:
                 raise InvalidDistributionError("stationary vector is not a distribution")
             pi = pi / pi.sum()
-        residual = float(np.abs(_context_step(table, n, k)(pi) - pi).sum())
+        residual = float(np.abs(step @ pi - pi).sum())
         if residual > _STATIONARY_TOL:
             raise InvalidDistributionError(
                 f"stationary vector fails pi = pi P (residual {residual:.3e})"
@@ -347,12 +312,9 @@ class SourceModel:
         word = as_word(word, self._n)
         n, k = self._n, self._k
         head = min(len(word), k)
-        packed = 0
-        for sym in word[:head].tolist():
-            packed = packed * n + sym
-        total = float(self._log2_marginal(head)[packed]) if head else 0.0
+        state = word_to_index(word[:head], n) if head else 0
+        total = float(self._log2_marginal(head)[state]) if head else 0.0
         log_t = _log2_safe(self._transition)
-        state = packed
         for sym in word[head:].tolist():
             total += float(log_t[state, sym])
             state = (state * n + sym) % (n**k) if k else 0
@@ -363,17 +325,14 @@ class SourceModel:
         word = as_word(word, self._n)
         n, k = self._n, self._k
         head = min(len(word), k)
-        packed = 0
-        for sym in word[:head].tolist():
-            packed = packed * n + sym
+        state = word_to_index(word[:head], n) if head else 0
         if head:
             pi = self._stationary.reshape((n,) * k)
             if head < k:
                 pi = pi.sum(axis=tuple(range(head, k)))
-            total = float(pi.reshape(-1)[packed])
+            total = float(pi.reshape(-1)[state])
         else:
             total = 1.0
-        state = packed
         for sym in word[head:].tolist():
             total *= float(self._transition[state, sym])
             state = (state * n + sym) % (n**k) if k else 0
@@ -470,7 +429,9 @@ def make_markov(
     """Order-k Markov source from a (n**k, n) symbol-emission table.
 
     ``initial`` optionally supplies the stationary context law; when omitted
-    it is computed by power iteration.
+    it is computed by power iteration.  Either way it is certified against
+    ``pi = pi P``; the table must give exactly one closed class (see
+    :class:`SourceModel`).
     """
     return SourceModel(alphabet_size, order, transition, initial)
 
@@ -518,15 +479,14 @@ def train_markov(
 def save_model(model: SourceModel, path, header_lines: Sequence[str] = ()) -> None:
     """Write a model as the key-value text format (one probability row per line)."""
     n, k = model.alphabet_size, model.order
+    row_format = " ".join(["%.17g"] * n)
     with _open_for(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"n {n}\n")
         fh.write(f"order {k}\n")
-        for s in range(model.num_states):
-            label = _state_label(s, n, k)
-            row = " ".join(f"{p:.17g}" for p in model.transition[s])
-            fh.write(f"row {label} {row}\n")
+        for s, row in enumerate(model.transition):
+            fh.write(f"row {_state_label(s, n, k)} {row_format % tuple(row.tolist())}\n")
 
 
 def load_model(path) -> SourceModel:

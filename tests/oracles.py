@@ -82,5 +82,34 @@ def hm_z_pair_blocks(xm, ym, n, m):
     return -sum(p * math.log2(p) for p in law.values() if p > 0.0) / length
 
 
+def context_matrix(transition, n, k):
+    """Dense transition matrix over the n**k packed contexts of an order-k table."""
+    size = n**k
+    matrix = [[0.0] * size for _ in range(size)]
+    for s in range(size):
+        for a in range(n):
+            matrix[s][(s * n + a) % size] += transition[s][a]
+    return matrix
+
+
+def closed_class_count(matrix):
+    """Closed communicating classes of a chain, by Warshall's transitive closure."""
+    size = len(matrix)
+    reach = [[i == j or matrix[i][j] > 0.0 for j in range(size)] for i in range(size)]
+    for mid in range(size):
+        for i in range(size):
+            if reach[i][mid]:
+                for j in range(size):
+                    reach[i][j] = reach[i][j] or reach[mid][j]
+    # a state lies in a closed class when every state it reaches reaches it back;
+    # the class is then exactly the set of states it reaches
+    classes = set()
+    for i in range(size):
+        reached = [j for j in range(size) if reach[i][j]]
+        if all(reach[j][i] for j in reached):
+            classes.add(tuple(reached))
+    return len(classes)
+
+
 def chi_square_stat(counts, expected):
     return sum((c - e) ** 2 / e for c, e in zip(counts, expected) if e > 0.0)

@@ -2,7 +2,7 @@ import inspect
 
 import runkey
 
-REMOVED_KNOBS = {"cap", "state_cap", "workers"}
+REMOVED_KNOBS = {"cap", "state_cap", "workers", "tol", "max_iter"}
 
 
 def _public_callables():

@@ -112,3 +112,11 @@ def test_memory_exhaustion_exits_3(x_model, monkeypatch, capsys):
     argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "2"]
     assert cli.main(argv) == 3
     assert _error_line(capsys) == "error: cap: MemoryError"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_psi_rejects_member_cap_below_one(cap, x_model, capsys):
+    argv = ["psi", "--x-model", x_model, "--y-model", KEY, "--z", "0110",
+            "--eps", "0.1", "--h-ref", "0.5", "--member-cap", cap]
+    assert cli.main(argv) == 2
+    assert _error_line(capsys).startswith("error: config:")

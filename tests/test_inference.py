@@ -309,6 +309,28 @@ def test_chunked_enumeration_bit_identical(monkeypatch):
     assert np.array_equal(inference.z_block_entropies(xm, ym, SPEC2, 8), reference_totals)
 
 
+def test_enumeration_blocks_bound_the_working_set(monkeypatch):
+    # the pair of the certify benchmark workload at seed 0: S = 32 * 4 = 128
+    rng = np.random.default_rng(np.random.SeedSequence([0, *b"certify"]))
+    px, py = rng.uniform(0.05, 0.95, size=32), rng.uniform(0.3, 0.7, size=4)
+    xm = sources.make_markov(2, 5, np.column_stack([1.0 - px, px]))
+    ym = sources.make_markov(2, 2, np.column_stack([1.0 - py, py]))
+    reference = inference.z_block_entropies(xm, ym, SPEC2, 10)
+    sizes = []
+    extend = inference_module._ProductChain.extend
+
+    def recorded(chain, arr):
+        out = extend(chain, arr)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(inference_module._ProductChain, "extend", recorded)
+    monkeypatch.setattr(inference_module, "_CELL", 2**10)
+    blocked = inference.z_block_entropies(xm, ym, SPEC2, 10)
+    assert max(sizes) <= 2**10
+    assert np.abs(blocked - reference).max() <= 1e-12
+
+
 def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
     rng = np.random.default_rng(8)
     # order-0 pairs put several (a, b) contributions on one operator entry

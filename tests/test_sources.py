@@ -1,6 +1,10 @@
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,9 +362,122 @@ def test_model_file_rejects_malformed_input():
             sources.load_model(io.StringIO(text))
 
 
-def test_power_iteration_convergence_error():
+def test_power_iteration_convergence_error(monkeypatch):
     # an asymmetric nearly-reducible chain mixes far too slowly for 50 steps
     eps = 1e-4
     table = np.array([[1 - eps, eps], [2 * eps, 1 - 2 * eps]])
+    monkeypatch.setattr(sources, "_POWER_STEPS", 50)
     with pytest.raises(ConvergenceError):
-        sources._power_iteration(lambda pi: pi @ table, 2, 1e-12, 50)
+        sources.stationary_distribution(table)
+    with pytest.raises(ConvergenceError):
+        sources.make_markov(2, 1, table)
+
+
+# -- ergodicity and the stationary law ------------------------------------------------
+
+
+def _table_with_zeros(rng, rows, cols):
+    """Random row-stochastic table with most entries zero and one positive per row."""
+    table = rng.random((rows, cols)) * (rng.random((rows, cols)) < 0.2)
+    table[np.arange(rows), rng.integers(0, cols, size=rows)] += 0.1 + rng.random(rows)
+    return table / table.sum(axis=1, keepdims=True)
+
+
+def test_ergodicity_check_matches_closure_oracle():
+    rng = np.random.default_rng(11)
+    verdicts = {"square": [], "context": []}
+    for _ in range(120):
+        size = int(rng.integers(1, 7))
+        matrix = _table_with_zeros(rng, size, size)
+        ergodic = oracles.closed_class_count(matrix.tolist()) == 1
+        verdicts["square"].append(ergodic)
+        if ergodic:
+            pi = sources.stationary_distribution(matrix)
+            assert np.abs(pi @ matrix - pi).sum() <= 1e-10
+        else:
+            with pytest.raises(NotErgodicError):
+                sources.stationary_distribution(matrix)
+    for _ in range(120):
+        n, k = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        table = _table_with_zeros(rng, n**k, n)
+        chain = oracles.context_matrix(table.tolist(), n, k)
+        ergodic = oracles.closed_class_count(chain) == 1
+        verdicts["context"].append(ergodic)
+        if ergodic:
+            sources.make_markov(n, k, table)
+        else:
+            with pytest.raises(NotErgodicError):
+                sources.make_markov(n, k, table)
+    for outcomes in verdicts.values():
+        assert 10 <= sum(outcomes) <= len(outcomes) - 10
+
+
+def test_transient_states_feeding_one_closed_class():
+    # state 0 leaves for good; states 1 and 2 form the one closed class
+    pi = sources.stationary_distribution([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
+    assert pi[0] <= 1e-10
+    assert np.allclose(pi, [0.0, 6 / 13, 7 / 13], atol=1e-10)
+    # context 0 is transient once context 1 only ever emits 1
+    model = sources.make_markov(2, 1, [[0.5, 0.5], [0.0, 1.0]])
+    assert model.stationary[0] <= 1e-10
+    assert abs(model.stationary[1] - 1.0) <= 1e-10
+
+
+def test_stationary_law_matches_direct_solve():
+    rng = np.random.default_rng(12)
+    solved = {False: 0, True: 0}
+    for trial in range(80):
+        n, k = int(rng.integers(2, 5)), int(rng.integers(0, 4))
+        zeros = bool(trial % 2)
+        if zeros:
+            table = _table_with_zeros(rng, n**k, n)
+        else:
+            table = rng.dirichlet(np.ones(n), size=n**k)
+        chain = np.array(oracles.context_matrix(table.tolist(), n, k))
+        if oracles.closed_class_count(chain.tolist()) != 1:
+            continue
+        size = n**k
+        # pi (I - P + 1 1^T) = 1^T has the stationary law as its only solution
+        exact = np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size))
+        pi = sources.make_markov(n, k, table).stationary
+        assert np.abs(pi - exact).max() <= 1e-10
+        solved[zeros] += 1
+    assert min(solved.values()) >= 15
+
+
+_IMPORT_PROBE = """
+import sys
+import runkey.cli
+from runkey import sources
+sources.load_model(sys.argv[1])
+print(" ".join(m for m in ("scipy.linalg", "scipy.sparse.csgraph") if m in sys.modules))
+"""
+
+
+def test_graph_search_import_only_for_tables_with_zeros(tmp_path):
+    src = str(Path(sources.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = {}
+    for name, table in (("positive", [[0.9, 0.1], [0.2, 0.8]]),
+                        ("zero", [[0.5, 0.5], [1.0, 0.0]])):
+        path = tmp_path / f"{name}.model"
+        sources.save_model(sources.make_markov(2, 1, table), str(path))
+        probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(path)],
+                               capture_output=True, text=True, env=env, check=True)
+        loaded[name] = probe.stdout.split()
+    assert loaded["positive"] == []
+    assert "scipy.sparse.csgraph" in loaded["zero"]
+
+
+def test_save_model_rows_match_per_float_format():
+    third = 1.0 / 3.0
+    table = np.array([[0.0, 0.1, 0.9], [third, third, 1.0 - 2 * third], [5e-324, 0.25, 0.75]])
+    model = sources.make_markov(3, 1, table)
+    buf = io.StringIO()
+    sources.save_model(model, buf, header_lines=["pinned"])
+    rows = "".join(
+        f"row {s} " + " ".join(f"{p:.17g}" for p in row) + "\n"
+        for s, row in enumerate(model.transition)
+    )
+    assert buf.getvalue() == "# pinned\nn 3\norder 1\n" + rows
+    assert "4.9406564584124654e-324" in rows and "0.33333333333333331" in rows
