@@ -4,8 +4,11 @@ Every report-producing subcommand writes JSON or flat CSV with the fully
 resolved configuration echoed into the header (CSV: ``# key value`` comment
 lines, which are themselves valid config-file lines; JSON: a ``config``
 object), so a report can always be regenerated from its own header.  The
-``out`` option controls placement only and is deliberately left out of the
-echo: runs that differ only in it produce byte-identical reports.
+header is the subparser's options in parser order (model options, then the
+subcommand's own, then ``seed`` and ``format``), each under its flag name, so
+it is a replayable config file.  The ``out`` option controls placement only
+and is left out of the echo: runs that differ only in it produce
+byte-identical reports.
 
 ``--config FILE`` reads options from a plain ``key value`` file (``#``
 lines are comments) or replays a report: a CSV report (first line
@@ -23,7 +26,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +35,8 @@ from .errors import (
     CertificationError,
     ConvergenceError,
     EnumerationCapError,
-    InvalidDistributionError,
-    ModelFormatError,
-    NotErgodicError,
     RunkeyError,
     StateCapError,
-    UnsupportedCipherError,
 )
 from .inference import posterior
 from .secrecy import (
@@ -100,64 +98,32 @@ def _load_source(spec_text: str):
     return load_model(spec_text)
 
 
-# -- configuration echo ---------------------------------------------------------
+def _load_pair(args):
+    """The plaintext and key models of ``args`` and the additive cipher over them."""
+    xm = _load_source(args.x_model)
+    ym = _load_source(args.y_model)
+    return xm, ym, additive_cipher(xm.alphabet_size)
 
-# per-subcommand echo order as (flag name, parsed attribute) pairs, resolved
-# after parsing so defaults are included.  Echoed flag names are the real
-# option names, which makes every report header a replayable config file.
-# 'out' never appears: it cannot change report contents.
-_ECHO_KEYS: dict[str, tuple[tuple[str, str], ...]] = {
-    "train": (("corpus", "corpus"), ("bits", "bits"), ("n", "n"),
-              ("order", "order"), ("alpha", "alpha")),
-    "entropy": (("x-model", "x_model"), ("m", "m_list"), ("format", "format")),
-    "encrypt": (("in", "in_path"), ("key", "key"), ("n", "n"),
-                ("bits", "bits"), ("text", "text")),
-    "decrypt": (("in", "in_path"), ("key", "key"), ("n", "n"),
-                ("bits", "bits"), ("text", "text")),
-    "posterior": (("x-model", "x_model"), ("y-model", "y_model"), ("z", "z"),
-                  ("max-rows", "max_rows"), ("format", "format")),
-    "psi": (("x-model", "x_model"), ("y-model", "y_model"), ("z", "z"),
-            ("t", "t_list"), ("eps", "eps"), ("m", "m"), ("h-ref", "h_ref"),
-            ("member-cap", "member_cap"), ("seed", "seed"),
-            ("format", "format")),
-    "smb": (("x-model", "x_model"), ("y-model", "y_model"), ("t", "t_list"),
-            ("samples", "samples"), ("eps", "eps"), ("delta", "delta"),
-            ("m", "m"), ("h-ref", "h_ref"), ("seed", "seed"),
-            ("format", "format")),
-    "bounds": (("x-model", "x_model"), ("y-model", "y_model"), ("m", "m"),
-               ("format", "format")),
-    "sweep": (("x-model", "x_model"), ("tau", "tau_list"), ("m", "m"),
-              ("t", "t_list"), ("eps", "eps"), ("seed", "seed"),
-              ("format", "format")),
-}
+
+# -- configuration echo ---------------------------------------------------------
 
 
 def _echo_value(value) -> str | None:
     if value is None:
         return None
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return ",".join(_echo_value(v) for v in value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else _fmt(value)
 
 
-@dataclass
-class RunConfig:
-    """A validated subcommand invocation plus its reproducibility echo."""
-
-    subcommand: str
-    args: argparse.Namespace
-
-    def echo(self) -> dict[str, str]:
-        out = {"subcommand": self.subcommand}
-        for flag, attr in _ECHO_KEYS.get(self.subcommand, ()):
-            value = _echo_value(getattr(self.args, attr))
-            if value is not None:
-                out[flag] = value
-        return out
+def _echo(args: argparse.Namespace) -> dict[str, str]:
+    """The subcommand and its resolved options, in parser order, minus ``out``."""
+    out = {"subcommand": args.subcommand}
+    for flag, dest in args.echo_keys:
+        value = _echo_value(getattr(args, dest))
+        if value is not None:
+            out[flag] = value
+    return out
 
 
 def _config_pairs(fh) -> list[tuple[str, str]]:
@@ -215,28 +181,19 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value != value:
-            return "nan"
-        if value == float("inf"):
-            return "inf"
-        if value == float("-inf"):
-            return "-inf"
-        return f"{value:.12g}"
+        return f"{value:.12g}"  # nan, inf and -inf print as such
     return str(value)
 
 
 def _json_value(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, (bool, int, np.integer)):
+        return _fmt(value)
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if value != value or value in (float("inf"), float("-inf")):
-            return json.dumps(_fmt(value))  # JSON has no inf/nan literals
-        return f"{value:.12g}"
+        text = _fmt(float(value))
+        # JSON has no inf/nan literals
+        return json.dumps(text) if text in ("nan", "inf", "-inf") else text
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -265,6 +222,15 @@ def _write_csv(fh, config: dict[str, str], columns: tuple[str, ...], rows) -> No
 def _report_target(path):
     """The ``--out`` value as an ``_open_for`` target; '-' or None is stdout."""
     return sys.stdout if path in (None, "-") else path
+
+
+def _write_report(args, results, columns=(), rows=()) -> None:
+    """Write ``results`` (JSON) or ``rows`` under ``columns`` (CSV) to ``--out``."""
+    with _open_for(_report_target(args.out), "w") as fh:
+        if args.format == "json":
+            _write_json(fh, _echo(args), results)
+        else:
+            _write_csv(fh, _echo(args), columns, rows)
 
 
 def _series_rows(results_rows, first_column: str):
@@ -298,10 +264,10 @@ def _open_binary(path, mode: str):
     return open(path, mode), True
 
 
-def _run_cipher_pass(args, direction: str) -> int:
+def _cmd_cipher(args) -> int:
     n = 2 if args.bits else args.n
     spec = additive_cipher(n)
-    apply_word = spec.encrypt if direction == "encrypt" else spec.decrypt
+    apply_word = spec.encrypt if args.subcommand == "encrypt" else spec.decrypt
     if args.text:
         with open(args.in_path, encoding="utf-8") as fh:
             data = text_to_word(fh.read(), n)
@@ -335,8 +301,7 @@ def _run_cipher_pass(args, direction: str) -> int:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_train(config: RunConfig) -> int:
-    args = config.args
+def _cmd_train(args) -> int:
     n = 2 if args.bits else args.n
     if args.corpus == "-":
         raw = sys.stdin.buffer.read()
@@ -345,7 +310,7 @@ def _cmd_train(config: RunConfig) -> int:
             raw = fh.read()
     stream = bytes_to_symbols(raw, n, bits=args.bits)
     model = train_markov(stream, n, args.order, alpha=args.alpha)
-    header = [f"{k} {v}" for k, v in config.echo().items()]
+    header = [f"{k} {v}" for k, v in _echo(args).items()]
     save_model(model, args.out, header_lines=header)
     print(
         f"trained order-{args.order} model on {stream.size} symbols: "
@@ -354,12 +319,11 @@ def _cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_entropy(config: RunConfig) -> int:
-    args = config.args
+def _cmd_entropy(args) -> int:
     model = _load_source(args.x_model)
     rows = [
-        {"m": "", "metric": "entropy_rate", "value": model.entropy_rate()},
-        {"m": "", "metric": "redundancy", "value": model.redundancy()},
+        ("", "entropy_rate", model.entropy_rate()),
+        ("", "redundancy", model.redundancy()),
     ]
     results = {
         "n": model.alphabet_size,
@@ -372,62 +336,46 @@ def _cmd_entropy(config: RunConfig) -> int:
         for m in args.m_list:
             value = model.block_entropy(m)
             blocks.append({"m": m, "h_m": value})
-            rows.append({"m": m, "metric": "block_entropy", "value": value})
+            rows.append((m, "block_entropy", value))
         results["block_entropies"] = blocks
     print(f"entropy rate: {model.entropy_rate():.12g} bits/symbol")
-    with _open_for(_report_target(args.out), "w") as fh:
-        if args.format == "json":
-            _write_json(fh, config.echo(), results)
-        else:
-            _write_csv(fh, config.echo(), ("m", "metric", "value"),
-                       [(r["m"], r["metric"], r["value"]) for r in rows])
+    _write_report(args, results, ("m", "metric", "value"), rows)
     return 0
 
 
-def _cmd_posterior(config: RunConfig) -> int:
-    args = config.args
-    xm = _load_source(args.x_model)
-    ym = _load_source(args.y_model)
-    spec = additive_cipher(xm.alphabet_size)
+def _cmd_posterior(args) -> int:
+    xm, ym, spec = _load_pair(args)
     z = text_to_word(args.z, spec.alphabet_size)
     table = posterior(xm, ym, spec, z)
     print(
         f"log2 P(z) = {table.log_marginal:.12g} over "
         f"{table.log_posterior.size} plaintexts"
     )
-    with _open_for(_report_target(args.out), "w") as fh:
-        if args.format == "json":
-            results = {
-                "t": table.length,
-                "log2_marginal": table.log_marginal,
-                "rows": [
-                    {
-                        "plaintext": word_to_text(
-                            index_to_word(u, spec.alphabet_size, table.length),
-                            spec.alphabet_size,
-                        ),
-                        "log2_posterior": float(lp),
-                    }
-                    for u, lp in enumerate(table.log_posterior)
-                ]
-                if table.log_posterior.size <= args.max_rows
-                else None,
-            }
-            _write_json(fh, config.echo(), results)
-        else:
-            for key, value in config.echo().items():
+    if args.format == "csv":  # the table streams its own rows
+        with _open_for(_report_target(args.out), "w") as fh:
+            for key, value in _echo(args).items():
                 fh.write(f"# {key} {value}\n")
             table.to_csv(fh)
+        return 0
+    rows = None
+    if table.log_posterior.size <= args.max_rows:
+        rows = [
+            {
+                "plaintext": word_to_text(
+                    index_to_word(u, spec.alphabet_size, table.length),
+                    spec.alphabet_size,
+                ),
+                "log2_posterior": float(lp),
+            }
+            for u, lp in enumerate(table.log_posterior)
+        ]
+    results = {"t": table.length, "log2_marginal": table.log_marginal, "rows": rows}
+    _write_report(args, results)
     return 0
 
 
-def _cmd_psi(config: RunConfig) -> int:
-    args = config.args
-    xm = _load_source(args.x_model)
-    ym = _load_source(args.y_model)
-    spec = additive_cipher(xm.alphabet_size)
-    if args.z is None and not args.t_list:
-        raise ConfigError("psi needs either --z or --t")
+def _cmd_psi(args) -> int:
+    xm, ym, spec = _load_pair(args)
     if args.z is not None:
         z = text_to_word(args.z, spec.alphabet_size)
         built = build_typical_set(
@@ -441,6 +389,8 @@ def _cmd_psi(config: RunConfig) -> int:
             f"mass {built.mass:.6g}, growth {built.growth:.6g}"
         )
     else:
+        if not args.t_list:
+            raise ConfigError("psi --t needs at least one length")
         if args.seed is None:
             raise ConfigError("sampling ciphertexts for --t needs --seed")
         points = typical_set_growth(
@@ -449,21 +399,14 @@ def _cmd_psi(config: RunConfig) -> int:
             member_cap=args.member_cap,
         )
         results = {"series": [p.as_dict() for p in points]}
-        rows = _series_rows([p.as_dict() for p in points], "t")
+        rows = _series_rows(results["series"], "t")
         print("growth series:", ", ".join(f"t={p.t}: {p.growth:.6g}" for p in points))
-    with _open_for(_report_target(args.out), "w") as fh:
-        if args.format == "json":
-            _write_json(fh, config.echo(), results)
-        else:
-            _write_csv(fh, config.echo(), ("t", "metric", "value"), rows)
+    _write_report(args, results, ("t", "metric", "value"), rows)
     return 0
 
 
-def _cmd_smb(config: RunConfig) -> int:
-    args = config.args
-    xm = _load_source(args.x_model)
-    ym = _load_source(args.y_model)
-    spec = additive_cipher(xm.alphabet_size)
+def _cmd_smb(args) -> int:
+    xm, ym, spec = _load_pair(args)
     report = concentration_experiment(
         xm, ym, spec, args.t_list, args.samples, args.eps, args.delta,
         args.seed, h_ref=args.h_ref, bracket_order=args.m,
@@ -479,19 +422,12 @@ def _cmd_smb(config: RunConfig) -> int:
             f"t={t}: {f:.4f}" for t, f in zip(report.lengths, report.band_fractions)
         ),
     )
-    with _open_for(_report_target(args.out), "w") as fh:
-        if args.format == "json":
-            _write_json(fh, config.echo(), results)
-        else:
-            _write_csv(fh, config.echo(), ("t", "metric", "value"), rows)
+    _write_report(args, results, ("t", "metric", "value"), rows)
     return 0
 
 
-def _cmd_bounds(config: RunConfig) -> int:
-    args = config.args
-    xm = _load_source(args.x_model)
-    ym = _load_source(args.y_model)
-    spec = additive_cipher(xm.alphabet_size)
+def _cmd_bounds(args) -> int:
+    xm, ym, spec = _load_pair(args)
     report = certify_bounds(xm, ym, spec, args.m)
     results = report.as_dict()
     rows = [(args.m, key, value) for key, value in results.items()]
@@ -499,16 +435,11 @@ def _cmd_bounds(config: RunConfig) -> int:
         f"h(X|Z) in [{report.bracket.lower:.12g}, {report.bracket.upper:.12g}], "
         f"corollary bound {report.bound_corollary:.12g}"
     )
-    with _open_for(_report_target(args.out), "w") as fh:
-        if args.format == "json":
-            _write_json(fh, config.echo(), results)
-        else:
-            _write_csv(fh, config.echo(), ("m", "metric", "value"), rows)
+    _write_report(args, results, ("m", "metric", "value"), rows)
     return 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    args = config.args
+def _cmd_sweep(args) -> int:
     xm = _load_source(args.x_model)
     spec = additive_cipher(xm.alphabet_size)
     reports = robustness_sweep(
@@ -531,11 +462,7 @@ def _cmd_sweep(config: RunConfig) -> int:
         "h(X|Z) lower bounds:",
         ", ".join(f"tau={r.tau:g}: {r.bracket.lower:.12g}" for r in reports),
     )
-    with _open_for(_report_target(args.out), "w") as fh:
-        if args.format == "json":
-            _write_json(fh, config.echo(), results)
-        else:
-            _write_csv(fh, config.echo(), ("tau", "metric", "value"), rows)
+    _write_report(args, results, ("tau", "metric", "value"), rows)
     return 0
 
 
@@ -543,20 +470,30 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 
 def _build_parser() -> _Parser:
+    """The ``runkey`` parser; each subparser is its subcommand's whole description.
+
+    A subparser names its handler (``run``), and its options, in the order
+    added, are the report's echoed configuration (``echo_keys``), so model
+    options come first and ``seed``, ``out`` and ``format`` last.
+    """
     parser = _Parser(prog="runkey", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, *, seed_required=False, needs_y=True):
+    def add_models(p, *, needs_y=True):
         p.add_argument("--x-model", required=True,
                        help="model file, or uniform:N / bernoulli:p0,p1,...")
         if needs_y:
             p.add_argument("--y-model", required=True)
-        p.add_argument("--seed", type=int, required=seed_required)
+
+    def add_report(p, *, seed=False, seed_required=False):
+        if seed:
+            p.add_argument("--seed", type=int, required=seed_required)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("train", help="fit a Markov model to a corpus")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--corpus", required=True, help="byte stream file, or - for stdin")
     p.add_argument("--bits", action="store_true",
                    help="expand bytes to bits, most significant first")
@@ -566,13 +503,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("entropy", help="entropy rate and block entropies")
-    p.add_argument("--x-model", required=True)
+    p.set_defaults(run=_cmd_entropy)
+    add_models(p, needs_y=False)
     p.add_argument("--m", dest="m_list", type=_int_list, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    add_report(p)
 
     for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} with a running key")
+        p.set_defaults(run=_cmd_cipher)
         p.add_argument("--in", dest="in_path", required=True)
         p.add_argument("--key", required=True)
         p.add_argument("--out", default=None)
@@ -582,54 +520,58 @@ def _build_parser() -> _Parser:
                        help="read symbols as base-n text instead of raw bytes")
 
     p = sub.add_parser("posterior", help="exact posterior table for one ciphertext")
-    add_common(p)
+    p.set_defaults(run=_cmd_posterior)
+    add_models(p)
     p.add_argument("--z", required=True, help="ciphertext as base-n text")
     p.add_argument("--max-rows", type=int, default=4096,
                    help="largest table included in JSON output")
+    add_report(p)
 
     p = sub.add_parser("psi", help="typical deciphering set / growth series")
-    add_common(p)
-    p.add_argument("--z", default=None)
-    p.add_argument("--t", dest="t_list", type=_int_list, default=None)
+    p.set_defaults(run=_cmd_psi)
+    add_models(p)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--z", help="one ciphertext as base-n text")
+    target.add_argument("--t", dest="t_list", type=_int_list,
+                        help="lengths of sampled ciphertexts (needs --seed)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--m", type=int, default=8, help="bracket order for h_ref")
     p.add_argument("--h-ref", type=float, default=None)
     p.add_argument("--member-cap", type=int, default=1 << 22)
+    add_report(p, seed=True)
 
     p = sub.add_parser("smb", help="posterior surprisal concentration experiment")
-    add_common(p, seed_required=True)
+    p.set_defaults(run=_cmd_smb)
+    add_models(p)
     p.add_argument("--t", dest="t_list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--h-ref", type=float, default=None)
+    add_report(p, seed=True, seed_required=True)
 
     p = sub.add_parser("bounds", help="certified equivocation bounds")
-    add_common(p)
+    p.set_defaults(run=_cmd_bounds)
+    add_models(p)
     p.add_argument("--m", type=int, required=True)
+    add_report(p)
 
     p = sub.add_parser("sweep", help="key-bias robustness sweep")
-    add_common(p, needs_y=False)
+    p.set_defaults(run=_cmd_sweep)
+    add_models(p, needs_y=False)
     p.add_argument("--tau", dest="tau_list", type=_float_list, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", dest="t_list", type=_int_list, default=None)
     p.add_argument("--eps", type=float, default=0.05)
+    add_report(p, seed=True)
 
+    for p in sub.choices.values():
+        p.set_defaults(echo_keys=[
+            (action.option_strings[0][2:], action.dest)
+            for action in p._actions if action.dest not in ("help", "out")
+        ])
     return parser
-
-
-_DISPATCH = {
-    "train": _cmd_train,
-    "entropy": _cmd_entropy,
-    "encrypt": lambda cfg: _run_cipher_pass(cfg.args, "encrypt"),
-    "decrypt": lambda cfg: _run_cipher_pass(cfg.args, "decrypt"),
-    "posterior": _cmd_posterior,
-    "psi": _cmd_psi,
-    "smb": _cmd_smb,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-}
 
 
 def _splice_config(argv: list[str]) -> list[str]:
@@ -664,22 +606,12 @@ def main(argv=None) -> int:
     try:
         spliced = _splice_config(argv)
         args = _build_parser().parse_args(spliced)
-        config = RunConfig(subcommand=args.subcommand, args=args)
-        return _DISPATCH[args.subcommand](config)
-    except ConfigError as exc:
-        return _fail("config", exc, 2)
+        return args.run(args)
     except (EnumerationCapError, StateCapError, MemoryError) as exc:
         return _fail("cap", exc, 3)
     except (ConvergenceError, CertificationError) as exc:
         return _fail("numeric", exc, 4)
-    except (
-        InvalidDistributionError,
-        NotErgodicError,
-        ModelFormatError,
-        UnsupportedCipherError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and the input errors subclass ValueError
         return _fail("config", exc, 2)
 
 

@@ -18,7 +18,7 @@ stream drifts away from the one-time pad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +88,16 @@ class TypicalSet:
         }
 
 
+def _check_band(epsilon: float, member_cap: int, lengths=()) -> None:
+    """Reject a typical-set request before any enumeration is spent on it."""
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    if member_cap < 1:
+        raise ValueError("member cap must be at least 1")
+    if any(t < 1 for t in lengths):
+        raise ValueError("every length must be >= 1")
+
+
 def build_typical_set(
     xm: SourceModel,
     ym: SourceModel,
@@ -107,10 +117,7 @@ def build_typical_set(
     ``bracket_order``; the bracket width is then a stated slack on top of
     epsilon and is the caller's to account for.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if member_cap < 1:
-        raise ValueError("member cap must be at least 1")
+    _check_band(epsilon, member_cap)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     table = posterior(xm, ym, spec, ciphertext)
@@ -169,6 +176,7 @@ def typical_set_growth(
     (seeds derived from ``(seed, t, stream)``), enciphered, and measured
     with :func:`build_typical_set`.
     """
+    _check_band(epsilon, member_cap, t_list)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     points = []
@@ -405,8 +413,10 @@ def robustness_sweep(
     """
     if spec.alphabet_size != 2 or xm.alphabet_size != 2:
         raise ValueError("the bias sweep is defined for the binary alphabet")
-    if t_list is not None and seed is None:
-        raise ValueError("growth series sampling needs a seed")
+    if t_list is not None:
+        if seed is None:
+            raise ValueError("growth series sampling needs a seed")
+        _check_band(epsilon, member_cap, t_list)
     reports = []
     for tau in taus:
         tau = float(tau)
@@ -422,17 +432,5 @@ def robustness_sweep(
                     h_ref=base.bracket.midpoint, member_cap=member_cap,
                 )
             )
-        reports.append(
-            SecrecyReport(
-                h_x=base.h_x,
-                h_y=base.h_y,
-                r_x=base.r_x,
-                r_y=base.r_y,
-                bracket=base.bracket,
-                bound_corollary=base.bound_corollary,
-                bound_forms=base.bound_forms,
-                growth_series=series,
-                tau=tau,
-            )
-        )
+        reports.append(replace(base, growth_series=series, tau=tau))
     return reports

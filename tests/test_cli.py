@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from runkey import cli, inference, sources
+from runkey import cli, inference, secrecy, sources
 
 MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 KEY = "bernoulli:0.45,0.55"
@@ -33,17 +33,28 @@ def test_smb_rejects_length_zero(iid_x, x_model, capsys):
     assert _error_line(capsys).startswith("error: config:")
 
 
-@pytest.mark.parametrize("subcommand", ["bounds", "smb"])
-def test_workers_option_is_gone(subcommand, x_model, capsys):
-    argv = [subcommand, "--x-model", x_model, "--y-model", KEY, "--m", "2",
-            "--workers", "2"]
-    if subcommand == "smb":
-        argv += ["--t", "5", "--samples", "4", "--eps", "0.05", "--delta", "0.1",
-                 "--seed", "1"]
+# arguments that make each subcommand valid apart from the option under test
+VALID = {
+    "bounds": ["--m", "2"],
+    "posterior": ["--z", "0110"],
+    "smb": ["--t", "5", "--samples", "4", "--eps", "0.05", "--delta", "0.1",
+            "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("subcommand, option", [
+    ("bounds", "--workers"),
+    ("smb", "--workers"),
+    ("bounds", "--seed"),
+    ("posterior", "--seed"),
+], ids=lambda value: value.lstrip("-"))
+def test_removed_option_is_rejected(subcommand, option, x_model, capsys):
+    argv = [subcommand, "--x-model", x_model, "--y-model", KEY,
+            *VALID[subcommand], option, "2"]
     assert cli.main(argv) == 2
     line = _error_line(capsys)
     assert line.startswith("error: config:")
-    assert "--workers" in line
+    assert option in line
 
 
 def test_bounds_report_is_repeatable(x_model, tmp_path):
@@ -68,6 +79,110 @@ def test_bounds_report_header_replays(fmt, x_model, tmp_path):
     assert cli.main(argv) == 0
     assert cli.main(["bounds", "--config", str(first), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# one small run of every report subcommand (X and CORPUS stand for input files)
+# and the keys its header echoes, in parser order
+X, CORPUS = "<x-model>", "<corpus>"
+REPORTS = {
+    "entropy": (["entropy", "--x-model", X, "--m", "0,2"],
+                ["x-model", "m", "format"]),
+    "posterior": (["posterior", "--x-model", X, "--y-model", KEY, "--z", "01101"],
+                  ["x-model", "y-model", "z", "max-rows", "format"]),
+    "psi-z": (["psi", "--x-model", X, "--y-model", KEY, "--z", "0110100",
+               "--eps", "0.2", "--h-ref", "0.8"],
+              ["x-model", "y-model", "z", "eps", "m", "h-ref", "member-cap", "format"]),
+    "psi-t": (["psi", "--x-model", X, "--y-model", KEY, "--t", "5,7", "--seed", "4",
+               "--eps", "0.2", "--m", "3"],
+              ["x-model", "y-model", "t", "eps", "m", "member-cap", "seed", "format"]),
+    "smb": (["smb", "--x-model", X, "--y-model", KEY, "--t", "4,9", "--samples", "8",
+             "--eps", "0.1", "--delta", "0.1", "--h-ref", "0.7", "--seed", "2"],
+            ["x-model", "y-model", "t", "samples", "eps", "delta", "m", "h-ref",
+             "seed", "format"]),
+    "bounds": (["bounds", "--x-model", X, "--y-model", KEY, "--m", "3"],
+               ["x-model", "y-model", "m", "format"]),
+    "sweep": (["sweep", "--x-model", X, "--tau", "0,0.05", "--m", "3", "--t", "5",
+               "--seed", "1"],
+              ["x-model", "tau", "m", "t", "eps", "seed", "format"]),
+    "train": (["train", "--corpus", CORPUS, "--bits", "--order", "2"],
+              ["corpus", "bits", "n", "order", "alpha"]),
+}
+RUNS = [(case, fmt) for case in REPORTS if case != "train" for fmt in ("csv", "json")]
+
+
+@pytest.fixture
+def report_argv(x_model, tmp_path):
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(b"a running key is not a one-time pad\n" * 8)
+    paths = {X: x_model, CORPUS: str(corpus)}
+
+    def argv(case, fmt=None):
+        args = [paths.get(arg, arg) for arg in REPORTS[case][0]]
+        return args + (["--format", fmt] if fmt else [])
+
+    return argv
+
+
+def _header_keys(text: str) -> list[str]:
+    if text.startswith("{"):
+        return list(json.loads(text)["config"])
+    keys = []
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            break
+        keys.append(line.split()[1])
+    return keys
+
+
+@pytest.mark.parametrize("case, fmt", [run for run in RUNS if run[0] != "bounds"]
+                         + [("train", None)])
+def test_report_header_replays(case, fmt, report_argv, tmp_path):
+    # bounds replays in test_bounds_report_header_replays
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(report_argv(case, fmt) + ["--out", str(first)]) == 0
+    subcommand = REPORTS[case][0][0]
+    assert cli.main([subcommand, "--config", str(first), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("case, fmt", RUNS)
+def test_out_does_not_change_the_report(case, fmt, report_argv, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert cli.main(report_argv(case, fmt) + ["--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    for target in ([], ["--out", "-"]):
+        assert cli.main(report_argv(case, fmt) + target) == 0
+        assert capsys.readouterr().out == summary + out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case, fmt", RUNS + [("train", None)])
+def test_report_header_key_order(case, fmt, report_argv, tmp_path):
+    out = tmp_path / "report"
+    assert cli.main(report_argv(case, fmt) + ["--out", str(out)]) == 0
+    keys = ["subcommand", *REPORTS[case][1]]
+    assert _header_keys(out.read_text(encoding="utf-8")) == keys
+
+
+def test_psi_takes_exactly_one_of_z_and_t(x_model, capsys):
+    base = ["psi", "--x-model", x_model, "--y-model", KEY, "--eps", "0.1",
+            "--h-ref", "0.5", "--seed", "5"]
+    assert cli.main(base + ["--z", "0110", "--t", "12"]) == 2
+    assert _error_line(capsys).startswith("error: config:")
+    assert cli.main(base) == 2
+    assert _error_line(capsys).startswith("error: config:")
+
+
+@pytest.mark.parametrize("bad", [["--member-cap", "0"], ["--eps", "0"], ["--t", "0"]],
+                         ids=["member-cap", "eps", "length"])
+def test_psi_t_rejects_bad_input_before_the_bracket(bad, x_model, monkeypatch, capsys):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the bracket was enumerated")
+
+    monkeypatch.setattr(secrecy, "hxz_bracket", enumerated)
+    argv = ["psi", "--x-model", x_model, "--y-model", KEY, "--t", "10", "--seed", "1",
+            "--eps", "0.1", *bad]
+    assert cli.main(argv) == 2
+    assert _error_line(capsys).startswith("error: config:")
 
 
 def test_report_for_another_subcommand_is_rejected(x_model, tmp_path, capsys):

@@ -119,6 +119,23 @@ def test_growth_series_deterministic_in_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("epsilon, member_cap, t_list", [
+    (0.05, 0, [6]), (0.0, 4, [6]), (0.05, 4, [6, 0]),
+], ids=["member-cap", "epsilon", "length"])
+def test_growth_series_validates_before_the_bracket(epsilon, member_cap, t_list,
+                                                    monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the bracket was enumerated")
+
+    monkeypatch.setattr(secrecy, "hxz_bracket", enumerated)
+    with pytest.raises(ValueError):
+        secrecy.typical_set_growth(MARKOV, BIASED, SPEC2, t_list, epsilon, seed=1,
+                                   member_cap=member_cap)
+    with pytest.raises(ValueError):
+        secrecy.robustness_sweep(MARKOV, SPEC2, [0.01], 4, t_list=t_list,
+                                 epsilon=epsilon, seed=1, member_cap=member_cap)
+
+
 # -- concentration experiment ---------------------------------------------------------
 
 
