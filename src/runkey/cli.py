@@ -74,18 +74,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_list(text: str) -> list[int]:
+def _values(text: str, kind) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        raise ConfigError(f"bad {kind.__name__} list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"empty {kind.__name__} list {text!r}")
+    return values
+
+
+def _int_list(text: str) -> list[int]:
+    return _values(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
+    return _values(text, float)
 
 
 def _load_source(spec_text: str):
@@ -389,8 +393,6 @@ def _cmd_psi(args) -> int:
             f"mass {built.mass:.6g}, growth {built.growth:.6g}"
         )
     else:
-        if not args.t_list:
-            raise ConfigError("psi --t needs at least one length")
         if args.seed is None:
             raise ConfigError("sampling ciphertexts for --t needs --seed")
         points = typical_set_growth(
@@ -444,7 +446,7 @@ def _cmd_sweep(args) -> int:
     spec = additive_cipher(xm.alphabet_size)
     reports = robustness_sweep(
         xm, spec, args.tau_list, args.m,
-        t_list=args.t_list or None, epsilon=args.eps, seed=args.seed,
+        t_list=args.t_list, epsilon=args.eps, seed=args.seed,
     )
     results = [r.as_dict() for r in reports]
     rows = []

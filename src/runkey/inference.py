@@ -89,9 +89,12 @@ class _ProductChain:
     States are pairs (plaintext context, key context) packed as
     ``sx * Sy + sy``.  For each ciphertext symbol v, ``A[v][s, s']`` is the
     probability of emitting v from state s while moving to s'; summing A[v]
-    over v gives the product-chain transition matrix.  Matrices are dense
-    for small state spaces and CSR-sparse beyond that; both are applied the
-    same way, one symbol's matrix at a time.
+    over v gives the product-chain transition matrix.  Each key symbol b
+    permutes the plaintext symbols, so v comes from exactly n pairs (a, b)
+    and every row of A[v] holds n entries ``T_X[sx, a] * T_Y[sy, b]``, in
+    (a, b) order, summed where they share a column (only with an order-0 key).
+    A[v] is CSR, or its ``toarray()`` in a dense stack for small state
+    spaces; both are applied the same way, one symbol's matrix at a time.
     """
 
     def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
@@ -106,40 +109,23 @@ class _ProductChain:
         self.n = n
         self.size = size
         self.alpha0 = np.outer(xm.stationary, ym.stationary).ravel()
-        next_x = self._context_successors(sx, n, xm.order)
-        next_y = self._context_successors(sy, n, ym.order)
-        rows = (np.arange(sx)[:, None] * sy + np.arange(sy)[None, :]).ravel()
-        triples: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
-        for a in range(n):
-            wx = xm.transition[:, a]
-            cols_x = next_x[:, a] * sy
-            for b in range(n):
-                v = int(spec.coder[a, b])
-                triples[v][0].append(rows)
-                triples[v][1].append((cols_x[:, None] + next_y[:, b][None, :]).ravel())
-                triples[v][2].append((wx[:, None] * ym.transition[:, b][None, :]).ravel())
-        self.A = [
-            sp.csr_matrix(
-                (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
-                shape=(size, size),
+        next_x = (np.arange(sx)[:, None] * n + np.arange(n)) % sx
+        next_y = (np.arange(sy)[:, None] * n + np.arange(n)) % sy
+        indptr = np.arange(0, size * n + 1, n)
+        self.dense = n * size * size <= _CELL
+        self.A = np.empty((n, size, size)) if self.dense else []
+        for v in range(n):
+            a, b = np.nonzero(spec.coder == v)
+            cols = next_x[:, None, a] * sy + next_y[None, :, b]
+            data = xm.transition[:, None, a] * ym.transition[None, :, b]
+            matrix = sp.csr_matrix(
+                (data.ravel(), cols.ravel(), indptr), shape=(size, size)
             )
-            for r, c, d in triples
-        ]
-        dense = n * size * size <= _CELL
-        if dense:
-            stacked = np.empty((n, size, size))
-            for v, matrix in enumerate(self.A):
-                stacked[v] = matrix.toarray()
-            self.A = stacked
-        self.dense = dense
-
-    @staticmethod
-    def _context_successors(states: int, n: int, k: int) -> np.ndarray:
-        s = np.arange(states)[:, None]
-        a = np.arange(n)[None, :]
-        if k == 0:
-            return np.zeros((states, n), dtype=np.int64)
-        return (s * n + a) % states
+            matrix.sum_duplicates()
+            if self.dense:
+                self.A[v] = matrix.toarray()
+            else:
+                self.A.append(matrix)
 
     def extend(self, arr: np.ndarray) -> np.ndarray:
         """One prefix-tree level: (Np, S) joint mass -> (Np*n, S)."""
@@ -318,9 +304,6 @@ class PosteriorTable:
         if word.size != self.length:
             raise ValueError("plaintext length does not match the ciphertext")
         return float(self.log_posterior[word_to_index(word, self.alphabet_size)])
-
-    def prob(self, plaintext) -> float:
-        return float(np.exp2(self.log2_prob(plaintext)))
 
     def to_csv(self, target) -> None:
         """Write (plaintext-as-base-n-string, log2_posterior) rows."""

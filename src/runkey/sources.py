@@ -24,7 +24,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import io
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -239,11 +238,6 @@ class SourceModel:
     def stationary(self) -> np.ndarray:
         return self._stationary
 
-    @cached_property
-    def deterministic(self) -> bool:
-        """True when the source has zero entropy rate (degenerate model)."""
-        return self.entropy_rate() < 1e-12
-
     def __repr__(self) -> str:
         kind = "iid" if self._k == 0 else f"order-{self._k} Markov"
         return f"SourceModel({kind}, n={self._n}, h={self.entropy_rate():.6g} bits)"
@@ -337,10 +331,6 @@ class SourceModel:
             total *= float(self._transition[state, sym])
             state = (state * n + sym) % (n**k) if k else 0
         return total
-
-    def letter_distribution(self) -> np.ndarray:
-        """Stationary law of a single symbol."""
-        return np.exp2(self._log2_marginal(1)) if self._k else self._transition[0].copy()
 
     # -- sampling ------------------------------------------------------------
     def sample(self, length: int, seed) -> np.ndarray:

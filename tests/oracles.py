@@ -92,6 +92,27 @@ def context_matrix(transition, n, k):
     return matrix
 
 
+def product_operators(xm, ym, spec):
+    """Per-ciphertext-symbol operators of the (plaintext, key) context chain.
+
+    ``ops[v][s][s2]`` sums ``T_X[sx][a] * T_Y[sy][b]`` over every symbol pair
+    (a, b) the cipher maps to v, from state ``s = sx * Sy + sy`` to the pair of
+    successor contexts.
+    """
+    n = spec.alphabet_size
+    tx, ty = xm.transition.tolist(), ym.transition.tolist()
+    sx_count, sy_count = len(tx), len(ty)
+    size = sx_count * sy_count
+    ops = [[[0.0] * size for _ in range(size)] for _ in range(n)]
+    for sx, sy, a, b in itertools.product(
+        range(sx_count), range(sy_count), range(n), range(n)
+    ):
+        target = ((sx * n + a) % sx_count) * sy_count + (sy * n + b) % sy_count
+        v = int(spec.coder[a][b])
+        ops[v][sx * sy_count + sy][target] += tx[sx][a] * ty[sy][b]
+    return ops
+
+
 def closed_class_count(matrix):
     """Closed communicating classes of a chain, by Warshall's transitive closure."""
     size = len(matrix)

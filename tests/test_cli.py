@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from runkey import cli, inference, secrecy, sources
+from runkey.cipher import additive_cipher
+from runkey.words import bytes_to_symbols, symbols_to_bytes, text_to_word, word_to_text
 
 MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 KEY = "bernoulli:0.45,0.55"
@@ -233,5 +235,74 @@ def test_memory_exhaustion_exits_3(x_model, monkeypatch, capsys):
 def test_psi_rejects_member_cap_below_one(cap, x_model, capsys):
     argv = ["psi", "--x-model", x_model, "--y-model", KEY, "--z", "0110",
             "--eps", "0.1", "--h-ref", "0.5", "--member-cap", cap]
+    assert cli.main(argv) == 2
+    assert _error_line(capsys).startswith("error: config:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--x-model", "uniform:2", "--m", ""],
+    ["smb", "--x-model", "uniform:2", "--y-model", KEY, "--t", "", "--samples", "4",
+     "--eps", "0.05", "--delta", "0.1", "--seed", "1"],
+    ["sweep", "--x-model", "uniform:2", "--tau", "", "--m", "1"],
+    ["sweep", "--x-model", "uniform:2", "--tau", "0.1", "--m", "1", "--t", ""],
+    ["psi", "--x-model", "uniform:2", "--y-model", KEY, "--t", "", "--eps", "0.1",
+     "--seed", "1"],
+], ids=["entropy-m", "smb-t", "sweep-tau", "sweep-t", "psi-t"])
+def test_empty_list_option_is_rejected(argv, capsys):
+    assert cli.main(argv) == 2
+    assert _error_line(capsys).startswith("error: config:")
+
+
+# (alphabet size, extra options, stream length); byte mode crosses a read-chunk
+# boundary
+CIPHER_MODES = {
+    "bytes": (256, [], (1 << 16) + 37),
+    "bits": (2, ["--bits"], 304),
+    "text": (26, ["--text", "--n", "26"], 300),
+}
+
+
+def _cipher_symbols(mode, path):
+    n, _, _ = CIPHER_MODES[mode]
+    if mode == "text":
+        return text_to_word(path.read_text(encoding="utf-8"), n)
+    return bytes_to_symbols(path.read_bytes(), n, bits=mode == "bits")
+
+
+def _write_stream(mode, path, symbols):
+    n, _, _ = CIPHER_MODES[mode]
+    if mode == "text":
+        path.write_text(word_to_text(symbols, n) + "\n", encoding="utf-8")
+    else:
+        path.write_bytes(symbols_to_bytes(symbols, n, bits=mode == "bits"))
+
+
+@pytest.mark.parametrize("mode", list(CIPHER_MODES))
+def test_encrypt_decrypt_round_trip(mode, tmp_path):
+    n, options, length = CIPHER_MODES[mode]
+    rng = np.random.default_rng(3)
+    x, y = rng.integers(0, n, size=length), rng.integers(0, n, size=length)
+    plain, key = tmp_path / "plain", tmp_path / "key"
+    sealed, opened = tmp_path / "sealed", tmp_path / "opened"
+    _write_stream(mode, plain, x)
+    _write_stream(mode, key, y)
+    common = ["--key", str(key), *options]
+    assert cli.main(["encrypt", "--in", str(plain), "--out", str(sealed), *common]) == 0
+    z = _cipher_symbols(mode, sealed)
+    assert np.array_equal(z, additive_cipher(n).encrypt(x, y))
+    assert cli.main(["decrypt", "--in", str(sealed), "--out", str(opened), *common]) == 0
+    assert np.array_equal(_cipher_symbols(mode, opened), x)
+
+
+@pytest.mark.parametrize("mode", list(CIPHER_MODES))
+@pytest.mark.parametrize("subcommand", ["encrypt", "decrypt"])
+def test_cipher_streams_of_different_lengths_are_rejected(subcommand, mode, tmp_path,
+                                                          capsys):
+    n, options, _ = CIPHER_MODES[mode]
+    plain, key = tmp_path / "plain", tmp_path / "key"
+    _write_stream(mode, plain, np.zeros(16, dtype=np.int64))
+    _write_stream(mode, key, np.ones(8, dtype=np.int64))
+    argv = [subcommand, "--in", str(plain), "--key", str(key),
+            "--out", str(tmp_path / "out"), *options]
     assert cli.main(argv) == 2
     assert _error_line(capsys).startswith("error: config:")

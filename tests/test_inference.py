@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,17 +52,17 @@ def test_posterior_deterministic_key_is_point_mass():
     z = np.array([0, 1, 1, 0, 1])
     table = inference.posterior(MARKOV, zero_key, SPEC2, z)
     # the cipher degenerates to the identity: the plaintext must equal z
-    assert abs(table.prob(z) - 1.0) <= 1e-12
+    assert abs(np.exp2(table.log2_prob(z)) - 1.0) <= 1e-12
     assert np.exp2(table.log_posterior).sum() == pytest.approx(1.0, abs=1e-9)
-    assert table.prob([0, 0, 0, 0, 0]) == 0.0
+    assert np.exp2(table.log2_prob([0, 0, 0, 0, 0])) == 0.0
 
 
 def test_posterior_biased_key_hand_value():
     # two symbols, all-ones ciphertext: P(00|11) = 0.51^2 by direct normalisation
     table = inference.posterior(UNIFORM2, BIASED, SPEC2, [1, 1])
-    assert abs(table.prob([0, 0]) - 0.2601) <= 1e-12
+    assert abs(np.exp2(table.log2_prob([0, 0])) - 0.2601) <= 1e-12
     brute, _ = oracles.posterior_table(UNIFORM2, BIASED, 2, [1, 1])
-    assert abs(table.prob([0, 0]) - brute[(0, 0)]) <= 1e-15
+    assert abs(np.exp2(table.log2_prob([0, 0])) - brute[(0, 0)]) <= 1e-15
 
 
 def test_posterior_matches_brute_force_enumeration():
@@ -72,7 +73,8 @@ def test_posterior_matches_brute_force_enumeration():
         brute, brute_lm = oracles.posterior_table(xm, ym, spec.alphabet_size, z)
         assert abs(table.log_marginal - brute_lm) <= 1e-9
         worst = max(
-            abs(table.prob(list(word)) - value) for word, value in brute.items()
+            abs(np.exp2(table.log2_prob(list(word))) - value)
+            for word, value in brute.items()
         )
         assert worst <= 1e-12
 
@@ -350,6 +352,61 @@ def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
         for _ in range(3):
             via_dense, front = dense.extend(front), csr.extend(front)
             assert np.abs(via_dense - front).max() <= 1e-12
+
+
+def latin_square_cipher(rng, n):
+    """The cipher c(a, b) = p[(q[a] + b) mod n] for random permutations p, q."""
+    p, q = rng.permutation(n), rng.permutation(n)
+    coder = p[(q[:, None] + np.arange(n)[None, :]) % n]
+    decoder = np.empty_like(coder)
+    for b in range(n):
+        decoder[coder[:, b], b] = np.arange(n)
+    return cipher.CipherSpec(n, coder, decoder)
+
+
+IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("spec", [
+    cipher.additive_cipher(3),
+    latin_square_cipher(np.random.default_rng(12), 3),
+    IDENTITY2,
+], ids=["additive", "latin", "identity"])
+def test_product_chain_operators_match_oracle(spec, monkeypatch):
+    rng = np.random.default_rng(12)
+    n = spec.alphabet_size
+    for kx, ky in itertools.product(range(3), repeat=2):
+        xm, ym = random_model(rng, n, kx), random_model(rng, n, ky)
+        expected = np.array(oracles.product_operators(xm, ym, spec))
+        dense = inference._ProductChain(xm, ym, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(inference_module, "_CELL", 0)
+            csr = inference._ProductChain(xm, ym, spec)
+        assert dense.dense and not csr.dense
+        assert np.abs(dense.A - expected).max() <= 1e-15
+        for v in range(n):
+            assert np.abs(csr.A[v].toarray() - expected[v]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n, cell", [(128, 0), (64, None)], ids=["csr", "dense"])
+def test_product_chain_build_peaks_near_operator_bytes(n, cell, monkeypatch):
+    # an order-1 plaintext against an i.i.d. key: S = n product states
+    xm = random_model(np.random.default_rng(n), n, 1)
+    ym, spec = sources.make_uniform(n), cipher.additive_cipher(n)
+    if cell is not None:
+        monkeypatch.setattr(inference_module, "_CELL", cell)
+    tracemalloc.start()
+    try:
+        chain = inference._ProductChain(xm, ym, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if chain.dense:
+        stored = chain.A.nbytes
+    else:
+        stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in chain.A)
+    assert chain.dense == (cell is None)
+    assert peak <= 1.5 * stored
 
 
 def test_log2sumexp():
