@@ -65,8 +65,11 @@ from .words import (
 _CHUNK_BYTES = 1 << 16
 
 
-class ConfigError(RunkeyError, ValueError):
-    """Invalid command line, config file, or input data."""
+class ConfigError(RunkeyError, ValueError, argparse.ArgumentTypeError):
+    """Invalid command line, config file, or input data.
+
+    An ArgumentTypeError too, so argparse keeps its message from a ``type=``.
+    """
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,7 +11,9 @@ built on that identity:
   words);
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion over the product context chain of X and Y, whose
-  per-symbol operators hold at most ``DEFAULT_ENTRY_CAP`` stored entries;
+  per-symbol operators hold at most ``DEFAULT_ENTRY_CAP`` stored entries
+  (a dense numpy stack for small chains, ``scipy.sparse`` CSR matrices, and
+  their import, only for large ones);
 - :func:`hm_conditional` evaluates the m-order conditional entropy
   ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
   a bijective re-indexing of the independent (X, Y) law);
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cipher import CipherSpec
 from .errors import (
@@ -92,9 +93,11 @@ class _ProductChain:
     over v gives the product-chain transition matrix.  Each key symbol b
     permutes the plaintext symbols, so v comes from exactly n pairs (a, b)
     and every row of A[v] holds n entries ``T_X[sx, a] * T_Y[sy, b]``, in
-    (a, b) order, summed where they share a column (only with an order-0 key).
-    A[v] is CSR, or its ``toarray()`` in a dense stack for small state
-    spaces; both are applied the same way, one symbol's matrix at a time.
+    (a, b) order, summed where they share a column (only when both models
+    are order 0, S = 1).  Small state spaces add these entries into a dense
+    (n, S, S) stack; larger ones store each A[v] as a ``scipy.sparse`` CSR
+    matrix, imported only then.  Both are applied the same way, one symbol's
+    matrix at a time.
     """
 
     def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
@@ -111,20 +114,26 @@ class _ProductChain:
         self.alpha0 = np.outer(xm.stationary, ym.stationary).ravel()
         next_x = (np.arange(sx)[:, None] * n + np.arange(n)) % sx
         next_y = (np.arange(sy)[:, None] * n + np.arange(n)) % sy
+        rows = np.arange(size).reshape(sx, sy, 1)
         indptr = np.arange(0, size * n + 1, n)
         self.dense = n * size * size <= _CELL
-        self.A = np.empty((n, size, size)) if self.dense else []
+        if self.dense:
+            self.A = np.zeros((n, size, size))
+        else:
+            import scipy.sparse as sp
+
+            self.A = []
         for v in range(n):
             a, b = np.nonzero(spec.coder == v)
             cols = next_x[:, None, a] * sy + next_y[None, :, b]
             data = xm.transition[:, None, a] * ym.transition[None, :, b]
-            matrix = sp.csr_matrix(
-                (data.ravel(), cols.ravel(), indptr), shape=(size, size)
-            )
-            matrix.sum_duplicates()
             if self.dense:
-                self.A[v] = matrix.toarray()
+                np.add.at(self.A[v], (rows, cols), data)
             else:
+                matrix = sp.csr_matrix(
+                    (data.ravel(), cols.ravel(), indptr), shape=(size, size)
+                )
+                matrix.sum_duplicates()
                 self.A.append(matrix)
 
     def extend(self, arr: np.ndarray) -> np.ndarray:

@@ -15,10 +15,11 @@ Conventions used throughout:
   ``(s*n + a) % n**k``;
 - the stationary vector is the law of any k consecutive symbols, which makes
   block probabilities position-independent;
-- the context chain is one ``scipy.sparse`` matrix P.  It serves the
-  ergodicity check (a strong-component search, run only for tables with a
-  zero entry), the half-lazy power iteration for the stationary law, and the
-  ``pi = pi P`` residual certificate.
+- the context chain P is never stored: one step ``pi P`` is a closed-form
+  contraction of ``pi`` with the table.  It drives the half-lazy power
+  iteration for the stationary law and the ``pi = pi P`` residual
+  certificate; only a table with a zero entry builds the chain's edge list,
+  for the strong-component search of the ergodicity check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import io
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConvergenceError,
@@ -82,48 +82,53 @@ def _validate_rows(table: np.ndarray) -> None:
         )
 
 
-def _chain_matrix(table: np.ndarray, n: int) -> sp.csr_matrix:
-    """The context chain of a (n**k, n) emission table as one sparse matrix.
+def _step(pi: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One step ``pi P`` of the context chain of a (n**k, n) emission table.
 
-    Row s holds ``table[s, a]`` at column ``(s*n + a) % n**k``; only the
-    positive entries are stored, so the stored entries are the chain's edges.
+    Emitting a from context (s0, rest) leads to ``rest*n + a``, so the step
+    sums out s0.  A square matrix M is the order-1 table over its own size,
+    for which this is ``pi @ M``.
     """
-    size = table.shape[0]
-    rows, syms = np.nonzero(table)
-    cols = (rows * n + syms) % size
-    return sp.csr_matrix((table[rows, syms], (rows, cols)), shape=(size, size))
+    n = table.shape[1]
+    if table.shape[0] < n:  # order 0: the one context leads to itself
+        return pi
+    return np.einsum("ij,ijk->jk", pi.reshape(n, -1), table.reshape(n, -1, n)).ravel()
 
 
-def _require_one_closed_class(chain: sp.csr_matrix, positive: bool) -> None:
-    """Raise NotErgodicError unless the chain has exactly one closed class.
+def _require_one_closed_class(table: np.ndarray) -> None:
+    """Raise NotErgodicError unless the context chain has exactly one closed class.
 
-    ``positive`` says the table behind the chain has no zero entry; every
-    state then reaches every other (a context within k steps), so only a
-    table with a zero pays for the strong-component search and its import.
-    A class is closed when no edge leaves it.
+    A positive table needs no search: every context then reaches every other
+    within k steps.  Only a table with a zero pays for the edge list, the
+    strong-component search and its import.  A class is closed when no edge
+    leaves it.
     """
-    if positive:
+    if table.all():
         return
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    count, labels = connected_components(chain, connection="strong")
-    rows, cols = chain.nonzero()
+    size, n = table.shape
+    rows, syms = np.nonzero(table)
+    cols = (rows * n + syms) % size
+    graph = csr_matrix((table[rows, syms], (rows, cols)), shape=(size, size))
+    count, labels = connected_components(graph, connection="strong")
     leaving = labels[rows] != labels[cols]
     if count - np.unique(labels[rows[leaving]]).size != 1:
         raise NotErgodicError("the chain has more than one closed class")
 
 
-def _power_iteration(step: sp.csr_matrix) -> np.ndarray:
-    """Stationary law by damped power iteration with ``step = P.T``.
+def _power_iteration(table: np.ndarray) -> np.ndarray:
+    """Stationary law of the context chain of ``table`` by damped power iteration.
 
     The half-lazy update ``(pi + pi @ P) / 2`` has the same fixed point and
     converges even for periodic chains.  The returned vector satisfies
     ``||pi @ P - pi||_1 < _POWER_TOL``.
     """
-    size = step.shape[0]
+    size = table.shape[0]
     pi = np.full(size, 1.0 / size)
     for _ in range(_POWER_STEPS):
-        nxt = step @ pi
+        nxt = _step(pi, table)
         if np.abs(nxt - pi).sum() < _POWER_TOL:
             pi = np.maximum(pi, 0.0)
             return pi / pi.sum()
@@ -137,19 +142,19 @@ def _power_iteration(step: sp.csr_matrix) -> np.ndarray:
 def stationary_distribution(transition) -> np.ndarray:
     """Stationary distribution of a square row-stochastic matrix.
 
-    The matrix is checked and iterated as a sparse matrix, exactly like a
-    model's context chain.  Raises NotErgodicError when the chain has more
-    than one closed class (the fixed point is then not unique; transient
-    states are fine and get mass 0), and ConvergenceError when power
-    iteration does not reach an L1 step residual of 1e-12 in 10**6 steps.
+    The matrix is the order-1 context table over its own size, so it is
+    checked and iterated by the same code as a model's context chain.
+    Raises NotErgodicError when the chain has more than one closed class
+    (the fixed point is then not unique; transient states are fine and get
+    mass 0), and ConvergenceError when power iteration does not reach an L1
+    step residual of 1e-12 in 10**6 steps.
     """
     matrix = np.asarray(transition, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidDistributionError("transition matrix must be square")
     _validate_rows(matrix)
-    chain = sp.csr_matrix(matrix)
-    _require_one_closed_class(chain, bool(matrix.all()))
-    return _power_iteration(chain.T.tocsr())
+    _require_one_closed_class(matrix)
+    return _power_iteration(matrix)
 
 
 class SourceModel:
@@ -168,11 +173,11 @@ class SourceModel:
         Stationary law over contexts; computed by power iteration when
         omitted, validated against ``pi = pi P`` when given.
 
-    The context chain is held as one sparse matrix P (row s holds
-    ``transition[s, a]`` at column ``(s*n + a) % n**k``).  Construction
-    raises NotErgodicError unless P has exactly one closed class, and
-    InvalidDistributionError unless the law satisfies ``pi = pi P`` to
-    within 1e-10 in L1.
+    The context chain P moves context s to ``(s*n + a) % n**k`` with
+    probability ``transition[s, a]``; it is applied from the table, never
+    stored.  Construction raises NotErgodicError unless P has exactly one
+    closed class, and InvalidDistributionError unless the law satisfies
+    ``pi = pi P`` to within 1e-10 in L1.
 
     Instances are immutable (arrays are frozen) and safe to share between
     threads; sampling takes an explicit seed.
@@ -191,11 +196,9 @@ class SourceModel:
                 f"transition table must have shape ({n**k}, {n}), got {table.shape}"
             )
         _validate_rows(table)
-        chain = _chain_matrix(table, n)
-        _require_one_closed_class(chain, bool(table.all()))
-        step = chain.T.tocsr()
+        _require_one_closed_class(table)
         if stationary is None:
-            pi = _power_iteration(step)
+            pi = _power_iteration(table)
         else:
             pi = np.array(stationary, dtype=float)
             if pi.shape != (n**k,):
@@ -205,7 +208,7 @@ class SourceModel:
             if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-9:
                 raise InvalidDistributionError("stationary vector is not a distribution")
             pi = pi / pi.sum()
-        residual = float(np.abs(step @ pi - pi).sum())
+        residual = float(np.abs(_step(pi, table) - pi).sum())
         if residual > _STATIONARY_TOL:
             raise InvalidDistributionError(
                 f"stationary vector fails pi = pi P (residual {residual:.3e})"
@@ -314,30 +317,12 @@ class SourceModel:
             state = (state * n + sym) % (n**k) if k else 0
         return total
 
-    def block_prob(self, word) -> float:
-        """Exact probability of ``word`` (product form, position independent)."""
-        word = as_word(word, self._n)
-        n, k = self._n, self._k
-        head = min(len(word), k)
-        state = word_to_index(word[:head], n) if head else 0
-        if head:
-            pi = self._stationary.reshape((n,) * k)
-            if head < k:
-                pi = pi.sum(axis=tuple(range(head, k)))
-            total = float(pi.reshape(-1)[state])
-        else:
-            total = 1.0
-        for sym in word[head:].tolist():
-            total *= float(self._transition[state, sym])
-            state = (state * n + sym) % (n**k) if k else 0
-        return total
-
     # -- sampling ------------------------------------------------------------
     def sample(self, length: int, seed) -> np.ndarray:
         """Draw a word of the given length, deterministically in ``seed``.
 
         The initial context is drawn from the stationary law, so the sampled
-        word follows exactly the block law of :meth:`block_prob`.
+        word follows exactly the block law of :meth:`log2_block_prob`.
         """
         if length < 1:
             raise ValueError("sample length must be >= 1")

@@ -41,13 +41,21 @@ def markov_word_prob(stationary, transition, n, k, word):
     return prob
 
 
+def _block_prob(model, word):
+    """P(word) under a package model, from its raw tables."""
+    return markov_word_prob(
+        model.stationary.tolist(), model.transition.tolist(),
+        model.alphabet_size, model.order, word,
+    )
+
+
 def posterior_table(xm, ym, n, z):
     """(dict word -> P(x|z), log2 P(z)) by exhaustive enumeration, mod-n cipher."""
     t = len(z)
     joint = {}
     for x in itertools.product(range(n), repeat=t):
         y = [(int(zi) - xi) % n for xi, zi in zip(x, z)]
-        joint[x] = xm.block_prob(list(x)) * ym.block_prob(y)
+        joint[x] = _block_prob(xm, list(x)) * _block_prob(ym, y)
     total = sum(joint.values())
     return {x: p / total for x, p in joint.items()}, math.log2(total)
 
@@ -61,10 +69,10 @@ def hm_joint_pair_blocks(xm, ym, n, m):
     length = m + 1
     total = 0.0
     for x in itertools.product(range(n), repeat=length):
-        px = xm.block_prob(list(x))
+        px = _block_prob(xm, list(x))
         for z in itertools.product(range(n), repeat=length):
             y = [(zi - xi) % n for xi, zi in zip(x, z)]
-            p = px * ym.block_prob(y)
+            p = px * _block_prob(ym, y)
             if p > 0.0:
                 total -= p * math.log2(p)
     return total / length
@@ -75,10 +83,10 @@ def hm_z_pair_blocks(xm, ym, n, m):
     length = m + 1
     law = {}
     for x in itertools.product(range(n), repeat=length):
-        px = xm.block_prob(list(x))
+        px = _block_prob(xm, list(x))
         for z in itertools.product(range(n), repeat=length):
             y = [(zi - xi) % n for xi, zi in zip(x, z)]
-            law[z] = law.get(z, 0.0) + px * ym.block_prob(y)
+            law[z] = law.get(z, 0.0) + px * _block_prob(ym, y)
     return -sum(p * math.log2(p) for p in law.values() if p > 0.0) / length
 
 

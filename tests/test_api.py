@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import runkey
 
@@ -27,3 +31,13 @@ def test_no_public_callable_takes_a_removed_knob():
         checked += 1
         assert not REMOVED_KNOBS & set(params), name
     assert checked > 40
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(runkey.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, runkey; print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert probe.stdout.split() == []

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +257,20 @@ def test_empty_list_option_is_rejected(argv, capsys):
     assert _error_line(capsys).startswith("error: config:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "--x-model", "uniform:2", "--m", "x"],
+     "error: config: argument --m: bad int list 'x'"),
+    (["entropy", "--x-model", "uniform:2", "--m", ","],
+     "error: config: argument --m: empty int list ','"),
+    (["entropy", "--x-model", "bernoulli:0.5,x", "--m", "1"],
+     "error: config: bad float list '0.5,x'"),
+], ids=["option-bad", "option-empty", "model-spec"])
+def test_bad_list_shows_the_package_message(argv, message, capsys):
+    # option values are parsed by argparse, the bernoulli: spec by the handler
+    assert cli.main(argv) == 2
+    assert _error_line(capsys) == message
+
+
 # (alphabet size, extra options, stream length); byte mode crosses a read-chunk
 # boundary
 CIPHER_MODES = {
@@ -306,3 +324,43 @@ def test_cipher_streams_of_different_lengths_are_rejected(subcommand, mode, tmp_
             "--out", str(tmp_path / "out"), *options]
     assert cli.main(argv) == 2
     assert _error_line(capsys).startswith("error: config:")
+
+
+_SCIPY_PROBE = """
+import sys
+from runkey import cli
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0, argv
+print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_modules_after(argvs, cwd):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argvs], cwd=cwd,
+                           capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=src))
+    line = next(x for x in probe.stdout.splitlines() if x.startswith("scipy:"))
+    return line.split()[1:]
+
+
+def test_scipy_imported_only_for_sparse_operators(tmp_path):
+    rng = np.random.default_rng(3)
+    for name, order in (("x5", 5), ("y2", 2), ("x9", 9)):
+        table = rng.uniform(0.05, 0.95, size=(2**order, 1))
+        sources.save_model(sources.make_markov(2, order, np.hstack([table, 1 - table])),
+                           str(tmp_path / f"{name}.model"))
+    # binary order-5 against order-2: S = 128 and dense operators, as in `certify`
+    pair = "--x-model x5.model --y-model y2.model"
+    dense = [
+        f"bounds {pair} --m 2 --out bounds.json",
+        f"psi {pair} --z 0110100110 --eps 0.1 --m 2 --out psi.json",
+        f"posterior {pair} --z 01101001 --format csv --out posterior.csv",
+        f"smb {pair} --t 20 --samples 8 --eps 0.05 --delta 0.05 --seed 1 "
+        "--h-ref 0.7 --out smb.json",
+    ]
+    assert _scipy_modules_after(dense, tmp_path) == []
+    # order 9 against order 2: S = 2048, over the dense cell budget
+    sparse = [f"smb --x-model x9.model --y-model y2.model --t 20 --samples 8 "
+              "--eps 0.05 --delta 0.05 --seed 1 --h-ref 0.7 --out smb.json"]
+    assert "scipy.sparse" in _scipy_modules_after(sparse, tmp_path)

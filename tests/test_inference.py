@@ -180,9 +180,21 @@ def test_entry_cap_checked_before_the_build(monkeypatch):
     monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
     assert inference.log_marginal_forward(xm, xm, SPEC2, [0, 1]) == -2.0
     monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
-    monkeypatch.setattr(inference_module.sp, "csr_matrix", None)  # never reached
     with pytest.raises(StateCapError):
         inference.log_marginal_forward(xm, xm, SPEC2, [0, 1])
+    monkeypatch.undo()
+    # two order-1 byte models need 256 * 256 * 65,536 = 2**32 entries; the cap
+    # must reject them before any operator memory is allocated
+    byte = sources.make_markov(256, 1, np.full((256, 256), 1.0 / 256))
+    spec = cipher.additive_cipher(256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateCapError):
+            inference._ProductChain(byte, byte, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
