@@ -10,10 +10,14 @@ built on that identity:
   ciphertext exactly (log-space throughout, at most ``DEFAULT_WORD_CAP``
   words);
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
-  a scaled forward recursion over the product context chain of X and Y, whose
-  per-symbol operators hold at most ``DEFAULT_ENTRY_CAP`` stored entries
-  (a dense numpy stack for small chains, ``scipy.sparse`` CSR matrices, and
-  their import, only for large ones);
+  a scaled forward recursion.  Given z, one source's symbols follow from the
+  other's, so the recursion runs over the last few symbols of one source
+  (one stacked matmul a step, and for a key-recoverable cipher at most as
+  many states as the product chain), not over the product chain of X and Y;
+- the product chain's per-symbol operators serve the ciphertext block
+  enumeration behind the brackets.  They hold at most ``DEFAULT_ENTRY_CAP``
+  stored entries (a dense numpy stack for small chains, ``scipy.sparse`` CSR
+  matrices, and their import, only for large ones);
 - :func:`hm_conditional` evaluates the m-order conditional entropy
   ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
   a bijective re-indexing of the independent (X, Y) law);
@@ -97,11 +101,14 @@ class _ProductChain:
     are order 0, S = 1).  Small state spaces add these entries into a dense
     (n, S, S) stack; larger ones store each A[v] as a ``scipy.sparse`` CSR
     matrix, imported only then.  Both are applied the same way, one symbol's
-    matrix at a time.
+    matrix at a time, by :meth:`extend` for the block enumeration.
+    :meth:`forward_log2` does not use them: it reads only the two models and
+    the cipher the chain was built from.
     """
 
     def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
         n = _check_alphabets(xm, ym, spec)
+        self.xm, self.ym, self.spec = xm, ym, spec
         sx, sy = xm.num_states, ym.num_states
         size = sx * sy
         if n * n * size > DEFAULT_ENTRY_CAP:
@@ -145,33 +152,104 @@ class _ProductChain:
         return out.reshape(-1, self.size)
 
     def forward_log2(self, observations: np.ndarray) -> np.ndarray:
-        """Scaled forward pass: log2 P(z) for a batch of ciphertext rows.
+        """Scaled forward pass: log2 P(z) for each row of a (batch, t) array.
+
+        Linear in t, and it does not use the operators.  Given z, the key
+        symbol is a function of the plaintext symbol (``key_table[a, z]``,
+        key-recoverable ciphers) and the plaintext symbol one of the key
+        symbol (``decoder[z, b]``, every cipher).  So only one source, the
+        driver, is summed over; the other one's symbols follow.  The driver
+        is the higher-order source (on a tie the plaintext, if the cipher is
+        key-recoverable).  The front holds the joint mass of its last
+        ``K = max(k_D, k_O + 1)`` symbols, state-major as ``(n**K, batch)``;
+        n**K never exceeds S for a key-recoverable cipher.  A step is one
+        stacked (n, n) matmul of the driver's table, times the other
+        source's factor.  That factor depends only on the state's last
+        ``k_O + 1`` driver symbols and the row's last ``k_O + 1`` ciphertext
+        symbols (a rolling index), so it is one lookup table of
+        ``n**(2 k_O + 2)`` entries, checked against ``DEFAULT_ENTRY_CAP``.
+        The first K symbols come from the block laws, as in
+        :func:`joint_log2_table`; two i.i.d. sources need no front.
 
         Identical arguments give identical results.  A row's value does not
-        depend on the other rows, but the matrix kernel chosen for a batch
-        shape can move it by float rounding (about 1e-13 at S=128).
+        depend on the other rows, but the batch width can move it by float
+        rounding (the GEMM's blocking and the order of the per-row sums).
         """
+        n, xm, ym, spec = self.n, self.xm, self.ym, self.spec
         obs = np.atleast_2d(np.asarray(observations, dtype=np.int64))
         batch, t = obs.shape
-        alpha = np.repeat(self.alpha0[None, :], batch, axis=0)
-        acc = np.zeros(batch)
-        dead = np.zeros(batch, dtype=bool)
-        for j in range(t):
-            symbols = obs[:, j]
+        if xm.order == ym.order == 0:
+            joint = np.outer(xm.transition[0], ym.transition[0]).ravel()
+            law = np.bincount(spec.coder.ravel(), weights=joint, minlength=n)
+            return _log2_safe(law)[obs].sum(axis=1)
+        if spec.key_table is not None and xm.order >= ym.order:
+            drive, other, recover = xm, ym, spec.key_table
+        else:
+            drive, other, recover = ym, xm, spec.decoder.T
+        k = max(drive.order, other.order + 1)
+        rest, window, keep = n ** (k - 1), n ** (other.order + 1), n**other.order
+        if window * window > DEFAULT_ENTRY_CAP:
+            raise StateCapError(
+                f"forward factor table of {window}*{window} entries is over cap "
+                f"{DEFAULT_ENTRY_CAP}"
+            )
+
+        def recovered(columns: np.ndarray) -> np.ndarray:
+            """The other source's packed words under the q cipher words of length
+            L in the rows of ``columns``: (n**L, q), one row per driver word."""
+            words = np.zeros((1, columns.shape[0]), dtype=np.int64)
+            for column in columns.T:
+                symbols = np.take(recover, column, axis=1)
+                words = (words[:, None, :] * n + symbols).reshape(-1, columns.shape[0])
+            return words
+
+        head = min(t, k)
+        log_head = (
+            drive.log2_block_prob_array(head)[:, None]
+            + other.log2_block_prob_array(head)[recovered(obs[:, :head])]
+        )
+        top = log_head.max(axis=0)
+        top[top == -np.inf] = 0.0
+        log_head -= top
+        alpha = np.ascontiguousarray(np.exp2(log_head, out=log_head))  # state-major
+        scale = alpha.sum(axis=0)
+        dead = ~(scale > 0.0)
+        scale[dead] = 1.0
+        acc = top + np.log2(scale)
+        if t > k:
+            # stack[r, d, d0]: the driver emits d after the state d0*rest + r, whose
+            # context is its last k_D symbols (a view of the table when K = k_D)
+            contexts = drive.num_states
+            tiled = np.broadcast_to(drive.transition, (n**k // contexts, contexts, n))
+            stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
+            # lookup[w, v]: the other source's factor for driver window w and cipher
+            # window v, from the context its first k_O symbols give and its last one
+            prefix = recovered(_digit_matrix(n, other.order))
+            lookup = other.transition[
+                prefix[:, None, :, None], recover[None, :, None, :]
+            ].reshape(window, window)
+            # each row's cipher window, its last k_O + 1 symbols
+            powers = n ** np.arange(other.order, -1, -1)
+            recent = obs[:, k - other.order - 1 : k] @ powers
             fresh = np.empty_like(alpha)
-            for v in range(self.n):
-                hit = np.nonzero(symbols == v)[0]
-                if hit.size:
-                    fresh[hit] = alpha[hit] @ self.A[v]
-            alpha = fresh
-            scale = alpha.sum(axis=1)
-            bad = ~(scale > 0.0)
-            if bad.any():
-                dead |= bad
-                scale = np.where(bad, 1.0, scale)
-                alpha = np.where(bad[:, None], self.alpha0[None, :], alpha)
-            alpha = alpha / scale[:, None]
-            acc = acc + np.log2(scale)
+            for j in range(k, t):
+                recent = recent % keep * n + obs[:, j]
+                factor = np.take(lookup, recent, axis=1)
+                factor /= scale  # the front carries the previous step's mass
+                np.matmul(
+                    stack,
+                    alpha.reshape(n, rest, batch).transpose(1, 0, 2),
+                    out=fresh.reshape(rest, n, batch),
+                )
+                windows = fresh.reshape(-1, window, batch)
+                windows *= factor
+                scale = fresh.sum(axis=0)
+                bad = ~(scale > 0.0)
+                if bad.any():
+                    dead |= bad
+                    scale[bad] = 1.0
+                acc += np.log2(scale)
+                alpha, fresh = fresh, alpha
         acc[dead] = -np.inf
         return acc
 
@@ -182,7 +260,11 @@ def log_marginal_forward(
     spec: CipherSpec,
     ciphertext,
 ) -> float:
-    """Exact ``log2 P(z)`` by the forward recursion, linear in ``len(z)``."""
+    """Exact ``log2 P(z)`` by the forward recursion, linear in ``len(z)``.
+
+    Works for every cipher, key-recoverable or not; -inf for a ciphertext of
+    probability zero.  The product chain is built for its entry cap only.
+    """
     z = as_word(ciphertext, spec.alphabet_size)
     chain = _ProductChain(xm, ym, spec)
     return float(chain.forward_log2(z[None, :])[0])

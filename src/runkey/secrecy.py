@@ -18,6 +18,7 @@ stream drifts away from the one-time pad.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,10 +89,18 @@ class TypicalSet:
         }
 
 
-def _check_band(epsilon: float, member_cap: int, lengths=()) -> None:
-    """Reject a typical-set request before any enumeration is spent on it."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+def _check_band(
+    epsilon: float, *, h_ref: float | None = None, member_cap: int = 1, lengths=()
+) -> None:
+    """Reject a band request before any enumeration is spent on it.
+
+    NaN compares false with everything, so the band's parameters are
+    required finite, not merely not below a bound.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    if h_ref is not None and not math.isfinite(h_ref):
+        raise ValueError(f"h_ref must be finite, got {h_ref!r}")
     if member_cap < 1:
         raise ValueError("member cap must be at least 1")
     if any(t < 1 for t in lengths):
@@ -117,7 +126,7 @@ def build_typical_set(
     ``bracket_order``; the bracket width is then a stated slack on top of
     epsilon and is the caller's to account for.
     """
-    _check_band(epsilon, member_cap)
+    _check_band(epsilon, h_ref=h_ref, member_cap=member_cap)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     table = posterior(xm, ym, spec, ciphertext)
@@ -176,7 +185,7 @@ def typical_set_growth(
     (seeds derived from ``(seed, t, stream)``), enciphered, and measured
     with :func:`build_typical_set`.
     """
-    _check_band(epsilon, member_cap, t_list)
+    _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     points = []
@@ -257,17 +266,20 @@ def concentration_experiment(
     ``W = -(1/t) (log2 P_X(x) + log2 P_Y(y) - log2 P(z))`` with the marginal
     ``log2 P(z)`` from the forward recursion (so lengths up to 10^4 stay
     cheap), and reports the fraction landing strictly inside the epsilon band
-    around ``h_ref``.  Per-sample seeds derive from
-    ``(seed, t, sample_index, stream)``, so identical arguments give identical
-    reports; the batch width moves the statistics only by float rounding.
+    around ``h_ref``.  The recursion costs n**(K+1) multiply-adds per sample
+    and symbol, K the larger of the driving source's order and the other's
+    order plus one (see :meth:`runkey.inference._ProductChain.forward_log2`).
+    Per-sample seeds derive from ``(seed, t, sample_index, stream)``, so
+    identical arguments give identical reports; the batch width moves the
+    statistics only by float rounding.  epsilon and a given ``h_ref`` must
+    be finite, and are checked before the bracket is enumerated.
     """
     lengths = [int(t) for t in t_list]
-    if epsilon <= 0.0 or not 0.0 < delta < 1.0:
-        raise ValueError("need epsilon > 0 and 0 < delta < 1")
+    _check_band(epsilon, h_ref=h_ref, lengths=lengths)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("need 0 < delta < 1")
     if samples < 1:
         raise ValueError("need at least one sample per length")
-    if any(t < 1 for t in lengths):
-        raise ValueError("every length must be >= 1")
     if spec.key_table is None:
         raise UnsupportedCipherError(
             "the surprisal statistic needs a key-recoverable cipher"
@@ -416,7 +428,7 @@ def robustness_sweep(
     if t_list is not None:
         if seed is None:
             raise ValueError("growth series sampling needs a seed")
-        _check_band(epsilon, member_cap, t_list)
+        _check_band(epsilon, member_cap=member_cap, lengths=t_list)
     reports = []
     for tau in taus:
         tau = float(tau)

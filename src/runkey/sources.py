@@ -51,10 +51,9 @@ _POWER_STEPS = 10**6
 def xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise ``p * log2(p)`` with the convention ``0 * log2(0) == 0``."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
+    positive = p > 0.0
+    out = np.log2(p, out=np.zeros_like(p), where=positive)
+    return np.multiply(out, p, out=out, where=positive)
 
 
 def entropy_bits(dist) -> float:
@@ -65,10 +64,7 @@ def entropy_bits(dist) -> float:
 def _log2_safe(p: np.ndarray) -> np.ndarray:
     """log2 with zeros mapped to -inf instead of a warning."""
     p = np.asarray(p, dtype=float)
-    out = np.full_like(p, -np.inf)
-    mask = p > 0.0
-    out[mask] = np.log2(p[mask])
-    return out
+    return np.log2(p, out=np.full_like(p, -np.inf), where=p > 0.0)
 
 
 def _validate_rows(table: np.ndarray) -> None:
@@ -437,12 +433,11 @@ def train_markov(
     for j in range(k):
         context = context * n + symbols[j : symbols.size - k + j]
     np.add.at(counts, (context, symbols[k:]), 1.0)
-    totals = counts.sum(axis=1, keepdims=True)
-    rows = np.where(
-        totals + alpha * n > 0.0,
-        (counts + alpha) / np.where(totals + alpha * n > 0.0, totals + alpha * n, 1.0),
-        1.0 / n,
-    )
+    totals = counts.sum(axis=1, keepdims=True) + alpha * n
+    counts += alpha
+    seen = totals > 0.0
+    rows = np.divide(counts, totals, out=counts, where=seen)
+    rows[~seen[:, 0]] = 1.0 / n
     if k == 0:
         return make_bernoulli(rows[0])
     return make_markov(n, k, rows)

@@ -60,8 +60,26 @@ def posterior_table(xm, ym, n, z):
     return {x: p / total for x, p in joint.items()}, math.log2(total)
 
 
-def log_marginal(xm, ym, n, z):
-    return posterior_table(xm, ym, n, z)[1]
+def log_marginal(xm, ym, spec, z):
+    """log2 P(z) under any cipher, summed over every key word.
+
+    Each key word y deciphers z to exactly one plaintext x_i = d(z_i, y_i), so
+    P(z) is the sum of P_X(x) P_Y(y) over the n**t key words; -inf when zero.
+    """
+    n = spec.alphabet_size
+    decoder = spec.decoder.tolist()
+    tables = [
+        (m.stationary.tolist(), m.transition.tolist(), m.order) for m in (xm, ym)
+    ]
+    (pi_x, tx, kx), (pi_y, ty, ky) = tables
+    z = [int(v) for v in z]
+    total = 0.0
+    for y in itertools.product(range(n), repeat=len(z)):
+        x = [decoder[zi][yi] for zi, yi in zip(z, y)]
+        total += markov_word_prob(pi_x, tx, n, kx, x) * markov_word_prob(
+            pi_y, ty, n, ky, list(y)
+        )
+    return math.log2(total) if total > 0.0 else -math.inf
 
 
 def hm_joint_pair_blocks(xm, ym, n, m):

@@ -169,6 +169,41 @@ def test_report_header_key_order(case, fmt, report_argv, tmp_path):
     assert _header_keys(out.read_text(encoding="utf-8")) == keys
 
 
+def _printed(value):
+    """A library value as the report prints it: floats to 12 significant digits."""
+    if isinstance(value, dict):
+        return {key: _printed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_printed(item) for item in value]
+    return float(f"{value:.12g}") if isinstance(value, float) else value
+
+
+def test_smb_report_matches_the_library(x_model, tmp_path):
+    # no --h-ref: the band centre comes from the m=4 bracket, as in the library
+    argv = ["smb", "--x-model", x_model, "--y-model", KEY, "--t", "6,40",
+            "--samples", "300", "--eps", "0.05", "--delta", "0.2", "--m", "4",
+            "--seed", "11"]
+    library = secrecy.concentration_experiment(
+        MARKOV, sources.make_bernoulli([0.45, 0.55]), additive_cipher(2), [6, 40],
+        300, 0.05, 0.2, 11, bracket_order=4,
+    ).as_dict()
+    json_out, csv_out = tmp_path / "smb.json", tmp_path / "smb.csv"
+    assert cli.main(argv + ["--out", str(json_out)]) == 0
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert json.loads(json_out.read_text())["results"] == _printed(library)
+    expected = ["t,metric,value"]
+    for row in library["rows"]:
+        expected += [f"{row['t']},{key},{value:.12g}" if isinstance(value, float)
+                     else f"{row['t']},{key},{value}"
+                     for key, value in row.items() if key != "t"]
+    onset = library["onset_length"]
+    expected += [f",h_ref,{library['h_ref']:.12g}",
+                 f",onset_length,{'none' if onset is None else onset}"]
+    lines = csv_out.read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    assert body == expected
+
+
 def test_psi_takes_exactly_one_of_z_and_t(x_model, capsys):
     base = ["psi", "--x-model", x_model, "--y-model", KEY, "--eps", "0.1",
             "--h-ref", "0.5", "--seed", "5"]
@@ -189,6 +224,37 @@ def test_psi_t_rejects_bad_input_before_the_bracket(bad, x_model, monkeypatch, c
             "--eps", "0.1", *bad]
     assert cli.main(argv) == 2
     assert _error_line(capsys).startswith("error: config:")
+
+
+NAN_ARGV = {
+    "smb-eps": ["smb", "--t", "10", "--samples", "4", "--delta", "0.1", "--seed", "1",
+                "--h-ref", "0.5", "--eps", "nan"],
+    "smb-h-ref": ["smb", "--t", "10", "--samples", "4", "--delta", "0.1", "--seed", "1",
+                  "--eps", "0.05", "--h-ref", "nan"],
+    "psi-z-eps": ["psi", "--z", "0110", "--eps", "nan"],
+    "psi-z-h-ref": ["psi", "--z", "0110", "--eps", "0.1", "--h-ref", "nan"],
+    "psi-t-eps": ["psi", "--t", "10", "--seed", "1", "--eps", "nan"],
+    "sweep-t-eps": ["sweep", "--tau", "0.01", "--m", "2", "--t", "10", "--seed", "1",
+                    "--eps", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_ARGV))
+def test_nan_band_option_exits_2_before_any_enumeration(case, x_model, monkeypatch,
+                                                        capsys):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("an enumeration ran")
+
+    monkeypatch.setattr(secrecy, "hxz_bracket", enumerated)
+    monkeypatch.setattr(secrecy, "posterior", enumerated)
+    subcommand, *rest = NAN_ARGV[case]
+    models = ["--x-model", x_model]
+    if subcommand != "sweep":
+        models += ["--y-model", KEY]
+    assert cli.main([subcommand, *models, *rest]) == 2
+    line = _error_line(capsys)
+    assert line.startswith("error: config:")
+    assert "nan" in line
 
 
 def test_report_for_another_subcommand_is_rejected(x_model, tmp_path, capsys):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
 import runkey.inference as inference_module
@@ -11,6 +13,7 @@ from runkey import cipher, inference, sources
 from runkey.errors import (
     CertificationError,
     EnumerationCapError,
+    NotErgodicError,
     StateCapError,
     UnsupportedCipherError,
 )
@@ -141,7 +144,7 @@ def test_forward_matches_brute_force():
     for _ in range(25):
         xm, ym, spec, z = random_instance(rng)
         forward = inference.log_marginal_forward(xm, ym, spec, z)
-        brute = oracles.log_marginal(xm, ym, spec.alphabet_size, z)
+        brute = oracles.log_marginal(xm, ym, spec, z)
         assert abs(forward - brute) <= 1e-9
 
 
@@ -174,6 +177,63 @@ def test_forward_impossible_ciphertext_is_neg_inf():
     assert inference.log_marginal_forward(ones, zero_key, SPEC2, [0, 0]) == -np.inf
 
 
+@st.composite
+def models_with_zeros(draw, n, order):
+    """An ergodic order-k model whose rows may hold zeros."""
+    cells = n ** (order + 1)
+    weights = np.array(
+        draw(st.lists(st.integers(0, 4), min_size=cells, max_size=cells)), dtype=float
+    ).reshape(n**order, n)
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    try:
+        if order == 0:
+            return sources.make_bernoulli(rows[0])
+        return sources.make_markov(n, order, rows)
+    except NotErgodicError:
+        assume(False)
+
+
+@st.composite
+def ciphers(draw, n):
+    """The additive cipher, a random Latin square, or the identity (no key table)."""
+    kind = draw(st.sampled_from(["additive", "latin", "identity"]))
+    if kind == "additive":
+        return cipher.additive_cipher(n)
+    if kind == "latin":
+        return latin_square_cipher(np.random.default_rng(draw(st.integers(0, 2**16))), n)
+    coder = np.repeat(np.arange(n)[:, None], n, axis=1)
+    return cipher.CipherSpec(n, coder, coder)
+
+
+@st.composite
+def forward_cases(draw):
+    n = draw(st.integers(2, 4))
+    xm = draw(models_with_zeros(n, draw(st.integers(0, 3))))
+    ym = draw(models_with_zeros(n, draw(st.integers(0, 2))))
+    spec = draw(ciphers(n))
+    t = draw(st.integers(1, int(math.log(4096, n) + 1e-9)))
+    seed = draw(st.integers(0, 2**16))
+    rows = [spec.encrypt(xm.sample(t, (seed, i, 0)), ym.sample(t, (seed, i, 1)))
+            for i in range(2)]
+    rows.append(np.array(draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t))))
+    return xm, ym, spec, np.array(rows)
+
+
+@given(forward_cases())
+def test_forward_matches_oracle_for_any_cipher(case):
+    # below 2**-35 the stationary law's ~1e-13 mass on transient contexts
+    # decides between -inf and about 2**-40, so only larger values are pinned
+    xm, ym, spec, rows = case
+    batch = inference._ProductChain(xm, ym, spec).forward_log2(rows)
+    for row, from_batch in zip(rows, batch):
+        expected = oracles.log_marginal(xm, ym, spec, row)
+        if expected > -35.0:
+            assert abs(from_batch - expected) <= 1e-9
+            single = inference.log_marginal_forward(xm, ym, spec, row)
+            assert abs(single - expected) <= 1e-9
+
+
 def test_entry_cap_checked_before_the_build(monkeypatch):
     # n * n * S stored entries: 2 * 2 * 64 for two order-3 binary models
     xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
@@ -195,6 +255,19 @@ def test_entry_cap_checked_before_the_build(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_forward_factor_table_checked_against_the_entry_cap(monkeypatch):
+    # under the identity cipher the key drives and the order-3 plaintext weighs
+    # it through a (2**4, 2**4) table; the product chain needs only 2*2*8 entries
+    identity = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
+    z = [0, 1, 1, 0, 1]
+    assert abs(inference.log_marginal_forward(xm, BIASED, identity, z) + 5.0) <= 1e-12
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
+    with pytest.raises(StateCapError):
+        inference.log_marginal_forward(xm, BIASED, identity, z)
 
 
 def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
@@ -358,8 +431,6 @@ def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
         assert dense.dense and not csr.dense
         for v in range(n):
             assert np.array_equal(csr.A[v].toarray(), dense.A[v])
-        z = rng.integers(0, n, size=(16, 12))
-        assert np.abs(dense.forward_log2(z) - csr.forward_log2(z)).max() <= 1e-12
         front = dense.alpha0[None, :]
         for _ in range(3):
             via_dense, front = dense.extend(front), csr.extend(front)

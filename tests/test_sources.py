@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,38 @@ def test_block_entropy_large_m_needs_no_enumeration():
         assert model.entropy_rate() - 1e-12 <= model.block_entropy(60) <= model.block_entropy(59)
 
 
+def test_log_helpers_bit_identical_to_masked_forms():
+    rng = np.random.default_rng(6)
+    for shape in ((7,), (33, 5), (4, 9, 3)):
+        p = rng.random(shape) ** 4
+        p[rng.random(shape) < 0.3] = 0.0
+        p.flat[0] = 1.0
+        p.flat[-1] = 5e-324  # the smallest subnormal
+        positive = p > 0.0
+        expected_x = np.zeros_like(p)
+        expected_x[positive] = p[positive] * np.log2(p[positive])
+        expected_log = np.full_like(p, -np.inf)
+        expected_log[positive] = np.log2(p[positive])
+        assert np.array_equal(sources.xlog2x(p), expected_x)
+        assert np.array_equal(sources._log2_safe(p), expected_log)
+        assert np.array_equal(sources.xlog2x(p.T), expected_x.T)  # strided input
+
+
+def test_entropy_rate_peaks_near_the_table_bytes():
+    # the table exists before tracing starts; what is traced is the temporaries
+    rows = np.random.default_rng(9).dirichlet(np.ones(64), size=64 * 64)
+    rows[:, 0] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    model = sources.make_markov(64, 2, rows)
+    tracemalloc.start()
+    try:
+        model.entropy_rate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * model.transition.nbytes
+
+
 def test_entropy_bounds():
     rng = np.random.default_rng(23)
     for n, k in ((2, 0), (3, 1), (4, 1)):
@@ -332,6 +365,24 @@ def test_train_counts_match_manual_count():
     # transitions from 0: 0->0 twice, 0->1 twice; from 1: 1->0 twice, 1->1 once
     assert np.allclose(model.transition[0], [0.5, 0.5])
     assert np.allclose(model.transition[1], [2 / 3, 1 / 3])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_train_rows_bit_identical_to_the_masked_formula(alpha):
+    # symbol 2 never occurs, so with alpha = 0 its context keeps a uniform row
+    stream = np.random.default_rng(4).integers(0, 2, 400)
+    n, k = 3, 2
+    counts = np.zeros((n**k, n))
+    for i in range(k, stream.size):
+        counts[stream[i - 2] * n + stream[i - 1], stream[i]] += 1.0
+    totals = counts.sum(axis=1, keepdims=True)
+    expected = np.where(
+        totals + alpha * n > 0.0,
+        (counts + alpha) / np.where(totals + alpha * n > 0.0, totals + alpha * n, 1.0),
+        1.0 / n,
+    )
+    model = sources.train_markov(stream, n, k, alpha=alpha)
+    assert np.array_equal(model.transition, expected)
 
 
 # -- model files -------------------------------------------------------------------
