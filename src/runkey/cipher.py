@@ -30,10 +30,10 @@ class CipherSpec:
     Attributes
     ----------
     key_table : ndarray or None
-        ``key_table[x, z]`` is the unique key symbol y with ``c(x, y) = z``,
-        or -1 where no key produces z from x.  ``None`` when some (x, z) pair
-        is reachable through several keys; posterior computations require a
-        key-recoverable cipher and reject those tables.
+        ``key_table[x, z]`` is the unique key symbol y with ``c(x, y) = z``;
+        every row is a permutation of the alphabet.  ``None`` when some
+        (x, z) pair is reachable through several keys; posterior computations
+        require a key-recoverable cipher and reject those tables.
     """
 
     def __init__(self, alphabet_size: int, coder, decoder):

@@ -79,6 +79,22 @@ def _digit_matrix(
     return digits
 
 
+def _recovered(recover: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Packed words of the source that ``recover`` gives from the other one.
+
+    ``recover[d, v]`` is the recovered symbol for symbol d and cipher symbol
+    v (``key_table``, or the transposed decoder).  For q cipher words of
+    length L in the rows of ``columns`` the result is (n**L, q): row u holds
+    the recovered words under the packed word u, most significant first.
+    """
+    n, q = recover.shape[0], columns.shape[0]
+    words = np.zeros((1, q), dtype=np.int64)
+    for column in columns.T:
+        symbols = np.take(recover, column, axis=1)
+        words = (words[:, None, :] * n + symbols).reshape(-1, q)
+    return words
+
+
 def _check_alphabets(xm: SourceModel, ym: SourceModel, spec: CipherSpec) -> int:
     n = spec.alphabet_size
     if xm.alphabet_size != n or ym.alphabet_size != n:
@@ -169,7 +185,7 @@ class _ProductChain:
         symbols (a rolling index), so it is one lookup table of
         ``n**(2 k_O + 2)`` entries, checked against ``DEFAULT_ENTRY_CAP``.
         The first K symbols come from the block laws, as in
-        :func:`joint_log2_table`; two i.i.d. sources need no front.
+        :func:`joint_log2_table`.
 
         Identical arguments give identical results.  A row's value does not
         depend on the other rows, but the batch width can move it by float
@@ -178,10 +194,6 @@ class _ProductChain:
         n, xm, ym, spec = self.n, self.xm, self.ym, self.spec
         obs = np.atleast_2d(np.asarray(observations, dtype=np.int64))
         batch, t = obs.shape
-        if xm.order == ym.order == 0:
-            joint = np.outer(xm.transition[0], ym.transition[0]).ravel()
-            law = np.bincount(spec.coder.ravel(), weights=joint, minlength=n)
-            return _log2_safe(law)[obs].sum(axis=1)
         if spec.key_table is not None and xm.order >= ym.order:
             drive, other, recover = xm, ym, spec.key_table
         else:
@@ -194,19 +206,10 @@ class _ProductChain:
                 f"{DEFAULT_ENTRY_CAP}"
             )
 
-        def recovered(columns: np.ndarray) -> np.ndarray:
-            """The other source's packed words under the q cipher words of length
-            L in the rows of ``columns``: (n**L, q), one row per driver word."""
-            words = np.zeros((1, columns.shape[0]), dtype=np.int64)
-            for column in columns.T:
-                symbols = np.take(recover, column, axis=1)
-                words = (words[:, None, :] * n + symbols).reshape(-1, columns.shape[0])
-            return words
-
         head = min(t, k)
         log_head = (
             drive.log2_block_prob_array(head)[:, None]
-            + other.log2_block_prob_array(head)[recovered(obs[:, :head])]
+            + other.log2_block_prob_array(head)[_recovered(recover, obs[:, :head])]
         )
         top = log_head.max(axis=0)
         top[top == -np.inf] = 0.0
@@ -224,7 +227,7 @@ class _ProductChain:
             stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
             # lookup[w, v]: the other source's factor for driver window w and cipher
             # window v, from the context its first k_O symbols give and its last one
-            prefix = recovered(_digit_matrix(n, other.order))
+            prefix = _recovered(recover, _digit_matrix(n, other.order))
             lookup = other.transition[
                 prefix[:, None, :, None], recover[None, :, None, :]
             ].reshape(window, window)
@@ -306,41 +309,19 @@ def joint_log2_table(
     if head == 0:
         arr = np.zeros(1)
     else:
-        ax = xm.log2_block_prob_array(head)
-        digits = _digit_matrix(n, head)
-        key_digits = key_table[digits, z[None, :head]]
-        valid = (key_digits >= 0).all(axis=1)
-        packed = np.zeros(digits.shape[0], dtype=np.int64)
-        for pos in range(head):
-            packed = packed * n + np.maximum(key_digits[:, pos], 0)
-        ay = ym.log2_block_prob_array(head)
-        arr = ax + np.where(valid, ay[packed], -np.inf)
+        keys = _recovered(key_table, z[None, :head])[:, 0]
+        arr = xm.log2_block_prob_array(head) + ym.log2_block_prob_array(head)[keys]
     if t == head:
         return arr
 
     sx_of = np.arange(period) % xm.num_states
     r2_of = np.arange(period) % ym.num_states
-    y_ctx_digits = _digit_matrix(n, ky) if ky else None
 
     def level_terms(j: int) -> np.ndarray:
         """(period, n) additive log-terms for extending prefixes of length j."""
-        tx = log_tx[sx_of]
-        if ky:
-            ctx_keys = key_table[y_ctx_digits, z[None, j - ky : j]]
-            ok = (ctx_keys >= 0).all(axis=1)
-            sy = np.zeros(ctx_keys.shape[0], dtype=np.int64)
-            for pos in range(ky):
-                sy = sy * n + np.maximum(ctx_keys[:, pos], 0)
-        else:
-            ok = np.ones(1, dtype=bool)
-            sy = np.zeros(1, dtype=np.int64)
-        key_of_a = key_table[:, z[j]]
-        ty = np.full((sy.size, n), -np.inf)
-        usable = key_of_a >= 0
-        if usable.any():
-            ty[:, usable] = log_ty[sy[:, None], key_of_a[usable][None, :]]
-        ty[~ok, :] = -np.inf
-        return tx + ty[r2_of]
+        sy = _recovered(key_table, z[None, j - ky : j])
+        ty = log_ty[sy, key_table[:, z[j]][None, :]]
+        return log_tx[sx_of] + ty[r2_of]
 
     def grow(block: np.ndarray, terms: np.ndarray) -> np.ndarray:
         return (block.reshape(-1, period)[:, :, None] + terms[None, :, :]).reshape(-1)
