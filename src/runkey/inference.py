@@ -15,8 +15,9 @@ built on that identity:
   (one stacked matmul a step, and for a key-recoverable cipher at most as
   many states as the product chain), not over the product chain of X and Y;
 - the product chain's per-symbol operators serve the ciphertext block
-  enumeration behind the brackets.  They hold at most ``DEFAULT_ENTRY_CAP``
-  stored entries (a dense numpy stack for small chains, ``scipy.sparse`` CSR
+  enumeration behind the brackets, and only it builds them.  They hold at
+  most ``DEFAULT_ENTRY_CAP`` stored entries, checked before anything is
+  allocated (a dense numpy stack for small chains, ``scipy.sparse`` CSR
   matrices, and their import, only for large ones);
 - :func:`hm_conditional` evaluates the m-order conditional entropy
   ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
@@ -34,6 +35,7 @@ checked where the memory is allocated, not arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,8 +120,11 @@ class _ProductChain:
     (n, S, S) stack; larger ones store each A[v] as a ``scipy.sparse`` CSR
     matrix, imported only then.  Both are applied the same way, one symbol's
     matrix at a time, by :meth:`extend` for the block enumeration.
-    :meth:`forward_log2` does not use them: it reads only the two models and
-    the cipher the chain was built from.
+
+    Construction only checks the entry cap and fixes the representation;
+    ``A`` is built on first use, the first :meth:`extend`, once per chain.
+    :meth:`forward_log2` does not use it: it reads only the two models and
+    the cipher the chain was made from, so the forward allocates no operators.
     """
 
     def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
@@ -135,29 +140,36 @@ class _ProductChain:
         self.n = n
         self.size = size
         self.alpha0 = np.outer(xm.stationary, ym.stationary).ravel()
+        self.dense = n * size * size <= _CELL
+
+    @cached_property
+    def A(self):
+        """The per-symbol operators: an (n, S, S) stack or n CSR matrices."""
+        n, size, xm, ym, spec = self.n, self.size, self.xm, self.ym, self.spec
+        sx, sy = xm.num_states, ym.num_states
         next_x = (np.arange(sx)[:, None] * n + np.arange(n)) % sx
         next_y = (np.arange(sy)[:, None] * n + np.arange(n)) % sy
         rows = np.arange(size).reshape(sx, sy, 1)
         indptr = np.arange(0, size * n + 1, n)
-        self.dense = n * size * size <= _CELL
         if self.dense:
-            self.A = np.zeros((n, size, size))
+            operators = np.zeros((n, size, size))
         else:
             import scipy.sparse as sp
 
-            self.A = []
+            operators = []
         for v in range(n):
             a, b = np.nonzero(spec.coder == v)
             cols = next_x[:, None, a] * sy + next_y[None, :, b]
             data = xm.transition[:, None, a] * ym.transition[None, :, b]
             if self.dense:
-                np.add.at(self.A[v], (rows, cols), data)
+                np.add.at(operators[v], (rows, cols), data)
             else:
                 matrix = sp.csr_matrix(
                     (data.ravel(), cols.ravel(), indptr), shape=(size, size)
                 )
                 matrix.sum_duplicates()
-                self.A.append(matrix)
+                operators.append(matrix)
+        return operators
 
     def extend(self, arr: np.ndarray) -> np.ndarray:
         """One prefix-tree level: (Np, S) joint mass -> (Np*n, S)."""
@@ -266,7 +278,8 @@ def log_marginal_forward(
     """Exact ``log2 P(z)`` by the forward recursion, linear in ``len(z)``.
 
     Works for every cipher, key-recoverable or not; -inf for a ciphertext of
-    probability zero.  The product chain is built for its entry cap only.
+    probability zero.  The product chain's entry cap is checked; no operators
+    are built.
     """
     z = as_word(ciphertext, spec.alphabet_size)
     chain = _ProductChain(xm, ym, spec)

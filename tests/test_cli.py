@@ -178,6 +178,14 @@ def _printed(value):
     return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
+def _csv_body(path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def _csv_row(lead, key, value) -> str:
+    return f"{lead},{key},{value:.12g}" if isinstance(value, float) else f"{lead},{key},{value}"
+
+
 def test_smb_report_matches_the_library(x_model, tmp_path):
     # no --h-ref: the band centre comes from the m=4 bracket, as in the library
     argv = ["smb", "--x-model", x_model, "--y-model", KEY, "--t", "6,40",
@@ -193,15 +201,43 @@ def test_smb_report_matches_the_library(x_model, tmp_path):
     assert json.loads(json_out.read_text())["results"] == _printed(library)
     expected = ["t,metric,value"]
     for row in library["rows"]:
-        expected += [f"{row['t']},{key},{value:.12g}" if isinstance(value, float)
-                     else f"{row['t']},{key},{value}"
+        expected += [_csv_row(row["t"], key, value)
                      for key, value in row.items() if key != "t"]
     onset = library["onset_length"]
-    expected += [f",h_ref,{library['h_ref']:.12g}",
-                 f",onset_length,{'none' if onset is None else onset}"]
-    lines = csv_out.read_text().splitlines()
-    body = [line for line in lines if not line.startswith("#")]
-    assert body == expected
+    expected += [_csv_row("", "h_ref", library["h_ref"]),
+                 _csv_row("", "onset_length", "none" if onset is None else onset)]
+    assert _csv_body(csv_out) == expected
+
+
+def test_bounds_report_matches_the_library(x_model, tmp_path):
+    argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "4"]
+    library = secrecy.certify_bounds(
+        MARKOV, sources.make_bernoulli([0.45, 0.55]), additive_cipher(2), 4
+    ).as_dict()
+    json_out, csv_out = tmp_path / "bounds.json", tmp_path / "bounds.csv"
+    assert cli.main(argv + ["--out", str(json_out)]) == 0
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert json.loads(json_out.read_text())["results"] == _printed(library)
+    expected = ["m,metric,value"] + [_csv_row(4, key, value)
+                                     for key, value in library.items()]
+    assert _csv_body(csv_out) == expected
+
+
+def test_entropy_report_matches_the_library(x_model, tmp_path):
+    argv = ["entropy", "--x-model", x_model, "--m", "0,2,5"]
+    json_out, csv_out = tmp_path / "entropy.json", tmp_path / "entropy.csv"
+    assert cli.main(argv + ["--out", str(json_out)]) == 0
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    rate, redundancy = MARKOV.entropy_rate(), MARKOV.redundancy()
+    blocks = [(m, MARKOV.block_entropy(m)) for m in (0, 2, 5)]
+    assert json.loads(json_out.read_text())["results"] == _printed({
+        "n": 2, "order": 1, "entropy_rate": rate, "redundancy": redundancy,
+        "block_entropies": [{"m": m, "h_m": value} for m, value in blocks],
+    })
+    expected = ["m,metric,value", _csv_row("", "entropy_rate", rate),
+                _csv_row("", "redundancy", redundancy)]
+    expected += [_csv_row(m, "block_entropy", value) for m, value in blocks]
+    assert _csv_body(csv_out) == expected
 
 
 def test_psi_takes_exactly_one_of_z_and_t(x_model, capsys):
@@ -426,7 +462,11 @@ def test_scipy_imported_only_for_sparse_operators(tmp_path):
         "--h-ref 0.7 --out smb.json",
     ]
     assert _scipy_modules_after(dense, tmp_path) == []
-    # order 9 against order 2: S = 2048, over the dense cell budget
-    sparse = [f"smb --x-model x9.model --y-model y2.model --t 20 --samples 8 "
-              "--eps 0.05 --delta 0.05 --seed 1 --h-ref 0.7 --out smb.json"]
-    assert "scipy.sparse" in _scipy_modules_after(sparse, tmp_path)
+    # order 9 against order 2: S = 2048, over the dense cell budget; the forward
+    # builds no operators, so only the bracket enumeration stores CSR matrices
+    sparse = "--x-model x9.model --y-model y2.model"
+    smb = [f"smb {sparse} --t 20 --samples 8 --eps 0.05 --delta 0.05 --seed 1 "
+           "--h-ref 0.7 --out smb.json"]
+    assert _scipy_modules_after(smb, tmp_path) == []
+    bounds = [f"bounds {sparse} --m 0 --out bounds.json"]
+    assert "scipy.sparse" in _scipy_modules_after(bounds, tmp_path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import runkey.inference as inference_module
-from runkey import cipher, inference, sources
+from runkey import cipher, inference, secrecy, sources
 from runkey.errors import (
     CertificationError,
     EnumerationCapError,
@@ -471,6 +471,12 @@ def test_product_chain_operators_match_oracle(spec, monkeypatch):
             assert np.abs(csr.A[v].toarray() - expected[v]).max() <= 1e-15
 
 
+def _operator_bytes(chain) -> int:
+    if chain.dense:
+        return chain.A.nbytes
+    return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in chain.A)
+
+
 @pytest.mark.parametrize("n, cell", [(128, 0), (64, None)], ids=["csr", "dense"])
 def test_product_chain_build_peaks_near_operator_bytes(n, cell, monkeypatch):
     # an order-1 plaintext against an i.i.d. key: S = n product states
@@ -481,15 +487,41 @@ def test_product_chain_build_peaks_near_operator_bytes(n, cell, monkeypatch):
     tracemalloc.start()
     try:
         chain = inference._ProductChain(xm, ym, spec)
+        constructed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        chain.A  # the operators are built on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if chain.dense:
-        stored = chain.A.nbytes
-    else:
-        stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in chain.A)
     assert chain.dense == (cell is None)
-    assert peak <= 1.5 * stored
+    assert constructed < 1 << 20
+    assert peak <= 1.5 * _operator_bytes(chain)
+
+
+@pytest.mark.parametrize("cell", [0, None], ids=["csr", "dense"])
+def test_forward_builds_no_operators(cell, monkeypatch):
+    # order-1 n=128 plaintext against an i.i.d. key: S = 128, 2**21 operator entries
+    n = 128
+    xm = random_model(np.random.default_rng(n), n, 1)
+    ym, spec = sources.make_uniform(n), cipher.additive_cipher(n)
+    if cell is not None:
+        monkeypatch.setattr(inference_module, "_CELL", cell)
+    z = spec.encrypt(xm.sample(60, np.random.default_rng(1)),
+                     ym.sample(60, np.random.default_rng(2)))
+    tracemalloc.start()
+    try:
+        inference.log_marginal_forward(xm, ym, spec, z)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        secrecy.concentration_experiment(xm, ym, spec, [20, 40], 16, 0.1, 0.1, 3,
+                                         h_ref=1.0)
+        experiment_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    operators = _operator_bytes(inference._ProductChain(xm, ym, spec))
+    assert operators >= 16 << 20
+    assert forward_peak < operators / 8
+    assert experiment_peak < operators / 8
 
 
 def test_log2sumexp():
