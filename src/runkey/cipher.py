@@ -106,21 +106,6 @@ class CipherSpec:
             )
         return self._decoder[z, y]
 
-    def key_for(self, plaintext, ciphertext) -> np.ndarray:
-        """Recover the unique key word mapping ``plaintext`` to ``ciphertext``."""
-        if self._key_table is None:
-            from .errors import UnsupportedCipherError
-
-            raise UnsupportedCipherError("cipher is not key-recoverable")
-        x = as_word(plaintext, self._n)
-        z = as_word(ciphertext, self._n)
-        if x.size != z.size:
-            raise ValueError("plaintext and ciphertext lengths differ")
-        y = self._key_table[x, z]
-        if np.any(y < 0):
-            raise ValueError("no key maps this plaintext to this ciphertext")
-        return y
-
     def __repr__(self) -> str:
         return f"CipherSpec(n={self._n})"
 

@@ -56,7 +56,8 @@ from .sources import (
 )
 from .words import (
     bytes_to_symbols,
-    index_to_word,
+    digits,
+    render,
     symbols_to_bytes,
     text_to_word,
     word_to_text,
@@ -163,7 +164,7 @@ def _config_pairs(fh) -> list[tuple[str, str]]:
 def _read_config_file(path: str, subcommand: str) -> list[str]:
     """Turn a config file's options into command-line tokens (flags win later)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_for(path, "r") as fh:
             pairs = _config_pairs(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -226,14 +227,17 @@ def _write_csv(fh, config: dict[str, str], columns: tuple[str, ...], rows) -> No
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _report_target(path):
-    """The ``--out`` value as an ``_open_for`` target; '-' or None is stdout."""
-    return sys.stdout if path in (None, "-") else path
+def _open(path, mode: str):
+    """``_open_for`` on a path option; '-' (or no ``--out``) is the standard stream."""
+    if path in (None, "-"):
+        stream = sys.stdin if "r" in mode else sys.stdout
+        path = stream.buffer if "b" in mode else stream
+    return _open_for(path, mode)
 
 
 def _write_report(args, results, columns=(), rows=()) -> None:
     """Write ``results`` (JSON) or ``rows`` under ``columns`` (CSV) to ``--out``."""
-    with _open_for(_report_target(args.out), "w") as fh:
+    with _open(args.out, "w") as fh:
         if args.format == "json":
             _write_json(fh, _echo(args), results)
         else:
@@ -265,29 +269,20 @@ def _read_exact(fh, size: int) -> bytes:
     return buf
 
 
-def _open_binary(path, mode: str):
-    if path == "-":
-        return (sys.stdin.buffer if "r" in mode else sys.stdout.buffer), False
-    return open(path, mode), True
-
-
 def _cmd_cipher(args) -> int:
     n = 2 if args.bits else args.n
     spec = additive_cipher(n)
     apply_word = spec.encrypt if args.subcommand == "encrypt" else spec.decrypt
     if args.text:
-        with open(args.in_path, encoding="utf-8") as fh:
+        with _open(args.in_path, "r") as fh:
             data = text_to_word(fh.read(), n)
-        with open(args.key, encoding="utf-8") as fh:
+        with _open(args.key, "r") as fh:
             key = text_to_word(fh.read(), n)
-        result = apply_word(data, key)
-        with _open_for(_report_target(args.out), "w") as fh:
-            fh.write(word_to_text(result, n) + "\n")
+        with _open(args.out, "w") as fh:
+            fh.write(word_to_text(apply_word(data, key), n) + "\n")
         return 0
-    in_fh, close_in = _open_binary(args.in_path, "rb")
-    key_fh, close_key = _open_binary(args.key, "rb")
-    out_fh, close_out = _open_binary(args.out or "-", "wb")
-    try:
+    with _open(args.in_path, "rb") as in_fh, _open(args.key, "rb") as key_fh, \
+            _open(args.out, "wb") as out_fh:
         while True:
             block = _read_exact(in_fh, _CHUNK_BYTES)
             key_block = _read_exact(key_fh, len(block) or _CHUNK_BYTES)
@@ -298,10 +293,6 @@ def _cmd_cipher(args) -> int:
             x = bytes_to_symbols(block, n, bits=args.bits)
             y = bytes_to_symbols(key_block, n, bits=args.bits)
             out_fh.write(symbols_to_bytes(apply_word(x, y), n, bits=args.bits))
-    finally:
-        for fh, owned in ((in_fh, close_in), (key_fh, close_key), (out_fh, close_out)):
-            if owned:
-                fh.close()
     return 0
 
 
@@ -310,11 +301,8 @@ def _cmd_cipher(args) -> int:
 
 def _cmd_train(args) -> int:
     n = 2 if args.bits else args.n
-    if args.corpus == "-":
-        raw = sys.stdin.buffer.read()
-    else:
-        with open(args.corpus, "rb") as fh:
-            raw = fh.read()
+    with _open(args.corpus, "rb") as fh:
+        raw = fh.read()
     stream = bytes_to_symbols(raw, n, bits=args.bits)
     model = train_markov(stream, n, args.order, alpha=args.alpha)
     header = [f"{k} {v}" for k, v in _echo(args).items()]
@@ -359,22 +347,17 @@ def _cmd_posterior(args) -> int:
         f"{table.log_posterior.size} plaintexts"
     )
     if args.format == "csv":  # the table streams its own rows
-        with _open_for(_report_target(args.out), "w") as fh:
+        with _open(args.out, "w") as fh:
             for key, value in _echo(args).items():
                 fh.write(f"# {key} {value}\n")
             table.to_csv(fh)
         return 0
     rows = None
     if table.log_posterior.size <= args.max_rows:
+        texts = render(digits(spec.alphabet_size, table.length), spec.alphabet_size)
         rows = [
-            {
-                "plaintext": word_to_text(
-                    index_to_word(u, spec.alphabet_size, table.length),
-                    spec.alphabet_size,
-                ),
-                "log2_posterior": float(lp),
-            }
-            for u, lp in enumerate(table.log_posterior)
+            {"plaintext": text, "log2_posterior": lp}
+            for text, lp in zip(texts, table.log_posterior.tolist())
         ]
     results = {"t": table.length, "log2_marginal": table.log_marginal, "rows": rows}
     _write_report(args, results)

@@ -12,8 +12,8 @@ built on that identity:
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion.  Given z, one source's symbols follow from the
   other's, so the recursion runs over the last few symbols of one source
-  (one stacked matmul a step, and for a key-recoverable cipher at most as
-  many states as the product chain), not over the product chain of X and Y;
+  (one stacked matmul a step, and for a key-recoverable cipher at most
+  max(S, n) states for a product chain of S), not over the product chain;
 - the product chain's per-symbol operators serve the ciphertext block
   enumeration behind the brackets, and only it builds them.  They hold at
   most ``DEFAULT_ENTRY_CAP`` stored entries, checked before anything is
@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedCipherError,
 )
 from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, _open_for, xlog2x
-from .words import as_word, index_to_word, word_to_index, word_to_text
+from .words import as_word, digits, render, word_to_index
 
 # stored entries of the product-chain operators, n * n * S before the build
 # sums duplicates; a byte-alphabet pair with S = 256 contexts is exactly at it
@@ -65,20 +65,6 @@ def log2sumexp(values: np.ndarray) -> float:
     if top == -np.inf:
         return -np.inf
     return top + float(np.log2(np.exp2(values - top).sum()))
-
-
-def _digit_matrix(
-    n: int, width: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Digits (most significant first) of the base-n integers in [start, stop).
-
-    ``stop`` defaults to ``n**width``, which gives every width-digit integer.
-    """
-    idx = np.arange(start, n**width if stop is None else stop, dtype=np.int64)
-    digits = np.empty((idx.size, width), dtype=np.int64)
-    for pos in range(width - 1, -1, -1):
-        idx, digits[:, pos] = np.divmod(idx, n)
-    return digits
 
 
 def _recovered(recover: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -190,7 +176,8 @@ class _ProductChain:
         is the higher-order source (on a tie the plaintext, if the cipher is
         key-recoverable).  The front holds the joint mass of its last
         ``K = max(k_D, k_O + 1)`` symbols, state-major as ``(n**K, batch)``;
-        n**K never exceeds S for a key-recoverable cipher.  A step is one
+        for a key-recoverable cipher n**K is at most max(S, n), with n for
+        two i.i.d. sources (K = 1, S = 1).  A step is one
         stacked (n, n) matmul of the driver's table, times the other
         source's factor.  That factor depends only on the state's last
         ``k_O + 1`` driver symbols and the row's last ``k_O + 1`` ciphertext
@@ -239,7 +226,7 @@ class _ProductChain:
             stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
             # lookup[w, v]: the other source's factor for driver window w and cipher
             # window v, from the context its first k_O symbols give and its last one
-            prefix = _recovered(recover, _digit_matrix(n, other.order))
+            prefix = _recovered(recover, digits(n, other.order))
             lookup = other.transition[
                 prefix[:, None, :, None], recover[None, :, None, :]
             ].reshape(window, window)
@@ -391,25 +378,22 @@ class PosteriorTable:
         return float(self.log_posterior[word_to_index(word, self.alphabet_size)])
 
     def to_csv(self, target) -> None:
-        """Write (plaintext-as-base-n-string, log2_posterior) rows."""
-        n, t = self.alphabet_size, self.length
+        """Write (plaintext, log2_posterior) rows, the plaintext as base-n text.
+
+        A plaintext with commas (n > 36) is quoted, as RFC 4180 asks.
+        """
+        n, t, values = self.alphabet_size, self.length, self.log_posterior
+        chunk = 1 << 16
         with _open_for(target, "w") as fh:
             fh.write("plaintext,log2_posterior\n")
-            if n <= 36:
-                alphabet = np.frombuffer(
-                    b"0123456789abcdefghijklmnopqrstuvwxyz"[:n], dtype=np.uint8
+            for start in range(0, values.size, chunk):
+                texts = render(digits(n, t, start, min(start + chunk, values.size)), n)
+                if "," in texts[0]:
+                    texts = [f'"{text}"' for text in texts]
+                fh.writelines(
+                    f"{text},{value:.12g}\n"
+                    for text, value in zip(texts, values[start : start + chunk].tolist())
                 )
-                chunk = 1 << 16
-                for start in range(0, self.log_posterior.size, chunk):
-                    stop = min(start + chunk, self.log_posterior.size)
-                    digits = _digit_matrix(n, t, start, stop)
-                    texts = alphabet[digits].view(f"S{t}").ravel()
-                    for text, value in zip(texts, self.log_posterior[start:stop]):
-                        fh.write(f"{text.decode('ascii')},{value:.12g}\n")
-            else:
-                for u, value in enumerate(self.log_posterior):
-                    text = word_to_text(index_to_word(u, n, t), n)
-                    fh.write(f"{text},{value:.12g}\n")
 
 
 def posterior(

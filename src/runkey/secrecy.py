@@ -69,13 +69,6 @@ class TypicalSet:
     def length(self) -> int:
         return int(self.ciphertext.size)
 
-    def satisfies_counting_bound(self, threshold: float) -> bool:
-        """Check ``count > threshold * 2^(t (h_ref - eps))`` when mass >= threshold."""
-        if self.mass < threshold:
-            return True
-        floor = threshold * 2.0 ** (self.length * (self.h_ref - self.epsilon))
-        return self.member_count > floor
-
     def as_dict(self) -> dict:
         return {
             "t": self.length,

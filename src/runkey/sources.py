@@ -24,7 +24,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import io
+import contextlib
+import os
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     ModelFormatError,
     NotErgodicError,
 )
-from .words import as_word, word_to_index
+from .words import as_word, digits, word_to_index
 
 # exhaustive enumerations (words, blocks, plaintexts) stop at this many entries
 DEFAULT_WORD_CAP = 1 << 24
@@ -371,10 +372,8 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
     if t >= k:
         log_probs += _log2_safe(model.stationary)[head_state]
     else:
-        # word shorter than the context: fall back to the marginal law
-        log_probs = np.array(
-            [model.log2_block_prob(words[b]) for b in range(batch)]
-        )
+        # word shorter than the context: its marginal law, as in log2_block_prob
+        log_probs = model._log2_marginal(t)[np.ravel_multi_index(words.T, (n,) * t)]
     return words, log_probs
 
 
@@ -447,16 +446,21 @@ def train_markov(
 
 
 def save_model(model: SourceModel, path, header_lines: Sequence[str] = ()) -> None:
-    """Write a model as the key-value text format (one probability row per line)."""
+    """Write a model as the key-value text format (one probability row per line).
+
+    A row is labelled by its context's k symbols, comma-separated decimals
+    for every n, or ``-`` for order 0.
+    """
     n, k = model.alphabet_size, model.order
-    row_format = " ".join(["%.17g"] * n)
+    label = ",".join(["%d"] * k) or "-"
+    row_format = f"row {label} " + " ".join(["%.17g"] * n) + "\n"
     with _open_for(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"n {n}\n")
         fh.write(f"order {k}\n")
-        for s, row in enumerate(model.transition):
-            fh.write(f"row {_state_label(s, n, k)} {row_format % tuple(row.tolist())}\n")
+        for context, row in zip(digits(n, k).tolist(), model.transition.tolist()):
+            fh.write(row_format % (*context, *row))
 
 
 def load_model(path) -> SourceModel:
@@ -490,7 +494,7 @@ def load_model(path) -> SourceModel:
                     rows[state] = probs
                 else:
                     raise ModelFormatError(f"line {lineno}: unknown key {parts[0]!r}")
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OverflowError) as exc:
                 if isinstance(exc, ModelFormatError):
                     raise
                 raise ModelFormatError(f"line {lineno}: {exc}") from exc
@@ -506,16 +510,6 @@ def load_model(path) -> SourceModel:
     return make_markov(n, k, table)
 
 
-def _state_label(state: int, n: int, k: int) -> str:
-    if k == 0:
-        return "-"
-    digits = []
-    for _ in range(k):
-        state, d = divmod(state, n)
-        digits.append(str(d))
-    return ",".join(reversed(digits))
-
-
 def _parse_state_label(label: str, n: int, k: int) -> int:
     if k == 0:
         if label != "-":
@@ -524,32 +518,14 @@ def _parse_state_label(label: str, n: int, k: int) -> int:
     parts = label.split(",")
     if len(parts) != k:
         raise ModelFormatError(f"state label {label!r} needs {k} symbols")
-    state = 0
-    for part in parts:
-        value = int(part)
-        if not 0 <= value < n:
-            raise ModelFormatError(f"state symbol {value} out of range")
-        state = state * n + value
-    return state
+    return word_to_index([int(part) for part in parts], n)
 
 
-class _open_for:
-    """Open a path or pass through an already-open text file."""
-
-    def __init__(self, target, mode: str):
-        self._target = target
-        self._mode = mode
-        self._owned = None
-
-    def __enter__(self):
-        if isinstance(self._target, (str, bytes)) or hasattr(self._target, "__fspath__"):
-            self._owned = open(self._target, self._mode, encoding="utf-8")
-            return self._owned
-        if isinstance(self._target, io.TextIOBase) or hasattr(self._target, "write" if "w" in self._mode else "read"):
-            return self._target
-        raise TypeError(f"cannot open {self._target!r}")
-
-    def __exit__(self, *exc):
-        if self._owned is not None:
-            self._owned.close()
-        return False
+@contextlib.contextmanager
+def _open_for(target, mode: str):
+    """Open a path (text as utf-8), or pass an already-open file through unclosed."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        with open(target, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    else:
+        yield target

@@ -6,6 +6,13 @@ with the first symbol in the most significant position, so extending a word by
 one symbol maps index ``u`` to ``u*n + a``.  Helpers here convert between the
 array, integer-index, text and raw-byte representations; everything heavier
 lives in the model and inference modules.
+
+The codec comes in two forms.  :func:`digits` and :func:`render` are the
+vectorized one: the digit rows of a range of indices, and the text of many
+rows at once; every plaintext or ciphertext written as text goes through
+them.  :func:`word_to_index` and :func:`index_to_word` are the exact scalar
+pair on Python ints, which stay exact beyond int64 where ``digits`` would
+overflow.
 """
 
 from __future__ import annotations
@@ -52,17 +59,38 @@ def index_to_word(index: int, alphabet_size: int, length: int) -> np.ndarray:
     return out
 
 
-def word_to_text(word, alphabet_size: int) -> str:
-    """Render a word as text: base-36 digit characters, or comma-separated ints.
+def digits(
+    n: int, width: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Digits (most significant first) of the base-n integers in [start, stop).
+
+    ``stop`` defaults to ``n**width``, which gives every width-digit integer.
+    """
+    idx = np.arange(start, n**width if stop is None else stop, dtype=np.int64)
+    out = np.empty((idx.size, width), dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        idx, out[:, pos] = np.divmod(idx, n)
+    return out
+
+
+def render(rows, alphabet_size: int) -> list[str]:
+    """The text of each row of a (count, width) array of words.
 
     For ``n <= 36`` each symbol becomes one character from ``0-9a-z`` (the
     representation used in posterior CSV exports); larger alphabets fall back
     to comma-separated decimal symbols.
     """
-    word = as_word(word, alphabet_size)
+    rows = np.asarray(rows)
     if alphabet_size <= len(_DIGITS):
-        return "".join(_DIGITS[s] for s in word.tolist())
-    return ",".join(str(s) for s in word.tolist())
+        table = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)
+        texts = table[rows].view(f"S{rows.shape[1]}").ravel().tolist()
+        return [text.decode("ascii") for text in texts]
+    return [",".join(map(str, row)) for row in rows.tolist()]
+
+
+def word_to_text(word, alphabet_size: int) -> str:
+    """Render one word as text; see :func:`render`."""
+    return render(as_word(word, alphabet_size)[None, :], alphabet_size)[0]
 
 
 def text_to_word(text: str, alphabet_size: int) -> np.ndarray:

@@ -4,7 +4,7 @@ from scipy import stats
 
 import oracles
 from runkey import cipher, sources
-from runkey.errors import UnsupportedCipherError
+from test_inference import latin_square_cipher
 
 
 @pytest.mark.parametrize("n", [2, 3, 26, 256])
@@ -104,13 +104,15 @@ def test_identity_cipher_has_no_key_table():
     # c(x, y) = x is valid but the key cannot be recovered from (x, z)
     ident = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
     assert ident.key_table is None
-    with pytest.raises(UnsupportedCipherError):
-        ident.key_for([0], [0])
 
 
-def test_key_for_recovers_additive_key():
-    spec = cipher.additive_cipher(26)
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 26, 64)
-    y = rng.integers(0, 26, 64)
-    assert np.array_equal(spec.key_for(x, spec.encrypt(x, y)), y)
+@pytest.mark.parametrize("spec", [
+    cipher.additive_cipher(26),
+    latin_square_cipher(np.random.default_rng(5), 7),
+], ids=["additive", "latin"])
+def test_key_table_gives_the_key_of_every_pair(spec):
+    n = spec.alphabet_size
+    for x in range(n):
+        assert sorted(spec.key_table[x].tolist()) == list(range(n))
+        for z in range(n):
+            assert spec.coder[x, spec.key_table[x, z]] == z

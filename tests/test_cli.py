@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,13 @@ import pytest
 
 from runkey import cli, inference, secrecy, sources
 from runkey.cipher import additive_cipher
-from runkey.words import bytes_to_symbols, symbols_to_bytes, text_to_word, word_to_text
+from runkey.words import (
+    bytes_to_symbols,
+    index_to_word,
+    symbols_to_bytes,
+    text_to_word,
+    word_to_text,
+)
 
 MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 KEY = "bernoulli:0.45,0.55"
@@ -183,6 +190,8 @@ def _csv_body(path) -> list[str]:
 
 
 def _csv_row(lead, key, value) -> str:
+    if isinstance(value, bool):
+        return f"{lead},{key},{str(value).lower()}"
     return f"{lead},{key},{value:.12g}" if isinstance(value, float) else f"{lead},{key},{value}"
 
 
@@ -237,6 +246,89 @@ def test_entropy_report_matches_the_library(x_model, tmp_path):
     expected = ["m,metric,value", _csv_row("", "entropy_rate", rate),
                 _csv_row("", "redundancy", redundancy)]
     expected += [_csv_row(m, "block_entropy", value) for m, value in blocks]
+    assert _csv_body(csv_out) == expected
+
+
+def test_posterior_report_matches_the_library(x_model, tmp_path):
+    argv = ["posterior", "--x-model", x_model, "--y-model", KEY, "--z", "0110100"]
+    table = inference.posterior(MARKOV, sources.make_bernoulli([0.45, 0.55]),
+                                additive_cipher(2), text_to_word("0110100", 2))
+    texts = [word_to_text(index_to_word(u, 2, 7), 2) for u in range(2**7)]
+    json_out, csv_out = tmp_path / "posterior.json", tmp_path / "posterior.csv"
+    assert cli.main(argv + ["--out", str(json_out)]) == 0
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert json.loads(json_out.read_text())["results"] == _printed({
+        "t": 7, "log2_marginal": table.log_marginal,
+        "rows": [{"plaintext": text, "log2_posterior": float(value)}
+                 for text, value in zip(texts, table.log_posterior)],
+    })
+    assert _csv_body(csv_out) == ["plaintext,log2_posterior"] + [
+        f"{text},{value:.12g}" for text, value in zip(texts, table.log_posterior)
+    ]
+
+
+def test_posterior_csv_quotes_plaintexts_of_large_alphabets(tmp_path):
+    # over n > 36 a plaintext is comma-separated text, one quoted CSV field
+    probs = np.arange(1, 41) / np.arange(1, 41).sum()
+    key = "bernoulli:" + ",".join(repr(p) for p in probs.tolist())
+    out = tmp_path / "posterior.csv"
+    argv = ["posterior", "--x-model", "uniform:40", "--y-model", key, "--z", "1,2",
+            "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    table = inference.posterior(sources.make_uniform(40), sources.make_bernoulli(probs),
+                                additive_cipher(40), [1, 2])
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert rows[0] == ["plaintext", "log2_posterior"]
+    assert len(rows) == 1 + 40**2
+    for text, value in rows[1:]:
+        assert value == f"{table.log2_prob(text_to_word(text, 40)):.12g}"
+    assert [text_to_word(text, 40).tolist() for text, _ in rows[1:3]] == [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("target", ["z", "t"])
+def test_psi_report_matches_the_library(target, x_model, tmp_path):
+    key = sources.make_bernoulli([0.45, 0.55])
+    argv = ["psi", "--x-model", x_model, "--y-model", KEY, "--eps", "0.2", "--m", "3"]
+    if target == "z":
+        argv += ["--z", "011010011"]
+        built = secrecy.build_typical_set(MARKOV, key, additive_cipher(2),
+                                          text_to_word("011010011", 2), 0.2,
+                                          bracket_order=3)
+        library = built.as_dict()
+        expected = [_csv_row(9, k, v) for k, v in library.items() if k != "t"]
+    else:
+        argv += ["--t", "6,9", "--seed", "4"]
+        points = secrecy.typical_set_growth(MARKOV, key, additive_cipher(2), [6, 9],
+                                            0.2, 4, bracket_order=3)
+        library = {"series": [p.as_dict() for p in points]}
+        expected = [_csv_row(p.t, k, v) for p in points
+                    for k, v in p.as_dict().items() if k != "t"]
+    json_out, csv_out = tmp_path / "psi.json", tmp_path / "psi.csv"
+    assert cli.main(argv + ["--out", str(json_out)]) == 0
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert json.loads(json_out.read_text())["results"] == _printed(library)
+    assert _csv_body(csv_out) == ["t,metric,value"] + expected
+
+
+def test_sweep_report_matches_the_library(x_model, tmp_path):
+    argv = ["sweep", "--x-model", x_model, "--tau", "0,0.05", "--m", "3", "--t", "5,8",
+            "--eps", "0.1", "--seed", "2"]
+    reports = secrecy.robustness_sweep(MARKOV, additive_cipher(2), [0.0, 0.05], 3,
+                                       t_list=[5, 8], epsilon=0.1, seed=2)
+    library = [r.as_dict() for r in reports]
+    json_out, csv_out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert cli.main(argv + ["--out", str(json_out)]) == 0
+    assert cli.main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    assert json.loads(json_out.read_text())["results"] == _printed(library)
+    expected = ["tau,metric,value"]
+    for entry in library:
+        tau = f"{entry['tau']:.12g}"  # the lead column prints as a float too
+        expected += [_csv_row(tau, k, v) for k, v in entry.items()
+                     if k not in ("tau", "growth_series")]
+        for point in entry["growth_series"]:
+            expected += [_csv_row(tau, f"growth_t{point['t']}", point["growth"]),
+                         _csv_row(tau, f"mass_t{point['t']}", point["mass"])]
     assert _csv_body(csv_out) == expected
 
 
@@ -426,6 +518,39 @@ def test_cipher_streams_of_different_lengths_are_rejected(subcommand, mode, tmp_
             "--out", str(tmp_path / "out"), *options]
     assert cli.main(argv) == 2
     assert _error_line(capsys).startswith("error: config:")
+
+
+def _runkey(*argv, **kwargs):
+    """``python -m runkey`` in a subprocess, on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "runkey", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+@pytest.mark.parametrize("stdin_option", ["--in", "--key"])
+def test_text_cipher_reads_standard_input(stdin_option, tmp_path):
+    rng = np.random.default_rng(9)
+    x, y = rng.integers(0, 26, size=50), rng.integers(0, 26, size=50)
+    plain, key = tmp_path / "plain", tmp_path / "key"
+    _write_stream("text", plain, x)
+    _write_stream("text", key, y)
+    piped = plain if stdin_option == "--in" else key
+    paths = {"--in": str(plain), "--key": str(key), stdin_option: "-"}
+    argv = ["encrypt", "--text", "--n", "26", "--in", paths["--in"],
+            "--key", paths["--key"]]
+    done = _runkey(*argv, input=piped.read_bytes(), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == word_to_text(additive_cipher(26).encrypt(x, y), 26) + "\n"
+
+
+def test_module_entry_point(tmp_path):
+    version = _runkey("--version", cwd=tmp_path)
+    assert (version.returncode, version.stdout.decode()) == (0, "0.1.0\n")
+    bare = _runkey(cwd=tmp_path)
+    assert bare.returncode == 2
+    err = bare.stderr.decode()
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: config:")
 
 
 _SCIPY_PROBE = """

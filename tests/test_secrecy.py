@@ -52,14 +52,22 @@ def test_typical_set_spread_below_epsilon():
     assert built.spread < built.epsilon
 
 
-def test_typical_set_counting_bound():
-    z = BIASED.sample(16, 31)
-    built = secrecy.build_typical_set(UNIFORM2, BIASED, SPEC2, z, 0.05)
-    assert built.mass >= 0.9
-    assert built.satisfies_counting_bound(0.9)
-    # explicit form of the counting step
-    floor = 0.9 * 2.0 ** (16 * (built.h_ref - built.epsilon))
-    assert built.member_count > floor
+@pytest.mark.parametrize("xm, ym, t, seed", [
+    (UNIFORM2, BIASED, 16, 31),
+    (MARKOV, BIASED, 14, 3),
+    (MARKOV, sources.make_bernoulli([0.3, 0.7]), 12, 8),
+    (sources.make_markov(2, 2, [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]),
+     BIASED, 15, 4),
+], ids=["uniform-biased", "markov-biased", "markov-skewed", "order2-biased"])
+def test_typical_set_count_lies_in_the_band_of_its_mass(xm, ym, t, seed):
+    # every member has 2**(-t (h_ref + eps/2)) < P(x|z) < 2**(-t (h_ref - eps/2))
+    z = SPEC2.encrypt(xm.sample(t, seed), ym.sample(t, seed + 1))
+    built = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.1, bracket_order=4)
+    assert built.member_count > 0
+    half = built.epsilon / 2
+    low = built.mass * 2.0 ** (t * (built.h_ref - half))
+    high = built.mass * 2.0 ** (t * (built.h_ref + half))
+    assert low * (1 - 1e-9) <= built.member_count <= high * (1 + 1e-9)
 
 
 def test_typical_set_member_cap_keeps_summary():

@@ -333,6 +333,15 @@ def test_sample_block_frequencies_chi_square():
 # -- training ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("t", [1, 2])
+def test_walk_shorter_than_the_context_gives_the_block_law(t):
+    model = random_model(np.random.default_rng(17), 3, 3)
+    uniforms = np.random.default_rng(t).random((200, t + 1))
+    words, log_probs = sources._walk_batch(model, uniforms)
+    assert words.shape == (200, t)
+    assert log_probs.tolist() == [model.log2_block_prob(word) for word in words]
+
+
 def test_train_alternating_stream_is_deterministic_flip():
     model = sources.train_markov(np.tile([0, 1], 500), 2, 1, alpha=0.0)
     assert np.array_equal(model.transition, [[0.0, 1.0], [1.0, 0.0]])

@@ -59,3 +59,11 @@ def test_bit_expansion_msb_first():
         words.bytes_to_symbols(b"\x00", 3, bits=True)
     with pytest.raises(ValueError):
         words.symbols_to_bytes([1, 0, 1], 2, bits=True)
+
+
+@pytest.mark.parametrize("n, t", [(2, 6), (26, 2), (36, 3), (37, 2), (256, 2)])
+def test_vectorized_codec_matches_the_scalar_pair(n, t):
+    expected = [words.word_to_text(words.index_to_word(u, n, t), n) for u in range(n**t)]
+    assert words.render(words.digits(n, t), n) == expected
+    start, stop = n**t // 3, n**t // 2
+    assert np.array_equal(words.digits(n, t, start, stop), words.digits(n, t)[start:stop])
