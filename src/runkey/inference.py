@@ -12,8 +12,9 @@ built on that identity:
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion.  Given z, one source's symbols follow from the
   other's, so the recursion runs over the last few symbols of one source
-  (one stacked matmul a step, and for a key-recoverable cipher at most
-  max(S, n) states for a product chain of S), not over the product chain;
+  (one stacked matmul a step, over at most max(S, n) states for a
+  key-recoverable cipher when the product chain has S), not over the
+  product chain itself;
 - the product chain's per-symbol operators serve the ciphertext block
   enumeration behind the brackets, and only it builds them.  They hold at
   most ``DEFAULT_ENTRY_CAP`` stored entries, checked before anything is

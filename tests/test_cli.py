@@ -520,10 +520,10 @@ def test_cipher_streams_of_different_lengths_are_rejected(subcommand, mode, tmp_
     assert _error_line(capsys).startswith("error: config:")
 
 
-def _runkey(*argv, **kwargs):
-    """``python -m runkey`` in a subprocess, on this checkout's package."""
+def _python(*args, **kwargs):
+    """This interpreter in a subprocess, importing this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "runkey", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src), **kwargs)
 
 
@@ -538,15 +538,15 @@ def test_text_cipher_reads_standard_input(stdin_option, tmp_path):
     paths = {"--in": str(plain), "--key": str(key), stdin_option: "-"}
     argv = ["encrypt", "--text", "--n", "26", "--in", paths["--in"],
             "--key", paths["--key"]]
-    done = _runkey(*argv, input=piped.read_bytes(), cwd=tmp_path)
+    done = _python("-m", "runkey", *argv, input=piped.read_bytes(), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode() == word_to_text(additive_cipher(26).encrypt(x, y), 26) + "\n"
 
 
 def test_module_entry_point(tmp_path):
-    version = _runkey("--version", cwd=tmp_path)
+    version = _python("-m", "runkey", "--version", cwd=tmp_path)
     assert (version.returncode, version.stdout.decode()) == (0, "0.1.0\n")
-    bare = _runkey(cwd=tmp_path)
+    bare = _python("-m", "runkey", cwd=tmp_path)
     assert bare.returncode == 2
     err = bare.stderr.decode()
     assert "Traceback" not in err
@@ -563,10 +563,7 @@ print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def _scipy_modules_after(argvs, cwd):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    probe = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argvs], cwd=cwd,
-                           capture_output=True, text=True, check=True,
-                           env=dict(os.environ, PYTHONPATH=src))
+    probe = _python("-c", _SCIPY_PROBE, *argvs, cwd=cwd, text=True, check=True)
     line = next(x for x in probe.stdout.splitlines() if x.startswith("scipy:"))
     return line.split()[1:]
 
