@@ -306,10 +306,12 @@ def _cmd_train(args) -> int:
     stream = bytes_to_symbols(raw, n, bits=args.bits)
     model = train_markov(stream, n, args.order, alpha=args.alpha)
     header = [f"{k} {v}" for k, v in _echo(args).items()]
-    save_model(model, args.out, header_lines=header)
+    with _open(args.out, "w") as fh:
+        save_model(model, fh, header_lines=header)
     print(
         f"trained order-{args.order} model on {stream.size} symbols: "
-        f"entropy rate {model.entropy_rate():.12g} bits/symbol -> {args.out}"
+        f"entropy rate {model.entropy_rate():.12g} bits/symbol -> {args.out}",
+        file=sys.stderr if args.out == "-" else sys.stdout,
     )
     return 0
 

@@ -11,22 +11,26 @@ built on that identity:
   words);
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion.  Given z, one source's symbols follow from the
-  other's, so the recursion runs over the last few symbols of one source
-  (one stacked matmul a step, over at most max(S, n) states for a
+  other's, so the recursion runs over the last K symbols of one source, the
+  driver (one stacked matmul a step, over at most max(S, n) states for a
   key-recoverable cipher when the product chain has S), not over the
   product chain itself;
-- the product chain's per-symbol operators serve the ciphertext block
-  enumeration behind the brackets, and only it builds them.  They hold at
-  most ``DEFAULT_ENTRY_CAP`` stored entries, checked before anything is
-  allocated (a dense numpy stack for small chains, ``scipy.sparse`` CSR
-  matrices, and their import, only for large ones);
+- :func:`z_block_entropies` and the brackets enumerate the ciphertext
+  prefix tree on the same step, depth first: its rows are prefixes (paired
+  with the hidden start state for the lower end) and its columns the
+  driver's last K symbols.  No computation uses the product chain's S x S
+  operators;
 - :func:`hm_conditional` evaluates the m-order conditional entropy
   ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
   a bijective re-indexing of the independent (X, Y) law);
 - :func:`hz_bracket` / :func:`hxz_bracket` sandwich the entropy rate of the
   ciphertext process, which is a function of a hidden Markov chain and has
   no closed form, between the standard monotone conditional-entropy bounds
-  ``H(Z_{m+1} | Z_1..Z_m, S_1) <= h(Z) <= H(Z_{m+1} | Z_1..Z_m)``.
+  ``H(Z_{m+1} | Z_1..Z_m, S_1) <= h(Z) <= H(Z_{m+1} | Z_1..Z_m)``.  The
+  lower end is the joint-entropy difference
+  ``H(Z_1..Z_{m+1}, S_1) - H(Z_1..Z_m, S_1)`` (the ``H(S_1)`` terms
+  cancel), so one enumeration gives both ends for every order up to m,
+  and that trail is certified monotone.
 
 Enumerations run over fixed-size index blocks, one after another in index
 order, so their working memory stays bounded.  The caps are module constants
@@ -54,9 +58,17 @@ from .words import as_word, digits, render, word_to_index
 # sums duplicates; a byte-alphabet pair with S = 256 contexts is exactly at it
 DEFAULT_ENTRY_CAP = 1 << 24
 
-# float64 cells (32 MiB) per enumeration block, per dense operator and per
+# float64 cells (32 MiB) per joint-table block, per dense operator and per
 # forward batch; it exists to bound working memory
 _CELL = 1 << 22
+
+# float64 cells (128 KiB) per block of the ciphertext block enumeration; it
+# bounds working memory, and larger blocks measured no faster
+_ENUM_CELL = 1 << 14
+
+# float jitter allowed where a bracket end crosses the other or its trail
+# moves the wrong way; more is a CertificationError
+_BRACKET_TOL = 1e-9
 
 
 def log2sumexp(values: np.ndarray) -> float:
@@ -93,25 +105,80 @@ def _check_alphabets(xm: SourceModel, ym: SourceModel, spec: CipherSpec) -> int:
     return n
 
 
+class _DriverStep:
+    """One step of a recursion given z over the driver's last K symbols.
+
+    Given z, the key symbol is a function of the plaintext symbol
+    (``key_table[a, z]``, key-recoverable ciphers) and the plaintext symbol
+    one of the key symbol (``decoder[z, b]``, every cipher).  So only one
+    source, the driver, is summed over; the other one's symbols follow
+    (``recover[d, z]``).  The driver is the higher-order source (on a tie
+    the plaintext, if the cipher is key-recoverable).  A state is the
+    driver's last ``K = max(k_D, k_O + 1)`` symbols, packed; for a
+    key-recoverable cipher n**K is at most max(S, n), and always at most
+    n * S.  Fronts are state-major, ``(n**K, batch)``.
+
+    A step is :meth:`mix`, one stacked (n, n) matmul of the driver's table,
+    times the other source's factor.  That factor depends only on the
+    state's last ``k_O + 1`` driver symbols and the row's last ``k_O + 1``
+    ciphertext symbols, so it is one ``lookup`` table of ``n**(2 k_O + 2)``
+    entries, checked against ``DEFAULT_ENTRY_CAP``: column ``c`` holds the
+    factor for the packed cipher window c.
+    """
+
+    def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
+        n = spec.alphabet_size
+        self.x_drives = spec.key_table is not None and xm.order >= ym.order
+        if self.x_drives:
+            drive, other, recover = xm, ym, spec.key_table
+        else:
+            drive, other, recover = ym, xm, spec.decoder.T
+        self.n, self.drive, self.other, self.recover = n, drive, other, recover
+        self.k = k = max(drive.order, other.order + 1)
+        self.window, self.keep = n ** (other.order + 1), n**other.order
+        if self.window * self.window > DEFAULT_ENTRY_CAP:
+            raise StateCapError(
+                f"forward factor table of {self.window}*{self.window} entries is "
+                f"over cap {DEFAULT_ENTRY_CAP}"
+            )
+        # stack[r, d, d0]: the driver emits d after the state d0*rest + r, whose
+        # context is its last k_D symbols (a view of the table when K = k_D)
+        contexts, rest = drive.num_states, n ** (k - 1)
+        tiled = np.broadcast_to(drive.transition, (n**k // contexts, contexts, n))
+        self.stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
+        # lookup[w, v]: the other source's factor for driver window w and cipher
+        # window v, from the context its first k_O symbols give and its last one
+        prefix = _recovered(recover, digits(n, other.order))
+        self.lookup = other.transition[
+            prefix[:, None, :, None], recover[None, :, None, :]
+        ].reshape(self.window, self.window)
+
+    def mix(self, front: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The driver's transition applied to a (n**K, batch) front, into ``out``."""
+        rest, n, batch = self.stack.shape[0], self.n, front.shape[1]
+        np.matmul(
+            self.stack,
+            front.reshape(n, rest, batch).transpose(1, 0, 2),
+            out=out.reshape(rest, n, batch),
+        )
+        return out
+
+
 class _ProductChain:
     """The hidden Markov chain driving the ciphertext process.
 
     States are pairs (plaintext context, key context) packed as
-    ``sx * Sy + sy``.  For each ciphertext symbol v, ``A[v][s, s']`` is the
-    probability of emitting v from state s while moving to s'; summing A[v]
-    over v gives the product-chain transition matrix.  Each key symbol b
-    permutes the plaintext symbols, so v comes from exactly n pairs (a, b)
-    and every row of A[v] holds n entries ``T_X[sx, a] * T_Y[sy, b]``, in
-    (a, b) order, summed where they share a column (only when both models
-    are order 0, S = 1).  Small state spaces add these entries into a dense
-    (n, S, S) stack; larger ones store each A[v] as a ``scipy.sparse`` CSR
-    matrix, imported only then.  Both are applied the same way, one symbol's
-    matrix at a time, by :meth:`extend` for the block enumeration.
+    ``sx * Sy + sy``, with the stationary law ``alpha0``.  Construction
+    checks the entry cap (n * n * S) and stores only ``alpha0``; the
+    forward and the block enumeration both run on :attr:`step`, over the
+    driver's last K symbols, never over the S states.
 
-    Construction only checks the entry cap and fixes the representation;
-    ``A`` is built on first use, the first :meth:`extend`, once per chain.
-    :meth:`forward_log2` does not use it: it reads only the two models and
-    the cipher the chain was made from, so the forward allocates no operators.
+    ``A`` (for each ciphertext symbol v, ``A[v][s, s']`` is the probability
+    of emitting v from state s while moving to s'; a dense (n, S, S) stack
+    for small chains, ``scipy.sparse`` CSR matrices, imported only then, for
+    large ones, as ``dense`` says) is built on first read.  Nothing in the
+    package reads it: it is kept only for the benchmark's stored-entries
+    counter.
     """
 
     def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
@@ -158,58 +225,34 @@ class _ProductChain:
                 operators.append(matrix)
         return operators
 
-    def extend(self, arr: np.ndarray) -> np.ndarray:
-        """One prefix-tree level: (Np, S) joint mass -> (Np*n, S)."""
-        prefixes = arr.shape[0]
-        out = np.empty((prefixes, self.n, self.size))
-        for v in range(self.n):
-            out[:, v, :] = arr @ self.A[v]
-        return out.reshape(-1, self.size)
+    @cached_property
+    def step(self) -> _DriverStep:
+        """The recursion step over the driver's last K symbols (lookup cap checked)."""
+        return _DriverStep(self.xm, self.ym, self.spec)
 
     def forward_log2(self, observations: np.ndarray) -> np.ndarray:
         """Scaled forward pass: log2 P(z) for each row of a (batch, t) array.
 
-        Linear in t, and it does not use the operators.  Given z, the key
-        symbol is a function of the plaintext symbol (``key_table[a, z]``,
-        key-recoverable ciphers) and the plaintext symbol one of the key
-        symbol (``decoder[z, b]``, every cipher).  So only one source, the
-        driver, is summed over; the other one's symbols follow.  The driver
-        is the higher-order source (on a tie the plaintext, if the cipher is
-        key-recoverable).  The front holds the joint mass of its last
-        ``K = max(k_D, k_O + 1)`` symbols, state-major as ``(n**K, batch)``;
-        for a key-recoverable cipher n**K is at most max(S, n), with n for
-        two i.i.d. sources (K = 1, S = 1).  A step is one
-        stacked (n, n) matmul of the driver's table, times the other
-        source's factor.  That factor depends only on the state's last
-        ``k_O + 1`` driver symbols and the row's last ``k_O + 1`` ciphertext
-        symbols (a rolling index), so it is one lookup table of
-        ``n**(2 k_O + 2)`` entries, checked against ``DEFAULT_ENTRY_CAP``.
-        The first K symbols come from the block laws, as in
-        :func:`joint_log2_table`.
+        Linear in t.  The front holds the joint mass of the driver's last K
+        symbols (see :class:`_DriverStep`); the first K symbols come from the
+        block laws, as in :func:`joint_log2_table`, and each later one is a
+        :meth:`_DriverStep.mix` times the lookup column of the row's rolling
+        cipher window.
 
         Identical arguments give identical results.  A row's value does not
         depend on the other rows, but the batch width can move it by float
         rounding (the GEMM's blocking and the order of the per-row sums).
         """
-        n, xm, ym, spec = self.n, self.xm, self.ym, self.spec
+        step = self.step
+        n, k, window, keep = step.n, step.k, step.window, step.keep
         obs = np.atleast_2d(np.asarray(observations, dtype=np.int64))
         batch, t = obs.shape
-        if spec.key_table is not None and xm.order >= ym.order:
-            drive, other, recover = xm, ym, spec.key_table
-        else:
-            drive, other, recover = ym, xm, spec.decoder.T
-        k = max(drive.order, other.order + 1)
-        rest, window, keep = n ** (k - 1), n ** (other.order + 1), n**other.order
-        if window * window > DEFAULT_ENTRY_CAP:
-            raise StateCapError(
-                f"forward factor table of {window}*{window} entries is over cap "
-                f"{DEFAULT_ENTRY_CAP}"
-            )
 
         head = min(t, k)
+        recovered = _recovered(step.recover, obs[:, :head])
         log_head = (
-            drive.log2_block_prob_array(head)[:, None]
-            + other.log2_block_prob_array(head)[_recovered(recover, obs[:, :head])]
+            step.drive.log2_block_prob_array(head)[:, None]
+            + step.other.log2_block_prob_array(head)[recovered]
         )
         top = log_head.max(axis=0)
         top[top == -np.inf] = 0.0
@@ -220,30 +263,16 @@ class _ProductChain:
         scale[dead] = 1.0
         acc = top + np.log2(scale)
         if t > k:
-            # stack[r, d, d0]: the driver emits d after the state d0*rest + r, whose
-            # context is its last k_D symbols (a view of the table when K = k_D)
-            contexts = drive.num_states
-            tiled = np.broadcast_to(drive.transition, (n**k // contexts, contexts, n))
-            stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
-            # lookup[w, v]: the other source's factor for driver window w and cipher
-            # window v, from the context its first k_O symbols give and its last one
-            prefix = _recovered(recover, digits(n, other.order))
-            lookup = other.transition[
-                prefix[:, None, :, None], recover[None, :, None, :]
-            ].reshape(window, window)
             # each row's cipher window, its last k_O + 1 symbols
-            powers = n ** np.arange(other.order, -1, -1)
-            recent = obs[:, k - other.order - 1 : k] @ powers
+            order = step.other.order
+            powers = n ** np.arange(order, -1, -1)
+            recent = obs[:, k - order - 1 : k] @ powers
             fresh = np.empty_like(alpha)
             for j in range(k, t):
                 recent = recent % keep * n + obs[:, j]
-                factor = np.take(lookup, recent, axis=1)
+                factor = np.take(step.lookup, recent, axis=1)
                 factor /= scale  # the front carries the previous step's mass
-                np.matmul(
-                    stack,
-                    alpha.reshape(n, rest, batch).transpose(1, 0, 2),
-                    out=fresh.reshape(rest, n, batch),
-                )
+                step.mix(alpha, fresh)
                 windows = fresh.reshape(-1, window, batch)
                 windows *= factor
                 scale = fresh.sum(axis=0)
@@ -430,23 +459,56 @@ def z_block_entropies(
     ym: SourceModel,
     spec: CipherSpec,
     length: int,
-    *,
-    start_state: int | None = None,
 ) -> np.ndarray:
     """Block entropies ``H(Z_1..Z_j)`` in bits for all ``j <= length``.
 
-    ``start_state`` conditions the hidden product chain on a fixed state at
-    time 1 instead of its stationary law (used by the bracket lower bound).
     Index 0 of the returned array is 0 by convention.
     """
     chain = _ProductChain(xm, ym, spec)
-    return _entropies_for_chain(chain, length, start_state)
+    return _entropies_for_chain(chain, length, with_start=False)[0]
+
+
+def _pushed_law(model: SourceModel, length: int) -> np.ndarray:
+    """P(x_1..x_length) for every packed word, the context at time 1 stationary.
+
+    The chain itself moves the stationary vector along, as the product
+    chain moves ``alpha0``; the block law instead reads the vector's
+    marginals, which differ from that by its stationarity residual.
+    """
+    n, k, table = model.alphabet_size, model.order, model.transition
+    law = model.stationary
+    for _ in range(min(length, k)):
+        # context (first symbol, rest) -> context (rest, next symbol)
+        law = (law.reshape(n, -1, 1) * table.reshape(n, -1, n)).sum(axis=0).ravel()
+    law = law.reshape(-1, n ** min(length, k)).sum(axis=0)
+    for _ in range(k, length):
+        law = (law.reshape(-1, model.num_states, 1) * table).ravel()
+    return law
 
 
 def _entropies_for_chain(
-    chain: _ProductChain, length: int, start_state: int | None
-) -> np.ndarray:
-    n, size = chain.n, chain.size
+    chain: _ProductChain, length: int, with_start: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``H(Z^j)`` and ``H(Z^j, S_1)`` in bits for all ``j <= length``.
+
+    S_1 is the product state at time 1, drawn from ``alpha0``; index 0
+    holds 0 and ``H(S_1)``.  The second is computed only ``with_start``
+    (else None).  Each is a depth-first descent of the ciphertext prefix
+    tree: rows are prefixes, for ``H(Z^j, S_1)`` paired with every start
+    state of positive weight, and columns the driver's last K symbols, so a
+    level is one :meth:`_DriverStep.mix` of which child v takes
+    ``lookup[:, recent * n + v]``.  The first ``min(length, K)`` levels are
+    built directly, as ``P_X(x) P_Y(y)`` from :func:`_pushed_law` for
+    ``H(Z^j)`` and as ``alpha0(s) P_X(x | s) P_Y(y | s)`` for
+    ``H(Z^j, S_1)``.
+
+    Rows go in blocks whose children hold at most ``_ENUM_CELL`` cells (one
+    row at least: n * n**K cells, which the entry cap bounds by n * n * S).
+    Row terms are added child after child and head row after head row, in
+    an order the blocks do not change, so the block size moves a result
+    only through the matmul's rounding.
+    """
+    n = chain.n
     if length < 1:
         raise ValueError("block length must be >= 1")
     if n**length > DEFAULT_WORD_CAP:
@@ -454,24 +516,87 @@ def _entropies_for_chain(
             f"enumerating {n}**{length} ciphertext blocks exceeds cap "
             f"{DEFAULT_WORD_CAP}"
         )
-    if start_state is None:
-        front = chain.alpha0[None, :].copy()
-    else:
-        front = np.zeros((1, size))
-        front[0, start_state] = 1.0
-    totals = np.zeros(length + 1)
-    # depth first over blocks of rows: one block of at most _CELL cells per level
-    rows = max(1, _CELL // (n * size))
+    step = chain.step
+    xm, ym, recover, window = chain.xm, chain.ym, step.recover, step.window
+    head = min(length, step.k)
+    rows = max(1, _ENUM_CELL // (n * n**step.k))
+    spread = np.arange(n)
 
-    def descend(block: np.ndarray, depth: int) -> None:
-        level = chain.extend(block)
-        totals[depth + 1] += -xlog2x(level.sum(axis=1)).sum()
+    def below(front, recent, depth):
+        """Entropy terms of the descendants of a (n**K, r) block at ``depth``.
+
+        ``recent`` holds each column's packed ciphertext prefix, of which
+        only the last k_O symbols are read.  Row i of the (length - depth, r)
+        result sums each column's descendants i + 1 levels down, child after
+        child in symbol order.
+        """
+        r = front.shape[1]
+        codes = spread[:, None] + recent % step.keep * n  # children (v, row)
+        level = step.mix(front, np.empty_like(front)).reshape(-1, window, 1, r)
+        level = (level * np.take(step.lookup, codes, axis=1)).reshape(-1, n * r)
+        terms = -xlog2x(level.sum(axis=0))[None, :]  # n * r > 1 columns: row by row
         if depth + 1 < length:
-            for start in range(0, level.shape[0], rows):
-                descend(level[start : start + rows], depth + 1)
+            codes = codes.ravel()
+            deeper = [
+                below(np.ascontiguousarray(level[:, s : s + rows]), codes[s : s + rows],
+                      depth + 1)
+                for s in range(0, n * r, rows)
+            ]
+            terms = np.vstack([terms, np.hstack(deeper)])
+        return np.add.accumulate(terms.reshape(-1, n, r), axis=1)[:, -1]
 
-    descend(front, 0)
-    return totals
+    def enumerate_from(count, head_block, totals):
+        """Levels 1..head from ``head_block(j, start, stop)``, the rest below them.
+
+        Head rows are added one after another in index order.
+        """
+        for j in range(1, head + 1):
+            for start in range(0, count(j), rows):
+                front, prefixes = head_block(j, start, min(start + rows, count(j)))
+                terms = -xlog2x(np.add.accumulate(front, axis=0)[-1])[None, :]
+                if j == head < length:
+                    terms = np.vstack([terms, below(front, prefixes, j)])
+                levels = slice(j, j + terms.shape[0])
+                added = np.column_stack([totals[levels], terms])
+                totals[levels] = np.add.accumulate(added, axis=1)[:, -1]
+        return totals
+
+    laws = [(_pushed_law(step.drive, j), _pushed_law(step.other, j))
+            for j in range(head + 1)]
+
+    def stationary_block(j, start, stop):
+        drive, other = laws[j]
+        recovered = _recovered(recover, digits(n, j, start, stop))
+        return drive[:, None] * other[recovered], np.arange(start, stop)
+
+    plain = enumerate_from(lambda j: n**j, stationary_block, np.zeros(length + 1))
+    if not with_start:
+        return plain, None
+
+    states = np.flatnonzero(chain.alpha0 > 0.0)
+    count = states.size
+
+    def start_block(j, start, stop):
+        # rows are (prefix, start state), prefix-major
+        prefix, state = np.divmod(np.arange(start, stop), count)
+        ciphertext = digits(n, j, prefix[0], prefix[-1] + 1)[prefix - prefix[0]]
+        state = states[state]
+        cx, cy = np.divmod(state, ym.num_states)
+        front = np.repeat(chain.alpha0[state][None, :], n**j, axis=0)
+        words = np.arange(n**j)[:, None]  # the driver's, packed
+        for i in range(j):
+            # symbol i of each driver word and of the other source's, per row
+            d = words // n ** (j - 1 - i) % n
+            e = recover[d, ciphertext[:, i]]
+            a, b = (d, e) if step.x_drives else (e, d)
+            front *= xm.transition[cx, a] * ym.transition[cy, b]
+            cx = (cx * n + a) % xm.num_states
+            cy = (cy * n + b) % ym.num_states
+        return front, prefix
+
+    joint = np.zeros(length + 1)
+    joint[0] = -xlog2x(chain.alpha0).sum()
+    return plain, enumerate_from(lambda j: n**j * count, start_block, joint)
 
 
 @dataclass(frozen=True)
@@ -485,7 +610,7 @@ class EntropyBracket:
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
-        if self.lower > self.upper + 1e-9:
+        if self.lower > self.upper + _BRACKET_TOL:
             raise CertificationError(
                 f"bracket lower {self.lower!r} exceeds upper {self.upper!r}"
             )
@@ -512,26 +637,31 @@ def hz_bracket(
 ) -> EntropyBracket:
     """Sandwich bounds on the ciphertext entropy rate h(Z).
 
-    Upper: ``H(Z_{m+1} | Z_1..Z_m)``, non-increasing in m.  Lower: the same
-    conditional entropy given additionally the hidden product state at time
-    1, non-decreasing in m.  For i.i.d. X and Y both ends already coincide
-    at m = 0 with the entropy of the convolved symbol law.
+    Upper: ``H(Z_{m+1} | Z_1..Z_m) = H(Z^{m+1}) - H(Z^m)``, non-increasing
+    in m.  Lower: the same conditional entropy given additionally the hidden
+    product state S_1 at time 1, non-decreasing in m, read as
+    ``H(Z^{m+1}, S_1) - H(Z^m, S_1)``.  One call of
+    :func:`_entropies_for_chain` gives both ends for every order m' <= m;
+    an upper end that rises, a lower end that falls or a lower end above its
+    upper anywhere on that trail, beyond float jitter, raises
+    CertificationError.  For i.i.d. X and Y both ends already coincide at
+    m = 0 with the entropy of the convolved symbol law.
     """
     if m < 0:
         raise ValueError("bracket order must be >= 0")
     chain = _ProductChain(xm, ym, spec)
-    totals = _entropies_for_chain(chain, m + 1, None)
-    upper = totals[m + 1] - totals[m]
-    lower = 0.0
-    for state in range(chain.size):
-        weight = chain.alpha0[state]
-        if weight <= 0.0:
-            continue
-        cond = _entropies_for_chain(chain, m + 1, state)
-        lower += weight * (cond[m + 1] - cond[m])
+    plain, joint = _entropies_for_chain(chain, m + 1)
+    uppers, lowers = np.diff(plain), np.diff(joint)
+    trail = f"upper ends {uppers.tolist()}, lower ends {lowers.tolist()}"
+    if (np.diff(uppers) > _BRACKET_TOL).any():
+        raise CertificationError(f"upper bracket ends increase with m: {trail}")
+    if (np.diff(lowers) < -_BRACKET_TOL).any():
+        raise CertificationError(f"lower bracket ends decrease with m: {trail}")
+    if (lowers > uppers + _BRACKET_TOL).any():
+        raise CertificationError(f"a lower bracket end exceeds its upper: {trail}")
     log_n = float(np.log2(chain.n))
-    lower = min(max(lower, 0.0), log_n)
-    upper = min(max(upper, 0.0), log_n)
+    lower = min(max(lowers[m], 0.0), log_n)
+    upper = min(max(uppers[m], 0.0), log_n)
     return EntropyBracket(lower=lower, upper=upper, order_used=m)
 
 

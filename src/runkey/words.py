@@ -102,7 +102,10 @@ def text_to_word(text: str, alphabet_size: int) -> np.ndarray:
         except KeyError as exc:
             raise ValueError(f"invalid word character {exc.args[0]!r}") from exc
     else:
-        symbols = [int(part) for part in text.split(",") if part]
+        parts = text.split(",") if text else []
+        if "" in parts:
+            raise ValueError(f"empty symbol field in word {text!r}")
+        symbols = [int(part) for part in parts]
     return as_word(symbols, alphabet_size)
 
 

@@ -160,3 +160,42 @@ def closed_class_count(matrix):
 
 def chi_square_stat(counts, expected):
     return sum((c - e) ** 2 / e for c, e in zip(counts, expected) if e > 0.0)
+
+
+def z_block_entropies(xm, ym, spec, length):
+    """(H(Z^j), H(Z^j | S_1)) for j = 0..length, under any cipher.
+
+    Enumerates every start state (plaintext context, key context) with its
+    stationary weight, then every plaintext word and key word from it,
+    symbol pair by symbol pair; the ciphertext symbol is ``coder[a][b]``.
+    H(Z^j | S_1) is the weighted mean of the per-state block entropies.
+    """
+    n = spec.alphabet_size
+    coder = spec.coder.tolist()
+    tx, ty = xm.transition.tolist(), ym.transition.tolist()
+    sx_count, sy_count = len(tx), len(ty)
+    plain = [{} for _ in range(length + 1)]
+    conditional = [0.0] * (length + 1)
+
+    def walk(given, depth, p, sx, sy, z):
+        for a, b in itertools.product(range(n), repeat=2):
+            q = p * tx[sx][a] * ty[sy][b]
+            if q == 0.0:
+                continue
+            word = z + (coder[a][b],)
+            given[depth + 1][word] = given[depth + 1].get(word, 0.0) + q
+            if depth + 1 < length:
+                walk(given, depth + 1, q, (sx * n + a) % sx_count,
+                     (sy * n + b) % sy_count, word)
+
+    for cx, cy in itertools.product(range(sx_count), range(sy_count)):
+        weight = float(xm.stationary[cx]) * float(ym.stationary[cy])
+        if weight <= 0.0:
+            continue
+        given = [{} for _ in range(length + 1)]
+        walk(given, 0, 1.0, cx, cy, ())
+        for j in range(1, length + 1):
+            conditional[j] += weight * dist_entropy(given[j].values())
+            for z, p in given[j].items():
+                plain[j][z] = plain[j].get(z, 0.0) + weight * p
+    return [dist_entropy(law.values()) for law in plain], conditional

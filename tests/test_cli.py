@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -174,6 +175,28 @@ def test_report_header_key_order(case, fmt, report_argv, tmp_path):
     assert cli.main(report_argv(case, fmt) + ["--out", str(out)]) == 0
     keys = ["subcommand", *REPORTS[case][1]]
     assert _header_keys(out.read_text(encoding="utf-8")) == keys
+
+
+def test_train_writes_the_model_to_standard_output(report_argv, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(report_argv("train") + ["--out", "m.model"]) == 0
+    to_file = capsys.readouterr()
+    assert cli.main(report_argv("train") + ["--out", "-"]) == 0
+    to_stdout = capsys.readouterr()
+    # the header leaves out --out, so the two models are the same bytes
+    assert to_stdout.out == (tmp_path / "m.model").read_text(encoding="utf-8")
+    assert to_stdout.err == to_file.out.replace("-> m.model", "-> -")
+    assert not (tmp_path / "-").exists()
+    streamed = sources.load_model(io.StringIO(to_stdout.out))
+    assert np.array_equal(streamed.transition, sources.load_model("m.model").transition)
+
+
+@pytest.mark.parametrize("z", ["1,,2", ",1,2", "1,2,"])
+def test_posterior_rejects_an_empty_symbol_field(z, capsys):
+    argv = ["posterior", "--x-model", "uniform:40", "--y-model", "uniform:40", "--z", z]
+    assert cli.main(argv) == 2
+    assert _error_line(capsys).startswith("error: config: empty symbol field")
 
 
 def _printed(value):
@@ -406,6 +429,28 @@ def test_plain_config_file_keeps_comments(x_model, tmp_path):
     assert replayed.read_bytes() == direct.read_bytes()
 
 
+@pytest.mark.parametrize("which, bend, message", [
+    (0, [0, 0, -0.01, 0, 0], "upper bracket ends increase"),
+    (1, [0, 0, 0.01, 0, 0], "lower bracket ends decrease"),
+    (1, [0, 1, 2, 3, 4], "exceeds its upper"),
+], ids=["upper-rises", "lower-falls", "lower-above-upper"])
+def test_bracket_trail_off_its_monotone_course_exits_4(which, bend, message, x_model,
+                                                       monkeypatch, capsys):
+    # bends H(Z^j) (which = 0) or H(Z^j, S_1) (which = 1); the first two leave
+    # the m = 3 ends as computed, so only the trail over m' < 3 shows the fault
+    enumerate_blocks = inference._entropies_for_chain
+
+    def bent(chain, length, with_start=True):
+        totals = [entropies.copy() for entropies in enumerate_blocks(chain, length)]
+        totals[which] += bend
+        return tuple(totals)
+
+    monkeypatch.setattr(inference, "_entropies_for_chain", bent)
+    assert cli.main(["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "3"]) == 4
+    line = _error_line(capsys)
+    assert line.startswith("error: numeric:") and message in line
+
+
 def test_smb_over_the_entry_cap_exits_3(tmp_path, monkeypatch, capsys):
     # two order-1 models over n=4 store 4 * 4 * 16 operator entries
     model = sources.make_markov(4, 1, np.full((4, 4), 0.25))
@@ -584,11 +629,56 @@ def test_scipy_imported_only_for_sparse_operators(tmp_path):
         "--h-ref 0.7 --out smb.json",
     ]
     assert _scipy_modules_after(dense, tmp_path) == []
-    # order 9 against order 2: S = 2048, over the dense cell budget; the forward
-    # builds no operators, so only the bracket enumeration stores CSR matrices
+    # order 9 against order 2: S = 2048, over the dense cell budget; neither the
+    # forward nor the bracket enumeration builds operators
     sparse = "--x-model x9.model --y-model y2.model"
     smb = [f"smb {sparse} --t 20 --samples 8 --eps 0.05 --delta 0.05 --seed 1 "
            "--h-ref 0.7 --out smb.json"]
     assert _scipy_modules_after(smb, tmp_path) == []
     bounds = [f"bounds {sparse} --m 0 --out bounds.json"]
-    assert "scipy.sparse" in _scipy_modules_after(bounds, tmp_path)
+    assert _scipy_modules_after(bounds, tmp_path) == []
+
+
+_TRACED = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+traced = tracer.Tracer()
+traced.install()
+from runkey import cli
+for argv in sys.argv[2:]:
+    assert cli.main(argv.split()) == 0, argv
+print(json.dumps([[name, counters] for name, _, _, _, counters in traced.spans]))
+"""
+
+
+def test_benchmark_tracer_finds_the_layer_boundaries(x_model, tmp_path):
+    # bench/run.py --trace 1 wraps these names; a rename in src/ must fail here
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    pair = f"--x-model {x_model} --y-model {KEY}"
+    argvs = [
+        f"bounds {pair} --m 2 --out bounds.json",
+        f"psi {pair} --z 0110100 --eps 0.2 --m 2 --out psi.json",
+        f"smb {pair} --t 4,9 --samples 8 --eps 0.1 --delta 0.1 --m 2 --seed 2 "
+        "--out smb.json",
+    ]
+    done = _python("-c", _TRACED, str(tracer), *argvs, cwd=tmp_path, text=True, check=True)
+    spans = json.loads(done.stdout.splitlines()[-1])
+    counters = {}
+    for name, counted in spans:
+        counters.setdefault(name, []).append(counted)
+    # one enumeration per bracket, and each of the three runs makes one
+    assert len(counters["inference.enum"]) == 3
+    expected = {
+        "inference.enum": {"enum_calls", "enum_cells"},
+        "inference.forward": {"forward_steps", "forward_madds"},
+        "inference.chain_build": {"chain_states", "chain_entries", "chain_dense"},
+    }
+    for name, keys in expected.items():
+        assert counters[name]
+        for counted in counters[name]:
+            assert set(counted) == keys
+            assert all(isinstance(value, int) and value >= 0 for value in counted.values())
+    assert all(counted["enum_calls"] == 1 and counted["enum_cells"] > 0
+               for counted in counters["inference.enum"])

@@ -382,6 +382,52 @@ def test_bracket_export_record():
     assert record["m"] == 2
 
 
+@st.composite
+def sharp_models(draw, n, order):
+    """An ergodic order-k model whose rows may be near-deterministic or hold zeros.
+
+    The small weight is 0.01: much smaller ones make the stationary law's
+    power iteration run for seconds.
+    """
+    cells = n ** (order + 1)
+    weights = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.01, 1.0, 2.0, 4.0]),
+                      min_size=cells, max_size=cells))
+    ).reshape(n**order, n)
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    try:
+        if order == 0:
+            return sources.make_bernoulli(rows[0])
+        return sources.make_markov(n, order, rows)
+    except NotErgodicError:
+        assume(False)
+
+
+@st.composite
+def bracket_cases(draw):
+    n = draw(st.integers(2, 4))
+    # equal orders make K = k_D + 1, a window longer than the driver's context
+    kx = draw(st.integers(0, 2))
+    ky = draw(st.one_of(st.just(kx), st.integers(0, 2)))
+    xm, ym = draw(sharp_models(n, kx)), draw(sharp_models(n, ky))
+    # the oracle walks S * n**(2 j) symbol pairs at depth j
+    longest = max(1, int(math.log(4096 / n ** (kx + ky), n * n) + 1e-9))
+    return xm, ym, draw(ciphers(n)), draw(st.integers(1, longest))
+
+
+@given(bracket_cases())
+def test_block_entropies_and_bracket_match_oracle_for_any_cipher(case):
+    xm, ym, spec, length = case
+    plain, conditional = oracles.z_block_entropies(xm, ym, spec, length)
+    totals = inference.z_block_entropies(xm, ym, spec, length)
+    assert np.abs(totals - plain).max() <= 1e-12
+    m = length - 1
+    bracket = inference.hz_bracket(xm, ym, spec, m)
+    assert abs(bracket.upper - (plain[m + 1] - plain[m])) <= 1e-12
+    assert abs(bracket.lower - (conditional[m + 1] - conditional[m])) <= 1e-12
+
+
 # -- chunked enumeration determinism --------------------------------------------------
 
 
@@ -391,9 +437,12 @@ def test_chunked_enumeration_bit_identical(monkeypatch):
     z = ym.sample(14, 3)
     reference = inference.joint_log2_table(xm, ym, SPEC2, z)
     reference_totals = inference.z_block_entropies(xm, ym, SPEC2, 8)
+    reference_bracket = inference.hz_bracket(xm, ym, SPEC2, 7)
     monkeypatch.setattr(inference_module, "_CELL", 64)
+    monkeypatch.setattr(inference_module, "_ENUM_CELL", 1)  # one row per block
     assert np.array_equal(inference.joint_log2_table(xm, ym, SPEC2, z), reference)
     assert np.array_equal(inference.z_block_entropies(xm, ym, SPEC2, 8), reference_totals)
+    assert inference.hz_bracket(xm, ym, SPEC2, 7) == reference_bracket
 
 
 def test_enumeration_blocks_bound_the_working_set(monkeypatch):
@@ -402,20 +451,19 @@ def test_enumeration_blocks_bound_the_working_set(monkeypatch):
     px, py = rng.uniform(0.05, 0.95, size=32), rng.uniform(0.3, 0.7, size=4)
     xm = sources.make_markov(2, 5, np.column_stack([1.0 - px, px]))
     ym = sources.make_markov(2, 2, np.column_stack([1.0 - py, py]))
-    reference = inference.z_block_entropies(xm, ym, SPEC2, 10)
-    sizes = []
-    extend = inference_module._ProductChain.extend
-
-    def recorded(chain, arr):
-        out = extend(chain, arr)
-        sizes.append(out.size)
-        return out
-
-    monkeypatch.setattr(inference_module._ProductChain, "extend", recorded)
-    monkeypatch.setattr(inference_module, "_CELL", 2**10)
-    blocked = inference.z_block_entropies(xm, ym, SPEC2, 10)
-    assert max(sizes) <= 2**10
-    assert np.abs(blocked - reference).max() <= 1e-12
+    inference.hz_bracket(xm, ym, SPEC2, 1)  # first-use allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        reference = inference.hz_bracket(xm, ym, SPEC2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    # blocks of 8 rows (n * n**K = 64 cells a row) give the same ends
+    monkeypatch.setattr(inference_module, "_ENUM_CELL", 2**9)
+    blocked = inference.hz_bracket(xm, ym, SPEC2, 10)
+    assert abs(blocked.lower - reference.lower) <= 1e-12
+    assert abs(blocked.upper - reference.upper) <= 1e-12
 
 
 def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
@@ -431,10 +479,6 @@ def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
         assert dense.dense and not csr.dense
         for v in range(n):
             assert np.array_equal(csr.A[v].toarray(), dense.A[v])
-        front = dense.alpha0[None, :]
-        for _ in range(3):
-            via_dense, front = dense.extend(front), csr.extend(front)
-            assert np.abs(via_dense - front).max() <= 1e-12
 
 
 def latin_square_cipher(rng, n):
@@ -448,6 +492,18 @@ def latin_square_cipher(rng, n):
 
 
 IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+
+
+def test_bracket_factor_table_checked_against_the_entry_cap(monkeypatch):
+    # as in the forward: the key drives and the order-3 plaintext weighs it
+    # through a (2**4, 2**4) table; the product chain needs only 2*2*8 entries
+    xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
+    bracket = inference.hz_bracket(xm, BIASED, IDENTITY2, 4)  # z = x, uniform
+    assert abs(bracket.lower - 1.0) <= 1e-12 and abs(bracket.upper - 1.0) <= 1e-12
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
+    with pytest.raises(StateCapError, match="factor table"):
+        inference.hz_bracket(xm, BIASED, IDENTITY2, 4)
 
 
 @pytest.mark.parametrize("spec", [

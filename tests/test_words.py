@@ -45,6 +45,13 @@ def test_text_round_trip_large_alphabet():
     assert np.array_equal(words.text_to_word(text, 256), word)
 
 
+@pytest.mark.parametrize("text", ["1,,2", ",1,2", "1,2,"])
+def test_text_with_an_empty_field_is_rejected(text):
+    # as a stray character is for n <= 36
+    with pytest.raises(ValueError, match="empty symbol field"):
+        words.text_to_word(text, 40)
+
+
 def test_bytes_round_trip():
     data = bytes(range(20))
     sym = words.bytes_to_symbols(data, 256)
