@@ -38,7 +38,7 @@ from .errors import (
     RunkeyError,
     StateCapError,
 )
-from .inference import posterior
+from .inference import _posterior_blocks, _write_posterior_csv, posterior
 from .secrecy import (
     build_typical_set,
     certify_bounds,
@@ -342,21 +342,23 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_posterior(args) -> int:
     xm, ym, spec = _load_pair(args)
-    z = text_to_word(args.z, spec.alphabet_size)
-    table = posterior(xm, ym, spec, z)
-    print(
-        f"log2 P(z) = {table.log_marginal:.12g} over "
-        f"{table.log_posterior.size} plaintexts"
-    )
-    if args.format == "csv":  # the table streams its own rows
+    n = spec.alphabet_size
+    z = text_to_word(args.z, n)
+    if args.format == "csv":  # rows stream block by block, never the whole table
+        log_marginal, blocks = _posterior_blocks(xm, ym, spec, z)
+    else:
+        table = posterior(xm, ym, spec, z)
+        log_marginal = table.log_marginal
+    print(f"log2 P(z) = {log_marginal:.12g} over {n**z.size} plaintexts")
+    if args.format == "csv":
         with _open(args.out, "w") as fh:
             for key, value in _echo(args).items():
                 fh.write(f"# {key} {value}\n")
-            table.to_csv(fh)
+            _write_posterior_csv(fh, n, z.size, blocks)
         return 0
     rows = None
     if table.log_posterior.size <= args.max_rows:
-        texts = render(digits(spec.alphabet_size, table.length), spec.alphabet_size)
+        texts = render(digits(n, table.length), n)
         rows = [
             {"plaintext": text, "log2_posterior": lp}
             for text, lp in zip(texts, table.log_posterior.tolist())

@@ -8,7 +8,11 @@ built on that identity:
 
 - :func:`posterior` enumerates all ``n**t`` plaintexts of an observed
   ciphertext exactly (log-space throughout, at most ``DEFAULT_WORD_CAP``
-  words);
+  words) and normalises them by ``log2 P(z)`` from the forward below; the
+  posterior mass must come to 1, which checks the enumeration against the
+  forward.  The enumeration yields blocks of at most ``_BLOCK_WORDS``
+  words, so the typical set and the posterior CSV reduce it block by block
+  and hold one block, not the table;
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion.  Given z, one source's symbols follow from the
   other's, so the recursion runs over the last K symbols of one source, the
@@ -58,13 +62,25 @@ from .words import as_word, digits, render, word_to_index
 # sums duplicates; a byte-alphabet pair with S = 256 contexts is exactly at it
 DEFAULT_ENTRY_CAP = 1 << 24
 
-# float64 cells (32 MiB) per joint-table block, per dense operator and per
-# forward batch; it exists to bound working memory
+# float64 cells (32 MiB) per dense operator and per forward batch; it exists
+# to bound working memory
 _CELL = 1 << 22
+
+# plaintext words (512 KiB of float64) per block of the plaintext enumeration;
+# it bounds the working memory of the typical set and the posterior CSV
+_BLOCK_WORDS = 1 << 16
+
+# posterior CSV rows rendered at a time: a row's digits and text take some
+# 100 bytes of int64 and Python objects, against 8 bytes for its value
+_CSV_ROWS = 1 << 12
 
 # float64 cells (128 KiB) per block of the ciphertext block enumeration; it
 # bounds working memory, and larger blocks measured no faster
 _ENUM_CELL = 1 << 14
+
+# distance from 1 allowed for the posterior mass, the sum over the
+# enumeration normalised by the forward; more is a CertificationError
+_MASS_TOL = 1e-9
 
 # float jitter allowed where a bracket end crosses the other or its trail
 # moves the wrong way; more is a CertificationError
@@ -303,19 +319,17 @@ def log_marginal_forward(
     return float(chain.forward_log2(z[None, :])[0])
 
 
-def joint_log2_table(
-    xm: SourceModel,
-    ym: SourceModel,
-    spec: CipherSpec,
-    ciphertext,
-) -> np.ndarray:
-    """log2 of ``P_X(x) * P_Y(y(x, z))`` for every plaintext word x.
+def _joint_blocks(xm, ym, spec, ciphertext):
+    """:func:`joint_log2_table` as ``(start, block)`` pairs, in index order.
 
-    The returned array is indexed by the packed plaintext word; entries are
-    -inf for plaintexts of probability zero (or with no consistent key).
-    Computed by extending all plaintext prefixes one position at a time; the
-    per-position term depends on the prefix only through its last
-    ``max(k_X, k_Y)`` symbols, so each level is a single vectorised pass.
+    ``block`` holds the entries of the packed words ``start, start + 1, ...``,
+    at most ``_BLOCK_WORDS`` of them.  The cap and the cipher are checked
+    before this returns; each block is computed when it is drawn.  A block
+    extends its words' common prefixes one position at a time, so every
+    entry is the same sum of the same per-position terms, in the same order,
+    whatever the block size.  Besides one block, the generator holds those
+    prefixes: the first ``max(k_X, k_Y)`` positions' block laws (no more
+    entries than the larger model's table) or fewer than ``256 * n`` words.
     """
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
@@ -332,48 +346,122 @@ def joint_log2_table(
     kx, ky = xm.order, ym.order
     log_tx = _log2_safe(xm.transition)
     log_ty = _log2_safe(ym.transition)
-    max_k = max(kx, ky)
-    period = n**max_k
-    head = min(t, max_k)
+    period = n ** max(kx, ky)
+    head = min(t, max(kx, ky))
+    # key_terms[j - head][u, a]: the key's log-term at position j for plaintext
+    # symbol a after a prefix whose last k_Y symbols pack to u
+    key_terms = [
+        log_ty[_recovered(key_table, z[None, j - ky : j]), key_table[:, z[j]]]
+        for j in range(head, t)
+    ]
+
+    def grow(values: np.ndarray, first: int, j: int) -> np.ndarray:
+        """The children, in index order, of the length-j words first, first + 1, ...
+
+        A word's term depends on its index modulo ``period``, so when the
+        words span whole periods the terms of one period are computed and
+        broadcast.
+        """
+        span = values.size if values.size % period else period
+        rows = np.arange(first, first + span)
+        terms = log_tx[rows % xm.num_states] + key_terms[j - head][rows % ym.num_states]
+        return (values.reshape(-1, rows.size, 1) + terms).reshape(-1)
 
     if head == 0:
-        arr = np.zeros(1)
+        prefixes = np.zeros(1)
     else:
         keys = _recovered(key_table, z[None, :head])[:, 0]
-        arr = xm.log2_block_prob_array(head) + ym.log2_block_prob_array(head)[keys]
-    if t == head:
-        return arr
+        prefixes = xm.log2_block_prob_array(head) + ym.log2_block_prob_array(head)[keys]
+    tail = 0  # the last positions, which each block extends its prefixes by
+    while head + tail < t and n ** (tail + 1) <= _BLOCK_WORDS:
+        tail += 1
+    for j in range(head, t - tail):
+        prefixes = grow(prefixes, 0, j)
+    per_block = max(1, _BLOCK_WORDS // n**tail)
 
-    sx_of = np.arange(period) % xm.num_states
-    r2_of = np.arange(period) % ym.num_states
+    def blocks():
+        for first in range(0, prefixes.size, per_block):
+            block = prefixes[first : first + per_block]
+            for j in range(t - tail, t):
+                block = grow(block, first * n ** (j - t + tail), j)
+            yield first * n**tail, block
 
-    def level_terms(j: int) -> np.ndarray:
-        """(period, n) additive log-terms for extending prefixes of length j."""
-        sy = _recovered(key_table, z[None, j - ky : j])
-        ty = log_ty[sy, key_table[:, z[j]][None, :]]
-        return log_tx[sx_of] + ty[r2_of]
+    return blocks()
 
-    def grow(block: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        return (block.reshape(-1, period)[:, :, None] + terms[None, :, :]).reshape(-1)
 
-    j = head
-    while j < t and n ** (j + 1) <= _CELL:
-        arr = grow(arr, level_terms(j))
-        j += 1
-    if j == t:
-        return arr
+def joint_log2_table(
+    xm: SourceModel,
+    ym: SourceModel,
+    spec: CipherSpec,
+    ciphertext,
+) -> np.ndarray:
+    """log2 of ``P_X(x) * P_Y(y(x, z))`` for every plaintext word x.
 
-    remaining = t - j
-    tail = n**remaining
-    all_terms = [level_terms(jj) for jj in range(j, t)]
-    out = np.empty(n**t)
-    block_size = max(period, (_CELL // tail) // period * period)
-    for start in range(0, arr.shape[0], block_size):
-        sub = arr[start : start + block_size]
-        for terms in all_terms:
-            sub = grow(sub, terms)
-        out[start * tail : (start + block_size) * tail] = sub
-    return out
+    The returned array is indexed by the packed plaintext word; entries are
+    -inf for plaintexts of probability zero (or with no consistent key).
+    Computed by extending all plaintext prefixes one position at a time; the
+    per-position term depends on the prefix only through its last
+    ``max(k_X, k_Y)`` symbols.  It is the concatenation of the package's one
+    plaintext enumeration, the blocks of :func:`_joint_blocks`.
+    """
+    blocks = _joint_blocks(xm, ym, spec, ciphertext)
+    return np.concatenate([block for _, block in blocks])
+
+
+def _certify_mass(total: float) -> None:
+    if not abs(total - 1.0) <= _MASS_TOL:
+        raise CertificationError(
+            f"posterior mass {total!r} deviates from 1 beyond {_MASS_TOL}"
+        )
+
+
+def _log_marginal(xm, ym, spec, z) -> float:
+    """:func:`log_marginal_forward`; a ciphertext of probability 0 is a ValueError."""
+    log_marginal = log_marginal_forward(xm, ym, spec, z)
+    if log_marginal == -np.inf:
+        raise ValueError("ciphertext has probability zero under these models")
+    return log_marginal
+
+
+def _posterior_blocks(xm, ym, spec, ciphertext):
+    """``(log2 P(z), blocks)``: the posterior of every plaintext, block by block.
+
+    ``blocks`` yields ``(start, log2 P(x | z))`` pairs: the blocks of
+    :func:`_joint_blocks` minus the forward's ``log2 P(z)``.  Once the last
+    block is drawn, their total mass must be 1 within ``_MASS_TOL``, or
+    CertificationError: the enumeration is checked against the forward, an
+    independent computation.  The cap, the cipher and a zero ``P(z)`` are
+    checked before this returns.
+    """
+    joint = _joint_blocks(xm, ym, spec, ciphertext)
+    log_marginal = _log_marginal(xm, ym, spec, ciphertext)
+
+    def blocks():
+        total = 0.0
+        for start, block in joint:
+            block = block - log_marginal
+            total += float(np.exp2(block).sum())
+            yield start, block
+        _certify_mass(total)
+
+    return log_marginal, blocks()
+
+
+def _write_posterior_csv(fh, n: int, t: int, blocks) -> None:
+    """Write the header and the (plaintext, log2_posterior) rows of ``blocks``.
+
+    ``blocks`` yields ``(start, values)`` pairs in index order; a plaintext is
+    written as base-n text, quoted when it has commas (n > 36), as RFC 4180
+    asks.
+    """
+    fh.write("plaintext,log2_posterior\n")
+    for start, block in blocks:
+        for first in range(0, block.size, _CSV_ROWS):
+            values = block[first : first + _CSV_ROWS].tolist()
+            texts = render(digits(n, t, start + first, start + first + len(values)), n)
+            if "," in texts[0]:
+                texts = [f'"{text}"' for text in texts]
+            fh.writelines(f"{text},{v:.12g}\n" for text, v in zip(texts, values))
 
 
 @dataclass(frozen=True)
@@ -381,7 +469,10 @@ class PosteriorTable:
     """Exact conditional law over all plaintexts of a fixed ciphertext.
 
     ``log_posterior[u]`` is ``log2 P(x | z)`` for the plaintext word with
-    packed index u; ``log_marginal`` is ``log2 P(z)``.
+    packed index u; ``log_marginal`` is ``log2 P(z)``.  Construction
+    certifies that the table's mass is 1 within ``_MASS_TOL``; with
+    ``log_marginal`` from the forward recursion, as :func:`posterior` gives
+    it, that compares two independent computations.
     """
 
     ciphertext: np.ndarray
@@ -390,12 +481,7 @@ class PosteriorTable:
     alphabet_size: int
 
     def __post_init__(self):
-        finite = self.log_posterior[np.isfinite(self.log_posterior)]
-        total = float(np.exp2(finite).sum()) if finite.size else 0.0
-        if abs(total - 1.0) > 1e-9:
-            raise CertificationError(
-                f"posterior mass {total!r} deviates from 1 beyond 1e-9"
-            )
+        _certify_mass(float(np.exp2(self.log_posterior).sum()))
 
     @property
     def length(self) -> int:
@@ -412,18 +498,10 @@ class PosteriorTable:
 
         A plaintext with commas (n > 36) is quoted, as RFC 4180 asks.
         """
-        n, t, values = self.alphabet_size, self.length, self.log_posterior
-        chunk = 1 << 16
         with _open_for(target, "w") as fh:
-            fh.write("plaintext,log2_posterior\n")
-            for start in range(0, values.size, chunk):
-                texts = render(digits(n, t, start, min(start + chunk, values.size)), n)
-                if "," in texts[0]:
-                    texts = [f'"{text}"' for text in texts]
-                fh.writelines(
-                    f"{text},{value:.12g}\n"
-                    for text, value in zip(texts, values[start : start + chunk].tolist())
-                )
+            _write_posterior_csv(
+                fh, self.alphabet_size, self.length, [(0, self.log_posterior)]
+            )
 
 
 def posterior(
@@ -434,15 +512,16 @@ def posterior(
 ) -> PosteriorTable:
     """Exhaustive posterior ``P(x | z)`` over all plaintexts of length ``len(z)``.
 
-    Normalises the joint table :func:`joint_log2_table`; the log-marginal is
-    the log-sum-exp of the numerators.
+    Normalises the joint table :func:`joint_log2_table` by ``log2 P(z)`` from
+    :func:`log_marginal_forward`, so the table's mass check compares the
+    enumeration with the forward.  This holds the whole ``n**t`` table; the
+    typical set and the CLI's CSV export draw the same values block by block
+    instead.  A ciphertext of probability zero is a ValueError.
     """
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
     numerators = joint_log2_table(xm, ym, spec, z)
-    log_marginal = log2sumexp(numerators)
-    if log_marginal == -np.inf:
-        raise ValueError("ciphertext has probability zero under these models")
+    log_marginal = _log_marginal(xm, ym, spec, z)
     return PosteriorTable(
         ciphertext=z,
         log_posterior=numerators - log_marginal,

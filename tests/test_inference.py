@@ -82,6 +82,19 @@ def test_posterior_matches_brute_force_enumeration():
         assert worst <= 1e-12
 
 
+def test_log_posterior_matches_the_oracle_in_log_space():
+    # log2 P(z) comes from the forward, not from the table: at most 1e-12 apart
+    rng = np.random.default_rng(102)
+    for _ in range(25):
+        xm, ym, spec, z = random_instance(rng)
+        table = inference.posterior(xm, ym, spec, z)
+        brute, _ = oracles.posterior_table(xm, ym, spec.alphabet_size, z)
+        for word, value in brute.items():
+            expected = math.log2(value) if value > 0.0 else -math.inf
+            got = table.log2_prob(list(word))
+            assert got == expected or abs(got - expected) <= 1e-12
+
+
 def test_posterior_normalisation_certified():
     rng = np.random.default_rng(55)
     for _ in range(10):
@@ -445,12 +458,17 @@ def test_chunked_enumeration_bit_identical(monkeypatch):
     assert inference.hz_bracket(xm, ym, SPEC2, 7) == reference_bracket
 
 
-def test_enumeration_blocks_bound_the_working_set(monkeypatch):
-    # the pair of the certify benchmark workload at seed 0: S = 32 * 4 = 128
+def _certify_pair():
+    """The pair of the certify benchmark workload at seed 0: S = 32 * 4 = 128."""
     rng = np.random.default_rng(np.random.SeedSequence([0, *b"certify"]))
     px, py = rng.uniform(0.05, 0.95, size=32), rng.uniform(0.3, 0.7, size=4)
     xm = sources.make_markov(2, 5, np.column_stack([1.0 - px, px]))
     ym = sources.make_markov(2, 2, np.column_stack([1.0 - py, py]))
+    return xm, ym
+
+
+def test_enumeration_blocks_bound_the_working_set(monkeypatch):
+    xm, ym = _certify_pair()
     inference.hz_bracket(xm, ym, SPEC2, 1)  # first-use allocations stay out of the peak
     tracemalloc.start()
     try:
@@ -464,6 +482,60 @@ def test_enumeration_blocks_bound_the_working_set(monkeypatch):
     blocked = inference.hz_bracket(xm, ym, SPEC2, 10)
     assert abs(blocked.lower - reference.lower) <= 1e-12
     assert abs(blocked.upper - reference.upper) <= 1e-12
+
+
+def test_posterior_blocks_bound_the_working_set(tmp_path):
+    # t = 20: the whole posterior table alone is 8 MB
+    xm, ym = _certify_pair()
+    z = SPEC2.encrypt(xm.sample(20, 1), ym.sample(20, 2))
+    secrecy.build_typical_set(xm, ym, SPEC2, z[:8], 0.1, bracket_order=1)  # first use
+    tracemalloc.start()
+    try:
+        built = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.1)
+        set_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # every block is the same size, so two of the 16 show the writer's peak;
+        # tracing all 2**20 rows' Python objects would take seconds
+        _, blocks = inference_module._posterior_blocks(xm, ym, SPEC2, z)
+        with open(tmp_path / "posterior.csv", "w") as fh:
+            inference_module._write_posterior_csv(fh, 2, 20, itertools.islice(blocks, 2))
+        csv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.member_count > 0
+    assert set_peak <= 4 << 20
+    assert csv_peak <= 4 << 20
+    with open(tmp_path / "posterior.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 2 * 2**16
+
+
+@pytest.mark.parametrize("size", ["one", "period", "uneven", "default"])
+def test_block_boundaries_change_no_value(size, monkeypatch):
+    # an order-3 plaintext with a zero (-inf entries) and an order-1 key; 2**17
+    # words are two default blocks, and one block holds the whole table; an
+    # uneven block is 3 prefixes of 3 symbols, which span no whole period of 8
+    xm = sources.make_markov(2, 3, [[0.7, 0.3], [0.4, 0.6], [1.0, 0.0], [0.5, 0.5],
+                                    [0.2, 0.8], [0.9, 0.1], [0.6, 0.4], [0.35, 0.65]])
+    ym = sources.make_markov(2, 1, [[0.6, 0.4], [0.3, 0.7]])
+    z = SPEC2.encrypt(xm.sample(17, 4), ym.sample(17, 5))
+    with monkeypatch.context() as patch:
+        patch.setattr(inference_module, "_BLOCK_WORDS", inference.DEFAULT_WORD_CAP)
+        whole = inference.joint_log2_table(xm, ym, SPEC2, z)
+        reference = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.2, 0.8)
+    words = {"one": 1, "period": 2**3, "uneven": 3 * 2**14,
+             "default": inference_module._BLOCK_WORDS}[size]
+    monkeypatch.setattr(inference_module, "_BLOCK_WORDS", words)
+    blocks = list(inference_module._joint_blocks(xm, ym, SPEC2, z))
+    sizes = [block.size for _, block in blocks]
+    assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert max(sizes) <= words and len(blocks) == -(-2**17 // words)
+    assert np.array_equal(np.concatenate([block for _, block in blocks]), whole)
+    assert np.isneginf(whole).any()
+    built = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.2, 0.8)
+    assert built.member_count == reference.member_count > 1
+    assert np.array_equal(built.members, reference.members)
+    assert built.spread == reference.spread
+    assert abs(built.mass - reference.mass) <= 1e-15
 
 
 def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
