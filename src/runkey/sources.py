@@ -15,11 +15,15 @@ Conventions used throughout:
   ``(s*n + a) % n**k``;
 - the stationary vector is the law of any k consecutive symbols, which makes
   block probabilities position-independent;
-- the context chain P is never stored: one step ``pi P`` is a closed-form
-  contraction of ``pi`` with the table.  It drives the half-lazy power
-  iteration for the stationary law and the ``pi = pi P`` residual
-  certificate; only a table with a zero entry builds the chain's edge list,
-  for the strong-component search of the ergodicity check.
+- the stationary law of up to ``_SOLVE_CONTEXTS`` contexts is one dense
+  solve of ``pi (I - P + 1 1^T) = 1^T``, which is exact however slowly the
+  chain mixes;
+- beyond that the context chain P is never stored: one step ``pi P`` is a
+  closed-form contraction of ``pi`` with the table.  It drives the half-lazy
+  power iteration for the stationary law and, at every size, the
+  ``pi = pi P`` residual certificate; only a table with a zero entry builds
+  the chain's edge list, for the strong-component search of the ergodicity
+  check.
 """
 
 from __future__ import annotations
@@ -47,6 +51,18 @@ _STATIONARY_TOL = 1e-10
 # power iteration stops at this L1 step residual, or fails after this many steps
 _POWER_TOL = 1e-12
 _POWER_STEPS = 10**6
+# up to this many contexts the stationary law is one dense linear solve; a
+# larger LU runs on BLAS threads (OpenBLAS: from 10**4 matrix entries), which
+# took 0.1-0.15 s to wake per solve at 128-256 contexts on a 2-vCPU VM,
+# against a few ms of power iteration for a fast-mixing chain
+_SOLVE_CONTEXTS = 64
+# save_model formats each distinct value once when at most this share of the
+# table's entries are distinct; an all-distinct table formats faster per entry
+_SAVE_DISTINCT_SHARE = 0.25
+# load_model parses each distinct token once until its cache holds more tokens
+# than this share of the table's entries; a cached token takes ~110 bytes,
+# against its table entry's 8
+_LOAD_CACHE_SHARE = 1 / 32
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:
@@ -136,22 +152,40 @@ def _power_iteration(table: np.ndarray) -> np.ndarray:
     )
 
 
+def _stationary_law(table: np.ndarray) -> np.ndarray:
+    """Stationary law of the context chain of a (n**k, n) emission table.
+
+    Up to ``_SOLVE_CONTEXTS`` contexts it solves ``pi (I - P + 1 1^T) = 1^T``
+    on the dense context matrix, whose only solution is the stationary law
+    when the chain has one closed class; larger chains use power iteration.
+    Either result is clipped at 0 and renormalised.
+    """
+    size, n = table.shape
+    if size > _SOLVE_CONTEXTS:
+        return _power_iteration(table)
+    rows = np.repeat(np.arange(size), n)
+    cols = (rows * n + np.tile(np.arange(n), size)) % size
+    chain = np.bincount(rows * size + cols, table.ravel(), size * size).reshape(size, size)
+    pi = np.maximum(np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size)), 0.0)
+    return pi / pi.sum()
+
+
 def stationary_distribution(transition) -> np.ndarray:
     """Stationary distribution of a square row-stochastic matrix.
 
     The matrix is the order-1 context table over its own size, so it is
-    checked and iterated by the same code as a model's context chain.
+    checked and solved by the same code as a model's context chain.
     Raises NotErgodicError when the chain has more than one closed class
     (the fixed point is then not unique; transient states are fine and get
-    mass 0), and ConvergenceError when power iteration does not reach an L1
-    step residual of 1e-12 in 10**6 steps.
+    mass 0), and, above 64 states, ConvergenceError when power iteration
+    does not reach an L1 step residual of 1e-12 in 10**6 steps.
     """
     matrix = np.asarray(transition, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidDistributionError("transition matrix must be square")
     _validate_rows(matrix)
     _require_one_closed_class(matrix)
-    return _power_iteration(matrix)
+    return _stationary_law(matrix)
 
 
 class SourceModel:
@@ -167,8 +201,9 @@ class SourceModel:
         ``transition[s, a]`` is the probability of emitting ``a`` from the
         packed context ``s``.  Rows must be probability vectors.
     stationary : ndarray, shape (n**k,), optional
-        Stationary law over contexts; computed by power iteration when
-        omitted, validated against ``pi = pi P`` when given.
+        Stationary law over contexts; computed when omitted (a direct solve
+        up to 64 contexts, power iteration beyond), and validated against
+        ``pi = pi P`` either way.
 
     The context chain P moves context s to ``(s*n + a) % n**k`` with
     probability ``transition[s, a]``; it is applied from the table, never
@@ -195,7 +230,7 @@ class SourceModel:
         _validate_rows(table)
         _require_one_closed_class(table)
         if stationary is None:
-            pi = _power_iteration(table)
+            pi = _stationary_law(table)
         else:
             pi = np.array(stationary, dtype=float)
             if pi.shape != (n**k,):
@@ -399,9 +434,8 @@ def make_markov(
     """Order-k Markov source from a (n**k, n) symbol-emission table.
 
     ``initial`` optionally supplies the stationary context law; when omitted
-    it is computed by power iteration.  Either way it is certified against
-    ``pi = pi P``; the table must give exactly one closed class (see
-    :class:`SourceModel`).
+    it is computed.  Either way it is certified against ``pi = pi P``; the
+    table must give exactly one closed class (see :class:`SourceModel`).
     """
     return SourceModel(alphabet_size, order, transition, initial)
 
@@ -449,65 +483,129 @@ def save_model(model: SourceModel, path, header_lines: Sequence[str] = ()) -> No
     """Write a model as the key-value text format (one probability row per line).
 
     A row is labelled by its context's k symbols, comma-separated decimals
-    for every n, or ``-`` for order 0.
+    for every n, or ``-`` for order 0, and holds its n probabilities, each
+    written as ``%.17g`` of its float, which reads back to the same float.
+
+    The format does not change with how the table is written: the cost
+    grows with the number of distinct values, not of entries, and the bytes
+    are those of formatting every entry on its own.  The table's bit
+    patterns are sorted once (so ``-0.0`` stays apart from ``0.0``); when at
+    most a quarter of the entries are distinct, as in a trained table, each
+    distinct value is formatted once and the rows are joined from those
+    strings.  A table with more distinct values is formatted entry by entry,
+    which is then faster.
     """
     n, k = model.alphabet_size, model.order
+    table = model.transition
     label = ",".join(["%d"] * k) or "-"
-    row_format = f"row {label} " + " ".join(["%.17g"] * n) + "\n"
+    bits = table.view(np.uint64)
+    # one sort: np.unique took 0.69 s on an all-distinct 9216x96 table, this 10 ms
+    keys = np.sort(bits, axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    if keys.size <= _SAVE_DISTINCT_SHARE * table.size:
+        texts = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+        row_format = f"row {label} %s\n"
+        rows = ([" ".join(row)] for row in texts[np.searchsorted(keys, bits)].tolist())
+    else:
+        row_format = f"row {label} " + " ".join(["%.17g"] * n) + "\n"
+        rows = table.tolist()
     with _open_for(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"n {n}\n")
         fh.write(f"order {k}\n")
-        for context, row in zip(digits(n, k).tolist(), model.transition.tolist()):
+        for context, row in zip(digits(n, k).tolist(), rows):
             fh.write(row_format % (*context, *row))
 
 
+class _Floats(dict):
+    """Token -> float cache: each distinct token is parsed by ``float`` once."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
 def load_model(path) -> SourceModel:
-    """Parse a model file written by :func:`save_model`."""
-    n = k = None
-    rows: dict[int, np.ndarray] = {}
+    """Parse a model file in the (unchanged) format :func:`save_model` writes.
+
+    Each row is converted as it is read and written straight into the
+    table, which is allocated at the first row, once its ``n**k * n``
+    entries are known to fit ``DEFAULT_WORD_CAP`` (EnumerationCapError
+    otherwise).  The cost grows with the number of distinct values while
+    they are few: tokens go through a per-file cache, so each distinct one
+    is parsed once.  When the cache outgrows 1/32 of the table's entries,
+    the file is mostly distinct values; the cache is dropped and the rest
+    is parsed token by token.  Malformed input raises ModelFormatError,
+    which names the line where there is one.
+    """
+    n, k, table = _read_table(path)
+    if k == 0:
+        return make_bernoulli(table[0])
+    return make_markov(n, k, table)
+
+
+def _read_table(path) -> tuple[int, int, np.ndarray]:
+    """``(n, k, table)`` of a model file; see :func:`load_model`."""
+    header: dict[str, int] = {}
+    table = seen = None
+    count = 0
+    tokens = _Floats()
+    convert = tokens.__getitem__
     with _open_for(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            key = parts[0]
             try:
-                if parts[0] == "n":
-                    n = int(parts[1])
-                elif parts[0] == "order":
-                    k = int(parts[1])
-                elif parts[0] == "row":
-                    if n is None or k is None:
+                if key in ("n", "order"):
+                    value = int(parts[1])
+                    if table is not None and value != header[key]:
+                        raise ModelFormatError(f"line {lineno}: {key!r} changed after rows")
+                    header[key] = value
+                elif key == "row":
+                    if len(header) < 2:
                         raise ModelFormatError(
                             f"line {lineno}: rows must follow 'n' and 'order'"
                         )
+                    n, k = header["n"], header["order"]
                     state = _parse_state_label(parts[1], n, k)
-                    if state in rows:
+                    if table is None:
+                        if n**k * n > DEFAULT_WORD_CAP:
+                            raise EnumerationCapError(
+                                f"a model table of {n}**{k} x {n} entries exceeds "
+                                f"cap {DEFAULT_WORD_CAP}"
+                            )
+                        table, seen = np.empty((n**k, n)), bytearray(n**k)
+                    if seen[state]:
                         raise ModelFormatError(f"line {lineno}: duplicate row")
-                    probs = np.array([float(v) for v in parts[2:]], dtype=float)
-                    if probs.size != n:
+                    probs = list(map(convert, parts[2:]))
+                    if len(probs) != n:
                         raise ModelFormatError(
                             f"line {lineno}: expected {n} probabilities"
                         )
-                    rows[state] = probs
+                    table[state] = probs
+                    seen[state] = 1
+                    count += 1
+                    if len(tokens) > _LOAD_CACHE_SHARE * table.size:
+                        tokens.clear()
+                        convert = float
                 else:
-                    raise ModelFormatError(f"line {lineno}: unknown key {parts[0]!r}")
+                    raise ModelFormatError(f"line {lineno}: unknown key {key!r}")
             except (ValueError, IndexError, OverflowError) as exc:
-                if isinstance(exc, ModelFormatError):
+                if isinstance(exc, (ModelFormatError, EnumerationCapError)):
                     raise
                 raise ModelFormatError(f"line {lineno}: {exc}") from exc
-    if n is None or k is None:
+    if len(header) < 2:
         raise ModelFormatError("model file must declare 'n' and 'order'")
-    if len(rows) != n**k:
+    n, k = header["n"], header["order"]
+    if count != n**k:
         raise ModelFormatError(
-            f"model file has {len(rows)} rows, expected {n**k}"
+            f"model file has {count} rows, expected {n**k}"
         )
-    table = np.vstack([rows[s] for s in range(n**k)])
-    if k == 0:
-        return make_bernoulli(table[0])
-    return make_markov(n, k, table)
+    return n, k, table
 
 
 def _parse_state_label(label: str, n: int, k: int) -> int:
@@ -518,7 +616,13 @@ def _parse_state_label(label: str, n: int, k: int) -> int:
     parts = label.split(",")
     if len(parts) != k:
         raise ModelFormatError(f"state label {label!r} needs {k} symbols")
-    return word_to_index([int(part) for part in parts], n)
+    state = 0
+    for part in parts:
+        symbol = int(part)
+        if not 0 <= symbol < n:
+            raise ValueError(f"symbols out of range for alphabet size {n}")
+        state = state * n + symbol
+    return state
 
 
 @contextlib.contextmanager

@@ -199,3 +199,20 @@ def z_block_entropies(xm, ym, spec, length):
             for z, p in given[j].items():
                 plain[j][z] = plain[j].get(z, 0.0) + weight * p
     return [dist_entropy(law.values()) for law in plain], conditional
+
+
+def model_file_text(n, k, table, header_lines=()):
+    """The model-file text of a (n**k, n) table, formatted entry by entry.
+
+    This is the writer ``save_model`` had before it formatted each distinct
+    value once: every probability is ``%.17g`` of its own float.
+    """
+    lines = [f"# {line}" for line in header_lines] + [f"n {n}", f"order {k}"]
+    for state, row in enumerate(table.tolist()):
+        symbols = []
+        for _ in range(k):
+            state, sym = divmod(state, n)
+            symbols.insert(0, str(sym))
+        label = ",".join(symbols) or "-"
+        lines.append(f"row {label} " + " ".join("%.17g" % p for p in row))
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,58 @@ def test_memory_exhaustion_exits_3(x_model, monkeypatch, capsys):
     argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "2"]
     assert cli.main(argv) == 3
     assert _error_line(capsys) == "error: cap: MemoryError"
+
+
+_MODEL_ROWS = "n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n"
+# a malformed model file -> the line its error names, where it names one
+_BAD_MODELS = {
+    "symbol-above": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 2 0.25 0.75\n", 4),
+    "symbol-negative": ("n 2\norder 1\nrow 0 0.5 0.5\nrow -1 0.25 0.75\n", 4),
+    "n-after-rows": (_MODEL_ROWS + "n 3\n", 5),
+    "order-after-rows": ("n 2\norder 1\nrow 0 0.5 0.5\norder 2\nrow 1 0.25 0.75\n", 4),
+    "n-one": ("n 1\norder 0\nrow - 1.0\n", None),
+    "order-negative": ("n 2\norder -1\nrow 0 0.5 0.5\n", None),
+    "short-row": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25\n", 4),
+    "nan": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 nan 0.75\n", None),
+    "inf": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 inf 0.75\n", None),
+    "overflow": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 1e400 0.75\n", None),
+    "row-sum": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.5\n", None),
+    "duplicate-row": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 0 0.5 0.5\n", 4),
+    "n-fraction": ("n 2.5\norder 1\nrow 0 0.5 0.5\n", 1),
+    "trailing-comment": ("n 2\norder 1\nrow 0 0.5 0.5 # c\nrow 1 0.25 0.75\n", 3),
+    "missing-header": ("order 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 2),
+    "empty": ("", None),
+    "undecodable": (b"n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 \xff0.75\n", None),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MODELS))
+def test_malformed_model_file_exits_2(case, tmp_path, capsys):
+    text, line = _BAD_MODELS[case]
+    path = tmp_path / "bad.model"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert cli.main(["entropy", "--x-model", str(path), "--m", "0"]) == 2
+    message = _error_line(capsys)
+    assert message.startswith("error: config:")
+    if line is not None:
+        assert message.startswith(f"error: config: line {line}:")
+
+
+@pytest.mark.parametrize("n, k", [(2, 30), (256, 4)])
+def test_model_header_of_a_huge_table_exits_3_before_allocating(n, k, tmp_path, capsys):
+    path = tmp_path / "huge.model"
+    path.write_text(f"n {n}\norder {k}\nrow {','.join(['0'] * k)} "
+                    + " ".join([repr(1 / n)] * n) + "\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["entropy", "--x-model", str(path), "--m", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    message = _error_line(capsys)
+    assert message.startswith("error: cap:") and f"exceeds cap {sources.DEFAULT_WORD_CAP}" in message
+    assert peak < 1 << 20  # the table would be n**k * n floats
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

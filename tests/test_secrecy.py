@@ -1,9 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from runkey import cipher, inference, secrecy, sources
 from runkey.errors import CertificationError, UnsupportedCipherError
+from runkey.words import text_to_word
 
 SPEC2 = cipher.additive_cipher(2)
 UNIFORM2 = sources.make_uniform(2)
@@ -322,3 +327,46 @@ def test_certification_error_surfaces(monkeypatch):
     monkeypatch.setattr(secrecy_module, "hxz_bracket", broken)
     with pytest.raises(CertificationError):
         secrecy.certify_bounds(UNIFORM2, UNIFORM2, SPEC2, 2)
+
+
+# -- the stationary law's direct solve ----------------------------------------------
+
+
+def _certify_inputs(seed, work):
+    """The certify benchmark workload's models and ciphertexts (psi, posterior) at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
+    argvs = {inv.label: inv.argv for inv in workloads.build("certify", seed, work)}
+    z = [text_to_word(argvs[label][argvs[label].index("--z") + 1], 2)
+         for label in ("psi", "posterior")]
+    return sources.load_model(work / "x.model"), sources.load_model(work / "y.model"), *z
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_direct_stationary_solve_moves_the_certify_reports_within_1e_9(seed, tmp_path):
+    # the solve moved these reports' last .12g digits against the power
+    # iteration's law: h_x and r_x (seed 1), the psi spread, and 13,281
+    # (seed 0) and 18,103 (seed 1) of the posterior CSV's 262,144 rows
+    xm, ym, z_psi, z_post = _certify_inputs(seed, tmp_path)
+    xp, yp = (sources.make_markov(2, m.order, m.transition,
+                                  sources._power_iteration(np.array(m.transition)))
+              for m in (xm, ym))
+    assert not np.array_equal(xm.stationary, xp.stationary)
+
+    def close(solved, iterated):
+        assert np.all(np.abs(solved - iterated) <= 1e-9 * np.abs(iterated))
+
+    for solved, iterated in ((xm, xp), (ym, yp)):
+        close(solved.entropy_rate(), iterated.entropy_rate())
+        close(solved.redundancy(), iterated.redundancy())
+    built, before = (secrecy.build_typical_set(x, y, SPEC2, z_psi, 0.1)
+                     for x, y in ((xm, ym), (xp, yp)))
+    assert built.member_count == before.member_count
+    for key in ("h_ref", "mass", "spread", "growth"):
+        close(getattr(built, key), getattr(before, key))
+    table, table_before = (inference.posterior(x, y, SPEC2, z_post).log_posterior
+                           for x, y in ((xm, ym), (xp, yp)))
+    assert np.array_equal(np.isfinite(table), np.isfinite(table_before))
+    close(table[np.isfinite(table)], table_before[np.isfinite(table)])

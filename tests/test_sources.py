@@ -424,14 +424,27 @@ def test_model_file_rejects_malformed_input():
 
 
 def test_power_iteration_convergence_error(monkeypatch):
-    # an asymmetric nearly-reducible chain mixes far too slowly for 50 steps
+    # asymmetric nearly-reducible chains over more than 512 states (so past the
+    # direct solve) mix far too slowly for 50 steps
     eps = 1e-4
-    table = np.array([[1 - eps, eps], [2 * eps, 1 - 2 * eps]])
+    size = 600
+    q = np.arange(1.0, size + 1.0)
+    matrix = (1 - eps) * np.eye(size) + eps * q / q.sum()  # stationary law q, not uniform
+    # order 10: a context ending in 0 emits 1 w.p. eps, one ending in 1 emits 0 w.p. 2 eps
+    table = np.array([[1 - eps, eps], [2 * eps, 1 - 2 * eps]])[np.arange(1024) % 2]
     monkeypatch.setattr(sources, "_POWER_STEPS", 50)
     with pytest.raises(ConvergenceError):
-        sources.stationary_distribution(table)
+        sources.stationary_distribution(matrix)
     with pytest.raises(ConvergenceError):
-        sources.make_markov(2, 1, table)
+        sources.make_markov(2, 10, table)
+
+
+def test_slow_mixing_small_chain_is_solved_exactly():
+    # power iteration needs ~10**6 steps here and used to raise ConvergenceError
+    table = [[1 - 1e-5, 1e-5], [2e-5, 1 - 2e-5]]
+    for pi in (sources.SourceModel(2, 1, table).stationary,
+               sources.stationary_distribution(table)):
+        assert np.abs(pi - [2 / 3, 1 / 3]).max() <= 1e-12
 
 
 # -- ergodicity and the stationary law ------------------------------------------------
@@ -532,15 +545,93 @@ def test_graph_search_import_only_for_tables_with_zeros(tmp_path):
     assert "scipy.sparse.csgraph" in loaded["zero"]
 
 
+def _special_rows(n):
+    """Rows holding 0.0 and -0.0 together, the smallest subnormal, 1.0 and 1/3."""
+    third = 1.0 / 3.0
+    edge = [1.0, 0.0, -0.0, 5e-324] + [0.0] * (n - 4)
+    thirds = [third, third, 1.0 - 2 * third] + [0.0] * (n - 3)
+    return np.array([edge, thirds])
+
+
+def _model_table(kind, rng):
+    """(n, k, table): a small value pool's permuted rows, or all-distinct rows."""
+    n, k = 4, 4
+    if kind == "pool":
+        pool = np.array([0.5, 0.25, 0.125, 0.125])
+        table = np.array([rng.permutation(pool) for _ in range(n**k)])
+    else:
+        table = rng.dirichlet(np.ones(n), size=n**k)
+    table[[3, 77]] = _special_rows(n)
+    return n, k, table
+
+
+@pytest.mark.parametrize("kind", ["pool", "distinct"])
+def test_model_file_matches_the_per_entry_writer_and_reads_back_bit_identical(
+        kind, monkeypatch):
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        n, k, table = _model_table(kind, rng)
+        model = sources.make_markov(n, k, table)
+        distinct = np.unique(model.transition.view(np.uint64)).size
+        repetitive = distinct <= sources._SAVE_DISTINCT_SHARE * table.size
+        assert repetitive == (kind == "pool")
+        buf = io.StringIO()
+        sources.save_model(model, buf, header_lines=["pinned"])
+        text = buf.getvalue()
+        assert text == oracles.model_file_text(n, k, model.transition, ["pinned"])
+        assert " -0 " in text and " 0 " in text and "4.9406564584124654e-324" in text
+        parsed = []  # tokens parsed through the cache
+        missing = sources._Floats.__missing__
+        monkeypatch.setattr(sources._Floats, "__missing__",
+                            lambda cache, token: parsed.append(token) or missing(cache, token))
+        again = sources.load_model(io.StringIO(text))
+        monkeypatch.undo()
+        assert np.array_equal(again.transition.view(np.uint64),
+                              model.transition.view(np.uint64))
+        # the pool's few tokens are each parsed once; distinct ones drop the
+        # cache at the end of the row that takes it past 1/32 of the entries
+        if kind == "pool":
+            assert len(parsed) == distinct
+        else:
+            assert table.size // 32 < len(parsed) <= table.size // 32 + n
+
+
+def _trained_model(n, k, rng):
+    return sources.train_markov(rng.integers(0, n, size=20 * n**k), n, k)
+
+
+@pytest.mark.parametrize("kind", ["trained", "distinct"])
+def test_model_loader_memory_bounded_by_the_table(kind, tmp_path):
+    # keeping every row as its own array peaked at 3.3x the table's bytes on
+    # the n = 96 order-2 model (3.8x here); an unbounded token cache peaks at
+    # 16x here on distinct values
+    rng = np.random.default_rng(22)
+    n, k = 32, 2
+    if kind == "trained":
+        model = _trained_model(n, k, rng)
+        assert np.unique(model.transition).size <= n**(k + 1) // 64
+    else:
+        model = sources.make_markov(n, k, rng.dirichlet(np.ones(n), size=n**k))
+    path = tmp_path / "m.model"
+    sources.save_model(model, str(path))
+    sources.load_model(str(path))  # first-use allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        again = sources.load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.transition, model.transition)
+    assert peak <= 3.3 * model.transition.nbytes
+
+
 def test_save_model_rows_match_per_float_format():
     third = 1.0 / 3.0
     table = np.array([[0.0, 0.1, 0.9], [third, third, 1.0 - 2 * third], [5e-324, 0.25, 0.75]])
     model = sources.make_markov(3, 1, table)
     buf = io.StringIO()
     sources.save_model(model, buf, header_lines=["pinned"])
-    rows = "".join(
-        f"row {s} " + " ".join(f"{p:.17g}" for p in row) + "\n"
-        for s, row in enumerate(model.transition)
-    )
-    assert buf.getvalue() == "# pinned\nn 3\norder 1\n" + rows
-    assert "4.9406564584124654e-324" in rows and "0.33333333333333331" in rows
+    text = oracles.model_file_text(3, 1, model.transition, ["pinned"])
+    assert buf.getvalue() == text
+    assert text.startswith("# pinned\nn 3\norder 1\nrow 0 0 0.10000000000000001 ")
+    assert "4.9406564584124654e-324" in text and "0.33333333333333331" in text
