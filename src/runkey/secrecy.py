@@ -260,6 +260,15 @@ class ConcentrationReport:
         }
 
 
+def _uniforms(seed: int, t: int, start: int, stop: int, stream: int) -> np.ndarray:
+    """One stream's (stop - start, t+1) uniforms; sample i's row from its own seed."""
+    out = np.empty((stop - start, t + 1))
+    for row, index in zip(out, range(start, stop)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t, index, stream)))
+        rng.random(out=row)
+    return out
+
+
 def concentration_experiment(
     xm: SourceModel,
     ym: SourceModel,
@@ -286,6 +295,11 @@ def concentration_experiment(
     identical arguments give identical reports; the batch width moves the
     statistics only by float rounding.  epsilon and a given ``h_ref`` must
     be finite, and are checked before the bracket is enumerated.
+
+    Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows, and within a chunk
+    at most three (rows, t+1)-sized arrays are alive at once: one stream's
+    uniforms are walked and dropped before the other's are drawn, and the
+    plaintext and key words are dropped once the ciphertext words exist.
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)
@@ -309,19 +323,10 @@ def concentration_experiment(
         chunks = []
         for start in range(0, samples, chunk):
             stop = min(start + chunk, samples)
-            width = stop - start
-            ux = np.empty((width, t + 1))
-            uy = np.empty((width, t + 1))
-            for row, index in enumerate(range(start, stop)):
-                ux[row] = np.random.default_rng(
-                    np.random.SeedSequence((seed, t, index, 0))
-                ).random(t + 1)
-                uy[row] = np.random.default_rng(
-                    np.random.SeedSequence((seed, t, index, 1))
-                ).random(t + 1)
-            x_words, log_px = _walk_batch(xm, ux)
-            y_words, log_py = _walk_batch(ym, uy)
+            x_words, log_px = _walk_batch(xm, _uniforms(seed, t, start, stop, 0))
+            y_words, log_py = _walk_batch(ym, _uniforms(seed, t, start, stop, 1))
             z_words = spec.coder[x_words, y_words]
+            del x_words, y_words
             log_pz = chain.forward_log2(z_words)
             chunks.append(-(log_px + log_py - log_pz) / t)
         stats = np.concatenate(chunks)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -373,6 +374,14 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
     log2-probability of word b (initial context marginalised out).  Each row
     depends only on its own uniforms, so results are independent of how
     samples are grouped into batches.
+
+    From context s, uniform u emits the number of the row's first n-1
+    cumulative probabilities that are <= u.  The last one is left out: the
+    cumulative sums never decrease, so it could only raise a count of n-1 to
+    n.  For order k >= 1 the words are written time-major, one contiguous
+    row per position, and returned as that array's transpose: a (batch, t)
+    view in Fortran order, whose columns, read one position at a time by
+    the forward recursion, are contiguous.
     """
     n, k = model.alphabet_size, model.order
     states = model.num_states
@@ -390,20 +399,23 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
         ).astype(np.int64)
         return words, log_t[0][words].sum(axis=1)
 
-    cum_t = np.cumsum(model.transition, axis=1)
-    words = np.empty((batch, t), dtype=np.int64)
+    thresholds = np.ascontiguousarray(np.cumsum(model.transition, axis=1)[:, :-1].T)
+    # a step's log term and next context, indexed by state * n + symbol
+    log_terms = log_t.ravel()
+    successor = np.arange(states * n) % states
+    words = np.empty((t, batch), dtype=np.int64)
     log_probs = np.zeros(batch)
-    head_state = np.zeros(batch, dtype=np.int64)
+    head_state = state
     for i in range(t):
-        u = uniforms[:, i + 1]
-        sym = (cum_t[state] <= u[:, None]).sum(axis=1)
-        np.minimum(sym, n - 1, out=sym)
-        words[:, i] = sym
+        sym = (np.take(thresholds, state, axis=1) <= uniforms[:, i + 1]).sum(axis=0)
+        words[i] = sym
+        index = state * n + sym
         if i >= k:
-            log_probs += log_t[state, sym]
-        state = (state * n + sym) % states
+            log_probs += log_terms.take(index)
+        state = successor.take(index)
         if i == k - 1:
-            head_state = state.copy()
+            head_state = state
+    words = words.T
     if t >= k:
         log_probs += _log2_safe(model.stationary)[head_state]
     else:
@@ -536,8 +548,11 @@ def load_model(path) -> SourceModel:
     they are few: tokens go through a per-file cache, so each distinct one
     is parsed once.  When the cache outgrows 1/32 of the table's entries,
     the file is mostly distinct values; the cache is dropped and the rest
-    is parsed token by token.  Malformed input raises ModelFormatError,
-    which names the line where there is one.
+    is parsed token by token.  Malformed input raises ModelFormatError
+    naming its line: a bad header value, row label or token, and the first
+    row in the file holding a negative or non-finite probability (found by
+    one check of the whole table once it is read).  Missing headers or rows
+    name no line, and row sums are checked by :class:`SourceModel`.
     """
     n, k, table = _read_table(path)
     if k == 0:
@@ -548,7 +563,7 @@ def load_model(path) -> SourceModel:
 def _read_table(path) -> tuple[int, int, np.ndarray]:
     """``(n, k, table)`` of a model file; see :func:`load_model`."""
     header: dict[str, int] = {}
-    table = seen = None
+    table = lines = None  # lines[state]: the line of the state's row, 0 before it
     count = 0
     tokens = _Floats()
     convert = tokens.__getitem__
@@ -564,6 +579,10 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                     value = int(parts[1])
                     if table is not None and value != header[key]:
                         raise ModelFormatError(f"line {lineno}: {key!r} changed after rows")
+                    if key == "n" and value < 2:
+                        raise ValueError("alphabet size must be at least 2")
+                    if key == "order" and value < 0:
+                        raise ValueError("order must be non-negative")
                     header[key] = value
                 elif key == "row":
                     if len(header) < 2:
@@ -578,8 +597,8 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                                 f"a model table of {n}**{k} x {n} entries exceeds "
                                 f"cap {DEFAULT_WORD_CAP}"
                             )
-                        table, seen = np.empty((n**k, n)), bytearray(n**k)
-                    if seen[state]:
+                        table, lines = np.empty((n**k, n)), array("q", [0]) * n**k
+                    if lines[state]:
                         raise ModelFormatError(f"line {lineno}: duplicate row")
                     probs = list(map(convert, parts[2:]))
                     if len(probs) != n:
@@ -587,7 +606,7 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                             f"line {lineno}: expected {n} probabilities"
                         )
                     table[state] = probs
-                    seen[state] = 1
+                    lines[state] = lineno
                     count += 1
                     if len(tokens) > _LOAD_CACHE_SHARE * table.size:
                         tokens.clear()
@@ -605,17 +624,22 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
         raise ModelFormatError(
             f"model file has {count} rows, expected {n**k}"
         )
+    # one pass over the whole table; row sums are SourceModel's check
+    bad = ~((table >= 0.0) & (table < np.inf)).all(axis=1)
+    if bad.any():
+        first = min(lines[state] for state in np.flatnonzero(bad).tolist())
+        raise ModelFormatError(f"line {first}: probabilities must be finite and >= 0")
     return n, k, table
 
 
 def _parse_state_label(label: str, n: int, k: int) -> int:
     if k == 0:
         if label != "-":
-            raise ModelFormatError(f"order-0 rows use label '-', got {label!r}")
+            raise ValueError(f"order-0 rows use label '-', got {label!r}")
         return 0
     parts = label.split(",")
     if len(parts) != k:
-        raise ModelFormatError(f"state label {label!r} needs {k} symbols")
+        raise ValueError(f"state label {label!r} needs {k} symbols")
     state = 0
     for part in parts:
         symbol = int(part)

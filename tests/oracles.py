@@ -2,11 +2,15 @@
 
 Everything here is deliberately written with plain Python loops over
 ``itertools.product`` and the ``math`` module, so it shares no code path
-with the package's vectorised implementations.
+with the package's vectorised implementations.  The one exception is
+``markov_walk``, the package's former per-step walk kept as a reference: a
+bit-identical log-probability needs the same numpy arithmetic.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def dist_entropy(probs):
@@ -216,3 +220,48 @@ def model_file_text(n, k, table, header_lines=()):
         label = ",".join(symbols) or "-"
         lines.append(f"row {label} " + " ".join("%.17g" % p for p in row))
     return "\n".join(lines) + "\n"
+
+
+def markov_walk(model, uniforms):
+    """``(words, log2_probs)`` of ``sources._walk_batch``, one row gather per step.
+
+    This is the walk ``_walk_batch`` had before its transposed thresholds and
+    packed (context, symbol) index: each step gathers the batch's rows of the
+    full cumulative table, counts the entries <= u and clips the count at
+    n - 1.  Words are (batch, t) in row order.
+    """
+    n, k = model.alphabet_size, model.order
+    states = model.num_states
+    batch, width = uniforms.shape
+    t = width - 1
+
+    def log2_safe(p):
+        return np.log2(p, out=np.full_like(p, -np.inf), where=p > 0.0)
+
+    cum_init = np.cumsum(model.stationary)
+    state = np.minimum(np.searchsorted(cum_init, uniforms[:, 0], side="right"), states - 1)
+    log_t = log2_safe(model.transition)
+    if k == 0:
+        cum = np.cumsum(model.transition[0])
+        words = np.minimum(np.searchsorted(cum, uniforms[:, 1:], side="right"), n - 1)
+        words = words.astype(np.int64)
+        return words, log_t[0][words].sum(axis=1)
+    cum_t = np.cumsum(model.transition, axis=1)
+    words = np.empty((batch, t), dtype=np.int64)
+    log_probs = np.zeros(batch)
+    head_state = np.zeros(batch, dtype=np.int64)
+    for i in range(t):
+        u = uniforms[:, i + 1]
+        sym = (cum_t[state] <= u[:, None]).sum(axis=1)
+        np.minimum(sym, n - 1, out=sym)
+        words[:, i] = sym
+        if i >= k:
+            log_probs += log_t[state, sym]
+        state = (state * n + sym) % states
+        if i == k - 1:
+            head_state = state.copy()
+    if t >= k:
+        log_probs += log2_safe(model.stationary)[head_state]
+    else:
+        log_probs = model._log2_marginal(t)[np.ravel_multi_index(words.T, (n,) * t)]
+    return words, log_probs

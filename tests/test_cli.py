@@ -518,12 +518,15 @@ _BAD_MODELS = {
     "symbol-negative": ("n 2\norder 1\nrow 0 0.5 0.5\nrow -1 0.25 0.75\n", 4),
     "n-after-rows": (_MODEL_ROWS + "n 3\n", 5),
     "order-after-rows": ("n 2\norder 1\nrow 0 0.5 0.5\norder 2\nrow 1 0.25 0.75\n", 4),
-    "n-one": ("n 1\norder 0\nrow - 1.0\n", None),
-    "order-negative": ("n 2\norder -1\nrow 0 0.5 0.5\n", None),
+    "n-one": ("n 1\norder 0\nrow - 1.0\n", 1),
+    "order-negative": ("n 2\norder -1\nrow 0 0.5 0.5\n", 2),
+    "label-length": ("n 2\norder 2\nrow 0,0 0.5 0.5\nrow 0 0.5 0.5\n", 4),
+    "label-order-0": ("n 2\norder 0\nrow 0 0.5 0.5\n", 3),
     "short-row": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25\n", 4),
-    "nan": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 nan 0.75\n", None),
-    "inf": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 inf 0.75\n", None),
-    "overflow": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 1e400 0.75\n", None),
+    "nan": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 nan 0.75\n", 4),
+    "inf": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 inf 0.75\n", 4),
+    "overflow": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 1e400 0.75\n", 4),
+    "negative": ("n 2\norder 1\nrow 1 -0.25 1.25\n# c\nrow 0 -0.5 1.5\n", 3),
     "row-sum": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.5\n", None),
     "duplicate-row": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 0 0.5 0.5\n", 4),
     "n-fraction": ("n 2.5\norder 1\nrow 0 0.5 0.5\n", 1),

@@ -1,9 +1,13 @@
 import importlib.util
+import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from runkey import cipher, inference, secrecy, sources
@@ -209,6 +213,24 @@ def test_concentration_determinism_across_chunk_sizes(monkeypatch):
         assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
 
 
+def test_concentration_sampling_memory_is_three_arrays_of_a_chunk():
+    # at most one stream's uniforms and two word arrays at once (3.0x): 5.0x
+    # with both streams' uniforms and all three word arrays alive.  Both
+    # sources have order 1; the order-0 walk holds one more array (4.0x).
+    key = sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]])
+    samples, t = 2048, 800
+    secrecy.concentration_experiment(MARKOV, key, SPEC2, [2], 2, 0.05, 0.01, seed=1)
+    tracemalloc.start()
+    try:
+        secrecy.concentration_experiment(
+            MARKOV, key, SPEC2, [t], samples, 0.05, 0.01, seed=1, h_ref=0.5
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * samples * (t + 1) * 8
+
+
 def test_concentration_validates_arguments():
     with pytest.raises(ValueError):
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 0, 0.05, 0.01, seed=1)
@@ -286,6 +308,21 @@ def test_sweep_small_bias_matches_abstract_example():
     assert abs(row.r_y - (1.0 - oracles.binary_entropy(0.49))) <= 1e-12
     assert abs(row.r_y - 2.89e-4) <= 1e-6
     assert abs(row.bound_corollary - (row.h_x - row.r_y)) <= 1e-12
+
+
+@given(st.floats(1e-3, 0.05))
+def test_sweep_key_redundancy_follows_the_bias_series(tau):
+    # 1 - h(1/2 + tau) = (1/ln 2) sum_k (2 tau)**(2k) / (2k (2k - 1)): the
+    # first two terms bound it below, and the tail is at most the second
+    # term's geometric series in 4 tau**2
+    ln2 = math.log(2.0)
+    second = 4.0 * tau**4 / (3.0 * ln2)
+    r_y = sources.make_bernoulli((0.5 - tau, 0.5 + tau)).redundancy()
+    assert 2.0 * tau**2 / ln2 + second - 1e-15 <= r_y
+    assert r_y <= 2.0 * tau**2 / ln2 + second / (1.0 - 4.0 * tau**2) + 1e-15
+    (row,) = secrecy.robustness_sweep(MARKOV, SPEC2, [tau], 1)
+    assert row.r_y == r_y and row.bound_forms[0] == row.h_x - r_y
+    assert abs(row.bound_corollary - (row.h_x - r_y)) <= 1e-15
 
 
 def test_sweep_lower_bounds_monotone_as_bias_shrinks():

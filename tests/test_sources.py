@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
@@ -340,6 +342,51 @@ def test_walk_shorter_than_the_context_gives_the_block_law(t):
     words, log_probs = sources._walk_batch(model, uniforms)
     assert words.shape == (200, t)
     assert log_probs.tolist() == [model.log2_block_prob(word) for word in words]
+
+
+@st.composite
+def walk_cases(draw):
+    """A model whose rows may hold zeros or be near-deterministic, and uniforms
+    drawn freely or placed on its cumulative thresholds and their neighbours."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    weights = np.array(
+        draw(st.lists(st.integers(0, 4), min_size=n ** (k + 1), max_size=n ** (k + 1))),
+        dtype=float,
+    ).reshape(n**k, n)
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    for row in draw(st.lists(st.integers(0, n**k - 1), max_size=3)):
+        tiny = draw(st.sampled_from([5e-324, 1e-300, 1e-17, 1e-12]))
+        rows[row] = tiny
+        rows[row, draw(st.integers(0, n - 1))] = 1.0 - (n - 1) * tiny
+    try:
+        model = sources.make_bernoulli(rows[0]) if k == 0 else sources.make_markov(n, k, rows)
+    except (NotErgodicError, np.linalg.LinAlgError):
+        # tiny entries that vanish in I - P leave the chain numerically
+        # reducible, and the stationary solve then meets a singular matrix
+        assume(False)
+    cuts = np.concatenate(
+        [np.cumsum(model.stationary), np.cumsum(model.transition, axis=1).ravel()]
+    )
+    placed = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0)])
+    t = draw(st.integers(0, k + 4))
+    batch = draw(st.integers(1, 6))
+    values = st.sampled_from(placed.tolist()) | st.floats(0.0, 1.0, exclude_max=True)
+    cells = draw(st.lists(values, min_size=batch * (t + 1), max_size=batch * (t + 1)))
+    return model, np.array(cells).reshape(batch, t + 1)
+
+
+@given(walk_cases())
+def test_walk_matches_the_row_gather_oracle_bit_for_bit(case):
+    model, uniforms = case
+    words, log_probs = sources._walk_batch(model, uniforms)
+    expected_words, expected_log = oracles.markov_walk(model, uniforms)
+    assert words.dtype == np.int64 and np.array_equal(words, expected_words)
+    if model.order:  # a transposed time-major array, so each position is contiguous
+        assert words.flags.f_contiguous
+    got, want = np.asarray(log_probs), np.asarray(expected_log)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_train_alternating_stream_is_deterministic_flip():
