@@ -60,13 +60,13 @@ class CipherSpec:
         d.flags.writeable = False
 
     def _build_key_table(self):
-        n = self._n
-        table = np.full((n, n), -1, dtype=np.int64)
-        for x in range(n):
-            z_of_y = self._coder[x]
-            if np.unique(z_of_y).size != n:
-                return None
-            table[x, z_of_y] = np.arange(n)
+        # key-recoverable iff every row c(x, .) is a permutation; then
+        # table[x, c(x, y)] = y
+        keys = np.broadcast_to(np.arange(self._n), (self._n, self._n))
+        if not np.array_equal(np.sort(self._coder, axis=1), keys):
+            return None
+        table = np.empty_like(self._coder)
+        np.put_along_axis(table, self._coder, keys, axis=1)
         table.flags.writeable = False
         return table
 

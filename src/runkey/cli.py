@@ -96,6 +96,16 @@ def _float_list(text: str) -> list[float]:
     return _values(text, float)
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid int value: {text!r}") from exc
+    if value < 0:
+        raise ConfigError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _load_source(spec_text: str):
     """Resolve a model argument: inline ``uniform:``/``bernoulli:`` or a file path."""
     if spec_text.startswith("uniform:"):
@@ -480,7 +490,7 @@ def _build_parser() -> _Parser:
 
     def add_report(p, *, seed=False, seed_required=False):
         if seed:
-            p.add_argument("--seed", type=int, required=seed_required)
+            p.add_argument("--seed", type=_seed, required=seed_required)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
 

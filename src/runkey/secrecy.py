@@ -19,6 +19,7 @@ stream drifts away from the one-time pad.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,11 +261,107 @@ class ConcentrationReport:
         }
 
 
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _int_words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative integer, low word first."""
+    value = operator.index(value)
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: its multiplier advances with every call."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(column).generate_state(4, np.uint64)`` for every column.
+
+    ``entropy`` is (L, rows) uint32, one column per sample's entropy words,
+    L >= 4 (the pool size, so no zero padding applies).  The pool mixing and
+    the state generation run on all columns at once in wrapping uint32
+    arithmetic.  Returns (rows, 4) uint64: PCG64's seed (words 0, 1) and
+    stream (words 2, 3), high word first.
+    """
+    hashmix = _hasher(*_HASH_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(*_HASH_B)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int):
+    """``PCG64(SeedSequence((seed, t, i, stream))).state["state"]``, start <= i < stop.
+
+    Computed, not constructed: the entropy words of all indices with the same
+    number of 32-bit words (below 2**32, from 2**32 to 2**64) go through
+    :func:`_seed_sequence_states` at once, and PCG64's srandom (two 128-bit
+    LCG steps from state 0) runs per index on Python ints.  Indices must be
+    below 2**64.
+    """
+    head, tail = _int_words(seed) + _int_words(t), _int_words(stream)
+    lo = start
+    while lo < stop:
+        width = len(_int_words(lo))
+        hi = min(stop, 1 << 32 * width)
+        index = np.arange(lo, hi, dtype=np.uint64)
+        words = [np.full(hi - lo, word, dtype=np.uint32) for word in head]
+        words += [(index >> np.uint64(32 * j)).astype(np.uint32) for j in range(width)]
+        words += [np.full(hi - lo, word, dtype=np.uint32) for word in tail]
+        for s_hi, s_lo, i_hi, i_lo in _seed_sequence_states(np.array(words)).tolist():
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            yield {"state": state, "inc": inc}
+        lo = hi
+
+
 def _uniforms(seed: int, t: int, start: int, stop: int, stream: int) -> np.ndarray:
-    """One stream's (stop - start, t+1) uniforms; sample i's row from its own seed."""
+    """One stream's (stop - start, t+1) uniforms; sample i's row from its own seed.
+
+    Row i - start is bit for bit ``default_rng(SeedSequence((seed, t, i,
+    stream))).random(t + 1)``.  The seeding is computed a chunk at once by
+    :func:`_pcg64_states`, not constructed per sample: each state is loaded
+    into one reused PCG64 through its public ``state`` setter, and one reused
+    Generator fills the row.
+    """
     out = np.empty((stop - start, t + 1))
-    for row, index in zip(out, range(start, stop)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t, index, stream)))
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for row, state in zip(out, _pcg64_states(seed, t, start, stop, stream)):
+        bit_gen.state = {
+            "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
+        }
         rng.random(out=row)
     return out
 
@@ -291,10 +388,13 @@ def concentration_experiment(
     around ``h_ref``.  The recursion costs n**(K+1) multiply-adds per sample
     and symbol, K the larger of the driving source's order and the other's
     order plus one (see :meth:`runkey.inference._ProductChain.forward_log2`).
-    Per-sample seeds derive from ``(seed, t, sample_index, stream)``, so
-    identical arguments give identical reports; the batch width moves the
-    statistics only by float rounding.  epsilon and a given ``h_ref`` must
-    be finite, and are checked before the bracket is enumerated.
+    Sample i at length t draws its plaintext and key uniforms from
+    ``default_rng(SeedSequence((seed, t, i, stream)))``, stream 0 and 1, bit
+    for bit; the seeding is computed a chunk at once (see :func:`_uniforms`),
+    not constructed per sample.  So identical arguments give identical
+    reports, and the batch width moves the statistics only by float
+    rounding.  ``seed`` must be a non-negative integer, and epsilon and a
+    given ``h_ref`` finite; all are checked before the bracket is enumerated.
 
     Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows, and within a chunk
     at most three (rows, t+1)-sized arrays are alive at once: one stream's
@@ -303,6 +403,8 @@ def concentration_experiment(
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError("need 0 < delta < 1")
     if samples < 1:

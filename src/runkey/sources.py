@@ -64,6 +64,9 @@ _SAVE_DISTINCT_SHARE = 0.25
 # than this share of the table's entries; a cached token takes ~110 bytes,
 # against its table entry's 8
 _LOAD_CACHE_SHARE = 1 / 32
+# the order-0 walk draws its words and their log terms in row blocks of at most
+# this many cells, so it holds no batch-sized array beside its words
+_GATHER_CELLS = 1 << 16
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:
@@ -159,7 +162,9 @@ def _stationary_law(table: np.ndarray) -> np.ndarray:
     Up to ``_SOLVE_CONTEXTS`` contexts it solves ``pi (I - P + 1 1^T) = 1^T``
     on the dense context matrix, whose only solution is the stationary law
     when the chain has one closed class; larger chains use power iteration.
-    Either result is clipped at 0 and renormalised.
+    Either result is clipped at 0 and renormalised.  A singular system
+    means entries too small to survive ``I - P`` split the closed class
+    numerically, and raises NotErgodicError.
     """
     size, n = table.shape
     if size > _SOLVE_CONTEXTS:
@@ -167,7 +172,14 @@ def _stationary_law(table: np.ndarray) -> np.ndarray:
     rows = np.repeat(np.arange(size), n)
     cols = (rows * n + np.tile(np.arange(n), size)) % size
     chain = np.bincount(rows * size + cols, table.ravel(), size * size).reshape(size, size)
-    pi = np.maximum(np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size)), 0.0)
+    try:
+        pi = np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size))
+    except np.linalg.LinAlgError as exc:
+        raise NotErgodicError(
+            "the chain is numerically reducible: transition probabilities too "
+            "small to register against 1 split its closed class"
+        ) from exc
+    pi = np.maximum(pi, 0.0)
     return pi / pi.sum()
 
 
@@ -178,8 +190,9 @@ def stationary_distribution(transition) -> np.ndarray:
     checked and solved by the same code as a model's context chain.
     Raises NotErgodicError when the chain has more than one closed class
     (the fixed point is then not unique; transient states are fine and get
-    mass 0), and, above 64 states, ConvergenceError when power iteration
-    does not reach an L1 step residual of 1e-12 in 10**6 steps.
+    mass 0) or is numerically reducible, and, above 64 states,
+    ConvergenceError when power iteration does not reach an L1 step residual
+    of 1e-12 in 10**6 steps.
     """
     matrix = np.asarray(transition, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -393,11 +406,18 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
     )
     log_t = _log2_safe(model.transition)
     if k == 0:
-        cum = np.cumsum(model.transition[0])
-        words = np.minimum(
-            np.searchsorted(cum, uniforms[:, 1:], side="right"), n - 1
-        ).astype(np.int64)
-        return words, log_t[0][words].sum(axis=1)
+        thresholds = np.cumsum(model.transition[0])[:-1]
+        words = np.empty((batch, t), dtype=np.int64)
+        log_probs = np.empty(batch)
+        # row blocks: searchsorted copies its strided input, and a gather holds
+        # one float per symbol; each row still sums on its own, to the same bits
+        step = max(1, _GATHER_CELLS // max(t, 1))
+        for lo in range(0, batch, step):
+            block = words[lo:lo + step]
+            block[...] = np.searchsorted(thresholds, uniforms[lo:lo + step, 1:],
+                                         side="right")
+            log_probs[lo:lo + step] = log_t[0].take(block).sum(axis=1)
+        return words, log_probs
 
     thresholds = np.ascontiguousarray(np.cumsum(model.transition, axis=1)[:, :-1].T)
     # a step's log term and next context, indexed by state * n + symbol

@@ -116,3 +116,46 @@ def test_key_table_gives_the_key_of_every_pair(spec):
         assert sorted(spec.key_table[x].tolist()) == list(range(n))
         for z in range(n):
             assert spec.coder[x, spec.key_table[x, z]] == z
+
+
+def _brute_key_table(coder):
+    """key_table by search: the one y with c(x, y) = z, or None for any pair
+    reached through several keys."""
+    n = coder.shape[0]
+    table = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        for z in range(n):
+            keys = [y for y in range(n) if coder[x, y] == z]
+            if len(keys) != 1:
+                return None
+            table[x, z] = keys[0]
+    return table
+
+
+def _spec_of(coder):
+    coder = np.asarray(coder)
+    n = coder.shape[0]
+    decoder = np.empty_like(coder)
+    for y in range(n):
+        decoder[coder[:, y], y] = np.arange(n)
+    return cipher.CipherSpec(n, coder, decoder)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_key_table_matches_the_brute_force_table(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    spec = latin_square_cipher(rng, n)
+    # permuting the key symbols keeps every row c(x, .) a permutation
+    shuffled = _spec_of(spec.coder[:, rng.permutation(n)])
+    for each in (spec, shuffled):
+        assert np.array_equal(each.key_table, _brute_key_table(each.coder))
+        assert not each.key_table.flags.writeable
+
+
+def test_key_table_is_none_when_a_later_row_repeats_a_symbol():
+    # every column is a bijection (a valid cipher) and row 0 is a permutation,
+    # but rows 1 and 2 reach a ciphertext symbol through two keys
+    spec = _spec_of([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+    assert _brute_key_table(spec.coder) is None
+    assert spec.key_table is None

@@ -445,6 +445,25 @@ def test_nan_band_option_exits_2_before_any_enumeration(case, x_model, monkeypat
     assert "nan" in line
 
 
+NEGATIVE_SEED_ARGV = {
+    "smb": ["smb", "--t", "10", "--samples", "4", "--eps", "0.05", "--delta", "0.1",
+            "--h-ref", "0.5", "--seed", "-1"],
+    "psi-t": ["psi", "--t", "10", "--eps", "0.1", "--h-ref", "0.5", "--seed", "-1"],
+    "sweep": ["sweep", "--tau", "0.01", "--m", "2", "--t", "10", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEED_ARGV))
+def test_negative_seed_is_rejected_by_the_parser(case, x_model, capsys):
+    subcommand, *rest = NEGATIVE_SEED_ARGV[case]
+    models = ["--x-model", x_model]
+    if subcommand != "sweep":
+        models += ["--y-model", KEY]
+    assert cli.main([subcommand, *models, *rest]) == 2
+    assert _error_line(capsys) == (
+        "error: config: argument --seed: must be a non-negative integer, got -1")
+
+
 def test_report_for_another_subcommand_is_rejected(x_model, tmp_path, capsys):
     report = tmp_path / "bounds.csv"
     argv = ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "2",
@@ -547,6 +566,16 @@ def test_malformed_model_file_exits_2(case, tmp_path, capsys):
     assert message.startswith("error: config:")
     if line is not None:
         assert message.startswith(f"error: config: line {line}:")
+
+
+def test_numerically_reducible_model_exits_2(tmp_path, capsys):
+    # both off-diagonal entries vanish against 1 in I - P: the stationary
+    # solve meets a singular matrix
+    path = tmp_path / "stuck.model"
+    path.write_text("n 2\norder 1\nrow 0 1 5e-324\nrow 1 5e-324 1\n")
+    assert cli.main(["entropy", "--x-model", str(path)]) == 2
+    assert _error_line(capsys).startswith(
+        "error: config: the chain is numerically reducible")
 
 
 @pytest.mark.parametrize("n, k", [(2, 30), (256, 4)])
@@ -690,18 +719,20 @@ def test_module_entry_point(tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error: config:")
 
 
-_SCIPY_PROBE = """
+_MODULE_PROBE = """
 import sys
 from runkey import cli
-for argv in sys.argv[1:]:
+package = sys.argv[1]
+for argv in sys.argv[2:]:
     assert cli.main(argv.split()) == 0, argv
-print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("modules:", *sorted(m for m in sys.modules
+                          if m == package or m.startswith(package + ".")))
 """
 
 
-def _scipy_modules_after(argvs, cwd):
-    probe = _python("-c", _SCIPY_PROBE, *argvs, cwd=cwd, text=True, check=True)
-    line = next(x for x in probe.stdout.splitlines() if x.startswith("scipy:"))
+def _modules_after(package, argvs, cwd):
+    probe = _python("-c", _MODULE_PROBE, package, *argvs, cwd=cwd, text=True, check=True)
+    line = next(x for x in probe.stdout.splitlines() if x.startswith("modules:"))
     return line.split()[1:]
 
 
@@ -720,15 +751,25 @@ def test_scipy_imported_only_for_sparse_operators(tmp_path):
         f"smb {pair} --t 20 --samples 8 --eps 0.05 --delta 0.05 --seed 1 "
         "--h-ref 0.7 --out smb.json",
     ]
-    assert _scipy_modules_after(dense, tmp_path) == []
+    assert _modules_after("scipy", dense, tmp_path) == []
     # order 9 against order 2: S = 2048, over the dense cell budget; neither the
     # forward nor the bracket enumeration builds operators
     sparse = "--x-model x9.model --y-model y2.model"
     smb = [f"smb {sparse} --t 20 --samples 8 --eps 0.05 --delta 0.05 --seed 1 "
            "--h-ref 0.7 --out smb.json"]
-    assert _scipy_modules_after(smb, tmp_path) == []
+    assert _modules_after("scipy", smb, tmp_path) == []
     bounds = [f"bounds {sparse} --m 0 --out bounds.json"]
-    assert _scipy_modules_after(bounds, tmp_path) == []
+    assert _modules_after("scipy", bounds, tmp_path) == []
+
+
+def test_smb_does_not_import_numpy_ma(x_model, tmp_path):
+    # np.unique imports numpy.ma on first use (numpy 2.4), a cost every run
+    # paid; the key table and the sampler need neither
+    key = tmp_path / "y.model"
+    sources.save_model(sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]]), str(key))
+    smb = [f"smb --x-model {x_model} --y-model {key} --t 20 --samples 8 --eps 0.05 "
+           "--delta 0.05 --seed 1 --out smb.json"]
+    assert _modules_after("numpy.ma", smb, tmp_path) == []
 
 
 _TRACED = """

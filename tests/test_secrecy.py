@@ -202,6 +202,42 @@ def test_concentration_statistic_matches_direct_posterior():
     assert abs(report.means[0] - expected) <= 1e-10
 
 
+def _numpy_rows(seed, t, start, stop, stream):
+    """The per-sample construction the chunked seeding must reproduce."""
+    seqs = [np.random.SeedSequence((seed, t, i, stream)) for i in range(start, stop)]
+    states = [np.random.PCG64(seq).state["state"] for seq in seqs]
+    rows = np.array([np.random.default_rng(seq).random(t + 1) for seq in seqs])
+    return states, rows.reshape(stop - start, t + 1)
+
+
+def _assert_seeded_like_numpy(seed, t, start, stop, stream):
+    states, rows = _numpy_rows(seed, t, start, stop, stream)
+    assert list(secrecy._pcg64_states(seed, t, start, stop, stream)) == states
+    got = secrecy._uniforms(seed, t, start, stop, stream)
+    assert got.shape == rows.shape
+    assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+
+
+@given(
+    seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**70),
+    t=st.integers(0, 50),
+    stream=st.integers(0, 1),
+    boundary=st.integers(0, 2),
+    offset=st.integers(-4, 4),
+    width=st.integers(1, 9),
+)
+def test_uniforms_are_seeded_like_numpy(seed, t, stream, boundary, offset, width):
+    # spans around a chunk boundary, as concentration_experiment cuts them
+    start = max(0, boundary * secrecy._SAMPLE_CHUNK + offset)
+    _assert_seeded_like_numpy(seed, t, start, start + width, stream)
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(2**64 - 1)], ids=str)
+def test_uniforms_across_the_two_word_index_boundary(seed):
+    # indices below 2**32 give SeedSequence one entropy word, from 2**32 two
+    _assert_seeded_like_numpy(seed, 3, 2**32 - 2, 2**32 + 2, 1)
+
+
 def test_concentration_determinism_across_chunk_sizes(monkeypatch):
     kwargs = dict(t_list=[40, 80], samples=500, epsilon=0.05, delta=0.01, seed=12)
     reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
@@ -215,20 +251,21 @@ def test_concentration_determinism_across_chunk_sizes(monkeypatch):
 
 def test_concentration_sampling_memory_is_three_arrays_of_a_chunk():
     # at most one stream's uniforms and two word arrays at once (3.0x): 5.0x
-    # with both streams' uniforms and all three word arrays alive.  Both
-    # sources have order 1; the order-0 walk holds one more array (4.0x).
-    key = sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]])
+    # with both streams' uniforms and all three word arrays alive.  The key
+    # is walked while the plaintext words are alive, so an order-0 key's walk
+    # may hold no batch-sized array beyond its words.
     samples, t = 2048, 800
-    secrecy.concentration_experiment(MARKOV, key, SPEC2, [2], 2, 0.05, 0.01, seed=1)
-    tracemalloc.start()
-    try:
-        secrecy.concentration_experiment(
-            MARKOV, key, SPEC2, [t], samples, 0.05, 0.01, seed=1, h_ref=0.5
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * samples * (t + 1) * 8
+    for key in (sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]]), BIASED):
+        secrecy.concentration_experiment(MARKOV, key, SPEC2, [2], 2, 0.05, 0.01, seed=1)
+        tracemalloc.start()
+        try:
+            secrecy.concentration_experiment(
+                MARKOV, key, SPEC2, [t], samples, 0.05, 0.01, seed=1, h_ref=0.5
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * samples * (t + 1) * 8, key.order
 
 
 def test_concentration_validates_arguments():
@@ -241,6 +278,19 @@ def test_concentration_validates_arguments():
     ident = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
     with pytest.raises(UnsupportedCipherError):
         secrecy.concentration_experiment(MARKOV, BIASED, ident, [10], 5, 0.05, 0.01, seed=1)
+
+
+def test_concentration_rejects_a_negative_seed_before_the_bracket(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the bracket was enumerated")
+
+    monkeypatch.setattr(secrecy, "hxz_bracket", enumerated)
+    with pytest.raises(ValueError, match="seed"):
+        secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 5, 0.05, 0.01,
+                                         seed=-1)
+    with pytest.raises(TypeError):
+        secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 5, 0.05, 0.01,
+                                         seed=1.0)
 
 
 # -- certified bounds -----------------------------------------------------------------
