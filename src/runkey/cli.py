@@ -536,7 +536,9 @@ def _build_parser() -> _Parser:
     target.add_argument("--z", help="one ciphertext as base-n text")
     target.add_argument("--t", dest="t_list", type=_int_list,
                         help="lengths of sampled ciphertexts (needs --seed)")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=float, required=True,
+                   help="set width: a member's per-letter surprisal W has "
+                        "|W - h_ref| < eps/2")
     p.add_argument("--m", type=int, default=8, help="bracket order for h_ref")
     p.add_argument("--h-ref", type=float, default=None)
     p.add_argument("--member-cap", type=int, default=1 << 22)
@@ -547,16 +549,21 @@ def _build_parser() -> _Parser:
     add_models(p)
     p.add_argument("--t", dest="t_list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=float, required=True,
+                   help="band half-width: a sample counts when its per-letter "
+                        "surprisal W has |W - h_ref| < eps")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--m", type=int, default=10,
+                   help="bracket order for h_ref when --h-ref is not given")
     p.add_argument("--h-ref", type=float, default=None)
     add_report(p, seed=True, seed_required=True)
 
     p = sub.add_parser("bounds", help="certified equivocation bounds")
     p.set_defaults(run=_cmd_bounds)
     add_models(p)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help="bracket order: H(Z_m+1 | Z^m, S_1) <= h(Z) <= "
+                        "H(Z_m+1 | Z^m)")
     add_report(p)
 
     p = sub.add_parser("sweep", help="key-bias robustness sweep")

@@ -19,11 +19,10 @@ built on that identity:
   driver (one stacked matmul a step, over at most max(S, n) states for a
   key-recoverable cipher when the product chain has S), not over the
   product chain itself;
-- :func:`z_block_entropies` and the brackets enumerate the ciphertext
-  prefix tree on the same step, depth first: its rows are prefixes (paired
-  with the hidden start state for the lower end) and its columns the
-  driver's last K symbols.  No computation uses the product chain's S x S
-  operators;
+- :func:`z_block_entropies` and the brackets descend the ciphertext suffix
+  tree depth first, backward: a word's law given each product state, over
+  the S states, gives a child's at n * S multiply-adds, for every cipher.
+  No computation uses the product chain's S x S operators;
 - :func:`hm_conditional` evaluates the m-order conditional entropy
   ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
   a bijective re-indexing of the independent (X, Y) law);
@@ -36,8 +35,8 @@ built on that identity:
   cancel), so one enumeration gives both ends for every order up to m,
   and that trail is certified monotone.
 
-Enumerations run over fixed-size index blocks, one after another in index
-order, so their working memory stays bounded.  The caps are module constants
+Enumerations run over fixed-size blocks, one after another, so their
+working memory stays bounded.  The caps are module constants
 checked where the memory is allocated, not arguments.
 """
 
@@ -58,8 +57,9 @@ from .errors import (
 from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, _open_for, xlog2x
 from .words import as_word, digits, render, word_to_index
 
-# stored entries of the product-chain operators, n * n * S before the build
-# sums duplicates; a byte-alphabet pair with S = 256 contexts is exactly at it
+# entries of the product chain's step tables, n * n * S (the enumeration's
+# weight and successor tables, each that size), and of the forward's factor
+# table; a byte-alphabet pair with S = 256 contexts is exactly at it
 DEFAULT_ENTRY_CAP = 1 << 24
 
 # float64 cells (32 MiB) per dense operator and per forward batch; it exists
@@ -74,8 +74,8 @@ _BLOCK_WORDS = 1 << 16
 # 100 bytes of int64 and Python objects, against 8 bytes for its value
 _CSV_ROWS = 1 << 12
 
-# float64 cells (128 KiB) per block of the ciphertext block enumeration; it
-# bounds working memory, and larger blocks measured no faster
+# float64 cells (128 KiB), S x words, in the children of one block of the
+# ciphertext block enumeration; it bounds working memory whatever the depth
 _ENUM_CELL = 1 << 14
 
 # distance from 1 allowed for the posterior mass, the sum over the
@@ -122,7 +122,7 @@ def _check_alphabets(xm: SourceModel, ym: SourceModel, spec: CipherSpec) -> int:
 
 
 class _DriverStep:
-    """One step of a recursion given z over the driver's last K symbols.
+    """One step of the forward recursion given z, over the driver's last K symbols.
 
     Given z, the key symbol is a function of the plaintext symbol
     (``key_table[a, z]``, key-recoverable ciphers) and the plaintext symbol
@@ -132,7 +132,8 @@ class _DriverStep:
     the plaintext, if the cipher is key-recoverable).  A state is the
     driver's last ``K = max(k_D, k_O + 1)`` symbols, packed; for a
     key-recoverable cipher n**K is at most max(S, n), and always at most
-    n * S.  Fronts are state-major, ``(n**K, batch)``.
+    n * S.  Fronts are state-major, ``(n**K, batch)``.  Only the forward
+    uses it; the block enumeration runs over the product states instead.
 
     A step is :meth:`mix`, one stacked (n, n) matmul of the driver's table,
     times the other source's factor.  That factor depends only on the
@@ -186,8 +187,8 @@ class _ProductChain:
     States are pairs (plaintext context, key context) packed as
     ``sx * Sy + sy``, with the stationary law ``alpha0``.  Construction
     checks the entry cap (n * n * S) and stores only ``alpha0``; the
-    forward and the block enumeration both run on :attr:`step`, over the
-    driver's last K symbols, never over the S states.
+    forward runs on :attr:`step`, over the driver's last K symbols, and the
+    block enumeration on n * n * S step tables over the S states.
 
     ``A`` (for each ciphertext symbol v, ``A[v][s, s']`` is the probability
     of emitting v from state s while moving to s'; a dense (n, S, S) stack
@@ -547,24 +548,6 @@ def z_block_entropies(
     return _entropies_for_chain(chain, length, with_start=False)[0]
 
 
-def _pushed_law(model: SourceModel, length: int) -> np.ndarray:
-    """P(x_1..x_length) for every packed word, the context at time 1 stationary.
-
-    The chain itself moves the stationary vector along, as the product
-    chain moves ``alpha0``; the block law instead reads the vector's
-    marginals, which differ from that by its stationarity residual.
-    """
-    n, k, table = model.alphabet_size, model.order, model.transition
-    law = model.stationary
-    for _ in range(min(length, k)):
-        # context (first symbol, rest) -> context (rest, next symbol)
-        law = (law.reshape(n, -1, 1) * table.reshape(n, -1, n)).sum(axis=0).ravel()
-    law = law.reshape(-1, n ** min(length, k)).sum(axis=0)
-    for _ in range(k, length):
-        law = (law.reshape(-1, model.num_states, 1) * table).ravel()
-    return law
-
-
 def _entropies_for_chain(
     chain: _ProductChain, length: int, with_start: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -572,22 +555,26 @@ def _entropies_for_chain(
 
     S_1 is the product state at time 1, drawn from ``alpha0``; index 0
     holds 0 and ``H(S_1)``.  The second is computed only ``with_start``
-    (else None).  Each is a depth-first descent of the ciphertext prefix
-    tree: rows are prefixes, for ``H(Z^j, S_1)`` paired with every start
-    state of positive weight, and columns the driver's last K symbols, so a
-    level is one :meth:`_DriverStep.mix` of which child v takes
-    ``lookup[:, recent * n + v]``.  The first ``min(length, K)`` levels are
-    built directly, as ``P_X(x) P_Y(y)`` from :func:`_pushed_law` for
-    ``H(Z^j)`` and as ``alpha0(s) P_X(x | s) P_Y(y | s)`` for
-    ``H(Z^j, S_1)``.
+    (else None).  Both come from one backward, depth-first descent of the
+    ciphertext suffix tree, which works for every cipher.  With
+    ``beta_w(s) = P(Z_1..Z_j = w | S_1 = s)`` (``beta`` of the empty word
+    is 1), a child prepends a symbol:
+    ``beta_{a w}(s) = sum T_X(s_x, x) T_Y(s_y, y) beta_w(s')`` over the n
+    pairs (x, y) that the cipher maps to a, s' the successor of s under the
+    pair.  Then ``H(Z^j) = -sum_w xlog2x(alpha0 . beta_w)`` and
+    ``H(Z^j, S_1) = -sum_{w, s} xlog2x(alpha0(s) beta_w(s))``; a word costs
+    n * S multiply-adds.
 
-    Rows go in blocks whose children hold at most ``_ENUM_CELL`` cells (one
-    row at least: n * n**K cells, which the entry cap bounds by n * n * S).
-    Row terms are added child after child and head row after head row, in
-    an order the blocks do not change, so the block size moves a result
-    only through the matmul's rounding.
+    Blocks are (S, r) arrays of the words at one depth.  A block's children,
+    word ``a w`` in column ``a * r + w``, hold at most ``_ENUM_CELL`` cells
+    (one parent word at least: n * S cells, which the entry cap bounds).
+    They go on in blocks of at most ``_ENUM_CELL // (n * S)`` words, each
+    descended before the next.  Every word's beta and terms are computed the
+    same way in any block (sums over states row by row, over pairs and
+    over children in symbol order), so the block size changes no bit.
+    ``with_start=False`` reads the same beta and skips the joint sum.
     """
-    n = chain.n
+    n, size, alpha0 = chain.n, chain.size, chain.alpha0
     if length < 1:
         raise ValueError("block length must be >= 1")
     if n**length > DEFAULT_WORD_CAP:
@@ -595,87 +582,51 @@ def _entropies_for_chain(
             f"enumerating {n}**{length} ciphertext blocks exceeds cap "
             f"{DEFAULT_WORD_CAP}"
         )
-    step = chain.step
-    xm, ym, recover, window = chain.xm, chain.ym, step.recover, step.window
-    head = min(length, step.k)
-    rows = max(1, _ENUM_CELL // (n * n**step.k))
-    spread = np.arange(n)
+    xm, ym = chain.xm, chain.ym
+    plain_of = chain.spec.decoder.T.astype(np.int32)  # [y, a]
+    sx, sy = xm.num_states, ym.num_states
+    # weight[y, s, a] and successor[y, s, a]: the key emits y and the plaintext
+    # plain_of[y, a] from state s = (s_x, s_y); n * n * S entries each, which
+    # the entry cap bounds (192 MB in all at the cap)
+    weight = (xm.transition[:, plain_of].transpose(1, 0, 2)[:, :, None, :]
+              * ym.transition.T[:, None, :, None]).reshape(n, size, n)
+    states_x, states_y = np.arange(sx, dtype=np.int32), np.arange(sy, dtype=np.int32)
+    next_x = states_x[None, :, None] * n + plain_of[:, None, :]
+    next_x %= sx  # in place: with S_Y = 1 it is as large as the table
+    next_x *= sy
+    next_y = (states_y[None, :] * n + np.arange(n, dtype=np.int32)[:, None]) % sy
+    successor = (next_x[:, :, None, :] + next_y[:, None, :, None]).reshape(n, size, n)
+    words = max(1, _ENUM_CELL // (n * size))
 
-    def below(front, recent, depth):
-        """Entropy terms of the descendants of a (n**K, r) block at ``depth``.
+    def below(beta, depth):
+        """Entropy terms of the descendants of the (S, r) block ``beta`` at ``depth``.
 
-        ``recent`` holds each column's packed ciphertext prefix, of which
-        only the last k_O symbols are read.  Row i of the (length - depth, r)
-        result sums each column's descendants i + 1 levels down, child after
-        child in symbol order.
+        Row i of each channel of the (channels, length - depth, r) result
+        sums each column's descendants i + 1 levels down.
         """
-        r = front.shape[1]
-        codes = spread[:, None] + recent % step.keep * n  # children (v, row)
-        level = step.mix(front, np.empty_like(front)).reshape(-1, window, 1, r)
-        level = (level * np.take(step.lookup, codes, axis=1)).reshape(-1, n * r)
-        terms = -xlog2x(level.sum(axis=0))[None, :]  # n * r > 1 columns: row by row
+        r = beta.shape[1]
+        child = weight[0][:, :, None] * np.take(beta, successor[0], axis=0)
+        for y in range(1, n):
+            child += weight[y][:, :, None] * np.take(beta, successor[y], axis=0)
+        child = child.reshape(size, n * r)  # word a w in column a * r + w
+        mass = child * alpha0[:, None]
+        channels = [-xlog2x(mass.sum(axis=0))]  # n * r > 1 columns: row by row
+        if with_start:
+            channels.append(-xlog2x(mass).sum(axis=0))
+        del mass
+        terms = np.stack(channels)[:, None, :]
         if depth + 1 < length:
-            codes = codes.ravel()
-            deeper = [
-                below(np.ascontiguousarray(level[:, s : s + rows]), codes[s : s + rows],
-                      depth + 1)
-                for s in range(0, n * r, rows)
-            ]
-            terms = np.vstack([terms, np.hstack(deeper)])
-        return np.add.accumulate(terms.reshape(-1, n, r), axis=1)[:, -1]
+            deeper = [below(child[:, s : s + words], depth + 1)
+                      for s in range(0, n * r, words)]
+            terms = np.concatenate([terms, np.concatenate(deeper, axis=2)], axis=1)
+        levels = terms.reshape(len(channels), -1, n, r)
+        return np.add.accumulate(levels, axis=2)[:, :, -1]
 
-    def enumerate_from(count, head_block, totals):
-        """Levels 1..head from ``head_block(j, start, stop)``, the rest below them.
-
-        Head rows are added one after another in index order.
-        """
-        for j in range(1, head + 1):
-            for start in range(0, count(j), rows):
-                front, prefixes = head_block(j, start, min(start + rows, count(j)))
-                terms = -xlog2x(np.add.accumulate(front, axis=0)[-1])[None, :]
-                if j == head < length:
-                    terms = np.vstack([terms, below(front, prefixes, j)])
-                levels = slice(j, j + terms.shape[0])
-                added = np.column_stack([totals[levels], terms])
-                totals[levels] = np.add.accumulate(added, axis=1)[:, -1]
-        return totals
-
-    laws = [(_pushed_law(step.drive, j), _pushed_law(step.other, j))
-            for j in range(head + 1)]
-
-    def stationary_block(j, start, stop):
-        drive, other = laws[j]
-        recovered = _recovered(recover, digits(n, j, start, stop))
-        return drive[:, None] * other[recovered], np.arange(start, stop)
-
-    plain = enumerate_from(lambda j: n**j, stationary_block, np.zeros(length + 1))
+    totals = below(np.ones((size, 1)), 0)[:, :, 0]
+    plain = np.concatenate([[0.0], totals[0]])
     if not with_start:
         return plain, None
-
-    states = np.flatnonzero(chain.alpha0 > 0.0)
-    count = states.size
-
-    def start_block(j, start, stop):
-        # rows are (prefix, start state), prefix-major
-        prefix, state = np.divmod(np.arange(start, stop), count)
-        ciphertext = digits(n, j, prefix[0], prefix[-1] + 1)[prefix - prefix[0]]
-        state = states[state]
-        cx, cy = np.divmod(state, ym.num_states)
-        front = np.repeat(chain.alpha0[state][None, :], n**j, axis=0)
-        words = np.arange(n**j)[:, None]  # the driver's, packed
-        for i in range(j):
-            # symbol i of each driver word and of the other source's, per row
-            d = words // n ** (j - 1 - i) % n
-            e = recover[d, ciphertext[:, i]]
-            a, b = (d, e) if step.x_drives else (e, d)
-            front *= xm.transition[cx, a] * ym.transition[cy, b]
-            cx = (cx * n + a) % xm.num_states
-            cy = (cy * n + b) % ym.num_states
-        return front, prefix
-
-    joint = np.zeros(length + 1)
-    joint[0] = -xlog2x(chain.alpha0).sum()
-    return plain, enumerate_from(lambda j: n**j * count, start_block, joint)
+    return plain, np.concatenate([[-xlog2x(alpha0).sum()], totals[1]])
 
 
 @dataclass(frozen=True)

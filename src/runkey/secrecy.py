@@ -109,6 +109,16 @@ def _check_band(
         raise ValueError("every length must be >= 1")
 
 
+def _check_seed(seed) -> None:
+    """Reject a sampling seed that is not a non-negative integer, by name."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+
+
 def build_typical_set(
     xm: SourceModel,
     ym: SourceModel,
@@ -197,9 +207,11 @@ def typical_set_growth(
 
     For each length a fresh (plaintext, key) pair is sampled from the models
     (seeds derived from ``(seed, t, stream)``), enciphered, and measured
-    with :func:`build_typical_set`.
+    with :func:`build_typical_set`.  ``seed`` must be a non-negative
+    integer; it is checked before the bracket is enumerated.
     """
     _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
+    _check_seed(seed)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     points = []
@@ -403,8 +415,7 @@ def concentration_experiment(
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)
-    if operator.index(seed) < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    _check_seed(seed)
     if not 0.0 < delta < 1.0:
         raise ValueError("need 0 < delta < 1")
     if samples < 1:
@@ -541,7 +552,8 @@ def robustness_sweep(
 
     At tau = 0 the key is the exact one-time pad and the report collapses to
     ``h(X|Z) = h(X)`` with zero key redundancy.  With ``t_list`` given (and a
-    seed for sampling), each report also carries a typical-set growth series.
+    seed for sampling, a non-negative integer checked before any bracket),
+    each report also carries a typical-set growth series.
     """
     if spec.alphabet_size != 2 or xm.alphabet_size != 2:
         raise ValueError("the bias sweep is defined for the binary alphabet")
@@ -549,6 +561,7 @@ def robustness_sweep(
         if seed is None:
             raise ValueError("growth series sampling needs a seed")
         _check_band(epsilon, member_cap=member_cap, lengths=t_list)
+        _check_seed(seed)
     reports = []
     for tau in taus:
         tau = float(tau)

@@ -507,6 +507,47 @@ def test_bracket_trail_off_its_monotone_course_exits_4(which, bend, message, x_m
     assert line.startswith("error: numeric:") and message in line
 
 
+def test_no_command_reads_the_product_chain_operators(report_argv, x_model, tmp_path,
+                                                     monkeypatch):
+    # the docstring of _ProductChain promises that nothing in the package reads A
+    def unread(chain):
+        raise AssertionError("_ProductChain.A was read")
+
+    monkeypatch.setattr(inference._ProductChain, "A", property(unread))
+    smb = ["smb", "--x-model", x_model, "--y-model", KEY, "--t", "4,9", "--samples",
+           "8", "--eps", "0.1", "--delta", "0.1", "--m", "3", "--seed", "2"]
+    for argv in (report_argv("bounds"), report_argv("psi-t"), report_argv("posterior"),
+                 smb):
+        assert cli.main(argv + ["--out", str(tmp_path / "report")]) == 0
+    key = sources.make_bernoulli([0.45, 0.55])
+    assert inference.hm_conditional(MARKOV, key, additive_cipher(2), 3) > 0.0
+
+
+def _option_help(subcommand: str, option: str, capsys) -> str:
+    """The help text of one option in ``runkey SUBCOMMAND --help``, on one line."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main([subcommand, "--help"])
+    assert exited.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(f"  {option} "))
+    entry = [lines[first]]
+    for line in lines[first + 1 :]:
+        if not line.startswith("   "):  # the next option, or the end
+            break
+        entry.append(line)
+    return " ".join(" ".join(entry).split())
+
+
+@pytest.mark.parametrize("subcommand, option, ending", [
+    ("psi", "--eps", "|W - h_ref| < eps/2"),
+    ("smb", "--eps", "|W - h_ref| < eps"),
+    ("smb", "--m", "bracket order for h_ref when --h-ref is not given"),
+    ("bounds", "--m", "H(Z_m+1 | Z^m, S_1) <= h(Z) <= H(Z_m+1 | Z^m)"),
+], ids=["psi-eps", "smb-eps", "smb-m", "bounds-m"])
+def test_help_says_what_eps_and_m_mean(subcommand, option, ending, capsys):
+    assert _option_help(subcommand, option, capsys).endswith(ending)
+
+
 def test_smb_over_the_entry_cap_exits_3(tmp_path, monkeypatch, capsys):
     # two order-1 models over n=4 store 4 * 4 * 16 operator entries
     model = sources.make_markov(4, 1, np.full((4, 4), 0.25))

@@ -468,20 +468,38 @@ def _certify_pair():
 
 
 def test_enumeration_blocks_bound_the_working_set(monkeypatch):
+    # m = 13: the deepest level alone, 2**14 words by S = 128 states, is 16 MB
     xm, ym = _certify_pair()
     inference.hz_bracket(xm, ym, SPEC2, 1)  # first-use allocations stay out of the peak
     tracemalloc.start()
     try:
-        reference = inference.hz_bracket(xm, ym, SPEC2, 10)
+        reference = inference.hz_bracket(xm, ym, SPEC2, 13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
-    # blocks of 8 rows (n * n**K = 64 cells a row) give the same ends
+    # blocks of 2 words (their children n * 2 * S = 512 cells) give the same ends
     monkeypatch.setattr(inference_module, "_ENUM_CELL", 2**9)
-    blocked = inference.hz_bracket(xm, ym, SPEC2, 10)
-    assert abs(blocked.lower - reference.lower) <= 1e-12
-    assert abs(blocked.upper - reference.upper) <= 1e-12
+    assert inference.hz_bracket(xm, ym, SPEC2, 13) == reference
+
+
+# the certify pair's m = 10 bracket ends and H(Z^j) trail, j <= 11, as the
+# forward-step enumeration computed them
+CERTIFY_ENDS = (0.9994486705400512, 0.9994538800045163)
+CERTIFY_TRAIL = [
+    0.0, 0.9998450440716282, 1.999358969886475, 2.9988569572689188,
+    3.9983378161944514, 4.997805426078086, 5.99726320812987, 6.996719520199504,
+    7.996174348853643, 8.995628740630538, 9.99508279674197, 10.994536676746486,
+]
+
+
+def test_certify_pair_bracket_pinned():
+    xm, ym = _certify_pair()
+    bracket = inference.hz_bracket(xm, ym, SPEC2, 10)
+    assert abs(bracket.lower - CERTIFY_ENDS[0]) <= 1e-12
+    assert abs(bracket.upper - CERTIFY_ENDS[1]) <= 1e-12
+    trail = inference.z_block_entropies(xm, ym, SPEC2, 11)
+    assert np.abs(trail - CERTIFY_TRAIL).max() <= 1e-12
 
 
 def test_posterior_blocks_bound_the_working_set(tmp_path):
@@ -566,16 +584,15 @@ def latin_square_cipher(rng, n):
 IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
 
 
-def test_bracket_factor_table_checked_against_the_entry_cap(monkeypatch):
-    # as in the forward: the key drives and the order-3 plaintext weighs it
-    # through a (2**4, 2**4) table; the product chain needs only 2*2*8 entries
+def test_bracket_runs_under_a_cap_that_stops_the_forward_factor_table(monkeypatch):
+    # the key drives the forward, and the order-3 plaintext weighs it through a
+    # (2**4, 2**4) factor table; the bracket needs only the chain's 2*2*8 entries
     xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
+    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
     bracket = inference.hz_bracket(xm, BIASED, IDENTITY2, 4)  # z = x, uniform
     assert abs(bracket.lower - 1.0) <= 1e-12 and abs(bracket.upper - 1.0) <= 1e-12
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
     with pytest.raises(StateCapError, match="factor table"):
-        inference.hz_bracket(xm, BIASED, IDENTITY2, 4)
+        inference.log_marginal_forward(xm, BIASED, IDENTITY2, [0, 1, 1, 0, 1])
 
 
 @pytest.mark.parametrize("spec", [

@@ -288,9 +288,28 @@ def test_concentration_rejects_a_negative_seed_before_the_bracket(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 5, 0.05, 0.01,
                                          seed=-1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="seed"):
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 5, 0.05, 0.01,
                                          seed=1.0)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError)])
+@pytest.mark.parametrize("run", [
+    lambda seed: secrecy.typical_set_growth(MARKOV, BIASED, SPEC2, [10], 0.1, seed),
+    lambda seed: secrecy.robustness_sweep(MARKOV, SPEC2, [0.01], 4, t_list=[10],
+                                          seed=seed),
+], ids=["growth", "sweep"])
+def test_growth_rejects_a_bad_seed_before_the_bracket(run, seed, error, monkeypatch):
+    calls = []
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return inference.hxz_bracket(*args, **kwargs)
+
+    monkeypatch.setattr(secrecy, "hxz_bracket", spied)
+    with pytest.raises(error, match="seed"):
+        run(seed)
+    assert calls == []
 
 
 # -- certified bounds -----------------------------------------------------------------
