@@ -15,12 +15,13 @@ Conventions used throughout:
   ``(s*n + a) % n**k``;
 - the stationary vector is the law of any k consecutive symbols, which makes
   block probabilities position-independent;
-- the stationary law of up to ``_SOLVE_CONTEXTS`` contexts is one dense
-  solve of ``pi (I - P + 1 1^T) = 1^T``, which is exact however slowly the
-  chain mixes;
+- the stationary law of up to ``_SOLVE_CONTEXTS`` contexts is the GTH
+  (Grassmann-Taksar-Heyman) elimination on the dense context matrix, which
+  is exact however slowly the chain mixes;
 - beyond that the context chain P is never stored: one step ``pi P`` is a
-  closed-form contraction of ``pi`` with the table.  It drives the half-lazy
-  power iteration for the stationary law and, at every size, the
+  closed-form contraction of ``pi`` with the table.  It drives the power
+  iteration for the stationary law (undamped for a positive table, which
+  is aperiodic; half-lazy for one with a zero) and, at every size, the
   ``pi = pi P`` residual certificate; only a table with a zero entry builds
   the chain's edge list, for the strong-component search of the ergodicity
   check.
@@ -52,11 +53,11 @@ _STATIONARY_TOL = 1e-10
 # power iteration stops at this L1 step residual, or fails after this many steps
 _POWER_TOL = 1e-12
 _POWER_STEPS = 10**6
-# up to this many contexts the stationary law is one dense linear solve; a
-# larger LU runs on BLAS threads (OpenBLAS: from 10**4 matrix entries), which
-# took 0.1-0.15 s to wake per solve at 128-256 contexts on a 2-vCPU VM,
-# against a few ms of power iteration for a fast-mixing chain
-_SOLVE_CONTEXTS = 64
+# up to this many contexts the stationary law is the GTH elimination, whose
+# cost grows as the cube of the contexts: 3-4 ms at 128, 17-19 ms at 256 and
+# 0.14 s at 512 on a 2-vCPU machine, against ~5 ms of power iteration for a
+# trained 256-context byte model
+_SOLVE_CONTEXTS = 128
 # save_model formats each distinct value once when at most this share of the
 # table's entries are distinct; an all-distinct table formats faster per entry
 _SAVE_DISTINCT_SHARE = 0.25
@@ -64,6 +65,10 @@ _SAVE_DISTINCT_SHARE = 0.25
 # than this share of the table's entries; a cached token takes ~110 bytes,
 # against its table entry's 8
 _LOAD_CACHE_SHARE = 1 / 32
+# in front of it, load_model copies a repeated row from the first state that had
+# the same text, until it holds more distinct rows than this share of the
+# table's rows; a cached row's text takes ~2.6 times its table row's bytes
+_LOAD_ROW_SHARE = 1 / 2
 # the order-0 walk draws its words and their log terms in row blocks of at most
 # this many cells, so it holds no batch-sized array beside its words
 _GATHER_CELLS = 1 << 16
@@ -112,16 +117,17 @@ def _step(pi: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ijk->jk", pi.reshape(n, -1), table.reshape(n, -1, n)).ravel()
 
 
-def _require_one_closed_class(table: np.ndarray) -> None:
-    """Raise NotErgodicError unless the context chain has exactly one closed class.
+def _closed_class(table: np.ndarray) -> np.ndarray:
+    """Boolean mask of the states in the context chain's one closed class.
 
-    A positive table needs no search: every context then reaches every other
+    Raises NotErgodicError unless the chain has exactly one closed class.  A
+    positive table needs no search: every context then reaches every other
     within k steps.  Only a table with a zero pays for the edge list, the
     strong-component search and its import.  A class is closed when no edge
-    leaves it.
+    leaves it; the states outside it are transient.
     """
     if table.all():
-        return
+        return np.ones(table.shape[0], dtype=bool)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -131,40 +137,81 @@ def _require_one_closed_class(table: np.ndarray) -> None:
     graph = csr_matrix((table[rows, syms], (rows, cols)), shape=(size, size))
     count, labels = connected_components(graph, connection="strong")
     leaving = labels[rows] != labels[cols]
-    if count - np.unique(labels[rows[leaving]]).size != 1:
+    closed = np.setdiff1d(np.arange(count), labels[rows[leaving]])
+    if closed.size != 1:
         raise NotErgodicError("the chain has more than one closed class")
+    return labels == closed[0]
 
 
 def _power_iteration(table: np.ndarray) -> np.ndarray:
-    """Stationary law of the context chain of ``table`` by damped power iteration.
+    """Stationary law of the context chain of ``table`` by power iteration.
 
-    The half-lazy update ``(pi + pi @ P) / 2`` has the same fixed point and
-    converges even for periodic chains.  The returned vector satisfies
+    A positive table is aperiodic (the context a...a leads to itself), so
+    it steps ``pi <- pi @ P``; a table with a zero takes the half-lazy step
+    ``(pi + pi @ P) / 2``, which has the same fixed point and converges even
+    for periodic chains.  The returned vector satisfies
     ``||pi @ P - pi||_1 < _POWER_TOL``.
     """
     size = table.shape[0]
+    lazy = not table.all()
     pi = np.full(size, 1.0 / size)
     for _ in range(_POWER_STEPS):
         nxt = _step(pi, table)
         if np.abs(nxt - pi).sum() < _POWER_TOL:
             pi = np.maximum(pi, 0.0)
             return pi / pi.sum()
-        pi = 0.5 * (nxt + pi)
+        pi = 0.5 * (nxt + pi) if lazy else nxt
     raise ConvergenceError(
         f"power iteration did not reach residual {_POWER_TOL:g} "
         f"in {_POWER_STEPS} steps"
     )
 
 
-def _stationary_law(table: np.ndarray) -> np.ndarray:
+def _gth(chain: np.ndarray) -> np.ndarray:
+    """Stationary law of an irreducible stochastic matrix by GTH elimination.
+
+    The Grassmann-Taksar-Heyman elimination censors the states out from the
+    last.  A state's pivot is the censored chain's mass from it to the
+    states before it, and each update adds products of non-negative
+    numbers, so nothing cancels however slowly the chain mixes.  A zero
+    pivot means entries too small to survive those products (two
+    subnormal-sized factors) split the chain numerically, and raises
+    NotErgodicError.  The back substitution keeps the largest entry at 1,
+    so no ratio of the law overflows.
+    """
+    # the law does not change when the matrix is scaled, and a power of 2
+    # scales exactly: 2**600 keeps products with a subnormal probability
+    # from underflowing, far below where sums of 128 entries would overflow
+    a = chain * 2.0**600
+    size = a.shape[0]
+    pivots = np.empty(size)
+    for k in range(size - 1, 0, -1):
+        pivots[k] = a[k, :k].sum()
+        if not pivots[k] > 0.0:
+            raise NotErgodicError(
+                "the chain is numerically reducible: transition probabilities "
+                "too small to survive elimination split its closed class"
+            )
+        a[k, :k] /= pivots[k]
+        a[:k, :k] += np.multiply.outer(a[:k, k], a[k, :k])
+    pi = np.ones(size)
+    for k in range(1, size):
+        flow = (pi[:k] * a[:k, k]).sum()
+        if flow > pivots[k]:  # pi[k] stays 1 and the rest shrink
+            pi[:k] *= pivots[k] / flow
+        else:
+            pi[k] = flow / pivots[k]
+    return pi / pi.sum()
+
+
+def _stationary_law(table: np.ndarray, closed: np.ndarray) -> np.ndarray:
     """Stationary law of the context chain of a (n**k, n) emission table.
 
-    Up to ``_SOLVE_CONTEXTS`` contexts it solves ``pi (I - P + 1 1^T) = 1^T``
-    on the dense context matrix, whose only solution is the stationary law
-    when the chain has one closed class; larger chains use power iteration.
-    Either result is clipped at 0 and renormalised.  A singular system
-    means entries too small to survive ``I - P`` split the closed class
-    numerically, and raises NotErgodicError.
+    ``closed`` is the chain's one closed class, as :func:`_closed_class`
+    gives it.  Up to ``_SOLVE_CONTEXTS`` contexts the law is exact: GTH
+    elimination on the dense context matrix of the closed class, with mass
+    0 on the transient states.  Larger chains use power iteration, whose
+    result is clipped at 0 and renormalised.
     """
     size, n = table.shape
     if size > _SOLVE_CONTEXTS:
@@ -172,15 +219,9 @@ def _stationary_law(table: np.ndarray) -> np.ndarray:
     rows = np.repeat(np.arange(size), n)
     cols = (rows * n + np.tile(np.arange(n), size)) % size
     chain = np.bincount(rows * size + cols, table.ravel(), size * size).reshape(size, size)
-    try:
-        pi = np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size))
-    except np.linalg.LinAlgError as exc:
-        raise NotErgodicError(
-            "the chain is numerically reducible: transition probabilities too "
-            "small to register against 1 split its closed class"
-        ) from exc
-    pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
+    pi = np.zeros(size)
+    pi[closed] = _gth(chain[np.ix_(closed, closed)])
+    return pi
 
 
 def stationary_distribution(transition) -> np.ndarray:
@@ -190,7 +231,7 @@ def stationary_distribution(transition) -> np.ndarray:
     checked and solved by the same code as a model's context chain.
     Raises NotErgodicError when the chain has more than one closed class
     (the fixed point is then not unique; transient states are fine and get
-    mass 0) or is numerically reducible, and, above 64 states,
+    mass 0) or is numerically reducible, and, above 128 states,
     ConvergenceError when power iteration does not reach an L1 step residual
     of 1e-12 in 10**6 steps.
     """
@@ -198,8 +239,7 @@ def stationary_distribution(transition) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidDistributionError("transition matrix must be square")
     _validate_rows(matrix)
-    _require_one_closed_class(matrix)
-    return _stationary_law(matrix)
+    return _stationary_law(matrix, _closed_class(matrix))
 
 
 class SourceModel:
@@ -215,8 +255,8 @@ class SourceModel:
         ``transition[s, a]`` is the probability of emitting ``a`` from the
         packed context ``s``.  Rows must be probability vectors.
     stationary : ndarray, shape (n**k,), optional
-        Stationary law over contexts; computed when omitted (a direct solve
-        up to 64 contexts, power iteration beyond), and validated against
+        Stationary law over contexts; computed when omitted (GTH elimination
+        up to 128 contexts, power iteration beyond), and validated against
         ``pi = pi P`` either way.
 
     The context chain P moves context s to ``(s*n + a) % n**k`` with
@@ -242,9 +282,9 @@ class SourceModel:
                 f"transition table must have shape ({n**k}, {n}), got {table.shape}"
             )
         _validate_rows(table)
-        _require_one_closed_class(table)
+        closed = _closed_class(table)
         if stationary is None:
-            pi = _stationary_law(table)
+            pi = _stationary_law(table, closed)
         else:
             pi = np.array(stationary, dtype=float)
             if pi.shape != (n**k,):
@@ -564,15 +604,20 @@ def load_model(path) -> SourceModel:
     Each row is converted as it is read and written straight into the
     table, which is allocated at the first row, once its ``n**k * n``
     entries are known to fit ``DEFAULT_WORD_CAP`` (EnumerationCapError
-    otherwise).  The cost grows with the number of distinct values while
-    they are few: tokens go through a per-file cache, so each distinct one
-    is parsed once.  When the cache outgrows 1/32 of the table's entries,
-    the file is mostly distinct values; the cache is dropped and the rest
-    is parsed token by token.  Malformed input raises ModelFormatError
-    naming its line: a bad header value, row label or token, and the first
-    row in the file holding a negative or non-finite probability (found by
-    one check of the whole table once it is read).  Missing headers or rows
-    name no line, and row sums are checked by :class:`SourceModel`.
+    otherwise).  The cost grows with the number of distinct rows and
+    values while they are few.  A row whose text (everything after its
+    label) repeats an earlier row's is copied from that row's table entries
+    instead of being parsed again, until more distinct rows are cached than
+    half the table's rows.  The rows that are parsed send their tokens
+    through a per-file cache, so each distinct one is parsed once; when the
+    cache outgrows 1/32 of the table's entries, the file is mostly distinct
+    values, so the cache is dropped and the rest is parsed token by token.
+    Either cache, once dropped, is not rebuilt.  Malformed input raises
+    ModelFormatError naming its line: a bad header value, row label or
+    token, and the first row in the file holding a negative or non-finite
+    probability (found by one check of the whole table once it is read).
+    Missing headers or rows name no line, and row sums are checked by
+    :class:`SourceModel`.
     """
     n, k, table = _read_table(path)
     if k == 0:
@@ -585,6 +630,7 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
     header: dict[str, int] = {}
     table = lines = None  # lines[state]: the line of the state's row, 0 before it
     count = 0
+    rows: dict[str, int] | None = {}  # a row's text (after its label) -> its first state
     tokens = _Floats()
     convert = tokens.__getitem__
     with _open_for(path, "r") as fh:
@@ -592,7 +638,7 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
+            parts = line.split(None, 2)
             key = parts[0]
             try:
                 if key in ("n", "order"):
@@ -620,17 +666,26 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                         table, lines = np.empty((n**k, n)), array("q", [0]) * n**k
                     if lines[state]:
                         raise ModelFormatError(f"line {lineno}: duplicate row")
-                    probs = list(map(convert, parts[2:]))
-                    if len(probs) != n:
-                        raise ModelFormatError(
-                            f"line {lineno}: expected {n} probabilities"
-                        )
-                    table[state] = probs
+                    text = parts[2] if len(parts) > 2 else ""
+                    first = -1 if rows is None else rows.get(text, -1)
+                    if first >= 0:  # a repeated row: copy the one parsed first
+                        table[state] = table[first]
+                    else:
+                        probs = list(map(convert, text.split()))
+                        if len(probs) != n:
+                            raise ModelFormatError(
+                                f"line {lineno}: expected {n} probabilities"
+                            )
+                        table[state] = probs
+                        if rows is not None:
+                            rows[text] = state
+                            if len(rows) > _LOAD_ROW_SHARE * n**k:
+                                rows = None
+                        if len(tokens) > _LOAD_CACHE_SHARE * table.size:
+                            tokens.clear()
+                            convert = float
                     lines[state] = lineno
                     count += 1
-                    if len(tokens) > _LOAD_CACHE_SHARE * table.size:
-                        tokens.clear()
-                        convert = float
                 else:
                     raise ModelFormatError(f"line {lineno}: unknown key {key!r}")
             except (ValueError, IndexError, OverflowError) as exc:

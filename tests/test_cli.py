@@ -609,14 +609,35 @@ def test_malformed_model_file_exits_2(case, tmp_path, capsys):
         assert message.startswith(f"error: config: line {line}:")
 
 
-def test_numerically_reducible_model_exits_2(tmp_path, capsys):
-    # both off-diagonal entries vanish against 1 in I - P: the stationary
-    # solve meets a singular matrix
+def test_tiny_off_diagonal_model_gets_its_exact_law(tmp_path, capsys):
+    # both off-diagonal entries vanish against 1 in I - P, which made a direct
+    # solve singular; the elimination never subtracts, so the law is (1/2, 1/2)
     path = tmp_path / "stuck.model"
     path.write_text("n 2\norder 1\nrow 0 1 5e-324\nrow 1 5e-324 1\n")
+    assert sources.load_model(str(path)).stationary.tolist() == [0.5, 0.5]
+    assert cli.main(["entropy", "--x-model", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_numerically_reducible_model_exits_2(tmp_path, capsys):
+    # the one way from context 1 to context 0 runs through two 5e-324 steps,
+    # whose product vanishes in the elimination even at its scale
+    path = tmp_path / "stuck.model"
+    path.write_text("n 3\norder 1\nrow 0 0 1 0\nrow 1 0 1 5e-324\nrow 2 5e-324 1 0\n")
     assert cli.main(["entropy", "--x-model", str(path)]) == 2
     assert _error_line(capsys).startswith(
         "error: config: the chain is numerically reducible")
+
+
+def test_stationary_law_out_of_power_steps_exits_4(tmp_path, monkeypatch, capsys):
+    # 256 contexts, past the elimination, that power iteration cannot settle in 50 steps
+    rows = ["0.9999 0.0001", "0.0002 0.9998"]  # by the context's last symbol
+    path = tmp_path / "slow.model"
+    path.write_text("n 2\norder 8\n" + "".join(
+        f"row {','.join(format(s, '08b'))} {rows[s % 2]}\n" for s in range(256)))
+    monkeypatch.setattr(sources, "_POWER_STEPS", 50)
+    assert cli.main(["entropy", "--x-model", str(path), "--m", "0"]) == 4
+    assert _error_line(capsys).startswith("error: numeric: power iteration did not reach")
 
 
 @pytest.mark.parametrize("n, k", [(2, 30), (256, 4)])

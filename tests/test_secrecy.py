@@ -435,7 +435,7 @@ def test_certification_error_surfaces(monkeypatch):
         secrecy.certify_bounds(UNIFORM2, UNIFORM2, SPEC2, 2)
 
 
-# -- the stationary law's direct solve ----------------------------------------------
+# -- the stationary law's exact elimination -----------------------------------------
 
 
 def _certify_inputs(seed, work):
@@ -452,9 +452,9 @@ def _certify_inputs(seed, work):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_direct_stationary_solve_moves_the_certify_reports_within_1e_9(seed, tmp_path):
-    # the solve moved these reports' last .12g digits against the power
-    # iteration's law: h_x and r_x (seed 1), the psi spread, and 13,281
-    # (seed 0) and 18,103 (seed 1) of the posterior CSV's 262,144 rows
+    # the exact law moves these reports' last .12g digits against the power
+    # iteration's law (with a direct solve: h_x and r_x at seed 1, the psi
+    # spread, and 13,281 and 18,103 of the posterior CSV's 262,144 rows)
     xm, ym, z_psi, z_post = _certify_inputs(seed, tmp_path)
     xp, yp = (sources.make_markov(2, m.order, m.transition,
                                   sources._power_iteration(np.array(m.transition)))

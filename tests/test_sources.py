@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -362,8 +363,9 @@ def walk_cases(draw):
     try:
         model = sources.make_bernoulli(rows[0]) if k == 0 else sources.make_markov(n, k, rows)
     except NotErgodicError:
-        # also raised when tiny entries that vanish in I - P leave the chain
-        # numerically reducible
+        # also raised when the stationary law's elimination multiplies two
+        # subnormal-sized entries to 0, which leaves the chain numerically
+        # reducible
         assume(False)
     cuts = np.concatenate(
         [np.cumsum(model.stationary), np.cumsum(model.transition, axis=1).ravel()]
@@ -471,8 +473,8 @@ def test_model_file_rejects_malformed_input():
 
 
 def test_power_iteration_convergence_error(monkeypatch):
-    # asymmetric nearly-reducible chains over more than 512 states (so past the
-    # direct solve) mix far too slowly for 50 steps
+    # asymmetric nearly-reducible chains over more than 128 states (so past the
+    # GTH elimination) mix far too slowly for 50 steps, damped or not
     eps = 1e-4
     size = 600
     q = np.arange(1.0, size + 1.0)
@@ -492,6 +494,53 @@ def test_slow_mixing_small_chain_is_solved_exactly():
     for pi in (sources.SourceModel(2, 1, table).stationary,
                sources.stationary_distribution(table)):
         assert np.abs(pi - [2 / 3, 1 / 3]).max() <= 1e-12
+
+
+def test_slow_binary_order_7_chain_is_solved_exactly():
+    # 128 contexts, each emitting one symbol w.p. 1 - 1e-5: power iteration
+    # spent 10**6 steps (~11 s) on it and raised ConvergenceError
+    rng = np.random.default_rng(1)
+    flip = rng.random(128) < 0.5
+    table = np.where(flip[:, None], [1e-5, 1 - 1e-5], [1 - 1e-5, 1e-5])
+    started = time.perf_counter()
+    model = sources.make_markov(2, 7, table)
+    assert time.perf_counter() - started < 1.0
+    pi = model.stationary
+    assert np.abs(sources._step(pi, model.transition) - pi).sum() <= 1e-15
+    chain = np.array(oracles.context_matrix(table.tolist(), 2, 7))
+    exact = np.linalg.solve((np.eye(128) - chain + 1.0).T, np.ones(128))
+    assert np.abs(pi - exact).max() <= 1e-9
+
+
+def test_tiny_off_diagonal_chain_gets_its_exact_law():
+    # 5e-324 vanishes against 1 in I - P, which made the direct solve singular;
+    # the elimination never subtracts, so the law is exactly (1/2, 1/2)
+    table = [[1.0, 5e-324], [5e-324, 1.0]]
+    for pi in (sources.make_markov(2, 1, table).stationary,
+               sources.stationary_distribution(table)):
+        assert pi.tolist() == [0.5, 0.5]
+    # a law whose ratio passes the float range: the back substitution rescales
+    pi = sources.stationary_distribution([[0.0, 1.0], [5e-324, 1.0]])
+    assert pi.tolist() == [5e-324, 1.0]
+    # 5e-324 * 0.5 underflows unless the elimination runs at its 2**600 scale;
+    # pi_0 = 2.5e-324 rounds to 0
+    pi = sources.stationary_distribution([[0.0, 1.0, 0.0], [0.0, 1.0, 5e-324],
+                                          [0.5, 0.5, 0.0]])
+    assert pi.tolist() == [0.0, 1.0, 5e-324]
+
+
+def test_bipartite_chain_converges_through_the_damped_step(monkeypatch):
+    # 200 states (past the elimination) in blocks of 120 and 80 with zero
+    # diagonal blocks: period 2, so undamped steps from the uniform start swing
+    # 0.2 of the mass between the blocks for ever
+    rng = np.random.default_rng(13)
+    matrix = np.zeros((200, 200))
+    matrix[:120, 120:] = rng.dirichlet(np.ones(80), size=120)
+    matrix[120:, :120] = rng.dirichlet(np.ones(120), size=80)
+    monkeypatch.setattr(sources, "_POWER_STEPS", 10**4)
+    pi = sources.stationary_distribution(matrix)
+    assert np.abs(pi @ matrix - pi).sum() <= 1e-10
+    assert abs(pi[:120].sum() - 0.5) <= 1e-12
 
 
 # -- ergodicity and the stationary law ------------------------------------------------
@@ -601,14 +650,15 @@ def _special_rows(n):
 
 
 def _model_table(kind, rng):
-    """(n, k, table): a small value pool's permuted rows, or all-distinct rows."""
+    """(n, k, table): a small value pool's permuted rows, or all-distinct rows,
+    with the special rows each written twice."""
     n, k = 4, 4
     if kind == "pool":
         pool = np.array([0.5, 0.25, 0.125, 0.125])
         table = np.array([rng.permutation(pool) for _ in range(n**k)])
     else:
         table = rng.dirichlet(np.ones(n), size=n**k)
-    table[[3, 77]] = _special_rows(n)
+    table[[3, 77, 150, 201]] = np.tile(_special_rows(n), (2, 1))
     return n, k, table
 
 
@@ -627,20 +677,45 @@ def test_model_file_matches_the_per_entry_writer_and_reads_back_bit_identical(
         text = buf.getvalue()
         assert text == oracles.model_file_text(n, k, model.transition, ["pinned"])
         assert " -0 " in text and " 0 " in text and "4.9406564584124654e-324" in text
-        parsed = []  # tokens parsed through the cache
-        missing = sources._Floats.__missing__
-        monkeypatch.setattr(sources._Floats, "__missing__",
-                            lambda cache, token: parsed.append(token) or missing(cache, token))
+        looked, parsed = [], []  # tokens looked up in, and parsed through, the cache
+
+        class Counting(sources._Floats):
+            def __getitem__(self, token):
+                looked.append(token)
+                return super().__getitem__(token)
+
+            def __missing__(self, token):
+                parsed.append(token)
+                return super().__missing__(token)
+
+        monkeypatch.setattr(sources, "_Floats", Counting)
         again = sources.load_model(io.StringIO(text))
         monkeypatch.undo()
         assert np.array_equal(again.transition.view(np.uint64),
                               model.transition.view(np.uint64))
-        # the pool's few tokens are each parsed once; distinct ones drop the
-        # cache at the end of the row that takes it past 1/32 of the entries
+        # the pool's few rows are each split once and its few tokens each
+        # parsed once; distinct ones drop the token cache at the end of the
+        # row that takes it past 1/32 of the entries
         if kind == "pool":
+            rows = np.unique(model.transition.view(np.uint64), axis=0).shape[0]
+            assert len(looked) == rows * n
             assert len(parsed) == distinct
         else:
             assert table.size // 32 < len(parsed) <= table.size // 32 + n
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 2\norder 1\nrow 0 0.5 x\nrow 1 0.5 x\n", "line 3: could not convert"),
+    ("n 2\norder 1\nrow 1 -0.5 1.5\nrow 0 -0.5 1.5\n", "line 3: probabilities must"),
+    ("n 2\norder 1\nrow 0 0.5 nan\n# c\nrow 1 0.5 nan\n", "line 3: probabilities must"),
+    ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.5 0.5\nrow 0 0.5 0.5\n", "line 5: duplicate row"),
+], ids=["token", "negative", "nan", "duplicate"])
+def test_repeated_rows_name_the_line_of_the_fault(text, message):
+    # a repeated row is copied, not parsed: its faults name the first occurrence,
+    # and a repeated label is still a duplicate row
+    with pytest.raises(ModelFormatError) as raised:
+        sources.load_model(io.StringIO(text))
+    assert str(raised.value).startswith(message)
 
 
 def _trained_model(n, k, rng):
