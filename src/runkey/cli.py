@@ -23,8 +23,10 @@ or operator-entry cap exceeded or memory exhausted, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -237,12 +239,40 @@ def _write_csv(fh, config: dict[str, str], columns: tuple[str, ...], rows) -> No
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+@contextlib.contextmanager
 def _open(path, mode: str):
-    """``_open_for`` on a path option; '-' (or no ``--out``) is the standard stream."""
+    """``_open_for`` on a path option; '-' (or no ``--out``) is the standard stream.
+
+    A file is written under a temporary name beside it and moved to its
+    path only when the ``with`` block ends without an exception, so a
+    command that fails part-way (a posterior whose mass check fails after
+    its last row) leaves no file, and an earlier file at the path is kept.
+    The standard stream, and a path that names a device or pipe, are
+    written in place and cannot be retracted: what was written before a
+    failure stays written.
+    """
     if path in (None, "-"):
         stream = sys.stdin if "r" in mode else sys.stdout
         path = stream.buffer if "b" in mode else stream
-    return _open_for(path, mode)
+    if "w" not in mode or not isinstance(path, str) or (
+        os.path.exists(path) and not os.path.isfile(path)
+    ):
+        with _open_for(path, mode) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with _open_for(temporary, mode) as fh:
+            yield fh
+        os.replace(temporary, target)
+    except OSError as exc:
+        if exc.filename == temporary:
+            exc.filename = path  # an error names the path asked for
+        raise
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
 
 
 def _write_report(args, results, columns=(), rows=()) -> None:

@@ -38,6 +38,11 @@ built on that identity:
 Enumerations run over fixed-size blocks, one after another, so their
 working memory stays bounded.  The caps are module constants
 checked where the memory is allocated, not arguments.
+
+The posterior CSV is written ``_CSV_ROWS`` rows at a time, each chunk one
+byte matrix of plaintext texts (looked up a group of digits at a time) and
+``.12g`` values (digits from integer arithmetic, exact; Python formats only
+near-ties and values outside [1, 1e12)), so no Python code runs per row.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .errors import (
     UnsupportedCipherError,
 )
 from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, _open_for, xlog2x
-from .words import as_word, digits, render, word_to_index
+from .words import as_word, digits, text_bytes, word_to_index
 
 # entries of the product chain's step tables, n * n * S (the enumeration's
 # weight and successor tables, each that size), and of the forward's factor
@@ -70,9 +75,18 @@ _CELL = 1 << 22
 # it bounds the working memory of the typical set and the posterior CSV
 _BLOCK_WORDS = 1 << 16
 
-# posterior CSV rows rendered at a time: a row's digits and text take some
-# 100 bytes of int64 and Python objects, against 8 bytes for its value
-_CSV_ROWS = 1 << 12
+# posterior CSV rows formatted at a time: at the writer's peak a row holds
+# some 155 bytes of arrays and text (tracemalloc, n = 2, t = 18), against 8
+# for its value, so 2**13 rows take 1.3 MB; 2**14 put the writer and one
+# enumeration block over 4 MB
+_CSV_ROWS = 1 << 13
+
+# distance from 1/2 of a scaled value's fraction within which _g12 leaves the
+# rounding to Python: the scaled value is off by at most 2**-13
+_TIE_WINDOW = 1e-3
+
+_POW10 = 10.0 ** np.arange(13)  # exact: every power of ten up to 1e22 is a double
+_TRIPLES = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype="S3")
 
 # float64 cells (128 KiB), S x words, in the children of one block of the
 # ciphertext block enumeration; it bounds working memory whatever the depth
@@ -448,21 +462,78 @@ def _posterior_blocks(xm, ym, spec, ciphertext):
     return log_marginal, blocks()
 
 
+def _g12(values: np.ndarray) -> np.ndarray:
+    """``f"{v:.12g}"`` of each value, as rows of ASCII bytes padded with NULs.
+
+    A value with 1 <= |v| < 1e12 has e = floor(log10 |v|) (exact, by
+    comparison with the powers of ten) and the 12 digits of
+    d = rint(|v| * 10**(11 - e)): the power is exact, so the product is
+    rounded once, off by at most 2**-13, and rint rounds it as Python rounds
+    |v| unless its fraction lies within ``_TIE_WINDOW`` of 1/2.  The digits
+    come from a table of digit triples; trailing fraction zeros and a bare
+    point are dropped.  -inf is written as such.  Python formats the rest:
+    near-ties, a d rounded up to 1e12, and |v| outside [1, 1e12) (in a
+    posterior, only the one plaintext that can have P(x | z) > 1/2).  Rows
+    are 14 bytes wide, or as wide as the longest text Python wrote.
+    """
+    size = np.abs(values)
+    exponent = np.searchsorted(_POW10, size, side="right") - 1  # nan sorts last
+    fast = (exponent >= 0) & (exponent < 12)
+    exponent = exponent.clip(0, 11)
+    scaled = np.where(fast, size, 1.0) * _POW10[11 - exponent]
+    rounded = np.rint(scaled)
+    fast &= (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_WINDOW) & (rounded < 1e12)
+    rest = np.flatnonzero(~fast & (values != -np.inf))
+    texts = [f"{v:.12g}".encode("ascii") for v in values[rest].tolist()]
+    out = np.zeros((values.size, max([14, *map(len, texts)])), dtype=np.uint8)
+    # the other rows get digits of 1e11, then are overwritten
+    d = np.where(fast, rounded, 1e11).astype(np.int64)
+    high, low = np.divmod(d, 1000000)
+    triples = np.stack([high // 1000, high % 1000, low // 1000, low % 1000], axis=1)
+    digits12 = _TRIPLES[triples].view(np.uint8).reshape(-1, 12)
+    out[:, 0] = np.where(values < 0, ord("-"), 0)
+    counts = np.bincount(exponent, minlength=12)
+    for e in np.flatnonzero(counts).tolist():
+        rows = slice(None) if counts[e] == values.size else np.flatnonzero(exponent == e)
+        out[rows, 1 : e + 2] = digits12[rows, : e + 1]
+        if e < 11:
+            out[rows, e + 2] = ord(".")
+            out[rows, e + 3 : 14] = digits12[rows, e + 1 :]
+    ends = np.flatnonzero(d % 10 == 0)  # the rows with trailing zeros
+    if ends.size:
+        e = exponent[ends, None]
+        last = 11 - np.argmax(digits12[ends, ::-1] != ord("0"), axis=1)[:, None]
+        out[ends, 1:14] *= np.arange(13) <= np.where(last > e, last + 1, e)
+    out[values == -np.inf] = np.frombuffer(b"-inf".ljust(out.shape[1], b"\0"), np.uint8)
+    if texts:
+        out[rest] = np.array(texts, dtype=f"S{out.shape[1]}")[:, None].view(np.uint8)
+    return out
+
+
 def _write_posterior_csv(fh, n: int, t: int, blocks) -> None:
     """Write the header and the (plaintext, log2_posterior) rows of ``blocks``.
 
     ``blocks`` yields ``(start, values)`` pairs in index order; a plaintext is
-    written as base-n text, quoted when it has commas (n > 36), as RFC 4180
-    asks.
+    written as base-n text, quoted when it has commas (n > 36, t >= 2), as
+    RFC 4180 asks, and a value as ``.12g``.  Each ``_CSV_ROWS`` rows are one
+    byte matrix, a row's text, comma, value and newline, with NUL bytes where
+    its text is shorter; the NULs are dropped and the rest written at once.
     """
     fh.write("plaintext,log2_posterior\n")
     for start, block in blocks:
         for first in range(0, block.size, _CSV_ROWS):
-            values = block[first : first + _CSV_ROWS].tolist()
-            texts = render(digits(n, t, start + first, start + first + len(values)), n)
-            if "," in texts[0]:
-                texts = [f'"{text}"' for text in texts]
-            fh.writelines(f"{text},{v:.12g}\n" for text, v in zip(texts, values))
+            values = block[first : first + _CSV_ROWS]
+            text = text_bytes(n, t, start + first, start + first + values.size)
+            quote = int((text[0] == ord(",")).any())
+            width = text.shape[1] + 2 * quote
+            number = _g12(values)
+            rows = np.empty((values.size, width + number.shape[1] + 2), dtype=np.uint8)
+            rows[:, quote : width - quote] = text
+            rows[:, : quote] = rows[:, width - quote : width] = ord('"')
+            rows[:, width] = ord(",")
+            rows[:, width + 1 : -1] = number
+            rows[:, -1] = ord("\n")
+            fh.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from array import array
 from typing import Sequence
@@ -629,6 +630,7 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
     """``(n, k, table)`` of a model file; see :func:`load_model`."""
     header: dict[str, int] = {}
     table = lines = None  # lines[state]: the line of the state's row, 0 before it
+    labels = None  # while rows come in state order, the labels of the rows to come
     count = 0
     rows: dict[str, int] | None = {}  # a row's text (after its label) -> its first state
     tokens = _Floats()
@@ -656,7 +658,11 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                             f"line {lineno}: rows must follow 'n' and 'order'"
                         )
                     n, k = header["n"], header["order"]
-                    state = _parse_state_label(parts[1], n, k)
+                    if labels is not None and parts[1] == next(labels, None):
+                        state = count  # the label save_model writes for the next state
+                    else:
+                        labels = None  # off that order: parse this and every later label
+                        state = _parse_state_label(parts[1], n, k)
                     if table is None:
                         if n**k * n > DEFAULT_WORD_CAP:
                             raise EnumerationCapError(
@@ -664,6 +670,10 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                                 f"cap {DEFAULT_WORD_CAP}"
                             )
                         table, lines = np.empty((n**k, n)), array("q", [0]) * n**k
+                        if k and state == 0:  # save_model's order: the labels after 0,...,0
+                            symbols = map(str, range(n))
+                            labels = map(",".join, itertools.product(symbols, repeat=k))
+                            next(labels)
                     if lines[state]:
                         raise ModelFormatError(f"line {lineno}: duplicate row")
                     text = parts[2] if len(parts) > 2 else ""

@@ -7,20 +7,27 @@ one symbol maps index ``u`` to ``u*n + a``.  Helpers here convert between the
 array, integer-index, text and raw-byte representations; everything heavier
 lives in the model and inference modules.
 
-The codec comes in two forms.  :func:`digits` and :func:`render` are the
-vectorized one: the digit rows of a range of indices, and the text of many
-rows at once; every plaintext or ciphertext written as text goes through
-them.  :func:`word_to_index` and :func:`index_to_word` are the exact scalar
-pair on Python ints, which stay exact beyond int64 where ``digits`` would
-overflow.
+The codec comes in two forms.  :func:`digits`, :func:`render` and
+:func:`text_bytes` are the vectorized one: the digit rows of a range of
+indices, the text of many rows at once, and the text of a range of indices
+as rows of bytes (for the posterior CSV); every plaintext or ciphertext
+written as text goes through them.  :func:`word_to_index` and
+:func:`index_to_word` are the exact scalar pair on Python ints, which stay
+exact beyond int64 where ``digits`` would overflow.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(_DIGITS)}
+
+# entries of text_bytes' table of digit groups: a group of g digits has
+# n**g <= this texts
+_GROUP_TEXTS = 1 << 12
 
 
 def as_word(symbols, alphabet_size: int) -> np.ndarray:
@@ -73,6 +80,30 @@ def digits(
     return out
 
 
+def _cells(n: int) -> np.ndarray:
+    """(n, c) ASCII bytes of each symbol's text; a NUL byte is no character.
+
+    For ``n <= 36`` a symbol is one character of ``0-9a-z``.  Larger
+    alphabets write a comma and the decimal symbol, right-aligned in the
+    width of ``n - 1``; a word's first comma is then dropped.
+    """
+    if n <= len(_DIGITS):
+        return np.frombuffer(_DIGITS[:n].encode("ascii"), dtype=np.uint8)[:, None]
+    width = len(str(n - 1))
+    text = b"".join(b",%*d" % (width, symbol) for symbol in range(n))
+    cells = np.frombuffer(text, dtype=np.uint8).reshape(n, width + 1).copy()
+    cells[cells == ord(" ")] = 0
+    return cells
+
+
+@lru_cache(maxsize=4)
+def _group_texts(n: int, group: int) -> np.ndarray:
+    """The text of each group of ``group`` symbols, as a read-only byte table."""
+    table = _cells(n)[digits(n, group)].reshape(n**group, -1)
+    table.flags.writeable = False
+    return table
+
+
 def render(rows, alphabet_size: int) -> list[str]:
     """The text of each row of a (count, width) array of words.
 
@@ -86,6 +117,32 @@ def render(rows, alphabet_size: int) -> list[str]:
         texts = table[rows].view(f"S{rows.shape[1]}").ravel().tolist()
         return [text.decode("ascii") for text in texts]
     return [",".join(map(str, row)) for row in rows.tolist()]
+
+
+def text_bytes(n: int, width: int, start: int, stop: int) -> np.ndarray:
+    """The text of the base-n integers in [start, stop) as rows of ASCII bytes.
+
+    Row i, with its NUL bytes dropped, is ``render(digits(n, width, start,
+    stop), n)[i]``.  Digits are looked up g at a time in a table of each
+    group's text (``n**g <= _GROUP_TEXTS``), so a row costs one divmod per
+    group, not one per digit.
+    """
+    group = 1
+    while group < width and n ** (group + 1) <= _GROUP_TEXTS:
+        group += 1
+    table = _group_texts(n, group)
+    c = table.shape[1] // group
+    index = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((index.size, width * c), dtype=np.uint8)
+    end = width * c
+    while end:  # least significant group first; the leading one may be shorter
+        take = min(group, end // c)
+        index, value = np.divmod(index, n**group)
+        out[:, end - take * c : end] = table[value, (group - take) * c :]
+        end -= take * c
+    if c > 1:
+        out[:, 0] = 0
+    return out
 
 
 def word_to_text(word, alphabet_size: int) -> str:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with plain Python loops over
 ``itertools.product`` and the ``math`` module, so it shares no code path
-with the package's vectorised implementations.  The one exception is
-``markov_walk``, the package's former per-step walk kept as a reference: a
-bit-identical log-probability needs the same numpy arithmetic.
+with the package's vectorised implementations.  The exceptions are the
+package's former per-row code kept as references: ``markov_walk``, the
+per-step walk (a bit-identical log-probability needs the same numpy
+arithmetic), and ``posterior_csv``, the per-row posterior CSV writer.
 """
 
 import itertools
@@ -265,3 +266,28 @@ def markov_walk(model, uniforms):
     else:
         log_probs = model._log2_marginal(t)[np.ravel_multi_index(words.T, (n,) * t)]
     return words, log_probs
+
+
+def posterior_csv(n, t, blocks):
+    """The posterior CSV text of ``(start, values)`` blocks, one row at a time.
+
+    The package's former per-row writer kept as a reference, with each
+    plaintext's text built here in plain Python: its base-n digits, one
+    character of ``0-9a-z`` each for n <= 36, else comma-joined decimals,
+    quoted when they hold a comma; each value is ``f"{v:.12g}"``.
+    """
+    symbols = "0123456789abcdefghijklmnopqrstuvwxyz"
+    lines = ["plaintext,log2_posterior\n"]
+    for start, block in blocks:
+        for index, value in enumerate(block.tolist(), start):
+            word = [0] * t
+            for pos in range(t - 1, -1, -1):
+                index, word[pos] = divmod(index, n)
+            if n <= len(symbols):
+                text = "".join(symbols[s] for s in word)
+            else:
+                text = ",".join(map(str, word))
+            if "," in text:
+                text = f'"{text}"'
+            lines.append(f"{text},{value:.12g}\n")
+    return "".join(lines)

@@ -221,6 +221,42 @@ def test_posterior_mass_off_the_forward_exits_4(reader, x_model, tmp_path, monke
                                        "--z", "0110100", "--out", str(tmp_path / "r")]
     assert cli.main(argv) == 4
     assert _error_line(capsys).startswith("error: numeric: posterior mass ")
+    # the CSV's rows were all written before the check failed, under a name
+    # that is removed with them
+    assert not (tmp_path / "r").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.model"]
+
+
+def test_failed_command_keeps_the_earlier_file_at_out(x_model, tmp_path, monkeypatch,
+                                                      capsys):
+    joint_blocks = inference._joint_blocks
+    monkeypatch.setattr(inference, "_joint_blocks", lambda *args: (
+        (start, block + 1e-6) for start, block in joint_blocks(*args)))
+    out = tmp_path / "r.csv"
+    out.write_text("earlier\n")
+    argv = ["posterior", "--format", "csv", "--x-model", x_model, "--y-model", KEY,
+            "--z", "0110100", "--out", str(out)]
+    assert cli.main(argv) == 4
+    capsys.readouterr()
+    assert out.read_text() == "earlier\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r.csv", "x.model"]
+
+
+def test_out_in_a_missing_directory_exits_2_naming_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["entropy", "--x-model", "uniform:2", "--out", str(out)]) == 2
+    assert _error_line(capsys) == (
+        f"error: config: [Errno 2] No such file or directory: {str(out)!r}"
+    )
+
+
+def test_posterior_csv_to_stdout_is_the_file(x_model, tmp_path, capsys):
+    argv = ["posterior", "--x-model", x_model, "--y-model", KEY, "--z", "0110100",
+            "--format", "csv", "--out"]
+    assert cli.main(argv + [str(tmp_path / "r.csv")]) == 0
+    summary = capsys.readouterr().out
+    assert cli.main(argv + ["-"]) == 0
+    assert capsys.readouterr().out == summary + (tmp_path / "r.csv").read_text()
 
 
 @pytest.mark.parametrize("reader", sorted(_POSTERIOR_READS))
@@ -581,6 +617,7 @@ _BAD_MODELS = {
     "n-one": ("n 1\norder 0\nrow - 1.0\n", 1),
     "order-negative": ("n 2\norder -1\nrow 0 0.5 0.5\n", 2),
     "label-length": ("n 2\norder 2\nrow 0,0 0.5 0.5\nrow 0 0.5 0.5\n", 4),
+    "label-text": ("n 2\norder 2\nrow 0,0 0.5 0.5\nrow 0,x 0.5 0.5\n", 4),
     "label-order-0": ("n 2\norder 0\nrow 0 0.5 0.5\n", 3),
     "short-row": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25\n", 4),
     "nan": ("n 2\norder 1\nrow 0 0.5 0.5\nrow 1 nan 0.75\n", 4),

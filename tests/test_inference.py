@@ -1,10 +1,11 @@
+import io
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -147,6 +148,85 @@ def test_posterior_csv_export(tmp_path):
     word, value = lines[1].split(",")
     assert word == "000"
     assert abs(float(value) - table.log2_prob([0, 0, 0])) <= 1e-9
+
+
+def _csv_text(n, t, blocks):
+    buf = io.StringIO()
+    inference_module._write_posterior_csv(buf, n, t, blocks)
+    return buf.getvalue()
+
+
+def _key40():
+    probs = np.arange(1, 41) / np.arange(1, 41).sum()
+    return sources.make_bernoulli(probs)
+
+
+# (plaintext model, key model, cipher, ciphertext)
+_CSV_CASES = {
+    # t = 12 over blocks of 2**10 words and chunks of 2**8 rows: 4 blocks of 4 chunks
+    "binary-blocks": lambda: (sources.make_markov(2, 2, [[0.7, 0.3], [0.4, 0.6],
+                                                         [0.2, 0.8], [0.5, 0.5]]),
+                              MARKOV, SPEC2, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]),
+    # a zero in the plaintext table: -inf rows
+    "zeros": lambda: (sources.make_markov(2, 1, [[1.0, 0.0], [0.4, 0.6]]), MARKOV,
+                      SPEC2, [1, 0, 1, 1, 0, 1, 0, 0]),
+    # one plaintext has P(x | z) > 1/2, so |log2 P(x | z)| < 1
+    "certain": lambda: (sources.make_bernoulli([0.95, 0.05]),
+                        sources.make_bernoulli([0.9, 0.1]), SPEC2, [0, 0, 0, 0]),
+    "n40-t1": lambda: (sources.make_uniform(40), _key40(), cipher.additive_cipher(40), [7]),
+    "n40-t2": lambda: (sources.make_uniform(40), _key40(), cipher.additive_cipher(40),
+                       [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_posterior_csv_matches_the_per_row_writer(case, monkeypatch):
+    monkeypatch.setattr(inference_module, "_BLOCK_WORDS", 2**10)
+    monkeypatch.setattr(inference_module, "_CSV_ROWS", 2**8)
+    xm, ym, spec, z = _CSV_CASES[case]()
+    n, t = spec.alphabet_size, len(z)
+    blocks = list(inference_module._posterior_blocks(xm, ym, spec, z)[1])
+    values = np.concatenate([block for _, block in blocks])
+    text = _csv_text(n, t, blocks)
+    assert text == oracles.posterior_csv(n, t, blocks)
+    table = inference.posterior(xm, ym, spec, z)
+    buf = io.StringIO()
+    table.to_csv(buf)
+    assert buf.getvalue() == oracles.posterior_csv(n, t, [(0, table.log_posterior)])
+    if case == "binary-blocks":
+        assert len(blocks) == 4
+    if case == "zeros":
+        assert (values == -np.inf).any()
+    if case == "certain":
+        assert (np.abs(values) < 1).sum() == 1
+    if case == "n40-t2":
+        assert text.splitlines()[1] == '"0,0",' + f"{values[0]:.12g}"
+
+
+def _g12_texts(values):
+    rows = inference_module._g12(np.array(values, dtype=float))
+    return [bytes(row[row != 0]).decode("ascii") for row in rows]
+
+
+# zeros, infinities, subnormals, exact ties at the 12th digit (even and odd
+# neighbours), and the way up to 1e12, where the digits carry into a 13th
+_G12_EDGES = [
+    0.0, -0.0, -math.inf, math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+    9.9999999999995, -9.9999999999995, 123456789012.5, 123456789013.5, -123456789012.5,
+    12345678901.25, 1234567890.125, 1.5, 999999999999.5, -999999999999.5,
+    999999999999.4, 999999999999.0, float(np.nextafter(1e12, 0)), 1e12, -1e12,
+    1.0, -1.0, float(np.nextafter(1.0, 0)), -0.5, 1e22, -1e-5, -100.0, 99.99999999999999,
+]
+_NEAR_TIES = st.builds(lambda sign, d, shift: sign * (d + 0.5) / 10.0**shift,
+                       st.sampled_from([1, -1]), st.integers(10**11, 10**12 - 1),
+                       st.integers(0, 11))
+_SCALED = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-30, 30))
+
+
+@given(st.lists(st.one_of(st.floats(), _SCALED, _NEAR_TIES), min_size=1, max_size=40))
+@example(_G12_EDGES)
+def test_g12_matches_python_format(values):
+    assert _g12_texts(values) == [f"{v:.12g}" for v in values]
 
 
 # -- forward marginal ---------------------------------------------------------------

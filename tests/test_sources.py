@@ -18,6 +18,7 @@ import oracles
 from runkey import sources
 from runkey.errors import (
     ConvergenceError,
+    EnumerationCapError,
     InvalidDistributionError,
     ModelFormatError,
     NotErgodicError,
@@ -470,6 +471,36 @@ def test_model_file_rejects_malformed_input():
     for text in cases:
         with pytest.raises(ModelFormatError):
             sources.load_model(io.StringIO(text))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_model_file_over_the_table_cap_is_refused_at_its_first_row(order):
+    # the cap check comes before anything the size of the alphabet is built
+    text = f"n {sources.DEFAULT_WORD_CAP + 1}\norder {order}\nrow {'0' if order else '-'} 1\n"
+    with pytest.raises(EnumerationCapError, match="exceeds cap"):
+        sources.load_model(io.StringIO(text))
+
+
+def test_model_file_rows_out_of_state_order_load_the_same_table(monkeypatch):
+    # the first label is parsed; the labels after it, while in save_model's
+    # order, are matched as text; from the first one off that order (here the
+    # fourth row) every label is parsed
+    model = sources.make_markov(3, 2, np.random.default_rng(5).dirichlet(np.ones(3), size=9))
+    buf = io.StringIO()
+    sources.save_model(model, buf)
+    head, rows = buf.getvalue().split("row ", 1)
+    rows = ("row " + rows).splitlines(keepends=True)
+    rows[3], rows[4] = rows[4], rows[3]
+    parsed = []
+    parse = sources._parse_state_label
+    monkeypatch.setattr(sources, "_parse_state_label",
+                        lambda label, n, k: parsed.append(label) or parse(label, n, k))
+    in_order = sources.load_model(io.StringIO(buf.getvalue()))
+    assert parsed == ["0,0"]
+    swapped = sources.load_model(io.StringIO(head + "".join(rows)))
+    assert parsed == ["0,0", "0,0", "1,1", "1,0", "1,2", "2,0", "2,1", "2,2"]
+    assert np.array_equal(swapped.transition, model.transition)
+    assert np.array_equal(in_order.transition, model.transition)
 
 
 def test_power_iteration_convergence_error(monkeypatch):

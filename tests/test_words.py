@@ -74,3 +74,5 @@ def test_vectorized_codec_matches_the_scalar_pair(n, t):
     assert words.render(words.digits(n, t), n) == expected
     start, stop = n**t // 3, n**t // 2
     assert np.array_equal(words.digits(n, t, start, stop), words.digits(n, t)[start:stop])
+    rows = words.text_bytes(n, t, start, stop)
+    assert [bytes(row[row != 0]).decode("ascii") for row in rows] == expected[start:stop]
