@@ -27,7 +27,6 @@ from .inference import (
     hxz_bracket,
     hz_bracket,
     joint_log2_table,
-    log2sumexp,
     log_marginal_forward,
     posterior,
     z_block_entropies,
@@ -103,7 +102,6 @@ __all__ = [
     "index_to_word",
     "joint_log2_table",
     "load_model",
-    "log2sumexp",
     "log_marginal_forward",
     "make_bernoulli",
     "make_markov",

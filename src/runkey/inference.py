@@ -11,8 +11,10 @@ built on that identity:
   words) and normalises them by ``log2 P(z)`` from the forward below; the
   posterior mass must come to 1, which checks the enumeration against the
   forward.  The enumeration yields blocks of at most ``_BLOCK_WORDS``
-  words, so the typical set and the posterior CSV reduce it block by block
-  and hold one block, not the table;
+  words.  ``_posterior_blocks`` is the one path to the posterior: the
+  typical set and the CLI's posterior report (CSV and JSON) reduce it
+  block by block and hold one block, not the table, and
+  :func:`posterior` is its concatenation;
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion.  Given z, one source's symbols follow from the
   other's, so the recursion runs over the last K symbols of one source, the
@@ -59,7 +61,14 @@ from .errors import (
     StateCapError,
     UnsupportedCipherError,
 )
-from .sources import DEFAULT_WORD_CAP, SourceModel, _log2_safe, _open_for, xlog2x
+from .sources import (
+    DEFAULT_WORD_CAP,
+    SourceModel,
+    _log2_safe,
+    _open_for,
+    entropy_bits,
+    xlog2x,
+)
 from .words import as_word, digits, text_bytes, word_to_index
 
 # entries of the product chain's step tables, n * n * S (the enumeration's
@@ -72,7 +81,7 @@ DEFAULT_ENTRY_CAP = 1 << 24
 _CELL = 1 << 22
 
 # plaintext words (512 KiB of float64) per block of the plaintext enumeration;
-# it bounds the working memory of the typical set and the posterior CSV
+# it bounds the working memory of the typical set and the posterior reports
 _BLOCK_WORDS = 1 << 16
 
 # posterior CSV rows formatted at a time: at the writer's peak a row holds
@@ -99,15 +108,6 @@ _MASS_TOL = 1e-9
 # float jitter allowed where a bracket end crosses the other or its trail
 # moves the wrong way; more is a CertificationError
 _BRACKET_TOL = 1e-9
-
-
-def log2sumexp(values: np.ndarray) -> float:
-    """log2 of a sum of 2**values, stable against underflow."""
-    values = np.asarray(values, dtype=float)
-    top = float(values.max()) if values.size else -np.inf
-    if top == -np.inf:
-        return -np.inf
-    return top + float(np.log2(np.exp2(values - top).sum()))
 
 
 def _recovered(recover: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -430,14 +430,6 @@ def _certify_mass(total: float) -> None:
         )
 
 
-def _log_marginal(xm, ym, spec, z) -> float:
-    """:func:`log_marginal_forward`; a ciphertext of probability 0 is a ValueError."""
-    log_marginal = log_marginal_forward(xm, ym, spec, z)
-    if log_marginal == -np.inf:
-        raise ValueError("ciphertext has probability zero under these models")
-    return log_marginal
-
-
 def _posterior_blocks(xm, ym, spec, ciphertext):
     """``(log2 P(z), blocks)``: the posterior of every plaintext, block by block.
 
@@ -449,7 +441,9 @@ def _posterior_blocks(xm, ym, spec, ciphertext):
     checked before this returns.
     """
     joint = _joint_blocks(xm, ym, spec, ciphertext)
-    log_marginal = _log_marginal(xm, ym, spec, ciphertext)
+    log_marginal = log_marginal_forward(xm, ym, spec, ciphertext)
+    if log_marginal == -np.inf:
+        raise ValueError("ciphertext has probability zero under these models")
 
     def blocks():
         total = 0.0
@@ -584,19 +578,19 @@ def posterior(
 ) -> PosteriorTable:
     """Exhaustive posterior ``P(x | z)`` over all plaintexts of length ``len(z)``.
 
-    Normalises the joint table :func:`joint_log2_table` by ``log2 P(z)`` from
-    :func:`log_marginal_forward`, so the table's mass check compares the
-    enumeration with the forward.  This holds the whole ``n**t`` table; the
-    typical set and the CLI's CSV export draw the same values block by block
-    instead.  A ciphertext of probability zero is a ValueError.
+    The concatenation of :func:`_posterior_blocks`: the joint table
+    normalised by ``log2 P(z)`` from :func:`log_marginal_forward`, so the
+    mass check compares the enumeration with the forward.  This holds the
+    whole ``n**t`` table; the typical set and the CLI's posterior report
+    draw the same values block by block instead.  A ciphertext of
+    probability zero is a ValueError.
     """
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
-    numerators = joint_log2_table(xm, ym, spec, z)
-    log_marginal = _log_marginal(xm, ym, spec, z)
+    log_marginal, blocks = _posterior_blocks(xm, ym, spec, z)
     return PosteriorTable(
         ciphertext=z,
-        log_posterior=numerators - log_marginal,
+        log_posterior=np.concatenate([block for _, block in blocks]),
         log_marginal=log_marginal,
         alphabet_size=n,
     )
@@ -616,18 +610,15 @@ def z_block_entropies(
     Index 0 of the returned array is 0 by convention.
     """
     chain = _ProductChain(xm, ym, spec)
-    return _entropies_for_chain(chain, length, with_start=False)[0]
+    return _entropies_for_chain(chain, length)[0]
 
 
-def _entropies_for_chain(
-    chain: _ProductChain, length: int, with_start: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray, np.ndarray]:
     """``H(Z^j)`` and ``H(Z^j, S_1)`` in bits for all ``j <= length``.
 
     S_1 is the product state at time 1, drawn from ``alpha0``; index 0
-    holds 0 and ``H(S_1)``.  The second is computed only ``with_start``
-    (else None).  Both come from one backward, depth-first descent of the
-    ciphertext suffix tree, which works for every cipher.  With
+    holds 0 and ``H(S_1)``.  Both come from one backward, depth-first
+    descent of the ciphertext suffix tree, which works for every cipher.  With
     ``beta_w(s) = P(Z_1..Z_j = w | S_1 = s)`` (``beta`` of the empty word
     is 1), a child prepends a symbol:
     ``beta_{a w}(s) = sum T_X(s_x, x) T_Y(s_y, y) beta_w(s')`` over the n
@@ -643,7 +634,6 @@ def _entropies_for_chain(
     descended before the next.  Every word's beta and terms are computed the
     same way in any block (sums over states row by row, over pairs and
     over children in symbol order), so the block size changes no bit.
-    ``with_start=False`` reads the same beta and skips the joint sum.
     """
     n, size, alpha0 = chain.n, chain.size, chain.alpha0
     if length < 1:
@@ -672,7 +662,7 @@ def _entropies_for_chain(
     def below(beta, depth):
         """Entropy terms of the descendants of the (S, r) block ``beta`` at ``depth``.
 
-        Row i of each channel of the (channels, length - depth, r) result
+        Row i of each channel of the (2, length - depth, r) result
         sums each column's descendants i + 1 levels down.
         """
         r = beta.shape[1]
@@ -681,23 +671,19 @@ def _entropies_for_chain(
             child += weight[y][:, :, None] * np.take(beta, successor[y], axis=0)
         child = child.reshape(size, n * r)  # word a w in column a * r + w
         mass = child * alpha0[:, None]
-        channels = [-xlog2x(mass.sum(axis=0))]  # n * r > 1 columns: row by row
-        if with_start:
-            channels.append(-xlog2x(mass).sum(axis=0))
+        # both channels' terms; n * r > 1 columns, so summed row by row
+        terms = np.stack([-xlog2x(mass.sum(axis=0)), -xlog2x(mass).sum(axis=0)])[:, None]
         del mass
-        terms = np.stack(channels)[:, None, :]
         if depth + 1 < length:
             deeper = [below(child[:, s : s + words], depth + 1)
                       for s in range(0, n * r, words)]
             terms = np.concatenate([terms, np.concatenate(deeper, axis=2)], axis=1)
-        levels = terms.reshape(len(channels), -1, n, r)
+        levels = terms.reshape(2, -1, n, r)
         return np.add.accumulate(levels, axis=2)[:, :, -1]
 
     totals = below(np.ones((size, 1)), 0)[:, :, 0]
-    plain = np.concatenate([[0.0], totals[0]])
-    if not with_start:
-        return plain, None
-    return plain, np.concatenate([[-xlog2x(alpha0).sum()], totals[1]])
+    return (np.concatenate([[0.0], totals[0]]),
+            np.concatenate([[entropy_bits(alpha0)], totals[1]]))
 
 
 @dataclass(frozen=True)

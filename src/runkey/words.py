@@ -7,13 +7,14 @@ one symbol maps index ``u`` to ``u*n + a``.  Helpers here convert between the
 array, integer-index, text and raw-byte representations; everything heavier
 lives in the model and inference modules.
 
-The codec comes in two forms.  :func:`digits`, :func:`render` and
-:func:`text_bytes` are the vectorized one: the digit rows of a range of
-indices, the text of many rows at once, and the text of a range of indices
-as rows of bytes (for the posterior CSV); every plaintext or ciphertext
-written as text goes through them.  :func:`word_to_index` and
-:func:`index_to_word` are the exact scalar pair on Python ints, which stay
-exact beyond int64 where ``digits`` would overflow.
+One table, ``_cells``, defines the text of every symbol, and every
+plaintext or ciphertext written as text is read off it:
+:func:`word_to_text` for one word of any length, and :func:`text_bytes`
+for a range of packed indices, as rows of bytes (the posterior reports).
+:func:`digits` gives the digit rows of a range of indices.
+:func:`word_to_index` and :func:`index_to_word` are the exact scalar pair
+on Python ints, which stay exact beyond int64 where ``digits`` would
+overflow.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def digits(
     return out
 
 
+@lru_cache(maxsize=4)
 def _cells(n: int) -> np.ndarray:
-    """(n, c) ASCII bytes of each symbol's text; a NUL byte is no character.
+    """(n, c) read-only ASCII bytes of each symbol's text; a NUL is no character.
 
     For ``n <= 36`` a symbol is one character of ``0-9a-z``.  Larger
     alphabets write a comma and the decimal symbol, right-aligned in the
@@ -93,6 +95,7 @@ def _cells(n: int) -> np.ndarray:
     text = b"".join(b",%*d" % (width, symbol) for symbol in range(n))
     cells = np.frombuffer(text, dtype=np.uint8).reshape(n, width + 1).copy()
     cells[cells == ord(" ")] = 0
+    cells.flags.writeable = False
     return cells
 
 
@@ -104,28 +107,13 @@ def _group_texts(n: int, group: int) -> np.ndarray:
     return table
 
 
-def render(rows, alphabet_size: int) -> list[str]:
-    """The text of each row of a (count, width) array of words.
-
-    For ``n <= 36`` each symbol becomes one character from ``0-9a-z`` (the
-    representation used in posterior CSV exports); larger alphabets fall back
-    to comma-separated decimal symbols.
-    """
-    rows = np.asarray(rows)
-    if alphabet_size <= len(_DIGITS):
-        table = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)
-        texts = table[rows].view(f"S{rows.shape[1]}").ravel().tolist()
-        return [text.decode("ascii") for text in texts]
-    return [",".join(map(str, row)) for row in rows.tolist()]
-
-
 def text_bytes(n: int, width: int, start: int, stop: int) -> np.ndarray:
     """The text of the base-n integers in [start, stop) as rows of ASCII bytes.
 
-    Row i, with its NUL bytes dropped, is ``render(digits(n, width, start,
-    stop), n)[i]``.  Digits are looked up g at a time in a table of each
-    group's text (``n**g <= _GROUP_TEXTS``), so a row costs one divmod per
-    group, not one per digit.
+    Row i, with its NUL bytes dropped, is the :func:`word_to_text` of the
+    width-digit word with index ``start + i``.  Digits are looked up g at a
+    time in a table of each group's text (``n**g <= _GROUP_TEXTS``), so a
+    row costs one divmod per group, not one per digit.
     """
     group = 1
     while group < width and n ** (group + 1) <= _GROUP_TEXTS:
@@ -146,8 +134,15 @@ def text_bytes(n: int, width: int, start: int, stop: int) -> np.ndarray:
 
 
 def word_to_text(word, alphabet_size: int) -> str:
-    """Render one word as text; see :func:`render`."""
-    return render(as_word(word, alphabet_size)[None, :], alphabet_size)[0]
+    """The text of one word: its symbols' cells (see ``_cells``), NULs dropped.
+
+    For ``n <= 36`` each symbol is one character of ``0-9a-z``; larger
+    alphabets give comma-separated decimal symbols.
+    """
+    cells = _cells(alphabet_size)[as_word(word, alphabet_size)]
+    if cells.shape[1] > 1:
+        cells[0, 0] = 0  # the word's first comma
+    return cells[cells != 0].tobytes().decode("ascii")
 
 
 def text_to_word(text: str, alphabet_size: int) -> np.ndarray:

@@ -268,25 +268,33 @@ def markov_walk(model, uniforms):
     return words, log_probs
 
 
+def word_text(word, n):
+    """A word's text, built without the package's symbol table.
+
+    One character of ``0-9a-z`` a symbol for n <= 36, else the decimal
+    symbols joined by commas.
+    """
+    symbols = "0123456789abcdefghijklmnopqrstuvwxyz"
+    if n <= len(symbols):
+        return "".join(symbols[s] for s in word)
+    return ",".join(map(str, word))
+
+
 def posterior_csv(n, t, blocks):
     """The posterior CSV text of ``(start, values)`` blocks, one row at a time.
 
     The package's former per-row writer kept as a reference, with each
-    plaintext's text built here in plain Python: its base-n digits, one
-    character of ``0-9a-z`` each for n <= 36, else comma-joined decimals,
-    quoted when they hold a comma; each value is ``f"{v:.12g}"``.
+    plaintext's text built here in plain Python: :func:`word_text` of its
+    base-n digits, quoted when it holds a comma; each value is
+    ``f"{v:.12g}"``.
     """
-    symbols = "0123456789abcdefghijklmnopqrstuvwxyz"
     lines = ["plaintext,log2_posterior\n"]
     for start, block in blocks:
         for index, value in enumerate(block.tolist(), start):
             word = [0] * t
             for pos in range(t - 1, -1, -1):
                 index, word[pos] = divmod(index, n)
-            if n <= len(symbols):
-                text = "".join(symbols[s] for s in word)
-            else:
-                text = ",".join(map(str, word))
+            text = word_text(word, n)
             if "," in text:
                 text = f'"{text}"'
             lines.append(f"{text},{value:.12g}\n")

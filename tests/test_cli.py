@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -345,10 +347,14 @@ def test_entropy_report_matches_the_library(x_model, tmp_path):
     assert _csv_body(csv_out) == expected
 
 
-def test_posterior_report_matches_the_library(x_model, tmp_path):
+@pytest.mark.parametrize("block_words", [None, 16], ids=["one-block", "eight-blocks"])
+def test_posterior_report_matches_the_library(block_words, x_model, tmp_path,
+                                              monkeypatch):
     argv = ["posterior", "--x-model", x_model, "--y-model", KEY, "--z", "0110100"]
     table = inference.posterior(MARKOV, sources.make_bernoulli([0.45, 0.55]),
                                 additive_cipher(2), text_to_word("0110100", 2))
+    if block_words:  # the reports' rows span 2**7 // 16 blocks
+        monkeypatch.setattr(inference, "_BLOCK_WORDS", block_words)
     texts = [word_to_text(index_to_word(u, 2, 7), 2) for u in range(2**7)]
     json_out, csv_out = tmp_path / "posterior.json", tmp_path / "posterior.csv"
     assert cli.main(argv + ["--out", str(json_out)]) == 0
@@ -361,6 +367,20 @@ def test_posterior_report_matches_the_library(x_model, tmp_path):
     assert _csv_body(csv_out) == ["plaintext,log2_posterior"] + [
         f"{text},{value:.12g}" for text, value in zip(texts, table.log_posterior)
     ]
+
+
+def test_json_posterior_over_max_rows_holds_one_block(x_model, tmp_path):
+    # t = 20: the whole posterior table alone is 8 MB
+    argv = ["posterior", "--x-model", x_model, "--y-model", KEY,
+            "--z", "01101001100101101001", "--out", str(tmp_path / "posterior.json")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "posterior.json").read_text())["results"]["rows"] is None
+    assert peak <= 4 << 20
 
 
 def test_posterior_csv_quotes_plaintexts_of_large_alphabets(tmp_path):
@@ -532,7 +552,7 @@ def test_bracket_trail_off_its_monotone_course_exits_4(which, bend, message, x_m
     # the m = 3 ends as computed, so only the trail over m' < 3 shows the fault
     enumerate_blocks = inference._entropies_for_chain
 
-    def bent(chain, length, with_start=True):
+    def bent(chain, length):
         totals = [entropies.copy() for entropies in enumerate_blocks(chain, length)]
         totals[which] += bend
         return tuple(totals)
@@ -783,6 +803,44 @@ def test_cipher_streams_of_different_lengths_are_rejected(subcommand, mode, tmp_
             "--out", str(tmp_path / "out"), *options]
     assert cli.main(argv) == 2
     assert _error_line(capsys).startswith("error: config:")
+
+
+@pytest.mark.parametrize("stdin_option, short", [("--in", 0), ("--key", 0), ("--key", 7)],
+                         ids=["in", "key", "short-key"])
+def test_encrypt_reads_a_pipe_fed_in_pieces(stdin_option, short, tmp_path, monkeypatch,
+                                            capsys):
+    # 30,000-byte pieces, each less than one read of the stream, with a pause
+    # after each, so that a read finds the pipe holding less than it asks for
+    data = np.random.default_rng(4).integers(0, 256, 90_007, dtype=np.uint8).tobytes()
+    plain, key = tmp_path / "plain", tmp_path / "key"
+    plain.write_bytes(data)
+    key.write_bytes(data[::-1])
+    argv = ["encrypt", "--in", str(plain), "--key", str(key)]
+    assert cli.main(argv + ["--out", str(tmp_path / "from-files")]) == 0
+    piped = (plain if stdin_option == "--in" else key).read_bytes()[short:]
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with os.fdopen(write_end, "wb", buffering=0) as fh:
+            for first in range(0, len(piped), 30_000):
+                fh.write(piped[first : first + 30_000])
+                time.sleep(0.01)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    with io.TextIOWrapper(os.fdopen(read_end, "rb")) as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        argv[argv.index(stdin_option) + 1] = "-"
+        code = cli.main(argv + ["--out", str(tmp_path / "from-pipe")])
+    feeder.join()
+    if not short:
+        assert code == 0
+        assert (tmp_path / "from-pipe").read_bytes() == (tmp_path / "from-files").read_bytes()
+    else:
+        assert code == 2
+        assert _error_line(capsys) == (
+            "error: config: plaintext and key streams differ in length"
+        )
 
 
 def _python(*args, **kwargs):

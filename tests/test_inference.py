@@ -747,9 +747,3 @@ def test_forward_builds_no_operators(cell, monkeypatch):
     assert operators >= 16 << 20
     assert forward_peak < operators / 8
     assert experiment_peak < operators / 8
-
-
-def test_log2sumexp():
-    values = np.log2(np.array([0.25, 0.25, 0.5]))
-    assert abs(inference.log2sumexp(values)) <= 1e-15
-    assert inference.log2sumexp(np.array([-np.inf, -np.inf])) == -np.inf

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from runkey import words
 
 
@@ -70,9 +71,18 @@ def test_bit_expansion_msb_first():
 
 @pytest.mark.parametrize("n, t", [(2, 6), (26, 2), (36, 3), (37, 2), (256, 2)])
 def test_vectorized_codec_matches_the_scalar_pair(n, t):
-    expected = [words.word_to_text(words.index_to_word(u, n, t), n) for u in range(n**t)]
-    assert words.render(words.digits(n, t), n) == expected
+    scalar = [words.index_to_word(u, n, t) for u in range(n**t)]
+    expected = [oracles.word_text(word.tolist(), n) for word in scalar]
+    assert [words.word_to_text(word, n) for word in scalar] == expected
     start, stop = n**t // 3, n**t // 2
     assert np.array_equal(words.digits(n, t, start, stop), words.digits(n, t)[start:stop])
     rows = words.text_bytes(n, t, start, stop)
     assert [bytes(row[row != 0]).decode("ascii") for row in rows] == expected[start:stop]
+
+
+@pytest.mark.parametrize("n", [26, 40, 256])
+def test_word_to_text_matches_the_oracle_on_long_words(n):
+    word = np.random.default_rng(n).integers(0, n, 5000)
+    word[:3] = [0, n - 1, 0]
+    assert words.word_to_text(word, n) == oracles.word_text(word.tolist(), n)
+    assert np.array_equal(words.text_to_word(words.word_to_text(word, n), n), word)
