@@ -23,13 +23,11 @@ from .inference import (
     DEFAULT_ENTRY_CAP,
     EntropyBracket,
     PosteriorTable,
-    hm_conditional,
     hxz_bracket,
     hz_bracket,
     joint_log2_table,
     log_marginal_forward,
     posterior,
-    z_block_entropies,
 )
 from .secrecy import (
     ConcentrationReport,
@@ -52,7 +50,6 @@ from .sources import (
     make_markov,
     make_uniform,
     save_model,
-    stationary_distribution,
     train_markov,
     xlog2x,
 )
@@ -96,7 +93,6 @@ __all__ = [
     "certify_bounds",
     "concentration_experiment",
     "entropy_bits",
-    "hm_conditional",
     "hxz_bracket",
     "hz_bracket",
     "index_to_word",
@@ -109,7 +105,6 @@ __all__ = [
     "posterior",
     "robustness_sweep",
     "save_model",
-    "stationary_distribution",
     "symbols_to_bytes",
     "text_to_word",
     "train_markov",
@@ -117,5 +112,4 @@ __all__ = [
     "word_to_index",
     "word_to_text",
     "xlog2x",
-    "z_block_entropies",
 ]

@@ -17,7 +17,7 @@ report (first character ``{``) through its ``config`` object.  A file naming
 another subcommand is rejected.
 
 Exit codes: 0 success, 2 invalid configuration or input data, 3 enumeration
-or operator-entry cap exceeded or memory exhausted, 4 numeric failure.
+or table-entry cap exceeded or memory exhausted, 4 numeric failure.
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ class EnumerationCapError(RunkeyError, ValueError):
 
 
 class StateCapError(RunkeyError, ValueError):
-    """The product chain's operators would store more entries than the cap.
+    """A product-chain table would hold more entries than the cap.
 
-    Raised before any operator is built, from the count n * n * S of stored
-    operator entries (n symbols, S product states) against
-    ``runkey.inference.DEFAULT_ENTRY_CAP``.
+    Raised before the table is built, when the bracket's step tables (n * n
+    * S entries each, n symbols, S product states) or the forward's factor
+    table would exceed ``runkey.inference.DEFAULT_ENTRY_CAP``.
     """
 
 

@@ -21,13 +21,10 @@ built on that identity:
   driver (one stacked matmul a step, over at most max(S, n) states for a
   key-recoverable cipher when the product chain has S), not over the
   product chain itself;
-- :func:`z_block_entropies` and the brackets descend the ciphertext suffix
+- the brackets' ciphertext block entropies descend the ciphertext suffix
   tree depth first, backward: a word's law given each product state, over
   the S states, gives a child's at n * S multiply-adds, for every cipher.
   No computation uses the product chain's S x S operators;
-- :func:`hm_conditional` evaluates the m-order conditional entropy
-  ``h_m(X|Z) = h_m(X) + h_m(Y) - h_m(Z)`` (the joint block law of (X, Z) is
-  a bijective re-indexing of the independent (X, Y) law);
 - :func:`hz_bracket` / :func:`hxz_bracket` sandwich the entropy rate of the
   ciphertext process, which is a function of a hidden Markov chain and has
   no closed form, between the standard monotone conditional-entropy bounds
@@ -57,13 +54,13 @@ import numpy as np
 from .cipher import CipherSpec
 from .errors import (
     CertificationError,
-    EnumerationCapError,
     StateCapError,
     UnsupportedCipherError,
 )
 from .sources import (
-    DEFAULT_WORD_CAP,
+    DEFAULT_WORD_CAP,  # noqa: F401 (re-exported; tests read it here)
     SourceModel,
+    _check_cap,
     _log2_safe,
     _open_for,
     entropy_bits,
@@ -349,10 +346,7 @@ def _joint_blocks(xm, ym, spec, ciphertext):
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
     t = z.size
-    if n**t > DEFAULT_WORD_CAP:
-        raise EnumerationCapError(
-            f"enumerating {n}**{t} plaintexts exceeds cap {DEFAULT_WORD_CAP}"
-        )
+    _check_cap(n, t, "plaintexts")
     key_table = spec.key_table
     if key_table is None:
         raise UnsupportedCipherError(
@@ -599,20 +593,6 @@ def posterior(
 # -- ciphertext block entropies and brackets -----------------------------------
 
 
-def z_block_entropies(
-    xm: SourceModel,
-    ym: SourceModel,
-    spec: CipherSpec,
-    length: int,
-) -> np.ndarray:
-    """Block entropies ``H(Z_1..Z_j)`` in bits for all ``j <= length``.
-
-    Index 0 of the returned array is 0 by convention.
-    """
-    chain = _ProductChain(xm, ym, spec)
-    return _entropies_for_chain(chain, length)[0]
-
-
 def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray, np.ndarray]:
     """``H(Z^j)`` and ``H(Z^j, S_1)`` in bits for all ``j <= length``.
 
@@ -638,11 +618,7 @@ def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray,
     n, size, alpha0 = chain.n, chain.size, chain.alpha0
     if length < 1:
         raise ValueError("block length must be >= 1")
-    if n**length > DEFAULT_WORD_CAP:
-        raise EnumerationCapError(
-            f"enumerating {n}**{length} ciphertext blocks exceeds cap "
-            f"{DEFAULT_WORD_CAP}"
-        )
+    _check_cap(n, length, "ciphertext blocks")
     xm, ym = chain.xm, chain.ym
     plain_of = chain.spec.decoder.T.astype(np.int32)  # [y, a]
     sx, sy = xm.num_states, ym.num_states
@@ -712,9 +688,6 @@ class EntropyBracket:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    def as_dict(self) -> dict:
-        return {"m": self.order_used, "lower": self.lower, "upper": self.upper}
-
 
 def hz_bracket(
     xm: SourceModel,
@@ -750,27 +723,6 @@ def hz_bracket(
     lower = min(max(lowers[m], 0.0), log_n)
     upper = min(max(uppers[m], 0.0), log_n)
     return EntropyBracket(lower=lower, upper=upper, order_used=m)
-
-
-def hm_conditional(
-    xm: SourceModel,
-    ym: SourceModel,
-    spec: CipherSpec,
-    m: int,
-) -> float:
-    """m-order conditional entropy ``h_m(X|Z) = h_m(X,Z) - h_m(Z)`` in bits.
-
-    Since (x, z) and (x, y) are in measure-preserving bijection and X, Y are
-    independent, ``h_m(X,Z) = h_m(X) + h_m(Y)`` exactly.
-    """
-    _check_alphabets(xm, ym, spec)
-    if spec.key_table is None:
-        raise UnsupportedCipherError(
-            "conditional entropies need a key-recoverable cipher"
-        )
-    totals = z_block_entropies(xm, ym, spec, m + 1)
-    hm_z = totals[m + 1] / (m + 1)
-    return xm.block_entropy(m) + ym.block_entropy(m) - hm_z
 
 
 def hxz_bracket(

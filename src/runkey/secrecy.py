@@ -34,13 +34,13 @@ from .inference import (
     hxz_bracket,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
-from .sources import SourceModel, _walk_batch, make_bernoulli
+from .sources import SourceModel, _check_cap, _walk_batch, make_bernoulli
 from .words import as_word
 
 DEFAULT_MEMBER_CAP = 1 << 22
 
-# Monte Carlo samples per batch, lowered so a batch's forward state holds at
-# most _CELL floats; it exists to bound working memory
+# Monte Carlo samples per batch, lowered so each of a batch's arrays holds at
+# most _CELL floats (one row at least); it exists to bound working memory
 _SAMPLE_CHUNK = 2048
 
 
@@ -208,9 +208,12 @@ def typical_set_growth(
     For each length a fresh (plaintext, key) pair is sampled from the models
     (seeds derived from ``(seed, t, stream)``), enciphered, and measured
     with :func:`build_typical_set`.  ``seed`` must be a non-negative
-    integer; it is checked before the bracket is enumerated.
+    integer and each length's n**t plaintexts within ``DEFAULT_WORD_CAP``;
+    both are checked before anything is sampled or enumerated.
     """
     _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
+    for t in t_list:
+        _check_cap(spec.alphabet_size, t, "plaintexts")
     _check_seed(seed)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
@@ -408,10 +411,11 @@ def concentration_experiment(
     rounding.  ``seed`` must be a non-negative integer, and epsilon and a
     given ``h_ref`` finite; all are checked before the bracket is enumerated.
 
-    Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows, and within a chunk
-    at most three (rows, t+1)-sized arrays are alive at once: one stream's
-    uniforms are walked and dropped before the other's are drawn, and the
-    plaintext and key words are dropped once the ciphertext words exist.
+    Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows and of at most
+    ``_CELL`` floats per (rows, t+1) array (one row at least), and within a
+    chunk at most three such arrays are alive at once: one stream's uniforms
+    are walked and dropped before the other's are drawn, and the plaintext
+    and key words are dropped once the ciphertext words exist.
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)
@@ -427,12 +431,12 @@ def concentration_experiment(
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     chain = _ProductChain(xm, ym, spec)
-    chunk = max(1, min(_SAMPLE_CHUNK, _CELL // chain.size))
 
     fractions: list[float] = []
     means: list[float] = []
     variances: list[float] = []
     for t in lengths:
+        chunk = max(1, min(_SAMPLE_CHUNK, _CELL // max(chain.size, t + 1)))
         chunks = []
         for start in range(0, samples, chunk):
             stop = min(start + chunk, samples)
@@ -561,6 +565,8 @@ def robustness_sweep(
         if seed is None:
             raise ValueError("growth series sampling needs a seed")
         _check_band(epsilon, member_cap=member_cap, lengths=t_list)
+        for t in t_list:
+            _check_cap(spec.alphabet_size, t, "plaintexts")
         _check_seed(seed)
     reports = []
     for tau in taus:

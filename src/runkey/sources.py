@@ -94,6 +94,20 @@ def _log2_safe(p: np.ndarray) -> np.ndarray:
     return np.log2(p, out=np.full_like(p, -np.inf), where=p > 0.0)
 
 
+def _check_cap(n: int, k: int, what: str) -> None:
+    """Raise EnumerationCapError when ``n**k`` exceeds ``DEFAULT_WORD_CAP``.
+
+    For n >= 2 any k above the cap's bit length is already over it, so the
+    power is computed only when it is small, on Python ints, which cannot
+    wrap as numpy integers would.
+    """
+    n, k = int(n), int(k)
+    if n >= 2 and (k > DEFAULT_WORD_CAP.bit_length() or n**k > DEFAULT_WORD_CAP):
+        raise EnumerationCapError(
+            f"enumerating {n}**{k} {what} exceeds cap {DEFAULT_WORD_CAP}"
+        )
+
+
 def _validate_rows(table: np.ndarray) -> None:
     if np.any(table < 0.0) or not np.all(np.isfinite(table)):
         raise InvalidDistributionError("probabilities must be finite and >= 0")
@@ -225,24 +239,6 @@ def _stationary_law(table: np.ndarray, closed: np.ndarray) -> np.ndarray:
     return pi
 
 
-def stationary_distribution(transition) -> np.ndarray:
-    """Stationary distribution of a square row-stochastic matrix.
-
-    The matrix is the order-1 context table over its own size, so it is
-    checked and solved by the same code as a model's context chain.
-    Raises NotErgodicError when the chain has more than one closed class
-    (the fixed point is then not unique; transient states are fine and get
-    mass 0) or is numerically reducible, and, above 128 states,
-    ConvergenceError when power iteration does not reach an L1 step residual
-    of 1e-12 in 10**6 steps.
-    """
-    matrix = np.asarray(transition, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise InvalidDistributionError("transition matrix must be square")
-    _validate_rows(matrix)
-    return _stationary_law(matrix, _closed_class(matrix))
-
-
 class SourceModel:
     """A stationary ergodic order-k Markov source over ``{0..n-1}``.
 
@@ -262,9 +258,10 @@ class SourceModel:
 
     The context chain P moves context s to ``(s*n + a) % n**k`` with
     probability ``transition[s, a]``; it is applied from the table, never
-    stored.  Construction raises NotErgodicError unless P has exactly one
-    closed class, and InvalidDistributionError unless the law satisfies
-    ``pi = pi P`` to within 1e-10 in L1.
+    stored.  Construction raises EnumerationCapError when the table's
+    ``n**(k+1)`` entries exceed ``DEFAULT_WORD_CAP``, NotErgodicError unless
+    P has exactly one closed class, and InvalidDistributionError unless the
+    law satisfies ``pi = pi P`` to within 1e-10 in L1.
 
     Instances are immutable (arrays are frozen) and safe to share between
     threads; sampling takes an explicit seed.
@@ -277,6 +274,7 @@ class SourceModel:
             raise InvalidDistributionError("alphabet size must be at least 2")
         if k < 0:
             raise InvalidDistributionError("order must be non-negative")
+        _check_cap(n, k + 1, "model table entries")
         table = np.array(transition, dtype=float)
         if table.ndim != 2 or table.shape != (n**k, n):
             raise InvalidDistributionError(
@@ -376,10 +374,7 @@ class SourceModel:
         if length < 1:
             raise ValueError("block length must be >= 1")
         n, k = self._n, self._k
-        if n**length > DEFAULT_WORD_CAP:
-            raise EnumerationCapError(
-                f"enumerating {n}**{length} words exceeds cap {DEFAULT_WORD_CAP}"
-            )
+        _check_cap(n, length, "words")
         if length <= k:
             return self._log2_marginal(length)
         logp = self._log2_marginal(k) if k else np.zeros(1)
@@ -524,9 +519,12 @@ def train_markov(
     Every (context, next symbol) transition gets ``alpha`` pseudo-counts, so
     any ``alpha > 0`` yields strictly positive rows.  Contexts that never
     occur in the stream (possible only with ``alpha = 0``) get uniform rows.
+    A table of more than ``DEFAULT_WORD_CAP`` entries raises
+    EnumerationCapError before anything is counted.
     """
     n = int(alphabet_size)
     k = int(order)
+    _check_cap(n, k + 1, "model table entries")
     if alpha < 0.0:
         raise InvalidDistributionError("smoothing constant must be >= 0")
     if np.asarray(stream).size <= k:
@@ -602,14 +600,14 @@ class _Floats(dict):
 def load_model(path) -> SourceModel:
     """Parse a model file in the (unchanged) format :func:`save_model` writes.
 
-    Each row is converted as it is read and written straight into the
-    table, which is allocated at the first row, once its ``n**k * n``
-    entries are known to fit ``DEFAULT_WORD_CAP`` (EnumerationCapError
-    otherwise).  The cost grows with the number of distinct rows and
-    values while they are few.  A row whose text (everything after its
-    label) repeats an earlier row's is copied from that row's table entries
-    instead of being parsed again, until more distinct rows are cached than
-    half the table's rows.  The rows that are parsed send their tokens
+    A header whose table of ``n**k * n`` entries would exceed
+    ``DEFAULT_WORD_CAP`` raises EnumerationCapError naming the line that
+    completes it.  Each row is converted as it is read and written straight
+    into the table, which is allocated at the first row.  The cost grows
+    with the number of distinct rows and values while they are few.  A row
+    whose text (everything after its label) repeats an earlier row's is
+    copied from that row's table entries instead of being parsed again,
+    until more distinct rows are cached than half the table's rows.  The rows that are parsed send their tokens
     through a per-file cache, so each distinct one is parsed once; when the
     cache outgrows 1/32 of the table's entries, the file is mostly distinct
     values, so the cache is dropped and the rest is parsed token by token.
@@ -652,6 +650,8 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                     if key == "order" and value < 0:
                         raise ValueError("order must be non-negative")
                     header[key] = value
+                    if len(header) == 2:
+                        _check_cap(header["n"], header["order"] + 1, "model table entries")
                 elif key == "row":
                     if len(header) < 2:
                         raise ModelFormatError(
@@ -664,11 +664,6 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                         labels = None  # off that order: parse this and every later label
                         state = _parse_state_label(parts[1], n, k)
                     if table is None:
-                        if n**k * n > DEFAULT_WORD_CAP:
-                            raise EnumerationCapError(
-                                f"a model table of {n}**{k} x {n} entries exceeds "
-                                f"cap {DEFAULT_WORD_CAP}"
-                            )
                         table, lines = np.empty((n**k, n)), array("q", [0]) * n**k
                         if k and state == 0:  # save_model's order: the labels after 0,...,0
                             symbols = map(str, range(n))
@@ -698,8 +693,10 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                     count += 1
                 else:
                     raise ModelFormatError(f"line {lineno}: unknown key {key!r}")
+            except EnumerationCapError as exc:
+                raise EnumerationCapError(f"line {lineno}: {exc}") from exc
             except (ValueError, IndexError, OverflowError) as exc:
-                if isinstance(exc, (ModelFormatError, EnumerationCapError)):
+                if isinstance(exc, ModelFormatError):
                     raise
                 raise ModelFormatError(f"line {lineno}: {exc}") from exc
     if len(header) < 2:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -575,8 +576,6 @@ def test_no_command_reads_the_product_chain_operators(report_argv, x_model, tmp_
     for argv in (report_argv("bounds"), report_argv("psi-t"), report_argv("posterior"),
                  smb):
         assert cli.main(argv + ["--out", str(tmp_path / "report")]) == 0
-    key = sources.make_bernoulli([0.45, 0.55])
-    assert inference.hm_conditional(MARKOV, key, additive_cipher(2), 3) > 0.0
 
 
 def _option_help(subcommand: str, option: str, capsys) -> str:
@@ -712,6 +711,51 @@ def test_model_header_of_a_huge_table_exits_3_before_allocating(n, k, tmp_path, 
     message = _error_line(capsys)
     assert message.startswith("error: cap:") and f"exceeds cap {sources.DEFAULT_WORD_CAP}" in message
     assert peak < 1 << 20  # the table would be n**k * n floats
+
+
+# inputs that once computed n**k for a cap check, or sampled before it: each
+# ran (or allocated 8 GB) for many seconds before it failed, if it did
+_HUGE_POWERS = {
+    "header": ["entropy", "--x-model", "{huge}"],
+    "bounds": ["bounds", "--x-model", "uniform:2", "--y-model", KEY,
+               "--m", "1000000000000"],
+    "sweep": ["sweep", "--x-model", "uniform:2", "--tau", "0.1",
+              "--m", "1000000000000"],
+    "psi": ["psi", "--x-model", "uniform:2", "--y-model", KEY,
+            "--t", "1000000000", "--eps", "0.1", "--seed", "1"],
+    "train": ["train", "--corpus", "{corpus}", "--n", "96", "--order", "3",
+              "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", list(_HUGE_POWERS))
+def test_huge_power_exits_3_at_once(case, tmp_path, monkeypatch, capsys):
+    huge, corpus, out = tmp_path / "huge.model", tmp_path / "corpus", tmp_path / "out"
+    huge.write_text("n 3\norder 100000000\n")  # no rows
+    corpus.write_bytes(bytes(range(96)) * 4)
+
+    def sampled(*args):
+        raise AssertionError("a ciphertext was sampled before the cap check")
+
+    def hung(*args):
+        pytest.fail(f"{case} ran for 5 s")
+
+    monkeypatch.setattr(sources.SourceModel, "sample", sampled)
+    argv = [arg.format(huge=huge, corpus=corpus, out=out) for arg in _HUGE_POWERS[case]]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cap:")
+    assert "Exceeds the limit" not in err
+    assert not out.exists()
+    if case == "header":
+        assert err.startswith("error: cap: line 2: ")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

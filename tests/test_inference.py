@@ -370,26 +370,27 @@ def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
     assert 256 * 256 * 65536 > inference.DEFAULT_ENTRY_CAP
 
 
-# -- conditional entropies -----------------------------------------------------------
+# -- ciphertext block entropies ------------------------------------------------------
 
 
-def test_hm_conditional_uniform_key_equals_plaintext_entropy():
-    for m in range(5):
-        lhs = inference.hm_conditional(MARKOV, UNIFORM2, SPEC2, m)
-        assert abs(lhs - MARKOV.block_entropy(m)) <= 1e-12
+def z_entropies(xm, ym, spec, length):
+    """``H(Z^j)`` for ``j <= length``, as the brackets enumerate them."""
+    return inference._entropies_for_chain(inference._ProductChain(xm, ym, spec), length)[0]
 
 
-def test_hm_conditional_deterministic_key_is_zero():
+@pytest.mark.parametrize("pair", [(MARKOV, UNIFORM2), (UNIFORM2, BIASED)],
+                         ids=["key", "plaintext"])
+def test_uniform_source_gives_uniform_ciphertext_blocks(pair):
+    # a uniform key, or a uniform plaintext, makes Z uniform: H(Z^j) = j log2 n
+    assert np.abs(z_entropies(*pair, SPEC2, 5) - np.arange(6)).max() <= 1e-12
+
+
+def test_zero_entropy_key_gives_plaintext_block_entropies():
+    # the key is all zeros, so Z = X and H(Z^j) = j h_{j-1}(X)
     zero_key = sources.make_bernoulli([1.0, 0.0])
-    for m in range(4):
-        assert abs(inference.hm_conditional(MARKOV, zero_key, SPEC2, m)) <= 1e-12
-
-
-def test_hm_conditional_uniform_plaintext_biased_key():
-    expected = oracles.binary_entropy(0.49)
-    for m in range(5):
-        value = inference.hm_conditional(UNIFORM2, BIASED, SPEC2, m)
-        assert abs(value - expected) <= 1e-12
+    totals = z_entropies(MARKOV, zero_key, SPEC2, 4)
+    expected = [j * MARKOV.block_entropy(j - 1) for j in range(1, 5)]
+    assert np.abs(totals[1:] - expected).max() <= 1e-12
 
 
 def test_joint_block_factorisation():
@@ -401,7 +402,7 @@ def test_joint_block_factorisation():
 
 def test_z_block_entropies_match_pair_enumeration():
     for m in range(3):
-        totals = inference.z_block_entropies(MARKOV, BIASED, SPEC2, m + 1)
+        totals = z_entropies(MARKOV, BIASED, SPEC2, m + 1)
         assert abs(totals[m + 1] / (m + 1) - oracles.hm_z_pair_blocks(MARKOV, BIASED, 2, m)) <= 1e-10
 
 
@@ -468,13 +469,6 @@ def test_bracket_validation():
     assert collapsed.lower == collapsed.upper == 0.5
 
 
-def test_bracket_export_record():
-    bracket = inference.hz_bracket(MARKOV, BIASED, SPEC2, 2)
-    record = bracket.as_dict()
-    assert set(record) == {"m", "lower", "upper"}
-    assert record["m"] == 2
-
-
 @st.composite
 def sharp_models(draw, n, order):
     """An ergodic order-k model whose rows may be near-deterministic or hold zeros.
@@ -513,7 +507,7 @@ def bracket_cases(draw):
 def test_block_entropies_and_bracket_match_oracle_for_any_cipher(case):
     xm, ym, spec, length = case
     plain, conditional = oracles.z_block_entropies(xm, ym, spec, length)
-    totals = inference.z_block_entropies(xm, ym, spec, length)
+    totals = z_entropies(xm, ym, spec, length)
     assert np.abs(totals - plain).max() <= 1e-12
     m = length - 1
     bracket = inference.hz_bracket(xm, ym, spec, m)
@@ -529,12 +523,12 @@ def test_chunked_enumeration_bit_identical(monkeypatch):
     ym = sources.make_markov(2, 1, [[0.6, 0.4], [0.3, 0.7]])
     z = ym.sample(14, 3)
     reference = inference.joint_log2_table(xm, ym, SPEC2, z)
-    reference_totals = inference.z_block_entropies(xm, ym, SPEC2, 8)
+    reference_totals = z_entropies(xm, ym, SPEC2, 8)
     reference_bracket = inference.hz_bracket(xm, ym, SPEC2, 7)
     monkeypatch.setattr(inference_module, "_CELL", 64)
     monkeypatch.setattr(inference_module, "_ENUM_CELL", 1)  # one row per block
     assert np.array_equal(inference.joint_log2_table(xm, ym, SPEC2, z), reference)
-    assert np.array_equal(inference.z_block_entropies(xm, ym, SPEC2, 8), reference_totals)
+    assert np.array_equal(z_entropies(xm, ym, SPEC2, 8), reference_totals)
     assert inference.hz_bracket(xm, ym, SPEC2, 7) == reference_bracket
 
 
@@ -578,8 +572,23 @@ def test_certify_pair_bracket_pinned():
     bracket = inference.hz_bracket(xm, ym, SPEC2, 10)
     assert abs(bracket.lower - CERTIFY_ENDS[0]) <= 1e-12
     assert abs(bracket.upper - CERTIFY_ENDS[1]) <= 1e-12
-    trail = inference.z_block_entropies(xm, ym, SPEC2, 11)
+    trail = z_entropies(xm, ym, SPEC2, 11)
     assert np.abs(trail - CERTIFY_TRAIL).max() <= 1e-12
+
+
+def test_sampled_surprisal_rate_matches_the_enumeration():
+    # W_t = -(1/t) log2 P(x | z) over the sampler's pairs has expectation
+    # (H(X^t) + H(Y^t) - H(Z^t)) / t exactly: this ties the walk, the seeding
+    # and the forward to the closed-form block entropies and the enumeration
+    xm, ym = _certify_pair()
+    lengths, samples = [3, 12], 4096
+    report = secrecy.concentration_experiment(
+        xm, ym, SPEC2, lengths, samples, 0.05, 0.05, seed=0, h_ref=0.5
+    )
+    plain = z_entropies(xm, ym, SPEC2, max(lengths))
+    for t, mean, variance in zip(lengths, report.means, report.variances):
+        expected = xm.block_entropy(t - 1) + ym.block_entropy(t - 1) - plain[t] / t
+        assert abs(mean - expected) <= 5 * math.sqrt(variance / samples), t
 
 
 def test_posterior_blocks_bound_the_working_set(tmp_path):

@@ -249,6 +249,24 @@ def test_concentration_determinism_across_chunk_sizes(monkeypatch):
         assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
 
 
+def test_concentration_chunks_hold_at_most_cell_uniforms(monkeypatch):
+    # past _CELL / _SAMPLE_CHUNK symbols, a length's chunks narrow so each
+    # (rows, t+1) array stays within _CELL floats; statistics move by rounding
+    kwargs = dict(t_list=[99, 300], samples=20, epsilon=0.05, delta=0.01, seed=3,
+                  h_ref=0.5)
+    reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
+    shapes = []
+    uniforms = secrecy._uniforms
+    monkeypatch.setattr(secrecy, "_uniforms",
+                        lambda *args: shapes.append(args[1:4]) or uniforms(*args))
+    monkeypatch.setattr(secrecy, "_CELL", 1000)
+    report = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
+    assert all((stop - start) * (t + 1) <= 1000 for t, start, stop in shapes)
+    assert {(t, stop - start) for t, start, stop in shapes} >= {(99, 10), (300, 3)}
+    assert np.allclose(report.means, reference.means, rtol=0.0, atol=1e-12)
+    assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
+
+
 def test_concentration_sampling_memory_is_three_arrays_of_a_chunk():
     # at most one stream's uniforms and two word arrays at once (3.0x): 5.0x
     # with both streams' uniforms and all three word arrays alive.  The key

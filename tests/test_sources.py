@@ -99,16 +99,21 @@ def test_markov_validates_supplied_initial():
         sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]], initial=[0.5, 0.5])
 
 
-# -- stationary_distribution (square chains) --------------------------------------
+# -- stationary law of square chains ------------------------------------------------
+
+
+def stationary_law(matrix):
+    """The stationary law of a square chain, the order-1 table over its size."""
+    return sources.make_markov(len(matrix), 1, matrix).stationary
 
 
 def test_stationary_distribution_examples():
     assert np.allclose(
-        sources.stationary_distribution([[0.9, 0.1], [0.1, 0.9]]), [0.5, 0.5],
+        stationary_law([[0.9, 0.1], [0.1, 0.9]]), [0.5, 0.5],
         atol=1e-10,
     )
     assert np.allclose(
-        sources.stationary_distribution([[0.9, 0.1], [0.2, 0.8]]),
+        stationary_law([[0.9, 0.1], [0.2, 0.8]]),
         [2 / 3, 1 / 3],
         atol=1e-10,
     )
@@ -117,19 +122,19 @@ def test_stationary_distribution_examples():
 def test_stationary_distribution_periodic_chain():
     # the flip chain is periodic; the damped iteration must still settle
     assert np.allclose(
-        sources.stationary_distribution([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5],
+        stationary_law([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5],
         atol=1e-12,
     )
 
 
 def test_stationary_distribution_identity_not_ergodic():
     with pytest.raises(NotErgodicError):
-        sources.stationary_distribution(np.eye(2))
+        stationary_law(np.eye(2))
 
 
 def test_stationary_distribution_rejects_bad_rows():
     with pytest.raises(InvalidDistributionError):
-        sources.stationary_distribution([[0.9, 0.2], [0.1, 0.9]])
+        stationary_law([[0.9, 0.2], [0.1, 0.9]])
 
 
 # -- block probabilities -----------------------------------------------------------
@@ -474,10 +479,10 @@ def test_model_file_rejects_malformed_input():
 
 
 @pytest.mark.parametrize("order", [0, 1])
-def test_model_file_over_the_table_cap_is_refused_at_its_first_row(order):
+def test_model_file_over_the_table_cap_is_refused_at_its_header(order):
     # the cap check comes before anything the size of the alphabet is built
     text = f"n {sources.DEFAULT_WORD_CAP + 1}\norder {order}\nrow {'0' if order else '-'} 1\n"
-    with pytest.raises(EnumerationCapError, match="exceeds cap"):
+    with pytest.raises(EnumerationCapError, match="^line 2: .* exceeds cap"):
         sources.load_model(io.StringIO(text))
 
 
@@ -514,7 +519,7 @@ def test_power_iteration_convergence_error(monkeypatch):
     table = np.array([[1 - eps, eps], [2 * eps, 1 - 2 * eps]])[np.arange(1024) % 2]
     monkeypatch.setattr(sources, "_POWER_STEPS", 50)
     with pytest.raises(ConvergenceError):
-        sources.stationary_distribution(matrix)
+        stationary_law(matrix)
     with pytest.raises(ConvergenceError):
         sources.make_markov(2, 10, table)
 
@@ -522,9 +527,7 @@ def test_power_iteration_convergence_error(monkeypatch):
 def test_slow_mixing_small_chain_is_solved_exactly():
     # power iteration needs ~10**6 steps here and used to raise ConvergenceError
     table = [[1 - 1e-5, 1e-5], [2e-5, 1 - 2e-5]]
-    for pi in (sources.SourceModel(2, 1, table).stationary,
-               sources.stationary_distribution(table)):
-        assert np.abs(pi - [2 / 3, 1 / 3]).max() <= 1e-12
+    assert np.abs(stationary_law(table) - [2 / 3, 1 / 3]).max() <= 1e-12
 
 
 def test_slow_binary_order_7_chain_is_solved_exactly():
@@ -547,16 +550,13 @@ def test_tiny_off_diagonal_chain_gets_its_exact_law():
     # 5e-324 vanishes against 1 in I - P, which made the direct solve singular;
     # the elimination never subtracts, so the law is exactly (1/2, 1/2)
     table = [[1.0, 5e-324], [5e-324, 1.0]]
-    for pi in (sources.make_markov(2, 1, table).stationary,
-               sources.stationary_distribution(table)):
-        assert pi.tolist() == [0.5, 0.5]
+    assert stationary_law(table).tolist() == [0.5, 0.5]
     # a law whose ratio passes the float range: the back substitution rescales
-    pi = sources.stationary_distribution([[0.0, 1.0], [5e-324, 1.0]])
+    pi = stationary_law([[0.0, 1.0], [5e-324, 1.0]])
     assert pi.tolist() == [5e-324, 1.0]
     # 5e-324 * 0.5 underflows unless the elimination runs at its 2**600 scale;
     # pi_0 = 2.5e-324 rounds to 0
-    pi = sources.stationary_distribution([[0.0, 1.0, 0.0], [0.0, 1.0, 5e-324],
-                                          [0.5, 0.5, 0.0]])
+    pi = stationary_law([[0.0, 1.0, 0.0], [0.0, 1.0, 5e-324], [0.5, 0.5, 0.0]])
     assert pi.tolist() == [0.0, 1.0, 5e-324]
 
 
@@ -569,7 +569,7 @@ def test_bipartite_chain_converges_through_the_damped_step(monkeypatch):
     matrix[:120, 120:] = rng.dirichlet(np.ones(80), size=120)
     matrix[120:, :120] = rng.dirichlet(np.ones(120), size=80)
     monkeypatch.setattr(sources, "_POWER_STEPS", 10**4)
-    pi = sources.stationary_distribution(matrix)
+    pi = stationary_law(matrix)
     assert np.abs(pi @ matrix - pi).sum() <= 1e-10
     assert abs(pi[:120].sum() - 0.5) <= 1e-12
 
@@ -588,18 +588,16 @@ def test_ergodicity_check_matches_closure_oracle():
     rng = np.random.default_rng(11)
     verdicts = {"square": [], "context": []}
     for _ in range(120):
-        size = int(rng.integers(1, 7))
+        size = int(rng.integers(2, 7))  # a model needs n >= 2
         matrix = _table_with_zeros(rng, size, size)
         ergodic = oracles.closed_class_count(matrix.tolist()) == 1
         verdicts["square"].append(ergodic)
         if ergodic:
-            pi = sources.stationary_distribution(matrix)
+            pi = stationary_law(matrix)
             assert np.abs(pi @ matrix - pi).sum() <= 1e-10
-            if size >= 2:  # the matrix is the order-1 context table over its size
-                assert np.array_equal(pi, sources.make_markov(size, 1, matrix).stationary)
         else:
             with pytest.raises(NotErgodicError):
-                sources.stationary_distribution(matrix)
+                stationary_law(matrix)
     for _ in range(120):
         n, k = int(rng.integers(2, 4)), int(rng.integers(1, 3))
         table = _table_with_zeros(rng, n**k, n)
@@ -617,7 +615,7 @@ def test_ergodicity_check_matches_closure_oracle():
 
 def test_transient_states_feeding_one_closed_class():
     # state 0 leaves for good; states 1 and 2 form the one closed class
-    pi = sources.stationary_distribution([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
+    pi = stationary_law([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
     assert pi[0] <= 1e-10
     assert np.allclose(pi, [0.0, 6 / 13, 7 / 13], atol=1e-10)
     # context 0 is transient once context 1 only ever emits 1
