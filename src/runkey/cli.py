@@ -501,7 +501,7 @@ def _build_parser() -> _Parser:
     added, are the report's echoed configuration (``echo_keys``), so model
     options come first and ``seed``, ``out`` and ``format`` last.
     """
-    parser = _Parser(prog="runkey", description=__doc__)
+    parser = _Parser(prog="runkey", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -607,30 +607,18 @@ def _build_parser() -> _Parser:
 
 
 def _splice_config(argv: list[str]) -> list[str]:
-    if not argv:
-        raise ConfigError("missing subcommand")
-    if argv[0] in ("--version", "-h", "--help"):
-        return argv
-    if argv[0].startswith("-"):
-        raise ConfigError("the subcommand must come first")
-    rest = argv[1:]
-    tokens: list[str] = []
-    cleaned: list[str] = []
-    i = 0
-    while i < len(rest):
-        item = rest[i]
-        if item == "--config":
-            if i + 1 >= len(rest):
-                raise ConfigError("--config needs a file path")
-            tokens.extend(_read_config_file(rest[i + 1], argv[0]))
-            i += 2
-        elif item.startswith("--config="):
-            tokens.extend(_read_config_file(item.split("=", 1)[1], argv[0]))
-            i += 1
-        else:
-            cleaned.append(item)
-            i += 1
-    return [argv[0]] + tokens + cleaned
+    """``argv`` with each ``--config`` file's options right after the subcommand.
+
+    The subcommand is ``argv[0]``; the rest (a missing or misplaced
+    subcommand too) is the full parser's to judge, and later flags win.  No
+    parser takes abbreviations: ``--conf`` would read a file, and ``--v`` in
+    place of the subcommand would print the version.
+    """
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", action="append", default=[])
+    known, rest = pre.parse_known_args(argv[1:])
+    tokens = [token for path in known.config for token in _read_config_file(path, argv[0])]
+    return argv[:1] + tokens + rest
 
 
 def main(argv=None) -> int:

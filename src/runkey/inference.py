@@ -132,10 +132,16 @@ def _check_alphabets(xm: SourceModel, ym: SourceModel, spec: CipherSpec) -> int:
     return n
 
 
-class _DriverStep:
-    """One step of the forward recursion given z, over the driver's last K symbols.
+class _ProductChain:
+    """The hidden Markov chain driving the ciphertext process.
 
-    Given z, the key symbol is a function of the plaintext symbol
+    States are pairs (plaintext context, key context) packed as
+    ``sx * Sy + sy``, with the stationary law ``alpha0``.  Construction
+    checks the entry cap (n * n * S) and stores only ``alpha0``; the block
+    enumeration runs on n * n * S step tables over the S states.
+
+    The forward (:meth:`forward_log2`) runs over the driver's last K symbols
+    instead.  Given z, the key symbol is a function of the plaintext symbol
     (``key_table[a, z]``, key-recoverable ciphers) and the plaintext symbol
     one of the key symbol (``decoder[z, b]``, every cipher).  So only one
     source, the driver, is summed over; the other one's symbols follow
@@ -143,63 +149,14 @@ class _DriverStep:
     the plaintext, if the cipher is key-recoverable).  A state is the
     driver's last ``K = max(k_D, k_O + 1)`` symbols, packed; for a
     key-recoverable cipher n**K is at most max(S, n), and always at most
-    n * S.  Fronts are state-major, ``(n**K, batch)``.  Only the forward
-    uses it; the block enumeration runs over the product states instead.
+    n * S.  Fronts are state-major, ``(n**K, batch)``.
 
-    A step is :meth:`mix`, one stacked (n, n) matmul of the driver's table,
-    times the other source's factor.  That factor depends only on the
-    state's last ``k_O + 1`` driver symbols and the row's last ``k_O + 1``
-    ciphertext symbols, so it is one ``lookup`` table of ``n**(2 k_O + 2)``
-    entries, checked against ``DEFAULT_ENTRY_CAP``: column ``c`` holds the
-    factor for the packed cipher window c.
-    """
-
-    def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
-        n = spec.alphabet_size
-        self.x_drives = spec.key_table is not None and xm.order >= ym.order
-        if self.x_drives:
-            drive, other, recover = xm, ym, spec.key_table
-        else:
-            drive, other, recover = ym, xm, spec.decoder.T
-        self.n, self.drive, self.other, self.recover = n, drive, other, recover
-        self.k = k = max(drive.order, other.order + 1)
-        self.window, self.keep = n ** (other.order + 1), n**other.order
-        if self.window * self.window > DEFAULT_ENTRY_CAP:
-            raise StateCapError(
-                f"forward factor table of {self.window}*{self.window} entries is "
-                f"over cap {DEFAULT_ENTRY_CAP}"
-            )
-        # stack[r, d, d0]: the driver emits d after the state d0*rest + r, whose
-        # context is its last k_D symbols (a view of the table when K = k_D)
-        contexts, rest = drive.num_states, n ** (k - 1)
-        tiled = np.broadcast_to(drive.transition, (n**k // contexts, contexts, n))
-        self.stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
-        # lookup[w, v]: the other source's factor for driver window w and cipher
-        # window v, from the context its first k_O symbols give and its last one
-        prefix = _recovered(recover, digits(n, other.order))
-        self.lookup = other.transition[
-            prefix[:, None, :, None], recover[None, :, None, :]
-        ].reshape(self.window, self.window)
-
-    def mix(self, front: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The driver's transition applied to a (n**K, batch) front, into ``out``."""
-        rest, n, batch = self.stack.shape[0], self.n, front.shape[1]
-        np.matmul(
-            self.stack,
-            front.reshape(n, rest, batch).transpose(1, 0, 2),
-            out=out.reshape(rest, n, batch),
-        )
-        return out
-
-
-class _ProductChain:
-    """The hidden Markov chain driving the ciphertext process.
-
-    States are pairs (plaintext context, key context) packed as
-    ``sx * Sy + sy``, with the stationary law ``alpha0``.  Construction
-    checks the entry cap (n * n * S) and stores only ``alpha0``; the
-    forward runs on :attr:`step`, over the driver's last K symbols, and the
-    block enumeration on n * n * S step tables over the S states.
+    A step is one stacked (n, n) matmul of the driver's table, times the
+    other source's factor.  That factor depends only on the state's last
+    ``k_O + 1`` driver symbols and the row's last ``k_O + 1`` ciphertext
+    symbols, so it is one ``lookup`` table of ``n**(2 k_O + 2)`` entries,
+    checked against ``DEFAULT_ENTRY_CAP``: column ``c`` holds the factor for
+    the packed cipher window c.
 
     ``A`` (for each ciphertext symbol v, ``A[v][s, s']`` is the probability
     of emitting v from state s while moving to s'; a dense (n, S, S) stack
@@ -254,33 +211,55 @@ class _ProductChain:
         return operators
 
     @cached_property
-    def step(self) -> _DriverStep:
-        """The recursion step over the driver's last K symbols (lookup cap checked)."""
-        return _DriverStep(self.xm, self.ym, self.spec)
+    def _driver(self):
+        """``(drive, other, recover, K, stack, lookup)`` of the forward (lookup cap checked)."""
+        n, xm, ym, spec = self.n, self.xm, self.ym, self.spec
+        if spec.key_table is not None and xm.order >= ym.order:
+            drive, other, recover = xm, ym, spec.key_table
+        else:
+            drive, other, recover = ym, xm, spec.decoder.T
+        k = max(drive.order, other.order + 1)
+        window = n ** (other.order + 1)
+        if window * window > DEFAULT_ENTRY_CAP:
+            raise StateCapError(
+                f"forward factor table of {window}*{window} entries is "
+                f"over cap {DEFAULT_ENTRY_CAP}"
+            )
+        # stack[r, d, d0]: the driver emits d after the state d0*rest + r, whose
+        # context is its last k_D symbols (a view of the table when K = k_D)
+        contexts, rest = drive.num_states, n ** (k - 1)
+        tiled = np.broadcast_to(drive.transition, (n**k // contexts, contexts, n))
+        stack = tiled.reshape(n, rest, n).transpose(1, 2, 0)
+        # lookup[w, v]: the other source's factor for driver window w and cipher
+        # window v, from the context its first k_O symbols give and its last one
+        prefix = _recovered(recover, digits(n, other.order))
+        lookup = other.transition[
+            prefix[:, None, :, None], recover[None, :, None, :]
+        ].reshape(window, window)
+        return drive, other, recover, k, stack, lookup
 
     def forward_log2(self, observations: np.ndarray) -> np.ndarray:
         """Scaled forward pass: log2 P(z) for each row of a (batch, t) array.
 
         Linear in t.  The front holds the joint mass of the driver's last K
-        symbols (see :class:`_DriverStep`); the first K symbols come from the
-        block laws, as in :func:`joint_log2_table`, and each later one is a
-        :meth:`_DriverStep.mix` times the lookup column of the row's rolling
-        cipher window.
+        symbols; the first K symbols come from the block laws, as in
+        :func:`joint_log2_table`, and each later one is the driver's stacked
+        matmul times the lookup column of the row's rolling cipher window.
 
         Identical arguments give identical results.  A row's value does not
         depend on the other rows, but the batch width can move it by float
         rounding (the GEMM's blocking and the order of the per-row sums).
         """
-        step = self.step
-        n, k, window, keep = step.n, step.k, step.window, step.keep
+        drive, other, recover, k, stack, lookup = self._driver
+        n, rest, window = self.n, stack.shape[0], lookup.shape[0]
         obs = np.atleast_2d(np.asarray(observations, dtype=np.int64))
         batch, t = obs.shape
 
         head = min(t, k)
-        recovered = _recovered(step.recover, obs[:, :head])
+        recovered = _recovered(recover, obs[:, :head])
         log_head = (
-            step.drive.log2_block_prob_array(head)[:, None]
-            + step.other.log2_block_prob_array(head)[recovered]
+            drive.log2_block_prob_array(head)[:, None]
+            + other.log2_block_prob_array(head)[recovered]
         )
         top = log_head.max(axis=0)
         top[top == -np.inf] = 0.0
@@ -292,15 +271,15 @@ class _ProductChain:
         acc = top + np.log2(scale)
         if t > k:
             # each row's cipher window, its last k_O + 1 symbols
-            order = step.other.order
-            powers = n ** np.arange(order, -1, -1)
-            recent = obs[:, k - order - 1 : k] @ powers
+            powers = n ** np.arange(other.order, -1, -1)
+            recent = obs[:, k - other.order - 1 : k] @ powers
             fresh = np.empty_like(alpha)
             for j in range(k, t):
-                recent = recent % keep * n + obs[:, j]
-                factor = np.take(step.lookup, recent, axis=1)
+                recent = recent % (window // n) * n + obs[:, j]
+                factor = np.take(lookup, recent, axis=1)
                 factor /= scale  # the front carries the previous step's mass
-                step.mix(alpha, fresh)
+                np.matmul(stack, alpha.reshape(n, rest, batch).transpose(1, 0, 2),
+                          out=fresh.reshape(rest, n, batch))
                 windows = fresh.reshape(-1, window, batch)
                 windows *= factor
                 scale = fresh.sum(axis=0)

@@ -99,13 +99,15 @@ def _check_cap(n: int, k: int, what: str) -> None:
 
     For n >= 2 any k above the cap's bit length is already over it, so the
     power is computed only when it is small, on Python ints, which cannot
-    wrap as numpy integers would.
+    wrap as numpy integers would.  The message spells out only an n within
+    the cap and such a small k: ``--n``, ``--m`` or a model file may give
+    either thousands of digits.
     """
     n, k = int(n), int(k)
-    if n >= 2 and (k > DEFAULT_WORD_CAP.bit_length() or n**k > DEFAULT_WORD_CAP):
-        raise EnumerationCapError(
-            f"enumerating {n}**{k} {what} exceeds cap {DEFAULT_WORD_CAP}"
-        )
+    bits = DEFAULT_WORD_CAP.bit_length()
+    if n >= 2 and (k > bits or n**k > DEFAULT_WORD_CAP):
+        power = f"{n if n <= DEFAULT_WORD_CAP else 'n'}**{k if k <= bits else 'k'}"
+        raise EnumerationCapError(f"enumerating {power} {what} exceeds cap {DEFAULT_WORD_CAP}")
 
 
 def _validate_rows(table: np.ndarray) -> None:
@@ -251,14 +253,11 @@ class SourceModel:
     transition : ndarray, shape (n**k, n)
         ``transition[s, a]`` is the probability of emitting ``a`` from the
         packed context ``s``.  Rows must be probability vectors.
-    stationary : ndarray, shape (n**k,), optional
-        Stationary law over contexts; computed when omitted (GTH elimination
-        up to 128 contexts, power iteration beyond), and validated against
-        ``pi = pi P`` either way.
-
     The context chain P moves context s to ``(s*n + a) % n**k`` with
     probability ``transition[s, a]``; it is applied from the table, never
-    stored.  Construction raises EnumerationCapError when the table's
+    stored.  Its stationary law over contexts is solved (GTH elimination up
+    to 128 contexts, power iteration beyond; exactly ``[1.0]`` for k = 0)
+    and certified.  Construction raises EnumerationCapError when the table's
     ``n**(k+1)`` entries exceed ``DEFAULT_WORD_CAP``, NotErgodicError unless
     P has exactly one closed class, and InvalidDistributionError unless the
     law satisfies ``pi = pi P`` to within 1e-10 in L1.
@@ -267,7 +266,7 @@ class SourceModel:
     threads; sampling takes an explicit seed.
     """
 
-    def __init__(self, alphabet_size, order, transition, stationary=None):
+    def __init__(self, alphabet_size, order, transition):
         n = int(alphabet_size)
         k = int(order)
         if n < 2:
@@ -281,18 +280,7 @@ class SourceModel:
                 f"transition table must have shape ({n**k}, {n}), got {table.shape}"
             )
         _validate_rows(table)
-        closed = _closed_class(table)
-        if stationary is None:
-            pi = _stationary_law(table, closed)
-        else:
-            pi = np.array(stationary, dtype=float)
-            if pi.shape != (n**k,):
-                raise InvalidDistributionError(
-                    f"stationary vector must have shape ({n**k},)"
-                )
-            if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-9:
-                raise InvalidDistributionError("stationary vector is not a distribution")
-            pi = pi / pi.sum()
+        pi = _stationary_law(table, _closed_class(table))
         residual = float(np.abs(_step(pi, table) - pi).sum())
         if residual > _STATIONARY_TOL:
             raise InvalidDistributionError(
@@ -304,6 +292,7 @@ class SourceModel:
         self._k = k
         self._transition = table
         self._stationary = pi
+        self._rate = None
 
     # -- basic structure --------------------------------------------------
     @property
@@ -332,9 +321,14 @@ class SourceModel:
 
     # -- entropies ---------------------------------------------------------
     def entropy_rate(self) -> float:
-        """Exact entropy rate in bits/symbol: -sum_s pi(s) sum_a T[s,a] log T[s,a]."""
-        row_terms = xlog2x(self._transition).sum(axis=1)
-        return float(max(0.0, -np.dot(self._stationary, row_terms)))
+        """Exact entropy rate in bits/symbol: -sum_s pi(s) sum_a T[s,a] log T[s,a].
+
+        Computed on first use, not at construction, and kept.
+        """
+        if self._rate is None:
+            row_terms = xlog2x(self._transition).sum(axis=1)
+            self._rate = float(max(0.0, -np.dot(self._stationary, row_terms)))
+        return self._rate
 
     def redundancy(self) -> float:
         """log2(n) minus the entropy rate, in [0, log2 n]."""
@@ -488,7 +482,7 @@ def make_bernoulli(probs: Sequence[float]) -> SourceModel:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise InvalidDistributionError("need a probability vector of length >= 2")
-    return SourceModel(p.size, 0, p.reshape(1, -1), np.ones(1))
+    return SourceModel(p.size, 0, p.reshape(1, -1))
 
 
 def make_uniform(alphabet_size: int) -> SourceModel:
@@ -496,16 +490,13 @@ def make_uniform(alphabet_size: int) -> SourceModel:
     return make_bernoulli(np.full(alphabet_size, 1.0 / alphabet_size))
 
 
-def make_markov(
-    alphabet_size: int, order: int, transition, initial=None
-) -> SourceModel:
+def make_markov(alphabet_size: int, order: int, transition) -> SourceModel:
     """Order-k Markov source from a (n**k, n) symbol-emission table.
 
-    ``initial`` optionally supplies the stationary context law; when omitted
-    it is computed.  Either way it is certified against ``pi = pi P``; the
-    table must give exactly one closed class (see :class:`SourceModel`).
+    The stationary context law is solved and certified against ``pi = pi P``;
+    the table must give exactly one closed class (see :class:`SourceModel`).
     """
-    return SourceModel(alphabet_size, order, transition, initial)
+    return SourceModel(alphabet_size, order, transition)
 
 
 def train_markov(
@@ -542,9 +533,7 @@ def train_markov(
     seen = totals > 0.0
     rows = np.divide(counts, totals, out=counts, where=seen)
     rows[~seen[:, 0]] = 1.0 / n
-    if k == 0:
-        return make_bernoulli(rows[0])
-    return make_markov(n, k, rows)
+    return SourceModel(n, k, rows)
 
 
 # -- model files ---------------------------------------------------------------
@@ -618,10 +607,7 @@ def load_model(path) -> SourceModel:
     Missing headers or rows name no line, and row sums are checked by
     :class:`SourceModel`.
     """
-    n, k, table = _read_table(path)
-    if k == 0:
-        return make_bernoulli(table[0])
-    return make_markov(n, k, table)
+    return SourceModel(*_read_table(path))
 
 
 def _read_table(path) -> tuple[int, int, np.ndarray]:
@@ -642,6 +628,9 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
             key = parts[0]
             try:
                 if key in ("n", "order"):
+                    if len(parts[1]) > 20:  # past the cap's 8 digits; int() refuses 4300
+                        raise EnumerationCapError(f"{key} of {len(parts[1])} characters "
+                                                  f"exceeds cap {DEFAULT_WORD_CAP}")
                     value = int(parts[1])
                     if table is not None and value != header[key]:
                         raise ModelFormatError(f"line {lineno}: {key!r} changed after rows")

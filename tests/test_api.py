@@ -6,7 +6,7 @@ from pathlib import Path
 
 import runkey
 
-REMOVED_KNOBS = {"cap", "state_cap", "workers", "tol", "max_iter"}
+REMOVED_KNOBS = {"cap", "state_cap", "workers", "tol", "max_iter", "stationary", "initial"}
 
 
 def _public_callables():

@@ -196,6 +196,20 @@ def test_train_writes_the_model_to_standard_output(report_argv, tmp_path, monkey
     assert np.array_equal(streamed.transition, sources.load_model("m.model").transition)
 
 
+def test_train_order_0_writes_the_smoothed_frequencies(tmp_path, capsys):
+    corpus, out = tmp_path / "corpus.bin", tmp_path / "iid.model"
+    corpus.write_bytes(bytes([0, 2, 2, 1, 2, 0, 2]))
+    assert cli.main(["train", "--corpus", str(corpus), "--n", "3", "--order", "0",
+                     "--out", str(out)]) == 0
+    probs = (np.array([2, 1, 4]) + 0.5) / 8.5
+    rows = [line for line in out.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+    assert rows == ["n 3", "order 0", "row - " + " ".join("%.17g" % p for p in probs)]
+    model = sources.load_model(str(out))
+    assert model.stationary.tolist() == [1.0]
+    assert np.array_equal(model.transition, [probs])
+
+
 @pytest.mark.parametrize("z", ["1,,2", ",1,2", "1,2,"])
 def test_posterior_rejects_an_empty_symbol_field(z, capsys):
     argv = ["posterior", "--x-model", "uniform:40", "--y-model", "uniform:40", "--z", z]
@@ -542,6 +556,65 @@ def test_plain_config_file_keeps_comments(x_model, tmp_path):
     assert replayed.read_bytes() == direct.read_bytes()
 
 
+def test_config_forms_give_the_command_line_report(x_model, tmp_path):
+    # files splice in after the subcommand in order, so a later file and then
+    # the command line win
+    models, order = tmp_path / "models.cfg", tmp_path / "order.cfg"
+    models.write_text(f"x-model {x_model}\ny-model {KEY}\nm 2\n", encoding="utf-8")
+    order.write_text("m 3\n", encoding="utf-8")
+    forms = {
+        "direct": ["bounds", "--x-model", x_model, "--y-model", KEY, "--m", "3"],
+        "equals": ["bounds", f"--config={models}", "--m", "3"],
+        "two-files": ["bounds", "--config", str(models), "--config", str(order)],
+    }
+    reports = set()
+    for name, argv in forms.items():
+        out = tmp_path / f"{name}.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0, name
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
+
+
+# malformed argv and inputs that exit 2 in the parser or the handlers, with the
+# message where it is the package's own
+_CONFIG_ERRORS = {
+    "psi-t-without-seed": (["psi", "--x-model", "uniform:2", "--y-model", KEY, "--t", "5",
+                            "--eps", "0.1"], "sampling ciphertexts for --t needs --seed"),
+    "seed-not-an-int": (["smb", "--x-model", "uniform:2", "--y-model", KEY, "--t", "4",
+                         "--samples", "4", "--eps", "0.1", "--delta", "0.1",
+                         "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    "sweep-ternary": (["sweep", "--x-model", "uniform:3", "--tau", "0.1", "--m", "1"],
+                      "the bias sweep is defined for the binary alphabet"),
+    "smb-delta-1": (["smb", "--x-model", "uniform:2", "--y-model", KEY, "--t", "4",
+                     "--samples", "4", "--eps", "0.1", "--delta", "1", "--seed", "1"],
+                    "need 0 < delta < 1"),
+    "json-not-a-report": (["bounds", "--config", "{json}"],
+                          "JSON config file is not a report with a 'config' object"),
+    "config-unreadable": (["bounds", "--config", "{missing}"],
+                          "cannot read config file"),
+    "config-without-path": (["bounds", "--config"], None),
+    "no-subcommand": ([], None),
+    "config-without-subcommand": (["--config", "{cfg}"], None),
+    "config-before-subcommand": (["--config", "{cfg}", "bounds"], None),
+    "option-before-subcommand": (["--m", "3", "bounds", "--config", "{cfg}"], None),
+    "config-abbreviated": (["bounds", "--conf", "{cfg}"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+def test_malformed_argv_or_input_exits_2(case, x_model, tmp_path, capsys):
+    paths = {"json": tmp_path / "other.json", "missing": tmp_path / "missing.cfg",
+             "cfg": tmp_path / "run.cfg"}
+    paths["json"].write_text('{"results": {}}\n', encoding="utf-8")
+    paths["cfg"].write_text(f"x-model {x_model}\ny-model {KEY}\nm 3\n", encoding="utf-8")
+    argv, message = _CONFIG_ERRORS[case]
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    line = _error_line(capsys)
+    assert line.startswith("error: config: ")
+    if message is not None:
+        assert message in line
+
+
 @pytest.mark.parametrize("which, bend, message", [
     (0, [0, 0, -0.01, 0, 0], "upper bracket ends increase"),
     (1, [0, 0, 0.01, 0, 0], "lower bracket ends decrease"),
@@ -756,6 +829,20 @@ def test_huge_power_exits_3_at_once(case, tmp_path, monkeypatch, capsys):
     assert not out.exists()
     if case == "header":
         assert err.startswith("error: cap: line 2: ")
+
+
+@pytest.mark.parametrize("case", ["header-5000", "header-4000", "bounds-4000"])
+def test_long_number_exits_3_with_one_short_line(case, tmp_path, capsys):
+    # 5000 digits is past int()'s 4300-digit limit, 4000 within it
+    kind, digits = case.split("-")
+    huge = "1" * int(digits)
+    model = tmp_path / "huge.model"
+    model.write_text(f"n 2\norder {huge}\n", encoding="utf-8")
+    argv = (["entropy", "--x-model", str(model)] if kind == "header" else
+            ["bounds", "--x-model", "uniform:2", "--y-model", KEY, "--m", huge])
+    assert cli.main(argv) == 3
+    line = _error_line(capsys)
+    assert line.startswith("error: cap: ") and len(line) <= 200
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -974,11 +1061,10 @@ def test_smb_does_not_import_numpy_ma(x_model, tmp_path):
 
 
 _TRACED = """
-import importlib.util, json, sys
-spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
-tracer = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tracer)
-traced = tracer.Tracer()
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+traced = Tracer()
 traced.install()
 from runkey import cli
 for argv in sys.argv[2:]:
@@ -988,22 +1074,28 @@ print(json.dumps([[name, counters] for name, _, _, _, counters in traced.spans])
 
 
 def test_benchmark_tracer_finds_the_layer_boundaries(x_model, tmp_path):
-    # bench/run.py --trace 1 wraps these names; a rename in src/ must fail here
-    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    # bench/run.py --trace 1 wraps or reads these names; a rename in src/ must
+    # fail here, for every subcommand the workloads run
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    (tmp_path / "corpus.bin").write_bytes(b"a running key is not a one-time pad\n" * 8)
     pair = f"--x-model {x_model} --y-model {KEY}"
+    smb = f"smb {pair} --t 4,9 --samples 8 --eps 0.1 --delta 0.1 --m 2 --seed 2"
     argvs = [
         f"bounds {pair} --m 2 --out bounds.json",
         f"psi {pair} --z 0110100 --eps 0.2 --m 2 --out psi.json",
         f"posterior {pair} --z 0110100 --format csv --out posterior.csv",
-        f"smb {pair} --t 4,9 --samples 8 --eps 0.1 --delta 0.1 --m 2 --seed 2 "
-        "--out smb.json",
+        f"{smb} --out smb.json",
+        f"{smb} --h-ref 0.7 --out smb-h-ref.json",
+        "train --corpus corpus.bin --n 128 --order 1 --out text.model",
+        "entropy --x-model text.model --m 0,1 --out entropy.json",
     ]
-    done = _python("-c", _TRACED, str(tracer), *argvs, cwd=tmp_path, text=True, check=True)
+    done = _python("-c", _TRACED, str(bench), *argvs, cwd=tmp_path, text=True, check=True)
     spans = json.loads(done.stdout.splitlines()[-1])
     counters = {}
     for name, counted in spans:
         counters.setdefault(name, []).append(counted)
-    # one enumeration per bracket, and bounds, psi and smb make one each
+    assert counters["sources.load"] and counters["sources.train"]
+    # one enumeration per bracket, and bounds, psi and the first smb make one each
     assert len(counters["inference.enum"]) == 3
     expected = {
         "inference.enum": {"enum_calls", "enum_cells"},

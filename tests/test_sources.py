@@ -92,11 +92,27 @@ def test_markov_rejects_reducible_chain():
         sources.make_markov(2, 1, [[1.0, 0.0], [0.0, 1.0]])
 
 
-def test_markov_validates_supplied_initial():
-    model = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]], initial=[2 / 3, 1 / 3])
-    assert np.allclose(model.stationary, [2 / 3, 1 / 3], atol=1e-12)
-    with pytest.raises(InvalidDistributionError):
-        sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]], initial=[0.5, 0.5])
+_IID_STREAM = np.array([0, 2, 2, 1, 2, 0, 2, 2, 1])
+# order-0 models and the table each must hold, bit for bit
+_ORDER_0 = {
+    "bernoulli": (lambda path: sources.make_bernoulli([0.2, 0.3, 0.5]), [0.2, 0.3, 0.5]),
+    "uniform": (lambda path: sources.make_uniform(3), [1 / 3] * 3),
+    "train": (lambda path: sources.train_markov(_IID_STREAM, 3, 0, alpha=0.5),
+              (np.bincount(_IID_STREAM, minlength=3) + 0.5) / (_IID_STREAM.size + 1.5)),
+    "file": (sources.load_model, [0.1, 0.2, 0.7]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORDER_0))
+def test_order_0_law_is_exactly_one(case, tmp_path):
+    # the one context's law: GTH on a 1x1 matrix gives exactly [1.0]
+    path = tmp_path / "iid.model"
+    path.write_text("n 3\norder 0\nrow - 0.10000000000000001 0.20000000000000001 "
+                    "0.69999999999999996\n", encoding="utf-8")
+    build, table = _ORDER_0[case]
+    model = build(path)
+    assert model.stationary.tolist() == [1.0]
+    assert np.array_equal(model.transition, np.array([table]))
 
 
 # -- stationary law of square chains ------------------------------------------------
