@@ -70,6 +70,10 @@ from .words import (
 
 _CHUNK_BYTES = 1 << 16
 
+# characters of an option value that an error message quotes; argparse's own
+# message would quote a 5000-digit --m in full
+_SHOWN_CHARS = 40
+
 
 class ConfigError(RunkeyError, ValueError, argparse.ArgumentTypeError):
     """Invalid command line, config file, or input data.
@@ -83,13 +87,35 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _shown(text: str) -> str:
+    """``repr(text)`` for an error message; past ``_SHOWN_CHARS``, its head and length."""
+    if len(text) <= _SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:_SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
+def _number(text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:  # int() also refuses more than 4300 digits
+        raise ConfigError(f"invalid {kind.__name__} value: {_shown(text)}") from None
+
+
+def _int(text: str) -> int:
+    return _number(text, int)
+
+
+def _float(text: str) -> float:
+    return _number(text, float)
+
+
 def _values(text: str, kind) -> list:
     try:
         values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad {kind.__name__} list {text!r}") from exc
+        raise ConfigError(f"bad {kind.__name__} list {_shown(text)}") from exc
     if not values:
-        raise ConfigError(f"empty {kind.__name__} list {text!r}")
+        raise ConfigError(f"empty {kind.__name__} list {_shown(text)}")
     return values
 
 
@@ -102,19 +128,17 @@ def _float_list(text: str) -> list[float]:
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"invalid int value: {text!r}") from exc
+    value = _int(text)
     if value < 0:
-        raise ConfigError(f"must be a non-negative integer, got {value}")
+        shown = value if len(text) <= _SHOWN_CHARS else _shown(text)
+        raise ConfigError(f"must be a non-negative integer, got {shown}")
     return value
 
 
 def _load_source(spec_text: str):
     """Resolve a model argument: inline ``uniform:``/``bernoulli:`` or a file path."""
     if spec_text.startswith("uniform:"):
-        return make_uniform(int(spec_text.split(":", 1)[1]))
+        return make_uniform(_int(spec_text.split(":", 1)[1]))
     if spec_text.startswith("bernoulli:"):
         probs = _float_list(spec_text.split(":", 1)[1])
         return make_bernoulli(probs)
@@ -522,9 +546,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="byte stream file, or - for stdin")
     p.add_argument("--bits", action="store_true",
                    help="expand bytes to bits, most significant first")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--n", type=_int, default=256)
+    p.add_argument("--order", type=_int, default=1)
+    p.add_argument("--alpha", type=_float, default=0.5)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("entropy", help="entropy rate and block entropies")
@@ -539,7 +563,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--in", dest="in_path", required=True)
         p.add_argument("--key", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--n", type=int, default=256)
+        p.add_argument("--n", type=_int, default=256)
         p.add_argument("--bits", action="store_true")
         p.add_argument("--text", action="store_true",
                        help="read symbols as base-n text instead of raw bytes")
@@ -548,43 +572,49 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_posterior)
     add_models(p)
     p.add_argument("--z", required=True, help="ciphertext as base-n text")
-    p.add_argument("--max-rows", type=int, default=4096,
+    p.add_argument("--max-rows", type=_int, default=4096,
                    help="largest table included in JSON output")
     add_report(p)
 
-    p = sub.add_parser("psi", help="typical deciphering set / growth series")
+    p = sub.add_parser(
+        "psi", help="typical deciphering set / growth series",
+        description="Typical deciphering set of one ciphertext (--z), or its growth "
+                    "series over sampled ciphertexts (--t).  The set is built by meet "
+                    "in the middle from two halves of at most 2**24 words or cells "
+                    "each, so a binary pair reaches length 48 - K, K the larger model "
+                    "order.")
     p.set_defaults(run=_cmd_psi)
     add_models(p)
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--z", help="one ciphertext as base-n text")
     target.add_argument("--t", dest="t_list", type=_int_list,
                         help="lengths of sampled ciphertexts (needs --seed)")
-    p.add_argument("--eps", type=float, required=True,
+    p.add_argument("--eps", type=_float, required=True,
                    help="set width: a member's per-letter surprisal W has "
                         "|W - h_ref| < eps/2")
-    p.add_argument("--m", type=int, default=8, help="bracket order for h_ref")
-    p.add_argument("--h-ref", type=float, default=None)
-    p.add_argument("--member-cap", type=int, default=1 << 22)
+    p.add_argument("--m", type=_int, default=8, help="bracket order for h_ref")
+    p.add_argument("--h-ref", type=_float, default=None)
+    p.add_argument("--member-cap", type=_int, default=1 << 22)
     add_report(p, seed=True)
 
     p = sub.add_parser("smb", help="posterior surprisal concentration experiment")
     p.set_defaults(run=_cmd_smb)
     add_models(p)
     p.add_argument("--t", dest="t_list", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True,
+    p.add_argument("--samples", type=_int, required=True)
+    p.add_argument("--eps", type=_float, required=True,
                    help="band half-width: a sample counts when its per-letter "
                         "surprisal W has |W - h_ref| < eps")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--m", type=int, default=10,
+    p.add_argument("--delta", type=_float, required=True)
+    p.add_argument("--m", type=_int, default=10,
                    help="bracket order for h_ref when --h-ref is not given")
-    p.add_argument("--h-ref", type=float, default=None)
+    p.add_argument("--h-ref", type=_float, default=None)
     add_report(p, seed=True, seed_required=True)
 
     p = sub.add_parser("bounds", help="certified equivocation bounds")
     p.set_defaults(run=_cmd_bounds)
     add_models(p)
-    p.add_argument("--m", type=int, required=True,
+    p.add_argument("--m", type=_int, required=True,
                    help="bracket order: H(Z_m+1 | Z^m, S_1) <= h(Z) <= "
                         "H(Z_m+1 | Z^m)")
     add_report(p)
@@ -593,9 +623,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_sweep)
     add_models(p, needs_y=False)
     p.add_argument("--tau", dest="tau_list", type=_float_list, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--t", dest="t_list", type=_int_list, default=None)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_float, default=0.05)
     add_report(p, seed=True)
 
     for p in sub.choices.values():

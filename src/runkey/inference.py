@@ -12,9 +12,10 @@ built on that identity:
   posterior mass must come to 1, which checks the enumeration against the
   forward.  The enumeration yields blocks of at most ``_BLOCK_WORDS``
   words.  ``_posterior_blocks`` is the one path to the posterior: the
-  typical set and the CLI's posterior report (CSV and JSON) reduce it
-  block by block and hold one block, not the table, and
-  :func:`posterior` is its concatenation;
+  CLI's posterior report (CSV and JSON) reduces it block by block and
+  holds one block, not the table, and :func:`posterior` is its
+  concatenation.  The typical set splits the same enumeration in two
+  halves instead (see :func:`runkey.secrecy.build_typical_set`);
 - :func:`log_marginal_forward` computes ``log2 P(z)`` in time linear in t by
   a scaled forward recursion.  Given z, one source's symbols follow from the
   other's, so the recursion runs over the last K symbols of one source, the
@@ -310,7 +311,7 @@ def log_marginal_forward(
     return float(chain.forward_log2(z[None, :])[0])
 
 
-def _joint_blocks(xm, ym, spec, ciphertext):
+def _joint_blocks(xm, ym, spec, ciphertext, laws=True):
     """:func:`joint_log2_table` as ``(start, block)`` pairs, in index order.
 
     ``block`` holds the entries of the packed words ``start, start + 1, ...``,
@@ -321,6 +322,11 @@ def _joint_blocks(xm, ym, spec, ciphertext):
     whatever the block size.  Besides one block, the generator holds those
     prefixes: the first ``max(k_X, k_Y)`` positions' block laws (no more
     entries than the larger model's table) or fewer than ``256 * n`` words.
+
+    With ``laws`` false the first ``min(t, max(k_X, k_Y))`` positions add
+    nothing: an entry is the log-probability of the later symbols given the
+    first ones as both sources' context, the right half of the typical
+    set's split.
     """
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
@@ -355,7 +361,9 @@ def _joint_blocks(xm, ym, spec, ciphertext):
         terms = log_tx[rows % xm.num_states] + key_terms[j - head][rows % ym.num_states]
         return (values.reshape(-1, rows.size, 1) + terms).reshape(-1)
 
-    if head == 0:
+    if not laws:
+        prefixes = np.zeros(n**head)
+    elif head == 0:
         prefixes = np.zeros(1)
     else:
         keys = _recovered(key_table, z[None, :head])[:, 0]
@@ -403,6 +411,14 @@ def _certify_mass(total: float) -> None:
         )
 
 
+def _log_marginal(xm, ym, spec, ciphertext) -> float:
+    """The forward's ``log2 P(z)``; a ciphertext of probability zero is a ValueError."""
+    log_marginal = log_marginal_forward(xm, ym, spec, ciphertext)
+    if log_marginal == -np.inf:
+        raise ValueError("ciphertext has probability zero under these models")
+    return log_marginal
+
+
 def _posterior_blocks(xm, ym, spec, ciphertext):
     """``(log2 P(z), blocks)``: the posterior of every plaintext, block by block.
 
@@ -414,9 +430,7 @@ def _posterior_blocks(xm, ym, spec, ciphertext):
     checked before this returns.
     """
     joint = _joint_blocks(xm, ym, spec, ciphertext)
-    log_marginal = log_marginal_forward(xm, ym, spec, ciphertext)
-    if log_marginal == -np.inf:
-        raise ValueError("ciphertext has probability zero under these models")
+    log_marginal = _log_marginal(xm, ym, spec, ciphertext)
 
     def blocks():
         total = 0.0
@@ -554,8 +568,8 @@ def posterior(
     The concatenation of :func:`_posterior_blocks`: the joint table
     normalised by ``log2 P(z)`` from :func:`log_marginal_forward`, so the
     mass check compares the enumeration with the forward.  This holds the
-    whole ``n**t`` table; the typical set and the CLI's posterior report
-    draw the same values block by block instead.  A ciphertext of
+    whole ``n**t`` table; the CLI's posterior report draws the same values
+    block by block instead.  A ciphertext of
     probability zero is a ValueError.
     """
     n = _check_alphabets(xm, ym, spec)

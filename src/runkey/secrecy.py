@@ -3,7 +3,12 @@
 The security of a running-key cipher against an unbounded adversary is
 measured by the set of near-equiprobable plaintexts that carry almost all
 posterior mass given the ciphertext.  This module constructs that set
-exhaustively at desk scale, measures its mass / internal probability spread
+exactly, by meet in the middle: the joint log-probability of a plaintext
+splits into a left half over its first h symbols and a right half over the
+rest given the left half's last K = max(k_X, k_Y) symbols, so the n**t
+plaintexts are never enumerated, only n**h left words against n**(K + t - h)
+right cells, each half within ``DEFAULT_WORD_CAP`` (a binary pair reaches t
+= 48 - K).  It measures the set's mass / internal probability spread
 / growth exponent, runs finite-length Monte Carlo experiments showing the
 per-letter posterior log-probability concentrating at the equivocation rate
 h(X|Z), and certifies the closed-form lower bounds
@@ -25,11 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cipher import CipherSpec
-from .errors import CertificationError, UnsupportedCipherError
+from . import inference  # _joint_blocks is read from it at call time
+from .errors import CertificationError, EnumerationCapError, UnsupportedCipherError
 from .inference import (
     _CELL,
     EntropyBracket,
-    _posterior_blocks,
+    _certify_mass,
+    _check_alphabets,
+    _log_marginal,
     _ProductChain,
     hxz_bracket,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
@@ -54,6 +62,14 @@ class TypicalSet:
     construction), and ``growth`` the exponent ``log2(count) / t``.
     ``members`` holds packed plaintext indices, or None when the set is
     larger than ``member_cap`` and only the summary statistics are kept.
+
+    :func:`build_typical_set` splits each plaintext's log-probability into
+    a left half and a right half and sums them in that grouping, so against
+    the sequential sums of the full enumeration ``mass`` and ``spread`` move
+    by rounding only (held to 1e-12; at most 5e-16 on ten certify workload
+    ciphertexts), and ``member_count`` and ``members`` are exact except for
+    a word within rounding of a band end.  Each half holds at most
+    ``DEFAULT_WORD_CAP`` words or cells, not the n**t plaintexts.
     """
 
     ciphertext: np.ndarray
@@ -119,6 +135,41 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
+def _split(n: int, k: int, t: int) -> int:
+    """The typical set's split point h at length t, with K = ``k``; caps checked.
+
+    h balances the left half's n**h words against the right half's
+    n**(K + t - h) cells (K context symbols, then t - h); h >= max(K, 1),
+    or h = t, with no right half, when t <= K + 1.  Each half must be within
+    ``DEFAULT_WORD_CAP``, and the packed members' n**t below 2**63; all is
+    checked without computing a large power, before anything is computed.
+    """
+    h = t if t <= k else (t + k + 1) // 2
+    _check_cap(n, h, "left-half plaintexts")
+    _check_cap(n, k + t - h if h < t else 0, "right-half cells")
+    if n**t >= 1 << 63:  # both halves are within the cap, so n**t is small
+        raise EnumerationCapError(f"packed plaintext indices {n}**{t} reach 2**63")
+    return h
+
+
+def _right_half(xm, ym, spec, z: np.ndarray, h: int):
+    """``(R, order)``: the right half's terms, each context's row sorted ascending.
+
+    ``R[c, i]`` is the log2 of positions h.. of the plaintext given its last
+    K symbols c before them, for the right word of rank i in row c, which is
+    the packed right word ``order[c, i]``.  One row of one zero when h = t.
+    """
+    if h == z.size:
+        return np.zeros((1, 1)), np.zeros((1, 1), dtype=np.intp)
+    k = max(xm.order, ym.order)
+    n = spec.alphabet_size
+    right = np.empty((n**k, n ** (z.size - h)))
+    for start, block in inference._joint_blocks(xm, ym, spec, z[h - k :], False):  # no laws
+        right.flat[start : start + block.size] = block
+    order = np.argsort(right, axis=1)
+    return np.take_along_axis(right, order, axis=1), order
+
+
 def build_typical_set(
     xm: SourceModel,
     ym: SourceModel,
@@ -130,41 +181,98 @@ def build_typical_set(
     bracket_order: int = 8,
     member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> TypicalSet:
-    """Exhaustively construct the typical deciphering set of a ciphertext.
+    """The typical deciphering set of a ciphertext, by meet in the middle.
 
     Membership is the strict band ``|-(1/t) log2 P(x|z) - h_ref| < eps/2``
-    evaluated on the exact posterior, whose ``log2 P(z)`` comes from the
-    forward recursion.  The posterior is drawn block by block and reduced
-    as it comes (count, mass, spread, members), so working memory is one
-    block plus the kept members; the members are dropped once their count
-    passes ``member_cap``.  After the last block, the posterior's total mass
-    must be 1 within 1e-9, or CertificationError: the enumeration is checked
-    against the forward.  When ``h_ref`` is omitted it defaults to the
-    midpoint of :func:`runkey.inference.hxz_bracket` at ``bracket_order``;
-    the bracket width is then a stated slack on top of epsilon and is the
-    caller's to account for.
+    on the exact posterior, whose ``log2 P(z)`` comes from the forward
+    recursion.  No n**t plaintexts are enumerated.  For a key-recoverable
+    cipher and a split point h >= K = max(k_X, k_Y), the joint log2 P_X(x) +
+    log2 P_Y(y(x, z)) is exactly L(x_1..x_h) + R(c, x_h+1..x_t), c the left
+    word's last K symbols: L is the joint table of z[:h] (drawn in blocks,
+    see :func:`runkey.inference._joint_blocks`), and R the per-position
+    terms of positions h.. over the n**K contexts.  Each context's R values
+    are sorted with prefix sums of their powers of 2 (scaled by the row's
+    largest), so for each left word the band is two ``searchsorted`` calls
+    with strict ends: its count, its mass as a difference of two prefix
+    sums, and its two ends, which give the spread.  Members (kept while the
+    count is at most ``member_cap``) are the packed indices
+    ``left * n**(t - h) + right``, sorted.  h balances the n**h left words
+    against the n**(K + t - h) right cells; each must be within
+    ``DEFAULT_WORD_CAP`` (and n**t below 2**63), checked before anything is
+    computed.  Working memory is one left block and the right table, which
+    takes 32 bytes a cell (search keys, ranks, prefix sums), also while it is
+    built.
+
+    L + R groups the sum differently from the sequential enumeration of
+    :func:`runkey.inference.posterior`, so values move by rounding (see
+    :class:`TypicalSet` for the tolerances); a prefix-sum difference is
+    exact only to the ulp of its row's total.  The posterior's total mass,
+    the sum of the left words' masses times their rows' totals, must be 1
+    within ``_MASS_TOL``, or CertificationError: the two halves are checked
+    against the forward.
+    When ``h_ref`` is omitted it defaults to the midpoint of
+    :func:`runkey.inference.hxz_bracket` at ``bracket_order``; the bracket
+    width is then a stated slack on top of epsilon and is the caller's to
+    account for.
     """
     _check_band(epsilon, h_ref=h_ref, member_cap=member_cap)
+    n = _check_alphabets(xm, ym, spec)
+    z = as_word(ciphertext, n)
+    t = z.size
+    h = _split(n, max(xm.order, ym.order), t)
+    left_blocks = inference._joint_blocks(xm, ym, spec, z[:h])  # checks the cipher
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
-    _, blocks = _posterior_blocks(xm, ym, spec, ciphertext)
-    z = as_word(ciphertext, spec.alphabet_size)
-    t = z.size
-    count, mass, low, high = 0, 0.0, np.inf, -np.inf
+    log_marginal = _log_marginal(xm, ym, spec, z)
+    right, order = _right_half(xm, ym, spec, z, h)
+    contexts, width = right.shape
+    # the rows as one ascending array: complex numbers sort lexicographically,
+    # so row c's values are the imaginary parts of those with real part c
+    keys = np.empty(right.shape, dtype=complex)
+    keys.real, keys.imag = np.arange(contexts)[:, None], right
+    del right
+    # each row's largest value, -inf for a context no right word follows;
+    # the prefix sums are of 2**(R - top), finite rows scaled to at most 1
+    top = keys.imag[:, -1].copy()
+    sums = np.zeros((contexts, width + 1))
+    shift = np.where(top == -np.inf, 0.0, top)[:, None]
+    np.exp2(np.subtract(keys.imag, shift, out=sums[:, 1:]), out=sums[:, 1:])
+    np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+    keys, sums, order = keys.ravel(), sums.ravel(), order.ravel()
+    # a word's log posterior b is a member iff low < b < high
+    low, high = -t * (h_ref + 0.5 * epsilon), -t * (h_ref - 0.5 * epsilon)
+    total, count, mass, least, most = 0.0, 0, 0.0, np.inf, -np.inf
     kept: list[np.ndarray] | None = [np.empty(0, dtype=np.intp)]
-    for start, block in blocks:
-        band = np.abs(-block / t - h_ref) < 0.5 * epsilon
-        selected = block[band]
-        if not selected.size:
+    for start, left in left_blocks:
+        words = np.arange(start, start + left.size)
+        context = words % contexts
+        left = left - log_marginal
+        # at most 1 (no joint exceeds P(z)), and 0 before a -inf row
+        scale = np.exp2(left + top[context])
+        total += float(scale @ sums[context * (width + 1) + width])
+        query = np.empty(left.size, dtype=complex)
+        query.real, query.imag = context, low - left
+        first = np.searchsorted(keys, query, side="right")
+        query.imag = high - left
+        # an h_ref so large that low and high round together could put stop first
+        stop = np.maximum(np.searchsorted(keys, query, side="left"), first)
+        sizes = stop - first
+        hit = np.flatnonzero(sizes)
+        if not hit.size:
             continue
-        count += selected.size
-        mass += float(np.exp2(selected).sum())
-        low, high = min(low, selected.min()), max(high, selected.max())
+        first, stop, sizes, left = first[hit], stop[hit], sizes[hit], left[hit]
+        count += int(sizes.sum())
+        # exact to the ulp of the row's total, however small the band's share
+        mass += float(scale[hit] @ (sums[stop + context[hit]] - sums[first + context[hit]]))
+        least = min(least, float((left + keys.imag[first]).min()))
+        most = max(most, float((left + keys.imag[stop - 1]).max()))
         if kept is not None and count <= member_cap:
-            kept.append(np.flatnonzero(band) + start)
+            cells = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+            kept.append(np.sort(np.repeat(words[hit] * width, sizes) + order[cells]))
         else:
             kept = None
-    spread = float((high - low) / t) if count >= 2 else 0.0
+    _certify_mass(total)
+    spread = (most - least) / t if count >= 2 else 0.0
     growth = float(np.log2(count) / t) if count else float("-inf")
     return TypicalSet(
         ciphertext=z,
@@ -208,12 +316,13 @@ def typical_set_growth(
     For each length a fresh (plaintext, key) pair is sampled from the models
     (seeds derived from ``(seed, t, stream)``), enciphered, and measured
     with :func:`build_typical_set`.  ``seed`` must be a non-negative
-    integer and each length's n**t plaintexts within ``DEFAULT_WORD_CAP``;
-    both are checked before anything is sampled or enumerated.
+    integer and each length's two halves within ``DEFAULT_WORD_CAP`` (see
+    :func:`build_typical_set`); both are checked before anything is sampled
+    or enumerated.
     """
     _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
     for t in t_list:
-        _check_cap(spec.alphabet_size, t, "plaintexts")
+        _split(spec.alphabet_size, max(xm.order, ym.order), t)
     _check_seed(seed)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
@@ -566,7 +675,7 @@ def robustness_sweep(
             raise ValueError("growth series sampling needs a seed")
         _check_band(epsilon, member_cap=member_cap, lengths=t_list)
         for t in t_list:
-            _check_cap(spec.alphabet_size, t, "plaintexts")
+            _split(spec.alphabet_size, xm.order, t)  # the key models are order 0
         _check_seed(seed)
     reports = []
     for tau in taus:

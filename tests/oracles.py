@@ -3,9 +3,11 @@
 Everything here is deliberately written with plain Python loops over
 ``itertools.product`` and the ``math`` module, so it shares no code path
 with the package's vectorised implementations.  The exceptions are the
-package's former per-row code kept as references: ``markov_walk``, the
+package's former code kept as references: ``markov_walk``, the
 per-step walk (a bit-identical log-probability needs the same numpy
-arithmetic), and ``posterior_csv``, the per-row posterior CSV writer.
+arithmetic), ``posterior_csv``, the per-row posterior CSV writer, and
+``typical_set_by_enumeration``, the typical set reduced from the posterior
+of every plaintext.
 """
 
 import itertools
@@ -299,3 +301,28 @@ def posterior_csv(n, t, blocks):
                 text = f'"{text}"'
             lines.append(f"{text},{value:.12g}\n")
     return "".join(lines)
+
+
+def typical_set_by_enumeration(xm, ym, spec, z, epsilon, h_ref):
+    """``(count, mass, spread, members)`` of the typical set over all n**t plaintexts.
+
+    The package's former construction kept as a reference: the posterior of
+    every plaintext, block by block (the sequential sums of ``_joint_blocks``
+    minus the forward's log2 P(z)), reduced to the strict band
+    ``|-(1/t) log2 P(x|z) - h_ref| < eps/2``.
+    """
+    from runkey import inference
+
+    _, blocks = inference._posterior_blocks(xm, ym, spec, z)
+    t = len(z)
+    count, mass, low, high, members = 0, 0.0, np.inf, -np.inf, []
+    for start, block in blocks:
+        band = np.abs(-block / t - h_ref) < 0.5 * epsilon
+        selected = block[band]
+        if selected.size:
+            count += selected.size
+            mass += float(np.exp2(selected).sum())
+            low, high = min(low, selected.min()), max(high, selected.max())
+            members.append(np.flatnonzero(band) + start)
+    spread = float((high - low) / t) if count >= 2 else 0.0
+    return count, mass, spread, np.concatenate(members or [np.empty(0, dtype=np.intp)])

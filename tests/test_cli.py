@@ -15,6 +15,7 @@ import pytest
 
 from runkey import cli, inference, secrecy, sources
 from runkey.cipher import additive_cipher
+from runkey.errors import CertificationError
 from runkey.words import (
     bytes_to_symbols,
     index_to_word,
@@ -242,6 +243,50 @@ def test_posterior_mass_off_the_forward_exits_4(reader, x_model, tmp_path, monke
     # that is removed with them
     assert not (tmp_path / "r").exists()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["x.model"]
+
+
+def test_typical_set_right_half_off_the_forward_exits_4(x_model, tmp_path, monkeypatch,
+                                                       capsys):
+    # every right-half value 1e-6 bits high: the two halves' total mass misses
+    # 1 by 6.9e-7, whatever the band holds
+    right_half = secrecy._right_half
+
+    def shifted(*args):
+        right, order = right_half(*args)
+        return right + 1e-6, order
+
+    monkeypatch.setattr(secrecy, "_right_half", shifted)
+    with pytest.raises(CertificationError, match="posterior mass"):
+        secrecy.build_typical_set(MARKOV, sources.make_bernoulli([0.45, 0.55]),
+                                  additive_cipher(2), text_to_word("0110100", 2), 0.2, 0.5)
+    argv = ["psi", "--x-model", x_model, "--y-model", KEY, "--z", "0110100", "--eps",
+            "0.2", "--m", "2", "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 4
+    assert _error_line(capsys).startswith("error: numeric: posterior mass ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["x.model"]
+
+
+def test_psi_reaches_length_30_on_the_certify_orders(tmp_path, capsys):
+    # a binary order-5 x order-2 pair: 2**30 plaintexts are over the word cap,
+    # the halves' 2**18 left words and 2**17 right cells are not
+    rng = np.random.default_rng(3)
+    paths = []
+    for order, low, high in ((5, 0.05, 0.95), (2, 0.3, 0.7)):
+        p1 = rng.uniform(low, high, size=2**order)
+        model = sources.make_markov(2, order, np.column_stack([1.0 - p1, p1]))
+        paths.append(tmp_path / f"order{order}.model")
+        sources.save_model(model, str(paths[-1]))
+        if order == 5:
+            x = model.sample(30, 1)
+        else:
+            z = word_to_text(additive_cipher(2).encrypt(x, model.sample(30, 2)), 2)
+    out = tmp_path / "psi.json"
+    argv = ["psi", "--x-model", str(paths[0]), "--y-model", str(paths[1]), "--z", z,
+            "--eps", "0.1", "--h-ref", "0.7", "--member-cap", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["t"] == 30 and results["member_count"] > 1
+    assert 0.0 < results["mass"] <= 1.0 and not results["members_kept"]
 
 
 def test_failed_command_keeps_the_earlier_file_at_out(x_model, tmp_path, monkeypatch,
@@ -843,6 +888,36 @@ def test_long_number_exits_3_with_one_short_line(case, tmp_path, capsys):
     assert cli.main(argv) == 3
     line = _error_line(capsys)
     assert line.startswith("error: cap: ") and len(line) <= 200
+
+
+# every numeric option, given a 5000-character token: int() refuses more than
+# 4300 digits, and the float token is not a number
+_LONG_NUMBER_OPTIONS = {
+    "train-n": ["train", "--n"], "train-order": ["train", "--order"],
+    "train-alpha": ["train", "--alpha"], "entropy-m": ["entropy", "--m"],
+    "encrypt-n": ["encrypt", "--n"], "posterior-max-rows": ["posterior", "--max-rows"],
+    "psi-t": ["psi", "--t"], "psi-m": ["psi", "--m"], "psi-eps": ["psi", "--eps"],
+    "psi-h-ref": ["psi", "--h-ref"], "psi-member-cap": ["psi", "--member-cap"],
+    "psi-seed": ["psi", "--seed"], "smb-t": ["smb", "--t"],
+    "smb-samples": ["smb", "--samples"], "smb-delta": ["smb", "--delta"],
+    "smb-m": ["smb", "--m"], "bounds-m": ["bounds", "--m"], "sweep-tau": ["sweep", "--tau"],
+    "sweep-m": ["sweep", "--m"], "sweep-t": ["sweep", "--t"],
+    "model-uniform": ["bounds", "--m", "2", "--y-model", "uniform:2", "--x-model"],
+}
+
+
+@pytest.mark.parametrize("case", list(_LONG_NUMBER_OPTIONS))
+def test_long_number_option_exits_2_with_one_short_line(case, capsys):
+    argv = _LONG_NUMBER_OPTIONS[case]
+    token = "1" * 5000
+    if argv[-1] in ("--alpha", "--eps", "--h-ref", "--delta", "--tau"):
+        token = token[:-1] + "x"
+    elif argv[-1] == "--x-model":
+        token = "uniform:" + token
+    assert cli.main(argv + [token]) == 2
+    line = _error_line(capsys)
+    assert line.startswith("error: config: ") and len(line) < 200
+    assert "(5000 characters)" in line or "(5008 characters)" in line
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

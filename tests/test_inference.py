@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -668,6 +669,52 @@ def latin_square_cipher(rng, n):
     for b in range(n):
         decoder[coder[:, b], b] = np.arange(n)
     return cipher.CipherSpec(n, coder, decoder)
+
+
+@st.composite
+def split_cases(draw):
+    """A pair (n <= 3, orders <= 3, zeros allowed), a key-recoverable cipher,
+    a sampled ciphertext of up to 10 symbols (6 for n = 3) and a split point:
+    h = t when t <= K, else any h >= 1 in [K, t]."""
+    n = draw(st.integers(2, 3))
+    xm = draw(models_with_zeros(n, draw(st.integers(0, 3))))
+    ym = draw(models_with_zeros(n, draw(st.integers(0, 3))))
+    seed = draw(st.integers(0, 2**16))
+    spec = (cipher.additive_cipher(n) if draw(st.booleans())
+            else latin_square_cipher(np.random.default_rng(seed), n))
+    t = draw(st.integers(1, 10 if n == 2 else 6))
+    k = max(xm.order, ym.order)
+    h = t if t <= k else draw(st.integers(max(k, 1), t))
+    z = spec.encrypt(xm.sample(t, (seed, 0)), ym.sample(t, (seed, 1)))
+    return xm, ym, spec, z, h
+
+
+@given(split_cases(), st.floats(0.05, 1.5), st.floats(-0.45, 0.45),
+       st.integers(0, 2**16), st.sampled_from([1, 8, secrecy.DEFAULT_MEMBER_CAP]))
+def test_typical_set_split_matches_the_enumeration(case, epsilon, offset, pick,
+                                                   member_cap):
+    # L + R sums in another order than the enumeration, so mass and spread
+    # agree to rounding; a prefix-sum difference is exact only to the ulp of
+    # its row's total.  Count and members are exact unless a word lies within
+    # rounding of a band end, which no drawn band has.
+    xm, ym, spec, z, h = case
+    t = z.size
+    joint = inference.joint_log2_table(xm, ym, spec, z)
+    rates = -(joint[np.isfinite(joint)] - inference.log_marginal_forward(xm, ym, spec, z)) / t
+    h_ref = float(rates[pick % rates.size] + offset * epsilon)
+    assume(np.all(np.abs(np.abs(rates - h_ref) - epsilon / 2) > 1e-9))
+    count, mass, spread, members = oracles.typical_set_by_enumeration(
+        xm, ym, spec, z, epsilon, h_ref)
+    with mock.patch.object(secrecy, "_split", lambda n, k, length: h):
+        built = secrecy.build_typical_set(xm, ym, spec, z, epsilon, h_ref,
+                                          member_cap=member_cap)
+    assert built.member_count == count >= 1
+    if count <= member_cap:
+        assert np.array_equal(built.members, members)
+    else:
+        assert built.members is None
+    assert abs(built.mass - min(mass, 1.0)) <= 1e-12
+    assert abs(built.spread - spread) <= 1e-12
 
 
 IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])

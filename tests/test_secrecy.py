@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from runkey import cipher, inference, secrecy, sources
-from runkey.errors import CertificationError, UnsupportedCipherError
+from runkey.errors import CertificationError, EnumerationCapError, UnsupportedCipherError
 from runkey.words import text_to_word
 
 SPEC2 = cipher.additive_cipher(2)
@@ -31,6 +31,15 @@ def test_typical_set_uniform_pair_contains_everything():
     assert built.growth == 1.0
     assert built.spread == 0.0
     assert built.members is not None and built.members.size == 4096
+
+
+@pytest.mark.parametrize("h_ref, count", [(0.75, 0), (1.0, 2**7), (1.25, 0)])
+def test_typical_set_band_ends_are_strict(h_ref, count):
+    # every plaintext of a uniform pair has rate exactly 1, here at a band end
+    # of the two outer bands: both halves and the band ends are exact in floats
+    built = secrecy.build_typical_set(UNIFORM2, UNIFORM2, SPEC2, np.ones(7, int), 0.5,
+                                      h_ref)
+    assert built.member_count == count
 
 
 def test_typical_set_deterministic_key_single_member():
@@ -93,6 +102,37 @@ def test_typical_set_default_h_ref_is_bracket_midpoint():
     built = secrecy.build_typical_set(UNIFORM2, BIASED, SPEC2, z, 0.05, bracket_order=6)
     bracket = inference.hxz_bracket(UNIFORM2, BIASED, SPEC2, 6)
     assert built.h_ref == pytest.approx(bracket.midpoint, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_typical_set_split_matches_the_enumeration_on_certify(seed, tmp_path):
+    # the certify workload's psi: mass and spread to rounding (L + R sums in
+    # another order), count and members exact
+    xm, ym, z, _ = _certify_inputs(seed, tmp_path)
+    built = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.1)
+    count, mass, spread, members = oracles.typical_set_by_enumeration(
+        xm, ym, SPEC2, z, 0.1, built.h_ref)
+    assert built.member_count == count and np.array_equal(built.members, members)
+    assert abs(built.mass - mass) <= 1e-12 and abs(built.spread - spread) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_split_caps_each_half_not_the_plaintexts(k, monkeypatch):
+    # under a cap of 2**10 a binary pair reaches t = 20 - K, though 2**t is
+    # far over it: the n**h left words and n**(K + t - h) right cells are not
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 1 << 10)
+    for t in range(1, 21 - k):
+        h = secrecy._split(2, k, t)
+        assert h == t if t <= k + 1 else max(k, 1) <= h < t
+        assert 2**h <= 1 << 10 and (h == t or 2 ** (k + t - h) <= 1 << 10)
+    with pytest.raises(EnumerationCapError, match="left-half"):
+        secrecy._split(2, k, 21 - k)
+    # packed members need n**t < 2**63, which only a cap of 2**32 or more
+    # leaves to check
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 1 << 40)
+    secrecy._split(2, k, 62)
+    with pytest.raises(EnumerationCapError, match="2\\*\\*63"):
+        secrecy._split(2, k, 63)
 
 
 def test_typical_set_rejects_bad_epsilon():
