@@ -629,6 +629,7 @@ def _build_parser() -> _Parser:
     add_report(p, seed=True)
 
     for p in sub.choices.values():
+        p.allow_abbrev = False  # read when parsing: "--m" is no "--max-rows"
         p.set_defaults(echo_keys=[
             (action.option_strings[0][2:], action.dest)
             for action in p._actions if action.dest not in ("help", "out")

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cipher import CipherSpec
-from . import inference  # _joint_blocks is read from it at call time
-from .errors import CertificationError, EnumerationCapError, UnsupportedCipherError
+from . import inference  # the enumeration's helpers are read from it at call time
+from .errors import CertificationError, UnsupportedCipherError
 from .inference import (
     _CELL,
     EntropyBracket,
@@ -42,7 +42,7 @@ from .inference import (
     hxz_bracket,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
-from .sources import SourceModel, _check_cap, _walk_batch, make_bernoulli
+from .sources import SourceModel, _walk_batch, make_bernoulli
 from .words import as_word
 
 DEFAULT_MEMBER_CAP = 1 << 22
@@ -64,12 +64,13 @@ class TypicalSet:
     larger than ``member_cap`` and only the summary statistics are kept.
 
     :func:`build_typical_set` splits each plaintext's log-probability into
-    a left half and a right half and sums them in that grouping, so against
-    the sequential sums of the full enumeration ``mass`` and ``spread`` move
-    by rounding only (held to 1e-12; at most 5e-16 on ten certify workload
-    ciphertexts), and ``member_count`` and ``members`` are exact except for
-    a word within rounding of a band end.  Each half holds at most
-    ``DEFAULT_WORD_CAP`` words or cells, not the n**t plaintexts.
+    a left half (itself split so) and a right half and sums them in that
+    grouping, so against the sequential sums of ``joint_log2_table``
+    ``mass`` and ``spread`` move by rounding only (held to 1e-12; at most
+    6.4e-16 on ten certify workload ciphertexts), and ``member_count`` and
+    ``members`` are exact except for a word within rounding of a band end.
+    Each half holds at most ``DEFAULT_WORD_CAP`` words or cells, not the
+    n**t plaintexts.
     """
 
     ciphertext: np.ndarray
@@ -135,41 +136,6 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
-def _split(n: int, k: int, t: int) -> int:
-    """The typical set's split point h at length t, with K = ``k``; caps checked.
-
-    h balances the left half's n**h words against the right half's
-    n**(K + t - h) cells (K context symbols, then t - h); h >= max(K, 1),
-    or h = t, with no right half, when t <= K + 1.  Each half must be within
-    ``DEFAULT_WORD_CAP``, and the packed members' n**t below 2**63; all is
-    checked without computing a large power, before anything is computed.
-    """
-    h = t if t <= k else (t + k + 1) // 2
-    _check_cap(n, h, "left-half plaintexts")
-    _check_cap(n, k + t - h if h < t else 0, "right-half cells")
-    if n**t >= 1 << 63:  # both halves are within the cap, so n**t is small
-        raise EnumerationCapError(f"packed plaintext indices {n}**{t} reach 2**63")
-    return h
-
-
-def _right_half(xm, ym, spec, z: np.ndarray, h: int):
-    """``(R, order)``: the right half's terms, each context's row sorted ascending.
-
-    ``R[c, i]`` is the log2 of positions h.. of the plaintext given its last
-    K symbols c before them, for the right word of rank i in row c, which is
-    the packed right word ``order[c, i]``.  One row of one zero when h = t.
-    """
-    if h == z.size:
-        return np.zeros((1, 1)), np.zeros((1, 1), dtype=np.intp)
-    k = max(xm.order, ym.order)
-    n = spec.alphabet_size
-    right = np.empty((n**k, n ** (z.size - h)))
-    for start, block in inference._joint_blocks(xm, ym, spec, z[h - k :], False):  # no laws
-        right.flat[start : start + block.size] = block
-    order = np.argsort(right, axis=1)
-    return np.take_along_axis(right, order, axis=1), order
-
-
 def build_typical_set(
     xm: SourceModel,
     ym: SourceModel,
@@ -188,10 +154,10 @@ def build_typical_set(
     recursion.  No n**t plaintexts are enumerated.  For a key-recoverable
     cipher and a split point h >= K = max(k_X, k_Y), the joint log2 P_X(x) +
     log2 P_Y(y(x, z)) is exactly L(x_1..x_h) + R(c, x_h+1..x_t), c the left
-    word's last K symbols: L is the joint table of z[:h] (drawn in blocks,
-    see :func:`runkey.inference._joint_blocks`), and R the per-position
-    terms of positions h.. over the n**K contexts.  Each context's R values
-    are sorted with prefix sums of their powers of 2 (scaled by the row's
+    word's last K symbols: L is the joint table of z[:h], drawn in blocks
+    split the same way (see :func:`runkey.inference._joint_blocks`), and R
+    is :func:`runkey.inference._right_half`.  Each context's R values are
+    sorted with prefix sums of their powers of 2 (scaled by the row's
     largest), so for each left word the band is two ``searchsorted`` calls
     with strict ends: its count, its mass as a difference of two prefix
     sums, and its two ends, which give the spread.  Members (kept while the
@@ -199,13 +165,13 @@ def build_typical_set(
     ``left * n**(t - h) + right``, sorted.  h balances the n**h left words
     against the n**(K + t - h) right cells; each must be within
     ``DEFAULT_WORD_CAP`` (and n**t below 2**63), checked before anything is
-    computed.  Working memory is one left block and the right table, which
-    takes 32 bytes a cell (search keys, ranks, prefix sums), also while it is
-    built.
+    computed.  Working memory is one left block (and its halves) and the
+    right table, which takes 28 bytes a cell (search keys, int32 ranks,
+    prefix sums), also while it is built.
 
-    L + R groups the sum differently from the sequential enumeration of
-    :func:`runkey.inference.posterior`, so values move by rounding (see
-    :class:`TypicalSet` for the tolerances); a prefix-sum difference is
+    L + R groups the sum differently from the sequential
+    :func:`runkey.inference.joint_log2_table`, so values move by rounding
+    (see :class:`TypicalSet` for the tolerances); a prefix-sum difference is
     exact only to the ulp of its row's total.  The posterior's total mass,
     the sum of the left words' masses times their rows' totals, must be 1
     within ``_MASS_TOL``, or CertificationError: the two halves are checked
@@ -219,12 +185,14 @@ def build_typical_set(
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
     t = z.size
-    h = _split(n, max(xm.order, ym.order), t)
+    h = inference._split(n, max(xm.order, ym.order), t)
     left_blocks = inference._joint_blocks(xm, ym, spec, z[:h])  # checks the cipher
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     log_marginal = _log_marginal(xm, ym, spec, z)
-    right, order = _right_half(xm, ym, spec, z, h)
+    right = inference._right_half(xm, ym, spec, z, h)
+    order = np.argsort(right, axis=1).astype(np.int32)  # a row is within the word cap
+    right = np.take_along_axis(right, order, axis=1)
     contexts, width = right.shape
     # the rows as one ascending array: complex numbers sort lexicographically,
     # so row c's values are the imaginary parts of those with real part c
@@ -322,7 +290,7 @@ def typical_set_growth(
     """
     _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
     for t in t_list:
-        _split(spec.alphabet_size, max(xm.order, ym.order), t)
+        inference._split(spec.alphabet_size, max(xm.order, ym.order), t)
     _check_seed(seed)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
@@ -675,7 +643,7 @@ def robustness_sweep(
             raise ValueError("growth series sampling needs a seed")
         _check_band(epsilon, member_cap=member_cap, lengths=t_list)
         for t in t_list:
-            _split(spec.alphabet_size, xm.order, t)  # the key models are order 0
+            inference._split(spec.alphabet_size, xm.order, t)  # the key models are order 0
         _check_seed(seed)
     reports = []
     for tau in taus:

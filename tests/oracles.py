@@ -6,8 +6,8 @@ with the package's vectorised implementations.  The exceptions are the
 package's former code kept as references: ``markov_walk``, the
 per-step walk (a bit-identical log-probability needs the same numpy
 arithmetic), ``posterior_csv``, the per-row posterior CSV writer, and
-``typical_set_by_enumeration``, the typical set reduced from the posterior
-of every plaintext.
+``typical_set_by_enumeration``, the typical set reduced from the sequential
+joint table of every plaintext.
 """
 
 import itertools
@@ -307,22 +307,18 @@ def typical_set_by_enumeration(xm, ym, spec, z, epsilon, h_ref):
     """``(count, mass, spread, members)`` of the typical set over all n**t plaintexts.
 
     The package's former construction kept as a reference: the posterior of
-    every plaintext, block by block (the sequential sums of ``_joint_blocks``
-    minus the forward's log2 P(z)), reduced to the strict band
-    ``|-(1/t) log2 P(x|z) - h_ref| < eps/2``.
+    every plaintext, the sequential sums of ``joint_log2_table`` minus the
+    forward's log2 P(z) (not the posterior's two halves, which the typical set
+    shares), reduced to the strict band ``|-(1/t) log2 P(x|z) - h_ref| < eps/2``.
     """
     from runkey import inference
 
-    _, blocks = inference._posterior_blocks(xm, ym, spec, z)
     t = len(z)
-    count, mass, low, high, members = 0, 0.0, np.inf, -np.inf, []
-    for start, block in blocks:
-        band = np.abs(-block / t - h_ref) < 0.5 * epsilon
-        selected = block[band]
-        if selected.size:
-            count += selected.size
-            mass += float(np.exp2(selected).sum())
-            low, high = min(low, selected.min()), max(high, selected.max())
-            members.append(np.flatnonzero(band) + start)
-    spread = float((high - low) / t) if count >= 2 else 0.0
-    return count, mass, spread, np.concatenate(members or [np.empty(0, dtype=np.intp)])
+    table = (inference.joint_log2_table(xm, ym, spec, z)
+             - inference.log_marginal_forward(xm, ym, spec, z))
+    band = np.abs(-table / t - h_ref) < 0.5 * epsilon
+    selected = table[band]
+    count = selected.size
+    mass = float(np.exp2(selected).sum())
+    spread = float((selected.max() - selected.min()) / t) if count >= 2 else 0.0
+    return count, mass, spread, np.flatnonzero(band)

@@ -228,13 +228,10 @@ _POSTERIOR_READS = {
 @pytest.mark.parametrize("reader", sorted(_POSTERIOR_READS))
 def test_posterior_mass_off_the_forward_exits_4(reader, x_model, tmp_path, monkeypatch,
                                                 capsys):
-    # every plaintext's joint value 1e-6 bits high: the mass misses 1 by 6.9e-7
-    joint_blocks = inference._joint_blocks
-
-    def shifted(*args):
-        return ((start, block + 1e-6) for start, block in joint_blocks(*args))
-
-    monkeypatch.setattr(inference, "_joint_blocks", shifted)
+    # every table of the enumeration 1e-6 bits high, so every plaintext's joint
+    # value at least that: the mass misses 1 by at least 6.9e-7
+    joint_table = inference._joint_table
+    monkeypatch.setattr(inference, "_joint_table", lambda *args: joint_table(*args) + 1e-6)
     argv = _POSTERIOR_READS[reader] + ["--x-model", x_model, "--y-model", KEY,
                                        "--z", "0110100", "--out", str(tmp_path / "r")]
     assert cli.main(argv) == 4
@@ -247,15 +244,15 @@ def test_posterior_mass_off_the_forward_exits_4(reader, x_model, tmp_path, monke
 
 def test_typical_set_right_half_off_the_forward_exits_4(x_model, tmp_path, monkeypatch,
                                                        capsys):
-    # every right-half value 1e-6 bits high: the two halves' total mass misses
-    # 1 by 6.9e-7, whatever the band holds
-    right_half = secrecy._right_half
+    # every right-half value 1e-6 bits high (the left half's own split too):
+    # the two halves' total mass misses 1 by at least 6.9e-7, whatever the band
+    # holds
+    joint_table = inference._joint_table
 
-    def shifted(*args):
-        right, order = right_half(*args)
-        return right + 1e-6, order
+    def shifted(xm, ym, spec, z, laws=True):
+        return joint_table(xm, ym, spec, z, laws) + (0.0 if laws else 1e-6)
 
-    monkeypatch.setattr(secrecy, "_right_half", shifted)
+    monkeypatch.setattr(inference, "_joint_table", shifted)
     with pytest.raises(CertificationError, match="posterior mass"):
         secrecy.build_typical_set(MARKOV, sources.make_bernoulli([0.45, 0.55]),
                                   additive_cipher(2), text_to_word("0110100", 2), 0.2, 0.5)
@@ -291,9 +288,8 @@ def test_psi_reaches_length_30_on_the_certify_orders(tmp_path, capsys):
 
 def test_failed_command_keeps_the_earlier_file_at_out(x_model, tmp_path, monkeypatch,
                                                       capsys):
-    joint_blocks = inference._joint_blocks
-    monkeypatch.setattr(inference, "_joint_blocks", lambda *args: (
-        (start, block + 1e-6) for start, block in joint_blocks(*args)))
+    joint_table = inference._joint_table
+    monkeypatch.setattr(inference, "_joint_table", lambda *args: joint_table(*args) + 1e-6)
     out = tmp_path / "r.csv"
     out.write_text("earlier\n")
     argv = ["posterior", "--format", "csv", "--x-model", x_model, "--y-model", KEY,
@@ -643,15 +639,28 @@ _CONFIG_ERRORS = {
     "config-before-subcommand": (["--config", "{cfg}", "bounds"], None),
     "option-before-subcommand": (["--m", "3", "bounds", "--config", "{cfg}"], None),
     "config-abbreviated": (["bounds", "--conf", "{cfg}"], None),
+    # no subcommand takes an abbreviated option either
+    "bounds-abbreviated": (["bounds", "--x", "uniform:2", "--y", "uniform:2", "--m", "2",
+                            "--form", "csv"], None),
+    "posterior-m-abbreviated": (["posterior", "--x-model", "uniform:2", "--y-model",
+                                 "uniform:2", "--z", "0101", "--m", "3"], "--m 3"),
+    "psi-abbreviated": (["psi", "--x-model", "uniform:2", "--y-model", "uniform:2",
+                         "--z", "01", "--eps", "0.1", "--member", "1"], "--member"),
+    "smb-abbreviated": (["smb", "--x-model", "uniform:2", "--y-model", "uniform:2",
+                         "--t", "4", "--sample", "4", "--eps", "0.1", "--delta", "0.1",
+                         "--seed", "1"], None),
+    "config-key-abbreviated": (["bounds", "--config", "{short}", "--y-model", KEY,
+                                "--m", "2"], None),
 }
 
 
 @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
 def test_malformed_argv_or_input_exits_2(case, x_model, tmp_path, capsys):
     paths = {"json": tmp_path / "other.json", "missing": tmp_path / "missing.cfg",
-             "cfg": tmp_path / "run.cfg"}
+             "cfg": tmp_path / "run.cfg", "short": tmp_path / "short.cfg"}
     paths["json"].write_text('{"results": {}}\n', encoding="utf-8")
     paths["cfg"].write_text(f"x-model {x_model}\ny-model {KEY}\nm 3\n", encoding="utf-8")
+    paths["short"].write_text(f"x {x_model}\n", encoding="utf-8")
     argv, message = _CONFIG_ERRORS[case]
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     line = _error_line(capsys)

@@ -620,30 +620,33 @@ def test_posterior_blocks_bound_the_working_set(tmp_path):
 @pytest.mark.parametrize("size", ["one", "period", "uneven", "default"])
 def test_block_boundaries_change_no_value(size, monkeypatch):
     # an order-3 plaintext with a zero (-inf entries) and an order-1 key; 2**17
-    # words are two default blocks, and one block holds the whole table; an
-    # uneven block is 3 prefixes of 3 symbols, which span no whole period of 8
+    # words split into 2**10 left words and rows of 2**7 right words.  A block
+    # holds one left word at the least, one period of the 2**3 contexts, 384
+    # left words (so the last block holds 256), or the default 2**16 words
     xm = sources.make_markov(2, 3, [[0.7, 0.3], [0.4, 0.6], [1.0, 0.0], [0.5, 0.5],
                                     [0.2, 0.8], [0.9, 0.1], [0.6, 0.4], [0.35, 0.65]])
     ym = sources.make_markov(2, 1, [[0.6, 0.4], [0.3, 0.7]])
     z = SPEC2.encrypt(xm.sample(17, 4), ym.sample(17, 5))
     with monkeypatch.context() as patch:
         patch.setattr(inference_module, "_BLOCK_WORDS", inference.DEFAULT_WORD_CAP)
-        whole = inference.joint_log2_table(xm, ym, SPEC2, z)
+        ((_, whole),) = inference_module._joint_blocks(xm, ym, SPEC2, z)
         reference = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.2, 0.8)
-    words = {"one": 1, "period": 2**3, "uneven": 3 * 2**14,
+    width = 2 ** (17 - inference_module._split(2, 3, 17))
+    words = {"one": 1, "period": 2**3 * width, "uneven": 3 * 2**14,
              "default": inference_module._BLOCK_WORDS}[size]
     monkeypatch.setattr(inference_module, "_BLOCK_WORDS", words)
     blocks = list(inference_module._joint_blocks(xm, ym, SPEC2, z))
     sizes = [block.size for _, block in blocks]
     assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
-    assert max(sizes) <= words and len(blocks) == -(-2**17 // words)
+    assert max(sizes) <= max(words, width) and sum(sizes) == 2**17
+    assert len(blocks) == -(-2**10 // max(1, words // width))
     assert np.array_equal(np.concatenate([block for _, block in blocks]), whole)
     assert np.isneginf(whole).any()
     built = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.2, 0.8)
     assert built.member_count == reference.member_count > 1
     assert np.array_equal(built.members, reference.members)
     assert built.spread == reference.spread
-    assert abs(built.mass - reference.mass) <= 1e-15
+    assert abs(built.mass - reference.mass) <= 1e-15  # summed block by block
 
 
 def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
@@ -705,9 +708,16 @@ def test_typical_set_split_matches_the_enumeration(case, epsilon, offset, pick,
     assume(np.all(np.abs(np.abs(rates - h_ref) - epsilon / 2) > 1e-9))
     count, mass, spread, members = oracles.typical_set_by_enumeration(
         xm, ym, spec, z, epsilon, h_ref)
-    with mock.patch.object(secrecy, "_split", lambda n, k, length: h):
+    split, lengths = inference_module._split, []
+
+    def at_h(n, k, length):  # the left half's own split is left as it is
+        lengths.append(length)
+        return h if length == t else split(n, k, length)
+
+    with mock.patch.object(inference_module, "_split", at_h):
         built = secrecy.build_typical_set(xm, ym, spec, z, epsilon, h_ref,
                                           member_cap=member_cap)
+    assert lengths[0] == t
     assert built.member_count == count >= 1
     if count <= member_cap:
         assert np.array_equal(built.members, members)

@@ -122,17 +122,17 @@ def test_split_caps_each_half_not_the_plaintexts(k, monkeypatch):
     # far over it: the n**h left words and n**(K + t - h) right cells are not
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 1 << 10)
     for t in range(1, 21 - k):
-        h = secrecy._split(2, k, t)
+        h = inference._split(2, k, t)
         assert h == t if t <= k + 1 else max(k, 1) <= h < t
         assert 2**h <= 1 << 10 and (h == t or 2 ** (k + t - h) <= 1 << 10)
     with pytest.raises(EnumerationCapError, match="left-half"):
-        secrecy._split(2, k, 21 - k)
+        inference._split(2, k, 21 - k)
     # packed members need n**t < 2**63, which only a cap of 2**32 or more
     # leaves to check
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 1 << 40)
-    secrecy._split(2, k, 62)
+    inference._split(2, k, 62)
     with pytest.raises(EnumerationCapError, match="2\\*\\*63"):
-        secrecy._split(2, k, 63)
+        inference._split(2, k, 63)
 
 
 def test_typical_set_rejects_bad_epsilon():
@@ -534,3 +534,17 @@ def test_direct_stationary_solve_moves_the_certify_reports_within_1e_9(seed, tmp
                            for x, y in ((xm, ym), (xp, yp)))
     assert np.array_equal(np.isfinite(table), np.isfinite(table_before))
     close(table[np.isfinite(table)], table_before[np.isfinite(table)])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_posterior_halves_move_the_certify_rows_within_1e_12(seed, tmp_path):
+    # the posterior sums each plaintext as L + R, the sequential joint table
+    # position by position; at seeds 0 and 1 that moves the last .12g digit of
+    # 6 and 10 of the CSV's 262,144 rows
+    xm, ym, _, z = _certify_inputs(seed, tmp_path)
+    log_marginal, blocks = inference._posterior_blocks(xm, ym, SPEC2, z)
+    split = np.concatenate([block for _, block in blocks])
+    sequential = inference.joint_log2_table(xm, ym, SPEC2, z) - log_marginal
+    finite = np.isfinite(sequential)
+    assert np.array_equal(np.isfinite(split), finite) and finite.all()
+    assert np.abs(split - sequential).max() <= 1e-12
