@@ -42,7 +42,7 @@ from .errors import (
 )
 from .inference import (
     _posterior_blocks,
-    _write_posterior_csv,
+    _write_posterior,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
 from .secrecy import (
@@ -63,7 +63,6 @@ from .sources import (
 from .words import (
     bytes_to_symbols,
     symbols_to_bytes,
-    text_bytes,
     text_to_word,
     word_to_text,
 )
@@ -406,22 +405,22 @@ def _cmd_posterior(args) -> int:
     # rows stream block by block, never the whole table
     log_marginal, blocks = _posterior_blocks(xm, ym, spec, z)
     print(f"log2 P(z) = {log_marginal:.12g} over {n**t} plaintexts")
-    if args.format == "csv":
-        with _open(args.out, "w") as fh:
+    with _open(args.out, "w") as fh:
+        if args.format == "csv":
             for key, value in _echo(args).items():
                 fh.write(f"# {key} {value}\n")
-            _write_posterior_csv(fh, n, t, blocks)
-        return 0
-    rows = [] if n**t <= args.max_rows else None
-    for start, block in blocks:  # all drawn, so the mass is checked in any case
-        if rows is not None:  # each row's text and a newline, NULs dropped
-            lines = np.pad(text_bytes(n, t, start, start + block.size),
-                           ((0, 0), (0, 1)), constant_values=ord("\n"))
-            texts = lines[lines != 0].tobytes().decode("ascii").split("\n")
-            rows += [{"plaintext": text, "log2_posterior": value}
-                     for text, value in zip(texts, block.tolist())]
-    results = {"t": t, "log2_marginal": log_marginal, "rows": rows}
-    _write_report(args, results)
+            _write_posterior(fh, n, t, blocks)
+            return 0
+        results = {"t": t, "log2_marginal": log_marginal, "rows": None}
+        report = _json_value({"config": _echo(args), "results": results})
+        if n**t > args.max_rows:
+            for _ in blocks:  # all drawn, so the mass is checked in any case
+                pass
+            fh.write(report + "\n")
+        else:  # the report with its rows written in place of null
+            fh.write(report.removesuffix("null}}"))
+            _write_posterior(fh, n, t, blocks, json=True)
+            fh.write("}}\n")
     return 0
 
 

@@ -251,13 +251,15 @@ class _ProductChain:
         :func:`joint_log2_table`, and each later one is the driver's stacked
         matmul times the lookup column of the row's rolling cipher window.
 
+        The rows are read in their own integer type, so the walk's one-byte
+        words are not copied; only the packed cipher windows are int64.
         Identical arguments give identical results.  A row's value does not
         depend on the other rows, but the batch width can move it by float
         rounding (the GEMM's blocking and the order of the per-row sums).
         """
         drive, other, recover, k, stack, lookup = self._driver
         n, rest, window = self.n, stack.shape[0], lookup.shape[0]
-        obs = np.atleast_2d(np.asarray(observations, dtype=np.int64))
+        obs = np.atleast_2d(observations)
         batch, t = obs.shape
 
         head = min(t, k)
@@ -510,30 +512,45 @@ def _g12(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_posterior_csv(fh, n: int, t: int, blocks) -> None:
-    """Write the header and the (plaintext, log2_posterior) rows of ``blocks``.
+def _write_posterior(fh, n: int, t: int, blocks, json: bool = False) -> None:
+    """Write the (plaintext, log2_posterior) rows of ``blocks``, CSV or JSON.
 
     ``blocks`` yields ``(start, values)`` pairs in index order; a plaintext is
-    written as base-n text, quoted when it has commas (n > 36, t >= 2), as
-    RFC 4180 asks, and a value as ``.12g``.  Each ``_CSV_ROWS`` rows are one
-    byte matrix, a row's text, comma, value and newline, with NUL bytes where
-    its text is shorter; the NULs are dropped and the rest written at once.
+    written as base-n text and a value as ``.12g``.  CSV is a header line and
+    a line a row, the text quoted when it has commas (n > 36, t >= 2), as RFC
+    4180 asks.  JSON is an array of ``{"plaintext": ..., "log2_posterior":
+    ...}`` objects joined by ", ", as ``cli._json_value`` writes the list:
+    ``-inf`` and ``nan``, which JSON has no literals for, are quoted.  Each
+    ``_CSV_ROWS`` rows are one byte matrix, with NUL bytes where a text is
+    shorter or a quote absent; the NULs are dropped and the rest written at
+    once.
     """
-    fh.write("plaintext,log2_posterior\n")
+    if json:
+        lead, middle, end = b', {"plaintext": "', b'", "log2_posterior": ', b"}"
+        fh.write("[")
+    else:
+        lead, middle, end = b"", b",", b"\n"
+        fh.write("plaintext,log2_posterior\n")
+    skip = 2 if json else 0  # the first row has no ", " before it
+
+    def fixed(part, size):  # the same bytes in every row
+        return np.broadcast_to(np.frombuffer(part, np.uint8), (size, len(part)))
+
     for start, block in blocks:
         for first in range(0, block.size, _CSV_ROWS):
             values = block[first : first + _CSV_ROWS]
-            text = text_bytes(n, t, start + first, start + first + values.size)
-            quote = int((text[0] == ord(",")).any())
-            width = text.shape[1] + 2 * quote
-            number = _g12(values)
-            rows = np.empty((values.size, width + number.shape[1] + 2), dtype=np.uint8)
-            rows[:, quote : width - quote] = text
-            rows[:, : quote] = rows[:, width - quote : width] = ord('"')
-            rows[:, width] = ord(",")
-            rows[:, width + 1 : -1] = number
-            rows[:, -1] = ord("\n")
-            fh.write(rows[rows != 0].tobytes().decode("ascii"))
+            size = values.size
+            text = text_bytes(n, t, start + first, start + first + size)
+            quote = b'"' if not json and (text[0] == ord(",")).any() else b""
+            marks = np.zeros((size, 1), dtype=np.uint8)
+            if json:
+                marks[~np.isfinite(values)] = ord('"')
+            rows = np.concatenate([fixed(lead + quote, size), text, fixed(quote + middle, size),
+                                   marks, _g12(values), marks, fixed(end, size)], axis=1)
+            fh.write(rows[rows != 0].tobytes()[skip:].decode("ascii"))
+            skip = 0
+    if json:
+        fh.write("]")
 
 
 @dataclass(frozen=True)
@@ -571,9 +588,7 @@ class PosteriorTable:
         A plaintext with commas (n > 36) is quoted, as RFC 4180 asks.
         """
         with _open_for(target, "w") as fh:
-            _write_posterior_csv(
-                fh, self.alphabet_size, self.length, [(0, self.log_posterior)]
-            )
+            _write_posterior(fh, self.alphabet_size, self.length, [(0, self.log_posterior)])
 
 
 def posterior(

@@ -217,7 +217,8 @@ def build_typical_set(
         left = left - log_marginal
         # at most 1 (no joint exceeds P(z)), and 0 before a -inf row
         scale = np.exp2(left + top[context])
-        total += float(scale @ sums[context * (width + 1) + width])
+        # einsum, not BLAS: a long ddot wakes idle BLAS threads, for milliseconds
+        total += float(np.einsum("i,i", scale, sums[context * (width + 1) + width]))
         query = np.empty(left.size, dtype=complex)
         query.real, query.imag = context, low - left
         first = np.searchsorted(keys, query, side="right")
@@ -231,7 +232,8 @@ def build_typical_set(
         first, stop, sizes, left = first[hit], stop[hit], sizes[hit], left[hit]
         count += int(sizes.sum())
         # exact to the ulp of the row's total, however small the band's share
-        mass += float(scale[hit] @ (sums[stop + context[hit]] - sums[first + context[hit]]))
+        band = sums[stop + context[hit]] - sums[first + context[hit]]
+        mass += float(np.einsum("i,i", scale[hit], band))
         least = min(least, float((left + keys.imag[first]).min()))
         most = max(most, float((left + keys.imag[stop - 1]).max()))
         if kept is not None and count <= member_cap:
@@ -489,10 +491,13 @@ def concentration_experiment(
     given ``h_ref`` finite; all are checked before the bracket is enumerated.
 
     Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows and of at most
-    ``_CELL`` floats per (rows, t+1) array (one row at least), and within a
-    chunk at most three such arrays are alive at once: one stream's uniforms
-    are walked and dropped before the other's are drawn, and the plaintext
-    and key words are dropped once the ciphertext words exist.
+    ``_CELL`` uniforms per (rows, t+1) array (one row at least), and within
+    a chunk one such array is alive at a time: one stream's uniforms are
+    walked and dropped before the other's are drawn.  The plaintext, key and
+    ciphertext words stay in the walk's symbol type through the coder and
+    the forward (see :func:`runkey.sources._walk_batch`): one byte a symbol
+    up to n = 256, an eighth of the uniforms' bytes.  The plaintext and key
+    words are dropped once the ciphertext words exist.
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)
@@ -508,6 +513,8 @@ def concentration_experiment(
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     chain = _ProductChain(xm, ym, spec)
+    # the ciphertext words in the walk's symbol type, not widened to int64
+    coder = spec.coder.astype(np.min_scalar_type(spec.alphabet_size - 1))
 
     fractions: list[float] = []
     means: list[float] = []
@@ -519,7 +526,7 @@ def concentration_experiment(
             stop = min(start + chunk, samples)
             x_words, log_px = _walk_batch(xm, _uniforms(seed, t, start, stop, 0))
             y_words, log_py = _walk_batch(ym, _uniforms(seed, t, start, stop, 1))
-            z_words = spec.coder[x_words, y_words]
+            z_words = coder[x_words, y_words]
             del x_words, y_words
             log_pz = chain.forward_log2(z_words)
             chunks.append(-(log_px + log_py - log_pz) / t)

@@ -405,7 +405,7 @@ class SourceModel:
         rng = np.random.default_rng(seed)
         uniforms = rng.random((1, length + 1))
         words, _ = _walk_batch(self, uniforms)
-        return words[0]
+        return words[0].astype(np.int64)
 
 
 def _walk_batch(model: SourceModel, uniforms: np.ndarray):
@@ -424,12 +424,16 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
     n.  For order k >= 1 the words are written time-major, one contiguous
     row per position, and returned as that array's transpose: a (batch, t)
     view in Fortran order, whose columns, read one position at a time by
-    the forward recursion, are contiguous.
+    the forward recursion, are contiguous.  Words are of the smallest
+    unsigned type that holds n - 1 (one byte up to n = 256), which the
+    coder and the forward take as they are; arithmetic on them must widen
+    first, as a one-byte sum wraps.  :meth:`SourceModel.sample` returns int64.
     """
     n, k = model.alphabet_size, model.order
     states = model.num_states
     batch, width = uniforms.shape
     t = width - 1
+    symbols = np.min_scalar_type(n - 1)
     cum_init = np.cumsum(model.stationary)
     state = np.minimum(
         np.searchsorted(cum_init, uniforms[:, 0], side="right"), states - 1
@@ -437,7 +441,7 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
     log_t = _log2_safe(model.transition)
     if k == 0:
         thresholds = np.cumsum(model.transition[0])[:-1]
-        words = np.empty((batch, t), dtype=np.int64)
+        words = np.empty((batch, t), dtype=symbols)
         log_probs = np.empty(batch)
         # row blocks: searchsorted copies its strided input, and a gather holds
         # one float per symbol; each row still sums on its own, to the same bits
@@ -453,7 +457,7 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray):
     # a step's log term and next context, indexed by state * n + symbol
     log_terms = log_t.ravel()
     successor = np.arange(states * n) % states
-    words = np.empty((t, batch), dtype=np.int64)
+    words = np.empty((t, batch), dtype=symbols)
     log_probs = np.zeros(batch)
     head_state = state
     for i in range(t):

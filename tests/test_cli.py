@@ -439,6 +439,43 @@ def test_json_posterior_over_max_rows_holds_one_block(x_model, tmp_path):
     assert peak <= 4 << 20
 
 
+@pytest.mark.parametrize("x_model, y_model, z", [
+    ("bernoulli:0,0.3,0.7", "uniform:3", "012012"),  # a plaintext with a 0 has -inf
+    ("uniform:40", "uniform:40", "1,2"),  # plaintexts with commas
+])
+def test_json_posterior_streams_the_bytes_of_the_whole_report(x_model, y_model, z,
+                                                              tmp_path, monkeypatch):
+    monkeypatch.setattr(inference, "_CSV_ROWS", 100)  # rows in several byte matrices
+    out = tmp_path / "posterior.json"
+    argv = ["posterior", "--x-model", x_model, "--y-model", y_model, "--z", z]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    xm, ym = cli._load_source(x_model), cli._load_source(y_model)
+    n = xm.alphabet_size
+    word = text_to_word(z, n)
+    table = inference.posterior(xm, ym, additive_cipher(n), word)
+    texts = [word_to_text(index_to_word(u, n, word.size), n) for u in range(n**word.size)]
+    results = {"t": word.size, "log2_marginal": table.log_marginal,
+               "rows": [{"plaintext": text, "log2_posterior": value}
+                        for text, value in zip(texts, table.log_posterior.tolist())]}
+    config = json.loads(out.read_text())["config"]
+    assert out.read_text() == cli._json_value({"config": config, "results": results}) + "\n"
+    assert ('"-inf"' in out.read_text()) == (x_model != "uniform:40")
+
+
+def test_json_posterior_rows_stream_a_block_at_a_time(x_model, tmp_path):
+    # t = 16: 65,536 rows, 4.5 MB of report, never held whole
+    argv = ["posterior", "--x-model", x_model, "--y-model", KEY, "--z", "0110100110010110",
+            "--max-rows", "65536", "--out", str(tmp_path / "posterior.json")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "posterior.json").read_text())["results"]["rows"]) == 2**16
+    assert peak <= 4 << 20
+
+
 def test_posterior_csv_quotes_plaintexts_of_large_alphabets(tmp_path):
     # over n > 36 a plaintext is comma-separated text, one quoted CSV field
     probs = np.arange(1, 41) / np.arange(1, 41).sum()

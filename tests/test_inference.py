@@ -153,7 +153,7 @@ def test_posterior_csv_export(tmp_path):
 
 def _csv_text(n, t, blocks):
     buf = io.StringIO()
-    inference_module._write_posterior_csv(buf, n, t, blocks)
+    inference_module._write_posterior(buf, n, t, blocks)
     return buf.getvalue()
 
 
@@ -326,6 +326,19 @@ def test_forward_matches_oracle_for_any_cipher(case):
             assert abs(from_batch - expected) <= 1e-9
             single = inference.log_marginal_forward(xm, ym, spec, row)
             assert abs(single - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("n, kx, ky", [(2, 3, 1), (3, 1, 2), (256, 1, 0)])
+def test_forward_gives_the_same_bits_on_one_byte_words(n, kx, ky):
+    # the walk's words are one byte each, in a Fortran-order view
+    rng = np.random.default_rng(n + kx)
+    xm, ym = random_model(rng, n, kx), random_model(rng, n, ky)
+    chain = inference._ProductChain(xm, ym, cipher.additive_cipher(n))
+    words = rng.integers(0, n, size=(6, 9))
+    wide = chain.forward_log2(words)
+    assert np.isfinite(wide).all()
+    for narrow in (words.astype(np.uint8), np.asfortranarray(words, dtype=np.uint8)):
+        assert np.array_equal(chain.forward_log2(narrow).view(np.uint64), wide.view(np.uint64))
 
 
 def test_entry_cap_checked_before_the_build(monkeypatch):
@@ -606,7 +619,7 @@ def test_posterior_blocks_bound_the_working_set(tmp_path):
         # tracing all 2**20 rows' Python objects would take seconds
         _, blocks = inference_module._posterior_blocks(xm, ym, SPEC2, z)
         with open(tmp_path / "posterior.csv", "w") as fh:
-            inference_module._write_posterior_csv(fh, 2, 20, itertools.islice(blocks, 2))
+            inference_module._write_posterior(fh, 2, 20, itertools.islice(blocks, 2))
         csv_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

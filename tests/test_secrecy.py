@@ -548,3 +548,21 @@ def test_posterior_halves_move_the_certify_rows_within_1e_12(seed, tmp_path):
     finite = np.isfinite(sequential)
     assert np.array_equal(np.isfinite(split), finite) and finite.all()
     assert np.abs(split - sequential).max() <= 1e-12
+
+
+def test_concentration_peak_stays_below_two_uniform_chunks():
+    # one chunk of 256 rows at t = 1000: a stream's uniforms are the largest
+    # array; the one-byte words and the order-0 walk's row blocks add less than
+    # that again (with int64 words the peak was 3.5 times the uniforms)
+    t, samples = 1000, 256
+    size = inference._ProductChain(MARKOV, BIASED, SPEC2).size
+    rows = min(samples, secrecy._SAMPLE_CHUNK, secrecy._CELL // max(size, t + 1))
+    run = (MARKOV, BIASED, SPEC2, [t], samples, 0.05, 0.01)
+    secrecy.concentration_experiment(*run, seed=3, h_ref=0.5)  # a first call's imports
+    tracemalloc.start()
+    try:
+        secrecy.concentration_experiment(*run, seed=3, h_ref=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows * (t + 1) * 8

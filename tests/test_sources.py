@@ -323,6 +323,16 @@ def test_sample_deterministic_in_seed():
         assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n, k", [(2, 0), (3, 2), (256, 1)])
+def test_sample_returns_int64_words(n, k):
+    # the walk's words are one byte each; a sampled word is the same values in int64
+    model = random_model(np.random.default_rng(k), n, k)
+    word = model.sample(50, 1)
+    words, _ = sources._walk_batch(model, np.random.default_rng(1).random((1, 51)))
+    assert word.dtype == np.int64 and words.dtype == np.uint8
+    assert np.array_equal(word, words[0])
+
+
 def test_sample_degenerate_source():
     model = sources.make_bernoulli([1.0, 0.0])
     assert model.sample(5, 0).tolist() == [0, 0, 0, 0, 0]
@@ -405,7 +415,8 @@ def test_walk_matches_the_row_gather_oracle_bit_for_bit(case):
     model, uniforms = case
     words, log_probs = sources._walk_batch(model, uniforms)
     expected_words, expected_log = oracles.markov_walk(model, uniforms)
-    assert words.dtype == np.int64 and np.array_equal(words, expected_words)
+    assert words.dtype == np.min_scalar_type(model.alphabet_size - 1)  # one byte
+    assert np.array_equal(words, expected_words)
     if model.order:  # a transposed time-major array, so each position is contiguous
         assert words.flags.f_contiguous
     got, want = np.asarray(log_probs), np.asarray(expected_log)
