@@ -22,11 +22,11 @@ class EnumerationCapError(RunkeyError, ValueError):
 
 
 class StateCapError(RunkeyError, ValueError):
-    """A product-chain table would hold more entries than the cap.
+    """A product-chain computation would be over the entry cap.
 
-    Raised before the table is built, when the bracket's step tables (n * n
-    * S entries each, n symbols, S product states) or the forward's factor
-    table would exceed ``runkey.inference.DEFAULT_ENTRY_CAP``.
+    Raised before anything is computed, when the bracket's multiply-adds per
+    parent word (n * n * S, n symbols, S product states) or the forward's
+    factor table entries would exceed ``runkey.inference.DEFAULT_ENTRY_CAP``.
     """
 
 

@@ -27,7 +27,8 @@ built on that identity:
 - the brackets' ciphertext block entropies descend the ciphertext suffix
   tree depth first, backward: a word's law given each product state, over
   the S states, gives a child's at n * S multiply-adds, for every cipher.
-  No computation uses the product chain's S x S operators;
+  Successor states are read by reshaping a block, as in the sources' step;
+  no step table and none of the product chain's S x S operators is built;
 - :func:`hz_bracket` / :func:`hxz_bracket` sandwich the entropy rate of the
   ciphertext process, which is a function of a hidden Markov chain and has
   no closed form, between the standard monotone conditional-entropy bounds
@@ -72,9 +73,9 @@ from .sources import (
 )
 from .words import as_word, digits, text_bytes, word_to_index
 
-# entries of the product chain's step tables, n * n * S (the enumeration's
-# weight and successor tables, each that size), and of the forward's factor
-# table; a byte-alphabet pair with S = 256 contexts is exactly at it
+# n * n * S, the multiply-adds of one parent word's children in the bracket
+# descent, and the entries of the forward's factor table; a byte-alphabet pair
+# with S = 256 contexts is exactly at it
 DEFAULT_ENTRY_CAP = 1 << 24
 
 # float64 cells (32 MiB) per dense operator and per forward batch; it exists
@@ -142,8 +143,8 @@ class _ProductChain:
 
     States are pairs (plaintext context, key context) packed as
     ``sx * Sy + sy``, with the stationary law ``alpha0``.  Construction
-    checks the entry cap (n * n * S) and stores only ``alpha0``; the block
-    enumeration runs on n * n * S step tables over the S states.
+    checks the entry cap on n * n * S, one parent word's multiply-adds in
+    the block enumeration, and stores only ``alpha0``.
 
     The forward (:meth:`forward_log2`) runs over the driver's last K symbols
     instead.  Given z, the key symbol is a function of the plaintext symbol
@@ -632,7 +633,9 @@ def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray,
     pairs (x, y) that the cipher maps to a, s' the successor of s under the
     pair.  Then ``H(Z^j) = -sum_w xlog2x(alpha0 . beta_w)`` and
     ``H(Z^j, S_1) = -sum_{w, s} xlog2x(alpha0(s) beta_w(s))``; a word costs
-    n * S multiply-adds.
+    n * S multiply-adds.  A context (s0, rest) of either source leads to
+    (rest, symbol) whatever s0 is, and an order-0 one to itself, so the
+    successor rows are a reshaped view of the block: no table is built.
 
     Blocks are (S, r) arrays of the words at one depth.  A block's children,
     word ``a w`` in column ``a * r + w``, hold at most ``_ENUM_CELL`` cells
@@ -647,19 +650,9 @@ def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray,
         raise ValueError("block length must be >= 1")
     _check_cap(n, length, "ciphertext blocks")
     xm, ym = chain.xm, chain.ym
-    plain_of = chain.spec.decoder.T.astype(np.int32)  # [y, a]
-    sx, sy = xm.num_states, ym.num_states
-    # weight[y, s, a] and successor[y, s, a]: the key emits y and the plaintext
-    # plain_of[y, a] from state s = (s_x, s_y); n * n * S entries each, which
-    # the entry cap bounds (192 MB in all at the cap)
-    weight = (xm.transition[:, plain_of].transpose(1, 0, 2)[:, :, None, :]
-              * ym.transition.T[:, None, :, None]).reshape(n, size, n)
-    states_x, states_y = np.arange(sx, dtype=np.int32), np.arange(sy, dtype=np.int32)
-    next_x = states_x[None, :, None] * n + plain_of[:, None, :]
-    next_x %= sx  # in place: with S_Y = 1 it is as large as the table
-    next_x *= sy
-    next_y = (states_y[None, :] * n + np.arange(n, dtype=np.int32)[:, None]) % sy
-    successor = (next_x[:, :, None, :] + next_y[:, None, :, None]).reshape(n, size, n)
+    plain_of = chain.spec.decoder.T  # [y, a]
+    fx, fy = (n if model.order else 1 for model in (xm, ym))
+    shape = (fx, xm.num_states // fx, fy, ym.num_states // fy, n)
     words = max(1, _ENUM_CELL // (n * size))
 
     def below(beta, depth):
@@ -669,9 +662,13 @@ def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray,
         sums each column's descendants i + 1 levels down.
         """
         r = beta.shape[1]
-        child = weight[0][:, :, None] * np.take(beta, successor[0], axis=0)
-        for y in range(1, n):
-            child += weight[y][:, :, None] * np.take(beta, successor[y], axis=0)
+        after = beta.reshape(shape[1], fx, shape[3], fy, r)  # (rest, symbol) per source
+        child = np.zeros((*shape, r))
+        for y in range(n):
+            # the key emits y and the plaintext plain_of[y, a] from (s_x, s_y)
+            weight = xm.transition[:, None, plain_of[y]] * ym.transition[:, y, None]
+            successors = after[:, :, :, y % fy][:, plain_of[y] % fx].transpose(0, 2, 1, 3)
+            child += weight.reshape(shape)[..., None] * successors[None, :, None]
         child = child.reshape(size, n * r)  # word a w in column a * r + w
         mass = child * alpha0[:, None]
         # both channels' terms; n * r > 1 columns, so summed row by row

@@ -139,11 +139,11 @@ def _closed_class(table: np.ndarray) -> np.ndarray:
 
     Raises NotErgodicError unless the chain has exactly one closed class.  A
     positive table needs no search: every context then reaches every other
-    within k steps.  Only a table with a zero pays for the edge list, the
-    strong-component search and its import.  A class is closed when no edge
-    leaves it; the states outside it are transient.
+    within k steps; nor does an order-0 table, whose one context is the
+    class.  Only the others pay for the edge list, the strong-component
+    search and its import.  A class is closed when no edge leaves it.
     """
-    if table.all():
+    if table.all() or table.shape[0] == 1:
         return np.ones(table.shape[0], dtype=bool)
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components

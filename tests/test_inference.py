@@ -379,7 +379,8 @@ def test_forward_factor_table_checked_against_the_entry_cap(monkeypatch):
 
 def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
     # n=256 with S=256 product states (order 1 against i.i.d.) is exactly at
-    # the cap; two order-1 byte models (S=65,536) would store 2**32 entries
+    # the cap; two order-1 byte models (S=65,536) would take 2**32
+    # multiply-adds per parent word of the bracket descent
     assert 256 * 256 * 256 <= inference.DEFAULT_ENTRY_CAP
     assert 256 * 256 * 65536 > inference.DEFAULT_ENTRY_CAP
 
@@ -536,13 +537,18 @@ def test_chunked_enumeration_bit_identical(monkeypatch):
     xm = sources.make_markov(2, 2, np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]))
     ym = sources.make_markov(2, 1, [[0.6, 0.4], [0.3, 0.7]])
     z = ym.sample(14, 3)
+    # an i.i.d. key under a Latin square: an order-0 side and no additive structure
+    rng = np.random.default_rng(3)
+    order0 = (random_model(rng, 3, 2), random_model(rng, 3, 0), latin_square_cipher(rng, 3))
     reference = inference.joint_log2_table(xm, ym, SPEC2, z)
     reference_totals = z_entropies(xm, ym, SPEC2, 8)
+    reference_order0 = z_entropies(*order0, 5)
     reference_bracket = inference.hz_bracket(xm, ym, SPEC2, 7)
     monkeypatch.setattr(inference_module, "_CELL", 64)
     monkeypatch.setattr(inference_module, "_ENUM_CELL", 1)  # one row per block
     assert np.array_equal(inference.joint_log2_table(xm, ym, SPEC2, z), reference)
     assert np.array_equal(z_entropies(xm, ym, SPEC2, 8), reference_totals)
+    assert np.array_equal(z_entropies(*order0, 5), reference_order0)
     assert inference.hz_bracket(xm, ym, SPEC2, 7) == reference_bracket
 
 
@@ -569,6 +575,23 @@ def test_enumeration_blocks_bound_the_working_set(monkeypatch):
     # blocks of 2 words (their children n * 2 * S = 512 cells) give the same ends
     monkeypatch.setattr(inference_module, "_ENUM_CELL", 2**9)
     assert inference.hz_bracket(xm, ym, SPEC2, 13) == reference
+
+
+def test_byte_pair_bracket_builds_no_step_table():
+    # an order-1 byte plaintext against an i.i.d. byte key, S = 256 at the entry
+    # cap: one float64 table of n * n * S entries would take 128 MB
+    rng = np.random.default_rng(6)
+    xm = sources.make_markov(256, 1, rng.dirichlet(np.ones(256), size=256))
+    ym = sources.make_bernoulli(rng.dirichlet(np.ones(256)))
+    spec = cipher.additive_cipher(256)
+    reference = inference.hz_bracket(xm, ym, spec, 0)  # first-use allocations
+    tracemalloc.start()
+    try:
+        assert inference.hz_bracket(xm, ym, spec, 0) == reference
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # the certify pair's m = 10 bracket ends and H(Z^j) trail, j <= 11, as the

@@ -686,14 +686,16 @@ def test_graph_search_import_only_for_tables_with_zeros(tmp_path):
     src = str(Path(sources.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     loaded = {}
-    for name, table in (("positive", [[0.9, 0.1], [0.2, 0.8]]),
-                        ("zero", [[0.5, 0.5], [1.0, 0.0]])):
+    # an order-0 table's one context is its closed class, zeros or not
+    for name, model in (("positive", sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])),
+                        ("zero", sources.make_markov(2, 1, [[0.5, 0.5], [1.0, 0.0]])),
+                        ("order0", sources.make_bernoulli([0.5, 0.0, 0.5]))):
         path = tmp_path / f"{name}.model"
-        sources.save_model(sources.make_markov(2, 1, table), str(path))
+        sources.save_model(model, str(path))
         probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(path)],
                                capture_output=True, text=True, env=env, check=True)
         loaded[name] = probe.stdout.split()
-    assert loaded["positive"] == []
+    assert loaded["positive"] == [] and loaded["order0"] == []
     assert "scipy.sparse.csgraph" in loaded["zero"]
 
 
