@@ -16,11 +16,9 @@ from .errors import (
     ModelFormatError,
     NotErgodicError,
     RunkeyError,
-    StateCapError,
     UnsupportedCipherError,
 )
 from .inference import (
-    DEFAULT_ENTRY_CAP,
     EntropyBracket,
     PosteriorTable,
     hxz_bracket,
@@ -70,7 +68,6 @@ __all__ = [
     "CertificationError",
     "ConcentrationReport",
     "ConvergenceError",
-    "DEFAULT_ENTRY_CAP",
     "DEFAULT_MEMBER_CAP",
     "DEFAULT_WORD_CAP",
     "EntropyBracket",
@@ -83,7 +80,6 @@ __all__ = [
     "RunkeyError",
     "SecrecyReport",
     "SourceModel",
-    "StateCapError",
     "TypicalSet",
     "UnsupportedCipherError",
     "additive_cipher",

@@ -16,8 +16,9 @@ lines are comments) or replays a report: a CSV report (first line
 report (first character ``{``) through its ``config`` object.  A file naming
 another subcommand is rejected.
 
-Exit codes: 0 success, 2 invalid configuration or input data, 3 enumeration
-or table-entry cap exceeded or memory exhausted, 4 numeric failure.
+Exit codes: 0 success, 2 invalid configuration or input data, 3 a cap
+exceeded (enumerated words, table entries, a kernel's work or sampled
+symbols) or memory exhausted, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ import numpy as np
 
 from . import __version__
 from .cipher import additive_cipher
-from .errors import (
-    CertificationError,
-    ConvergenceError,
-    EnumerationCapError,
-    RunkeyError,
-    StateCapError,
-)
+from .errors import CertificationError, ConvergenceError, EnumerationCapError, RunkeyError
 from .inference import (
     _posterior_blocks,
     _write_posterior,
@@ -657,7 +652,7 @@ def main(argv=None) -> int:
         spliced = _splice_config(argv)
         args = _build_parser().parse_args(spliced)
         return args.run(args)
-    except (EnumerationCapError, StateCapError, MemoryError) as exc:
+    except (EnumerationCapError, MemoryError) as exc:
         return _fail("cap", exc, 3)
     except (ConvergenceError, CertificationError) as exc:
         return _fail("numeric", exc, 4)

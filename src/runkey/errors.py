@@ -18,16 +18,7 @@ class ConvergenceError(RunkeyError, ArithmeticError):
 
 
 class EnumerationCapError(RunkeyError, ValueError):
-    """A requested exhaustive enumeration exceeds the configured cap."""
-
-
-class StateCapError(RunkeyError, ValueError):
-    """A product-chain computation would be over the entry cap.
-
-    Raised before anything is computed, when the bracket's multiply-adds per
-    parent word (n * n * S, n symbols, S product states) or the forward's
-    factor table entries would exceed ``runkey.inference.DEFAULT_ENTRY_CAP``.
-    """
+    """An enumeration, a table, a kernel's work or a sampling run exceeds its cap."""
 
 
 class UnsupportedCipherError(RunkeyError, ValueError):

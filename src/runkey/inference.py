@@ -56,12 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .cipher import CipherSpec
-from .errors import (
-    CertificationError,
-    EnumerationCapError,
-    StateCapError,
-    UnsupportedCipherError,
-)
+from .errors import CertificationError, EnumerationCapError, UnsupportedCipherError
 from .sources import (
     DEFAULT_WORD_CAP,  # noqa: F401 (re-exported; tests read it here)
     SourceModel,
@@ -72,11 +67,6 @@ from .sources import (
     xlog2x,
 )
 from .words import as_word, digits, text_bytes, word_to_index
-
-# n * n * S, the multiply-adds of one parent word's children in the bracket
-# descent, and the entries of the forward's factor table; a byte-alphabet pair
-# with S = 256 contexts is exactly at it
-DEFAULT_ENTRY_CAP = 1 << 24
 
 # float64 cells (32 MiB) per dense operator and per forward batch; it exists
 # to bound working memory
@@ -142,9 +132,9 @@ class _ProductChain:
     """The hidden Markov chain driving the ciphertext process.
 
     States are pairs (plaintext context, key context) packed as
-    ``sx * Sy + sy``, with the stationary law ``alpha0``.  Construction
-    checks the entry cap on n * n * S, one parent word's multiply-adds in
-    the block enumeration, and stores only ``alpha0``.
+    ``sx * Sy + sy``.  Construction checks no cap and computes nothing: each
+    kernel checks its own work (the bracket's in
+    :func:`_entropies_for_chain`, the forward's below).
 
     The forward (:meth:`forward_log2`) runs over the driver's last K symbols
     instead.  Given z, the key symbol is a function of the plaintext symbol
@@ -161,8 +151,8 @@ class _ProductChain:
     other source's factor.  That factor depends only on the state's last
     ``k_O + 1`` driver symbols and the row's last ``k_O + 1`` ciphertext
     symbols, so it is one ``lookup`` table of ``n**(2 k_O + 2)`` entries,
-    checked against ``DEFAULT_ENTRY_CAP``: column ``c`` holds the factor for
-    the packed cipher window c.
+    within ``DEFAULT_WORD_CAP`` (checked before it is built): column ``c``
+    holds the factor for the packed cipher window c.
 
     ``A`` (for each ciphertext symbol v, ``A[v][s, s']`` is the probability
     of emitting v from state s while moving to s'; a dense (n, S, S) stack
@@ -173,19 +163,10 @@ class _ProductChain:
     """
 
     def __init__(self, xm: SourceModel, ym: SourceModel, spec: CipherSpec):
-        n = _check_alphabets(xm, ym, spec)
+        self.n = _check_alphabets(xm, ym, spec)
         self.xm, self.ym, self.spec = xm, ym, spec
-        sx, sy = xm.num_states, ym.num_states
-        size = sx * sy
-        if n * n * size > DEFAULT_ENTRY_CAP:
-            raise StateCapError(
-                f"product chain of {sx}*{sy} states needs {n}*{n}*{size} "
-                f"operator entries, over cap {DEFAULT_ENTRY_CAP}"
-            )
-        self.n = n
-        self.size = size
-        self.alpha0 = np.outer(xm.stationary, ym.stationary).ravel()
-        self.dense = n * size * size <= _CELL
+        self.size = xm.num_states * ym.num_states
+        self.dense = self.n * self.size * self.size <= _CELL
 
     @cached_property
     def A(self):
@@ -225,12 +206,8 @@ class _ProductChain:
         else:
             drive, other, recover = ym, xm, spec.decoder.T
         k = max(drive.order, other.order + 1)
+        _check_cap(n, 2 * other.order + 2, "forward factor table entries")
         window = n ** (other.order + 1)
-        if window * window > DEFAULT_ENTRY_CAP:
-            raise StateCapError(
-                f"forward factor table of {window}*{window} entries is "
-                f"over cap {DEFAULT_ENTRY_CAP}"
-            )
         # stack[r, d, d0]: the driver emits d after the state d0*rest + r, whose
         # context is its last k_D symbols (a view of the table when K = k_D)
         contexts, rest = drive.num_states, n ** (k - 1)
@@ -310,8 +287,8 @@ def log_marginal_forward(
     """Exact ``log2 P(z)`` by the forward recursion, linear in ``len(z)``.
 
     Works for every cipher, key-recoverable or not; -inf for a ciphertext of
-    probability zero.  The product chain's entry cap is checked; no operators
-    are built.
+    probability zero.  The forward's factor table is checked against the cap
+    before it is built; no operators are built.
     """
     z = as_word(ciphertext, spec.alphabet_size)
     chain = _ProductChain(xm, ym, spec)
@@ -624,11 +601,11 @@ def posterior(
 def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray, np.ndarray]:
     """``H(Z^j)`` and ``H(Z^j, S_1)`` in bits for all ``j <= length``.
 
-    S_1 is the product state at time 1, drawn from ``alpha0``; index 0
-    holds 0 and ``H(S_1)``.  Both come from one backward, depth-first
-    descent of the ciphertext suffix tree, which works for every cipher.  With
-    ``beta_w(s) = P(Z_1..Z_j = w | S_1 = s)`` (``beta`` of the empty word
-    is 1), a child prepends a symbol:
+    S_1 is the product state at time 1, drawn from the stationary law
+    ``alpha0``; index 0 holds 0 and ``H(S_1)``.  Both come from one
+    backward, depth-first descent of the ciphertext suffix tree, which works
+    for every cipher.  With ``beta_w(s) = P(Z_1..Z_j = w | S_1 = s)``
+    (``beta`` of the empty word is 1), a child prepends a symbol:
     ``beta_{a w}(s) = sum T_X(s_x, x) T_Y(s_y, y) beta_w(s')`` over the n
     pairs (x, y) that the cipher maps to a, s' the successor of s under the
     pair.  Then ``H(Z^j) = -sum_w xlog2x(alpha0 . beta_w)`` and
@@ -637,19 +614,23 @@ def _entropies_for_chain(chain: _ProductChain, length: int) -> tuple[np.ndarray,
     (rest, symbol) whatever s0 is, and an order-0 one to itself, so the
     successor rows are a reshaped view of the block: no table is built.
 
-    Blocks are (S, r) arrays of the words at one depth.  A block's children,
-    word ``a w`` in column ``a * r + w``, hold at most ``_ENUM_CELL`` cells
-    (one parent word at least: n * S cells, which the entry cap bounds).
-    They go on in blocks of at most ``_ENUM_CELL // (n * S)`` words, each
-    descended before the next.  Every word's beta and terms are computed the
-    same way in any block (sums over states row by row, over pairs and
-    over children in symbol order), so the block size changes no bit.
+    One parent word's children cost n * n * S = n**(k_X + k_Y + 2)
+    multiply-adds, which must be within ``DEFAULT_WORD_CAP``; that and the
+    length are checked before anything is computed.  Blocks are (S, r)
+    arrays of the words at one depth.  A block's children, word ``a w`` in
+    column ``a * r + w``, hold at most ``_ENUM_CELL`` cells (one parent word
+    at least: n * S cells).  They go on in blocks of at most
+    ``_ENUM_CELL // (n * S)`` words, each descended before the next.  Every
+    word's beta and terms are computed the same way in any block (sums over
+    states row by row, over pairs and over children in symbol order), so
+    the block size changes no bit.
     """
-    n, size, alpha0 = chain.n, chain.size, chain.alpha0
+    n, size, xm, ym = chain.n, chain.size, chain.xm, chain.ym
     if length < 1:
         raise ValueError("block length must be >= 1")
     _check_cap(n, length, "ciphertext blocks")
-    xm, ym = chain.xm, chain.ym
+    _check_cap(n, xm.order + ym.order + 2, "bracket multiply-adds per word")
+    alpha0 = np.outer(xm.stationary, ym.stationary).ravel()
     plain_of = chain.spec.decoder.T  # [y, a]
     fx, fy = (n if model.order else 1 for model in (xm, ym))
     shape = (fx, xm.num_states // fx, fy, ym.num_states // fy, n)
@@ -760,9 +741,13 @@ def hxz_bracket(
     Subtracts :func:`hz_bracket` from the exact ``h(X) + h(Y)``; ends are
     clamped to [0, log2 n].  The lower end always dominates the simple bound
     ``h(X) + h(Y) - log2 n`` because the upper h(Z) bound never exceeds
-    log2 n.
+    log2 n.  The identity needs the key to follow from (x, z), so a cipher
+    that is not key-recoverable is an UnsupportedCipherError (under z = x
+    it would give h(Y), not 0).
     """
     n = _check_alphabets(xm, ym, spec)
+    if spec.key_table is None:
+        raise UnsupportedCipherError("the equivocation identity needs a key-recoverable cipher")
     z_bracket = hz_bracket(xm, ym, spec, m)
     base = xm.entropy_rate() + ym.entropy_rate()
     log_n = float(np.log2(n))

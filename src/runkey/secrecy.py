@@ -31,7 +31,7 @@ import numpy as np
 
 from .cipher import CipherSpec
 from . import inference  # the enumeration's helpers are read from it at call time
-from .errors import CertificationError, UnsupportedCipherError
+from .errors import CertificationError, EnumerationCapError, UnsupportedCipherError
 from .inference import (
     _CELL,
     EntropyBracket,
@@ -42,7 +42,7 @@ from .inference import (
     hxz_bracket,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
-from .sources import SourceModel, _walk_batch, make_bernoulli
+from .sources import DEFAULT_WORD_CAP, SourceModel, _walk_batch, make_bernoulli
 from .words import as_word
 
 DEFAULT_MEMBER_CAP = 1 << 22
@@ -50,6 +50,10 @@ DEFAULT_MEMBER_CAP = 1 << 22
 # Monte Carlo samples per batch, lowered so each of a batch's arrays holds at
 # most _CELL floats (one row at least); it exists to bound working memory
 _SAMPLE_CHUNK = 2048
+
+# sampled symbols, samples * sum(t + 1), per concentration experiment: some two
+# minutes of walks and forward steps on a binary pair of S = 128 states
+_SAMPLED_SYMBOLS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -488,7 +492,11 @@ def concentration_experiment(
     not constructed per sample.  So identical arguments give identical
     reports, and the batch width moves the statistics only by float
     rounding.  ``seed`` must be a non-negative integer, and epsilon and a
-    given ``h_ref`` finite; all are checked before the bracket is enumerated.
+    given ``h_ref`` finite.  A row of t + 1 uniforms must be within
+    ``_CELL``, the samples within ``DEFAULT_WORD_CAP`` (a length keeps each
+    one's statistic) and ``samples * sum(t + 1)`` within
+    ``_SAMPLED_SYMBOLS``, or EnumerationCapError.  All are checked before
+    the bracket is enumerated or anything sampled.
 
     Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows and of at most
     ``_CELL`` uniforms per (rows, t+1) array (one row at least), and within
@@ -506,6 +514,12 @@ def concentration_experiment(
         raise ValueError("need 0 < delta < 1")
     if samples < 1:
         raise ValueError("need at least one sample per length")
+    for value, cap, what in ((max(lengths, default=0) + 1, _CELL, "uniforms a row, t + 1"),
+                             (samples, DEFAULT_WORD_CAP, "samples a length"),
+                             (samples * sum(t + 1 for t in lengths), _SAMPLED_SYMBOLS,
+                              "sampled symbols, samples * sum(t + 1)")):
+        if value > cap:
+            raise EnumerationCapError(f"sampling exceeds cap {cap} {what}")
     if spec.key_table is None:
         raise UnsupportedCipherError(
             "the surprisal statistic needs a key-recoverable cipher"

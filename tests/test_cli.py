@@ -767,17 +767,18 @@ def test_help_says_what_eps_and_m_mean(subcommand, option, ending, capsys):
     assert _option_help(subcommand, option, capsys).endswith(ending)
 
 
-def test_smb_over_the_entry_cap_exits_3(tmp_path, monkeypatch, capsys):
-    # two order-1 models over n=4 store 4 * 4 * 16 operator entries
+def test_smb_over_the_factor_table_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # two order-1 models over n=4: the forward's factor table has 4**4 entries
     model = sources.make_markov(4, 1, np.full((4, 4), 0.25))
     path = tmp_path / "x.model"
     sources.save_model(model, str(path))
-    monkeypatch.setattr(inference, "DEFAULT_ENTRY_CAP", 4 * 4 * 16 - 1)
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 4**4 - 1)
     argv = ["smb", "--x-model", str(path), "--y-model", str(path), "--t", "5",
             "--samples", "4", "--eps", "0.05", "--delta", "0.1", "--seed", "1",
             "--h-ref", "1.0", "--out", str(tmp_path / "smb.json")]
     assert cli.main(argv) == 3
-    assert _error_line(capsys).startswith("error: cap:")
+    line = _error_line(capsys)
+    assert line.startswith("error: cap:") and "factor table" in line
 
 
 def test_memory_exhaustion_exits_3(x_model, monkeypatch, capsys):
@@ -878,7 +879,10 @@ def test_model_header_of_a_huge_table_exits_3_before_allocating(n, k, tmp_path, 
 
 
 # inputs that once computed n**k for a cap check, or sampled before it: each
-# ran (or allocated 8 GB) for many seconds before it failed, if it did
+# ran (or allocated 8 GB) for many seconds before it failed, if it did; the
+# smb ones kept a statistic per sample, or a row of t + 1 uniforms, unbounded
+_SMB = ["smb", "--x-model", "bernoulli:0.3,0.7", "--y-model", KEY, "--eps", "0.05",
+        "--delta", "0.1", "--seed", "1"]
 _HUGE_POWERS = {
     "header": ["entropy", "--x-model", "{huge}"],
     "bounds": ["bounds", "--x-model", "uniform:2", "--y-model", KEY,
@@ -889,6 +893,8 @@ _HUGE_POWERS = {
             "--t", "1000000000", "--eps", "0.1", "--seed", "1"],
     "train": ["train", "--corpus", "{corpus}", "--n", "96", "--order", "3",
               "--out", "{out}"],
+    "smb-samples": [*_SMB, "--t", "11", "--samples", "99999999999", "--out", "{out}"],
+    "smb-row": [*_SMB, "--t", "100000000", "--samples", "1", "--out", "{out}"],
 }
 
 

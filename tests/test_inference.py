@@ -16,7 +16,6 @@ from runkey.errors import (
     CertificationError,
     EnumerationCapError,
     NotErgodicError,
-    StateCapError,
     UnsupportedCipherError,
 )
 
@@ -342,47 +341,76 @@ def test_forward_gives_the_same_bits_on_one_byte_words(n, kx, ky):
 
 
 def test_entry_cap_checked_before_the_build(monkeypatch):
-    # n * n * S stored entries: 2 * 2 * 64 for two order-3 binary models
+    # two order-3 binary models: the forward's factor table has 2**8 entries and
+    # a bracket word 2 * 2 * 64 multiply-adds; each kernel checks its own
     xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 256)
     assert inference.log_marginal_forward(xm, xm, SPEC2, [0, 1]) == -2.0
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
-    with pytest.raises(StateCapError):
+    assert inference.hz_bracket(xm, xm, SPEC2, 0).upper == 1.0
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 255)
+    inference._ProductChain(xm, xm, SPEC2)  # construction checks nothing
+    with pytest.raises(EnumerationCapError, match="factor table"):
         inference.log_marginal_forward(xm, xm, SPEC2, [0, 1])
-    monkeypatch.undo()
-    # two order-1 byte models need 256 * 256 * 65,536 = 2**32 entries; the cap
-    # must reject them before any operator memory is allocated
-    byte = sources.make_markov(256, 1, np.full((256, 256), 1.0 / 256))
-    spec = cipher.additive_cipher(256)
-    tracemalloc.start()
-    try:
-        with pytest.raises(StateCapError):
-            inference._ProductChain(byte, byte, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    with pytest.raises(EnumerationCapError, match="bracket"):
+        inference.hz_bracket(xm, xm, SPEC2, 0)
 
 
 def test_forward_factor_table_checked_against_the_entry_cap(monkeypatch):
     # under the identity cipher the key drives and the order-3 plaintext weighs
-    # it through a (2**4, 2**4) table; the product chain needs only 2*2*8 entries
+    # it through a (2**4, 2**4) table; a bracket word needs only 2*2*8
     identity = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
     xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 256)
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 256)
     z = [0, 1, 1, 0, 1]
     assert abs(inference.log_marginal_forward(xm, BIASED, identity, z) + 5.0) <= 1e-12
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
-    with pytest.raises(StateCapError):
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 255)
+    with pytest.raises(EnumerationCapError, match="factor table"):
         inference.log_marginal_forward(xm, BIASED, identity, z)
 
 
 def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
     # n=256 with S=256 product states (order 1 against i.i.d.) is exactly at
     # the cap; two order-1 byte models (S=65,536) would take 2**32
-    # multiply-adds per parent word of the bracket descent
-    assert 256 * 256 * 256 <= inference.DEFAULT_ENTRY_CAP
-    assert 256 * 256 * 65536 > inference.DEFAULT_ENTRY_CAP
+    # multiply-adds per parent word of the bracket descent, and 2**32 factor
+    # table entries in the forward
+    spec = cipher.additive_cipher(256)
+    byte = sources.make_markov(256, 1, np.full((256, 256), 1.0 / 256))
+    key = sources.make_uniform(256)
+    bracket = inference.hz_bracket(byte, key, spec, 0)
+    assert abs(bracket.lower - 8.0) <= 1e-9 and abs(bracket.upper - 8.0) <= 1e-9
+    assert abs(inference.log_marginal_forward(byte, key, spec, [7, 9]) + 16.0) <= 1e-9
+    # both kernels must reject the pair before any of their memory is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match="bracket"):
+            inference.hz_bracket(byte, byte, spec, 0)
+        with pytest.raises(EnumerationCapError, match="factor table"):
+            inference.log_marginal_forward(byte, byte, spec, [7, 9, 11])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n, kx, ky, cap, z", [
+    (2, 4, 0, 2**6 - 1, [0, 1, 1, 0, 1]),
+    (16, 4, 1, sources.DEFAULT_WORD_CAP, [1, 2, 3, 4]),  # 2**28 multiply-adds a word
+], ids=["binary", "n16"])
+def test_forward_paths_run_over_the_bracket_cap(n, kx, ky, cap, z, monkeypatch):
+    # over the bracket's n**(k_X + k_Y + 2), within the forward's n**(2 k_Y + 2)
+    rng = np.random.default_rng(27)
+    xm, ym = random_model(rng, n, kx), random_model(rng, n, ky)
+    spec = cipher.additive_cipher(n)
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", cap)
+    log_pz = inference.log_marginal_forward(xm, ym, spec, z)
+    assert np.isfinite(log_pz)
+    table = inference.posterior(xm, ym, spec, z)  # certifies its mass
+    assert table.log_marginal == log_pz
+    assert abs(float(np.exp2(table.log_posterior).sum()) - 1.0) <= 1e-9
+    typical = secrecy.build_typical_set(xm, ym, spec, z, 0.5, h_ref=math.log2(n) / 2)
+    assert 0.0 <= typical.mass <= 1.0 + 1e-12  # the total mass was certified
+    with pytest.raises(EnumerationCapError, match="bracket"):
+        inference.hz_bracket(xm, ym, spec, 0)
 
 
 # -- ciphertext block entropies ------------------------------------------------------
@@ -467,14 +495,37 @@ def test_hxz_bracket_uniform_plaintext_biased_key():
 
 def test_hxz_bracket_dominates_corollary_bound():
     rng = np.random.default_rng(909)
+    cases = []
     for _ in range(12):
         n = int(rng.choice([2, 3]))
         xm = random_model(rng, n, int(rng.integers(0, 2)))
         ym = random_model(rng, n, int(rng.integers(0, 2)))
-        spec = cipher.additive_cipher(n)
-        bracket = inference.hxz_bracket(xm, ym, spec, 6)
-        bound = xm.entropy_rate() + ym.entropy_rate() - math.log2(n)
+        cases.append((xm, ym, cipher.additive_cipher(n), 6))
+    # Latin squares over rows with zeros or near-deterministic, n <= 4, orders <= 2
+    while len(cases) < 60:
+        n, kx, ky = int(rng.integers(2, 5)), *rng.integers(0, 3, size=2).tolist()
+        xm, ym = (sharp_model(n, k, rng.choice(SHARP_WEIGHTS, size=n ** (k + 1)))
+                  for k in (kx, ky))
+        if xm is not None and ym is not None:
+            # the bracket's words at the last depth, n**(m + 1), times n * S
+            m = int(np.clip(math.log(2**18 / n ** (kx + ky + 1), n) - 1, 0, 6))
+            cases.append((xm, ym, latin_square_cipher(rng, n), m))
+    for xm, ym, spec, m in cases:
+        bracket = inference.hxz_bracket(xm, ym, spec, m)
+        bound = xm.entropy_rate() + ym.entropy_rate() - math.log2(spec.alphabet_size)
         assert bracket.lower >= bound - 1e-9
+
+
+def test_hxz_bracket_needs_a_key_recoverable_cipher():
+    # z = x: h(X|Z) is 0, but h(X) + h(Y) - h(Z) would read h(Y)
+    key = sources.make_bernoulli([0.3, 0.7])
+    bracket = inference.hz_bracket(MARKOV, key, IDENTITY2, 4)  # valid for every cipher
+    assert abs(bracket.lower - MARKOV.entropy_rate()) <= 1e-12
+    assert abs(bracket.upper - MARKOV.entropy_rate()) <= 1e-12
+    with pytest.raises(UnsupportedCipherError):
+        inference.hxz_bracket(MARKOV, key, IDENTITY2, 4)
+    with pytest.raises(UnsupportedCipherError):
+        secrecy.certify_bounds(MARKOV, key, IDENTITY2, 4)
 
 
 def test_bracket_validation():
@@ -484,18 +535,15 @@ def test_bracket_validation():
     assert collapsed.lower == collapsed.upper == 0.5
 
 
-@st.composite
-def sharp_models(draw, n, order):
-    """An ergodic order-k model whose rows may be near-deterministic or hold zeros.
+# row weights of sharp models: the small one is 0.01, since much smaller ones
+# make the stationary law's power iteration run for seconds
+SHARP_WEIGHTS = [0.0, 0.01, 1.0, 2.0, 4.0]
 
-    The small weight is 0.01: much smaller ones make the stationary law's
-    power iteration run for seconds.
-    """
-    cells = n ** (order + 1)
-    weights = np.array(
-        draw(st.lists(st.sampled_from([0.0, 0.01, 1.0, 2.0, 4.0]),
-                      min_size=cells, max_size=cells))
-    ).reshape(n**order, n)
+
+def sharp_model(n, order, weights):
+    """The order-k model of n**(k+1) weights, rows normalised (a zero row is
+    uniform), or None when it is not ergodic."""
+    weights = np.array(weights, dtype=float).reshape(n**order, n)
     weights[weights.sum(axis=1) == 0.0] = 1.0
     rows = weights / weights.sum(axis=1, keepdims=True)
     try:
@@ -503,7 +551,17 @@ def sharp_models(draw, n, order):
             return sources.make_bernoulli(rows[0])
         return sources.make_markov(n, order, rows)
     except NotErgodicError:
-        assume(False)
+        return None
+
+
+@st.composite
+def sharp_models(draw, n, order):
+    """An ergodic order-k model whose rows may be near-deterministic or hold zeros."""
+    cells = n ** (order + 1)
+    model = sharp_model(n, order, draw(st.lists(st.sampled_from(SHARP_WEIGHTS),
+                                                min_size=cells, max_size=cells)))
+    assume(model is not None)
+    return model
 
 
 @st.composite
@@ -578,8 +636,8 @@ def test_enumeration_blocks_bound_the_working_set(monkeypatch):
 
 
 def test_byte_pair_bracket_builds_no_step_table():
-    # an order-1 byte plaintext against an i.i.d. byte key, S = 256 at the entry
-    # cap: one float64 table of n * n * S entries would take 128 MB
+    # an order-1 byte plaintext against an i.i.d. byte key, S = 256 at the
+    # bracket's cap: one float64 table of n * n * S entries would take 128 MB
     rng = np.random.default_rng(6)
     xm = sources.make_markov(256, 1, rng.dirichlet(np.ones(256), size=256))
     ym = sources.make_bernoulli(rng.dirichlet(np.ones(256)))
@@ -768,12 +826,12 @@ IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
 
 def test_bracket_runs_under_a_cap_that_stops_the_forward_factor_table(monkeypatch):
     # the key drives the forward, and the order-3 plaintext weighs it through a
-    # (2**4, 2**4) factor table; the bracket needs only the chain's 2*2*8 entries
+    # (2**4, 2**4) factor table; a bracket word needs only 2*2*8 multiply-adds
     xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
-    monkeypatch.setattr(inference_module, "DEFAULT_ENTRY_CAP", 255)
+    monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 255)
     bracket = inference.hz_bracket(xm, BIASED, IDENTITY2, 4)  # z = x, uniform
     assert abs(bracket.lower - 1.0) <= 1e-12 and abs(bracket.upper - 1.0) <= 1e-12
-    with pytest.raises(StateCapError, match="factor table"):
+    with pytest.raises(EnumerationCapError, match="factor table"):
         inference.log_marginal_forward(xm, BIASED, IDENTITY2, [0, 1, 1, 0, 1])
 
 

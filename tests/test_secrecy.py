@@ -351,6 +351,28 @@ def test_concentration_rejects_a_negative_seed_before_the_bracket(monkeypatch):
                                          seed=1.0)
 
 
+class _Bracket(Exception):
+    pass
+
+
+@pytest.mark.parametrize("t_list, samples, over", [
+    ([4, 2**22], 1, "uniforms a row"),
+    ([1], 2**24 + 1, "samples a length"),
+    ([200, 20_000], 2**16, "sampled symbols"),
+    ([2**22 - 1], 1, None),  # a row of 2**22 uniforms
+    ([1], 2**24, None),
+    ([20_000], 2048, None),
+])
+def test_concentration_caps_checked_before_the_bracket(t_list, samples, over, monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise _Bracket()
+
+    monkeypatch.setattr(secrecy, "hxz_bracket", enumerated)
+    with pytest.raises(EnumerationCapError if over else _Bracket, match=over):
+        secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, t_list, samples, 0.05, 0.01,
+                                         seed=1)
+
+
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError)])
 @pytest.mark.parametrize("run", [
     lambda seed: secrecy.typical_set_growth(MARKOV, BIASED, SPEC2, [10], 0.1, seed),
