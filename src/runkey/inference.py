@@ -128,6 +128,17 @@ def _check_alphabets(xm: SourceModel, ym: SourceModel, spec: CipherSpec) -> int:
     return n
 
 
+class _Front:
+    """A batch's forward between calls of :meth:`_ProductChain.forward_log2`,
+    on rows of t symbols: the symbols in so far, the first K while they
+    wait, and the front, its scale, accumulated log, dead mask and cipher
+    windows once they are in."""
+
+    def __init__(self, t: int):
+        self.t, self.seen, self.head = int(t), 0, None
+        self.alpha = self.scale = self.acc = self.dead = self.recent = None
+
+
 class _ProductChain:
     """The hidden Markov chain driving the ciphertext process.
 
@@ -221,13 +232,20 @@ class _ProductChain:
         ].reshape(window, window)
         return drive, other, recover, k, stack, lookup
 
-    def forward_log2(self, observations: np.ndarray) -> np.ndarray:
+    def forward_log2(self, observations: np.ndarray, front: _Front | None = None):
         """Scaled forward pass: log2 P(z) for each row of a (batch, t) array.
 
         Linear in t.  The front holds the joint mass of the driver's last K
         symbols; the first K symbols come from the block laws, as in
         :func:`joint_log2_table`, and each later one is the driver's stacked
         matmul times the lookup column of the row's rolling cipher window.
+
+        With ``front`` (a :class:`_Front` of the rows' t), ``observations``
+        holds the rows' next symbols, any number of them: the front, its
+        scale, accumulated log and dead mask and the cipher window carry
+        from call to call, and the first K symbols wait until they are all
+        in.  The result is None until the last symbol is in, and then bit
+        for bit that of one call on the whole rows.
 
         The rows are read in their own integer type, so the walk's one-byte
         words are not copied; only the packed cipher windows are int64.
@@ -238,42 +256,60 @@ class _ProductChain:
         drive, other, recover, k, stack, lookup = self._driver
         n, rest, window = self.n, stack.shape[0], lookup.shape[0]
         obs = np.atleast_2d(observations)
-        batch, t = obs.shape
+        if front is None:
+            front = _Front(obs.shape[1])
+        batch, t = obs.shape[0], front.t
 
-        head = min(t, k)
-        recovered = _recovered(recover, obs[:, :head])
-        log_head = (
-            drive.log2_block_prob_array(head)[:, None]
-            + other.log2_block_prob_array(head)[recovered]
+        if front.acc is None:
+            head = min(t, k)
+            part = obs[:, : head - front.seen]
+            front.head = part if front.head is None else np.hstack([front.head, part])
+            front.seen += part.shape[1]
+            obs = obs[:, part.shape[1]:]
+            if front.seen < head:
+                return None
+            recovered = _recovered(recover, front.head)
+            log_head = (
+                drive.log2_block_prob_array(head)[:, None]
+                + other.log2_block_prob_array(head)[recovered]
+            )
+            top = log_head.max(axis=0)
+            top[top == -np.inf] = 0.0
+            log_head -= top
+            front.alpha = np.ascontiguousarray(np.exp2(log_head, out=log_head))  # state-major
+            front.scale = front.alpha.sum(axis=0)
+            front.dead = ~(front.scale > 0.0)
+            front.scale[front.dead] = 1.0
+            front.acc = top + np.log2(front.scale)
+            if t > k:
+                # each row's cipher window, its last k_O + 1 symbols
+                powers = n ** np.arange(other.order, -1, -1)
+                front.recent = front.head[:, k - other.order - 1 : k] @ powers
+            front.head = None
+        alpha, scale, acc, dead, recent = (
+            front.alpha, front.scale, front.acc, front.dead, front.recent
         )
-        top = log_head.max(axis=0)
-        top[top == -np.inf] = 0.0
-        log_head -= top
-        alpha = np.ascontiguousarray(np.exp2(log_head, out=log_head))  # state-major
-        scale = alpha.sum(axis=0)
-        dead = ~(scale > 0.0)
-        scale[dead] = 1.0
-        acc = top + np.log2(scale)
-        if t > k:
-            # each row's cipher window, its last k_O + 1 symbols
-            powers = n ** np.arange(other.order, -1, -1)
-            recent = obs[:, k - other.order - 1 : k] @ powers
+        if obs.shape[1]:
             fresh = np.empty_like(alpha)
-            for j in range(k, t):
-                recent = recent % (window // n) * n + obs[:, j]
-                factor = np.take(lookup, recent, axis=1)
-                factor /= scale  # the front carries the previous step's mass
-                np.matmul(stack, alpha.reshape(n, rest, batch).transpose(1, 0, 2),
-                          out=fresh.reshape(rest, n, batch))
-                windows = fresh.reshape(-1, window, batch)
-                windows *= factor
-                scale = fresh.sum(axis=0)
-                bad = ~(scale > 0.0)
-                if bad.any():
-                    dead |= bad
-                    scale[bad] = 1.0
-                acc += np.log2(scale)
-                alpha, fresh = fresh, alpha
+        for j in range(obs.shape[1]):
+            recent = recent % (window // n) * n + obs[:, j]
+            factor = np.take(lookup, recent, axis=1)
+            factor /= scale  # the front carries the previous step's mass
+            np.matmul(stack, alpha.reshape(n, rest, batch).transpose(1, 0, 2),
+                      out=fresh.reshape(rest, n, batch))
+            windows = fresh.reshape(-1, window, batch)
+            windows *= factor
+            scale = fresh.sum(axis=0)
+            bad = ~(scale > 0.0)
+            if bad.any():
+                dead |= bad
+                scale[bad] = 1.0
+            acc += np.log2(scale)
+            alpha, fresh = fresh, alpha
+        front.seen += obs.shape[1]
+        front.alpha, front.scale, front.recent = alpha, scale, recent
+        if front.seen < t:
+            return None
         acc[dead] = -np.inf
         return acc
 

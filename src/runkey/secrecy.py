@@ -35,6 +35,7 @@ from .errors import CertificationError, EnumerationCapError, UnsupportedCipherEr
 from .inference import (
     _CELL,
     EntropyBracket,
+    _Front,
     _certify_mass,
     _check_alphabets,
     _log_marginal,
@@ -42,7 +43,7 @@ from .inference import (
     hxz_bracket,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
-from .sources import DEFAULT_WORD_CAP, SourceModel, _walk_batch, make_bernoulli
+from .sources import DEFAULT_WORD_CAP, SourceModel, _Walk, _walk_batch, make_bernoulli
 from .words import as_word
 
 DEFAULT_MEMBER_CAP = 1 << 22
@@ -50,6 +51,10 @@ DEFAULT_MEMBER_CAP = 1 << 22
 # Monte Carlo samples per batch, lowered so each of a batch's arrays holds at
 # most _CELL floats (one row at least); it exists to bound working memory
 _SAMPLE_CHUNK = 2048
+
+# uniforms a batch draws at once (8 MiB of floats): a batch whose rows hold more
+# is walked in balanced time segments, two at S = 128 and t = 800
+_SEGMENT_CELLS = 1 << 20
 
 # sampled symbols, samples * sum(t + 1), per concentration experiment: some two
 # minutes of walks and forward steps on a binary pair of S = 128 states
@@ -444,24 +449,60 @@ def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int):
         lo = hi
 
 
-def _uniforms(seed: int, t: int, start: int, stop: int, stream: int) -> np.ndarray:
-    """One stream's (stop - start, t+1) uniforms; sample i's row from its own seed.
+def _uniforms(
+    seed: int, t: int, start: int, stop: int, stream: int, lo: int = 0, out=None
+) -> np.ndarray:
+    """One stream's uniforms from draw lo on, sample i's row from its own seed.
 
-    Row i - start is bit for bit ``default_rng(SeedSequence((seed, t, i,
-    stream))).random(t + 1)``.  The seeding is computed a chunk at once by
-    :func:`_pcg64_states`, not constructed per sample: each state is loaded
-    into one reused PCG64 through its public ``state`` setter, and one reused
-    Generator fills the row.
+    Row i - start of ``out`` (by default a new (stop - start, t + 1 - lo)
+    array, filled and returned) is bit for bit ``default_rng(SeedSequence((
+    seed, t, i, stream))).random(t + 1)[lo:lo + width]``, for out's width.
+    The seeding is computed a chunk at once by :func:`_pcg64_states`, not
+    constructed per sample: each state is loaded into one reused PCG64
+    through its public ``state`` setter and advanced past the row's first lo
+    draws, one 64-bit output a double, and one reused Generator fills the
+    row.
     """
-    out = np.empty((stop - start, t + 1))
+    if out is None:
+        out = np.empty((stop - start, t + 1 - lo))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
     for row, state in zip(out, _pcg64_states(seed, t, start, stop, stream)):
         bit_gen.state = {
             "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
         }
+        if lo:
+            bit_gen.advance(lo)
         rng.random(out=row)
     return out
+
+
+def _sampled_rates(xm, ym, chain, coder, seed, t, start, stop) -> np.ndarray:
+    """The statistic W of samples start..stop-1 at length t, a time segment at a time.
+
+    The t + 1 draws are cut into as few balanced segments as keep a
+    segment's (rows, draws) uniforms within ``_SEGMENT_CELLS``, the widest
+    first, so a later segment's arrays fit where an earlier one's were.  The
+    walks and the forward carry their state from segment to segment.
+    """
+    rows = stop - start
+    parts = -(-(t + 1) // max(1, _SEGMENT_CELLS // rows))
+    cuts = [-(-(t + 1) * part // parts) for part in range(parts + 1)]
+    # one buffer holds every segment's uniforms, of both streams in turn: a new
+    # array a segment, one draw wider or narrower, did not take the memory the
+    # last one freed, and smb peaked some 4 MB higher at t = 800
+    cells = np.empty(rows * cuts[1])
+    x_walk, y_walk, front = _Walk(t), _Walk(t), _Front(t)
+    for lo, hi in zip(cuts, cuts[1:]):
+        uniforms = cells[: rows * (hi - lo)].reshape(rows, hi - lo)
+        x_words, log_px = _walk_batch(xm, _uniforms(seed, t, start, stop, 0, lo, uniforms),
+                                      x_walk)
+        y_words, log_py = _walk_batch(ym, _uniforms(seed, t, start, stop, 1, lo, uniforms),
+                                      y_walk)
+        z_words = coder[x_words, y_words]
+        del x_words, y_words
+        log_pz = chain.forward_log2(z_words, front)
+    return -(log_px + log_py - log_pz) / t
 
 
 def concentration_experiment(
@@ -495,17 +536,25 @@ def concentration_experiment(
     given ``h_ref`` finite.  A row of t + 1 uniforms must be within
     ``_CELL``, the samples within ``DEFAULT_WORD_CAP`` (a length keeps each
     one's statistic) and ``samples * sum(t + 1)`` within
-    ``_SAMPLED_SYMBOLS``, or EnumerationCapError.  All are checked before
-    the bracket is enumerated or anything sampled.
+    ``_SAMPLED_SYMBOLS``, or EnumerationCapError, as must the forward's
+    factor table.  All are checked before the bracket is enumerated or
+    anything sampled.
 
     Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows and of at most
-    ``_CELL`` uniforms per (rows, t+1) array (one row at least), and within
-    a chunk one such array is alive at a time: one stream's uniforms are
-    walked and dropped before the other's are drawn.  The plaintext, key and
-    ciphertext words stay in the walk's symbol type through the coder and
-    the forward (see :func:`runkey.sources._walk_batch`): one byte a symbol
-    up to n = 256, an eighth of the uniforms' bytes.  The plaintext and key
-    words are dropped once the ciphertext words exist.
+    ``_CELL // max(S, t + 1)`` rows (one at least), which bounds the
+    front's (n**K, rows) floats.  A chunk goes in time segments of at most
+    ``_SEGMENT_CELLS`` uniforms (see :func:`_sampled_rates`): a segment's
+    uniforms are drawn, walked, enciphered and run through the forward,
+    and the walks (:func:`runkey.sources._walk_batch`) and the forward
+    (:meth:`runkey.inference._ProductChain.forward_log2`) carry their state
+    to the next, so the statistics are bit for bit those of whole rows.
+    Within a segment one stream's uniforms are alive at a time: they are
+    walked before the other's are drawn into the same buffer.  The
+    plaintext, key and ciphertext words stay in the walk's symbol type
+    through the coder and the forward: one byte a symbol up to n = 256, an
+    eighth of the uniforms' bytes.  The plaintext and key words are dropped
+    once the ciphertext words exist.  So the working memory is one
+    segment's uniforms and words and the chunk's front, whatever t.
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)
@@ -524,9 +573,10 @@ def concentration_experiment(
         raise UnsupportedCipherError(
             "the surprisal statistic needs a key-recoverable cipher"
         )
+    chain = _ProductChain(xm, ym, spec)
+    chain._driver  # the forward's factor table is checked before any work
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
-    chain = _ProductChain(xm, ym, spec)
     # the ciphertext words in the walk's symbol type, not widened to int64
     coder = spec.coder.astype(np.min_scalar_type(spec.alphabet_size - 1))
 
@@ -535,16 +585,10 @@ def concentration_experiment(
     variances: list[float] = []
     for t in lengths:
         chunk = max(1, min(_SAMPLE_CHUNK, _CELL // max(chain.size, t + 1)))
-        chunks = []
-        for start in range(0, samples, chunk):
-            stop = min(start + chunk, samples)
-            x_words, log_px = _walk_batch(xm, _uniforms(seed, t, start, stop, 0))
-            y_words, log_py = _walk_batch(ym, _uniforms(seed, t, start, stop, 1))
-            z_words = coder[x_words, y_words]
-            del x_words, y_words
-            log_pz = chain.forward_log2(z_words)
-            chunks.append(-(log_px + log_py - log_pz) / t)
-        stats = np.concatenate(chunks)
+        stats = np.concatenate([
+            _sampled_rates(xm, ym, chain, coder, seed, t, start, min(start + chunk, samples))
+            for start in range(0, samples, chunk)
+        ])
         fractions.append(float(np.mean(np.abs(stats - h_ref) < epsilon)))
         means.append(float(stats.mean()))
         variances.append(float(stats.var()))

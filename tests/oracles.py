@@ -266,7 +266,9 @@ def markov_walk(model, uniforms):
     if t >= k:
         log_probs += log2_safe(model.stationary)[head_state]
     else:
-        log_probs = model._log2_marginal(t)[np.ravel_multi_index(words.T, (n,) * t)]
+        # one value a row, also for words of no symbols
+        index = np.ravel_multi_index(words.T, (n,) * t) if t else np.zeros(batch, int)
+        log_probs = model._log2_marginal(t)[index]
     return words, log_probs
 
 

@@ -340,6 +340,22 @@ def test_forward_gives_the_same_bits_on_one_byte_words(n, kx, ky):
         assert np.array_equal(chain.forward_log2(narrow).view(np.uint64), wide.view(np.uint64))
 
 
+@given(forward_cases(), st.data())
+def test_forward_in_segments_gives_the_same_bits(case, data):
+    # the front, scale, log, dead mask and cipher window carry across a cut,
+    # also one inside the first K symbols, which wait for the block laws
+    xm, ym, spec, rows = case
+    t = rows.shape[1]
+    cuts = sorted({cut for cut in data.draw(st.lists(st.integers(1, t))) if cut < t})
+    chain = inference._ProductChain(xm, ym, spec)
+    front = inference._Front(t)
+    parts = [chain.forward_log2(rows[:, lo:hi], front)
+             for lo, hi in zip([0, *cuts], [*cuts, t])]
+    assert all(part is None for part in parts[:-1])
+    whole = chain.forward_log2(rows)
+    assert np.array_equal(parts[-1].view(np.uint64), whole.view(np.uint64))
+
+
 def test_entry_cap_checked_before_the_build(monkeypatch):
     # two order-3 binary models: the forward's factor table has 2**8 entries and
     # a bracket word 2 * 2 * 64 multiply-adds; each kernel checks its own

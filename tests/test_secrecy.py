@@ -278,6 +278,36 @@ def test_uniforms_across_the_two_word_index_boundary(seed):
     _assert_seeded_like_numpy(seed, 3, 2**32 - 2, 2**32 + 2, 1)
 
 
+@given(
+    seed=st.integers(0, 2**70),
+    t=st.integers(0, 40),
+    start=st.sampled_from([0, 5, 2**32 - 3]),
+    data=st.data(),
+)
+def test_uniforms_from_any_draw_are_the_slice_of_the_row(seed, t, start, data):
+    # draws lo..hi-1 of each row, into a view of a wider buffer, as a segment's
+    lo = data.draw(st.integers(0, t), label="lo")
+    hi = data.draw(st.integers(lo + 1, t + 1), label="hi")
+    stop = start + data.draw(st.integers(1, 5), label="rows")
+    full = secrecy._uniforms(seed, t, start, stop, 1)
+    cells = np.full((stop - start) * (t + 2), np.nan)
+    out = cells[: (stop - start) * (hi - lo)].reshape(stop - start, hi - lo)
+    got = secrecy._uniforms(seed, t, start, stop, 1, lo, out)
+    assert got is out
+    assert np.array_equal(got.view(np.uint64), full[:, lo:hi].view(np.uint64))
+    assert np.array_equal(secrecy._uniforms(seed, t, start, stop, 1, lo)[:, : hi - lo], got)
+
+
+def test_uniforms_slices_across_the_two_word_index_boundary():
+    # rows on both sides of 2**32, where SeedSequence takes a second entropy word
+    t, start, stop = 6, 2**32 - 2, 2**32 + 2
+    _, rows = _numpy_rows(9, t, start, stop, 0)
+    for lo, hi in [(0, t + 1), (0, 1), (3, 5), (t, t + 1)]:
+        out = np.empty((stop - start, hi - lo))
+        secrecy._uniforms(9, t, start, stop, 0, lo, out)
+        assert np.array_equal(out.view(np.uint64), rows[:, lo:hi].view(np.uint64))
+
+
 def test_concentration_determinism_across_chunk_sizes(monkeypatch):
     kwargs = dict(t_list=[40, 80], samples=500, epsilon=0.05, delta=0.01, seed=12)
     reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
@@ -307,23 +337,60 @@ def test_concentration_chunks_hold_at_most_cell_uniforms(monkeypatch):
     assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
 
 
-def test_concentration_sampling_memory_is_three_arrays_of_a_chunk():
-    # at most one stream's uniforms and two word arrays at once (3.0x): 5.0x
-    # with both streams' uniforms and all three word arrays alive.  The key
-    # is walked while the plaintext words are alive, so an order-0 key's walk
-    # may hold no batch-sized array beyond its words.
-    samples, t = 2048, 800
-    for key in (sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]]), BIASED):
-        secrecy.concentration_experiment(MARKOV, key, SPEC2, [2], 2, 0.05, 0.01, seed=1)
+_SEGMENT_PAIRS = {
+    # K = 3 over a Markov key; an order-0 key, whose row sums span leaves of
+    # 128 terms; t below the plaintext's order 4, so the walk and the forward
+    # end inside their heads
+    "markov-markov": (sources.make_markov(2, 3, np.full((8, 2), 0.5) + [0.3, -0.3]),
+                      sources.make_markov(2, 2, [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5],
+                                                 [0.8, 0.2]]), [1, 2, 3, 4, 57]),
+    "order0-key": (MARKOV, BIASED, [1, 130, 300]),
+    "t-below-kx": (sources.make_markov(2, 4, np.tile([[0.7, 0.3], [0.4, 0.6]], (8, 1))),
+                   MARKOV, [1, 2, 3, 5]),
+}
+
+
+@pytest.mark.parametrize("pair", list(_SEGMENT_PAIRS))
+def test_concentration_in_one_draw_segments_gives_the_same_bits(pair, monkeypatch):
+    # a budget below a chunk's rows cuts every row into segments of one draw,
+    # shorter than the forward's first K symbols
+    xm, ym, lengths = _SEGMENT_PAIRS[pair]
+    kwargs = dict(t_list=lengths, samples=23, epsilon=0.2, delta=0.05, seed=4, h_ref=0.7)
+    reference = secrecy.concentration_experiment(xm, ym, SPEC2, **kwargs)
+    widths = []
+    walk = secrecy._walk_batch
+    monkeypatch.setattr(secrecy, "_walk_batch",
+                        lambda model, uniforms, *rest: widths.append(uniforms.shape[1])
+                        or walk(model, uniforms, *rest))
+    monkeypatch.setattr(secrecy, "_SEGMENT_CELLS", 22)
+    report = secrecy.concentration_experiment(xm, ym, SPEC2, **kwargs)
+    assert set(widths) == {1} and len(widths) == 2 * sum(t + 1 for t in lengths)
+    assert report == reference
+    for got, want in [(report.means, reference.means), (report.variances, reference.variances)]:
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_concentration_sampling_memory_is_one_segment_whatever_t():
+    # a chunk's (rows, t + 1) draws are walked in segments of at most
+    # _SEGMENT_CELLS uniforms, 8 bytes each, beside the segment's three word
+    # arrays of a byte a symbol: the same bound at t = 800 (2048 rows, two
+    # segments; 13 MB of uniforms a stream unsegmented) and at t = 4000 (1048
+    # rows, five; 34 MB), on a Markov pair and on an order-0 pair, whose
+    # walks carry their row sums' open leaf
+    bound = 1.5 * 8 * secrecy._SEGMENT_CELLS
+    key = sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]])
+    text = sources.make_bernoulli([0.8, 0.2])
+    for xm, ym, t, samples in [(MARKOV, key, 800, 2048), (text, BIASED, 4000, 1048)]:
+        secrecy.concentration_experiment(xm, ym, SPEC2, [2], 2, 0.05, 0.01, seed=1)
         tracemalloc.start()
         try:
             secrecy.concentration_experiment(
-                MARKOV, key, SPEC2, [t], samples, 0.05, 0.01, seed=1, h_ref=0.5
+                xm, ym, SPEC2, [t], samples, 0.05, 0.01, seed=1, h_ref=0.5
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * samples * (t + 1) * 8, key.order
+        assert peak <= bound, (t, peak)
 
 
 def test_concentration_validates_arguments():
@@ -371,6 +438,27 @@ def test_concentration_caps_checked_before_the_bracket(t_list, samples, over, mo
     with pytest.raises(EnumerationCapError if over else _Bracket, match=over):
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, t_list, samples, 0.05, 0.01,
                                          seed=1)
+
+
+@pytest.mark.parametrize("h_ref", [0.5, None])
+def test_concentration_checks_the_factor_table_before_the_bracket_and_any_walk(
+    h_ref, monkeypatch
+):
+    # a binary order-12 pair: the forward's factor table has 2**26 entries,
+    # and at t = 20,000 the first chunk's walks took 0.3 s before it was read
+    rng = np.random.default_rng(12)
+    xm, ym = (sources.make_markov(2, 12, rng.dirichlet([1.0, 1.0], size=4096))
+              for _ in range(2))
+
+    def walked(*args):
+        raise AssertionError("a row was walked before the cap check")
+
+    monkeypatch.setattr(secrecy, "_walk_batch", walked)
+    monkeypatch.setattr(secrecy, "hxz_bracket", walked)
+    with pytest.raises(EnumerationCapError) as caught:
+        secrecy.concentration_experiment(xm, ym, SPEC2, [20_000], 2048, 0.05, 0.01, seed=0,
+                                         h_ref=h_ref)
+    assert "enumerating 2**26 forward factor table entries" in str(caught.value)
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError)])

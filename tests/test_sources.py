@@ -424,6 +424,48 @@ def test_walk_matches_the_row_gather_oracle_bit_for_bit(case):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("k, power", [(26, "2**26"), (10**20 - 1, "2**" + "9" * 20),
+                                      (10**20, "2**k"), (10**4000, "2**k")])
+def test_cap_message_spells_exponents_of_up_to_20_digits(k, power):
+    with pytest.raises(EnumerationCapError) as caught:
+        sources._check_cap(2, k, "things")
+    cap = sources.DEFAULT_WORD_CAP
+    assert str(caught.value) == f"enumerating {power} things exceeds cap {cap}"
+
+
+def _walk_in_segments(model, uniforms, cuts):
+    walk = sources._Walk(uniforms.shape[1] - 1)
+    parts = [sources._walk_batch(model, uniforms[:, lo:hi], walk)
+             for lo, hi in zip(cuts, cuts[1:])]
+    assert all(log is None for _, log in parts[:-1])
+    return np.hstack([words for words, _ in parts]), parts[-1][1]
+
+
+@given(walk_cases(), st.data())
+def test_walk_in_segments_gives_the_same_bits(case, data):
+    # the walk carries context, log-probability and head context across a cut
+    model, uniforms = case
+    width = uniforms.shape[1]
+    cuts = {cut for cut in data.draw(st.lists(st.integers(1, width))) if cut < width}
+    words, log_probs = _walk_in_segments(model, uniforms, [0, *sorted(cuts), width])
+    whole_words, whole_log = sources._walk_batch(model, uniforms)
+    assert np.array_equal(words, whole_words)
+    assert np.array_equal(np.asarray(log_probs).view(np.uint64), whole_log.view(np.uint64))
+
+
+@pytest.mark.parametrize("t", [129, 1000, 5000])
+@pytest.mark.parametrize("width", [1, 7, 200])
+def test_order0_row_sums_in_segments_are_numpy_row_sums(t, width):
+    # the order-0 log terms are summed as numpy sums a whole row, pairwise in
+    # leaves of up to 128 terms, which the cuts split
+    model = sources.make_bernoulli([0.3, 0.2, 0.5])
+    uniforms = np.random.default_rng(t + width).random((9, t + 1))
+    cuts = list(range(0, t + 1, width)) + [t + 1]
+    words, log_probs = _walk_in_segments(model, uniforms, cuts)
+    terms = np.log2(model.transition[0])[words]
+    assert np.array_equal(log_probs.view(np.uint64), terms.sum(axis=1).view(np.uint64))
+
+
 def test_train_alternating_stream_is_deterministic_flip():
     model = sources.train_markov(np.tile([0, 1], 500), 2, 1, alpha=0.0)
     assert np.array_equal(model.transition, [[0.0, 1.0], [1.0, 0.0]])
