@@ -52,9 +52,10 @@ DEFAULT_MEMBER_CAP = 1 << 22
 # most _CELL floats (one row at least); it exists to bound working memory
 _SAMPLE_CHUNK = 2048
 
-# uniforms a batch draws at once (8 MiB of floats): a batch whose rows hold more
-# is walked in balanced time segments, two at S = 128 and t = 800
-_SEGMENT_CELLS = 1 << 20
+# uniforms a batch draws at once (4 MiB of floats): a batch whose rows hold more
+# is walked in balanced time segments, four at S = 128 and t = 800; a segment
+# costs a state load and a fill call per row and stream, not a seeding
+_SEGMENT_CELLS = 1 << 19
 
 # sampled symbols, samples * sum(t + 1), per concentration experiment: some two
 # minutes of walks and forward steps on a binary pair of S = 128 states
@@ -370,7 +371,9 @@ _HASH_A = (0x43B0D7E5, 0x931E8875)
 _HASH_B = (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+# a uint64 word's low half, and the shift to its high half
+_LOW, _HALF = np.uint64(_MASK32), np.uint64(32)
 
 
 def _int_words(value: int) -> list[int]:
@@ -424,16 +427,45 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int):
-    """``PCG64(SeedSequence((seed, t, i, stream))).state["state"]``, start <= i < stop.
+def _add128(high, low, add_high, add_low):
+    """(high, low) + (add_high, add_low) mod 2**128, on uint64 words, high word first."""
+    low = low + add_low
+    return high + add_high + (low < add_low), low
+
+
+def _mul128(high, low, mult: int):
+    """(high, low) * mult mod 2**128, on uint64 words, high word first."""
+    m_high, m_low = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
+    x0, x1, y0, y1 = low & _LOW, low >> _HALF, m_low & _LOW, m_low >> _HALF
+    mid = (x0 * y0 >> _HALF) + (x1 * y0 & _LOW) + (x0 * y1 & _LOW)
+    carry = x1 * y1 + (x1 * y0 >> _HALF) + (x0 * y1 >> _HALF) + (mid >> _HALF)
+    return carry + low * m_high + high * m_low, low * m_low
+
+
+def _pcg_jump(steps: int) -> tuple[int, int]:
+    """(a, b): PCG64's state after that many LCG steps is a * state + b * inc
+    mod 2**128, by squaring the step as numpy's ``advance`` does."""
+    mult, plus, a, b = _PCG_MULT, 1, 1, 0
+    while steps:
+        if steps & 1:
+            a, b = a * mult & _MASK128, (b * mult + plus) & _MASK128
+        mult, plus = mult * mult & _MASK128, (mult + 1) * plus & _MASK128
+        steps >>= 1
+    return a, b
+
+
+def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int) -> np.ndarray:
+    """``PCG64(SeedSequence((seed, t, i, stream)))``'s state, start <= i < stop.
 
     Computed, not constructed: the entropy words of all indices with the same
     number of 32-bit words (below 2**32, from 2**32 to 2**64) go through
-    :func:`_seed_sequence_states` at once, and PCG64's srandom (two 128-bit
-    LCG steps from state 0) runs per index on Python ints.  Indices must be
-    below 2**64.
+    :func:`_seed_sequence_states` at once, and so does PCG64's srandom (two
+    LCG steps from state 0), in 64-bit words.  Returns (stop - start, 4)
+    uint64, a row per index: the 128-bit ``state`` and ``inc`` of its
+    ``state["state"]``, each high word first.  Indices must be below 2**64.
     """
     head, tail = _int_words(seed) + _int_words(t), _int_words(stream)
+    states = np.empty((stop - start, 4), dtype=np.uint64)
     lo = start
     while lo < stop:
         width = len(_int_words(lo))
@@ -442,37 +474,40 @@ def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int):
         words = [np.full(hi - lo, word, dtype=np.uint32) for word in head]
         words += [(index >> np.uint64(32 * j)).astype(np.uint32) for j in range(width)]
         words += [np.full(hi - lo, word, dtype=np.uint32) for word in tail]
-        for s_hi, s_lo, i_hi, i_lo in _seed_sequence_states(np.array(words)).tolist():
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            yield {"state": state, "inc": inc}
+        s_high, s_low, i_high, i_low = _seed_sequence_states(np.array(words)).T
+        one = np.uint64(1)
+        inc = i_high << one | i_low >> np.uint64(63), i_low << one | one
+        state = _add128(*_mul128(*_add128(*inc, s_high, s_low), _PCG_MULT), *inc)
+        states[lo - start:hi - start] = np.stack([*state, *inc], axis=1)
         lo = hi
+    return states
 
 
-def _uniforms(
-    seed: int, t: int, start: int, stop: int, stream: int, lo: int = 0, out=None
-) -> np.ndarray:
-    """One stream's uniforms from draw lo on, sample i's row from its own seed.
+def _uniforms(states: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Draws lo, lo + 1, ... of every row's stream, into the rows of ``out``.
 
-    Row i - start of ``out`` (by default a new (stop - start, t + 1 - lo)
-    array, filled and returned) is bit for bit ``default_rng(SeedSequence((
-    seed, t, i, stream))).random(t + 1)[lo:lo + width]``, for out's width.
-    The seeding is computed a chunk at once by :func:`_pcg64_states`, not
-    constructed per sample: each state is loaded into one reused PCG64
-    through its public ``state`` setter and advanced past the row's first lo
-    draws, one 64-bit output a double, and one reused Generator fills the
-    row.
+    ``states`` are rows of :func:`_pcg64_states`, sample i's of stream s:
+    out's row is bit for bit ``default_rng(SeedSequence((seed, t, i,
+    s))).random(t + 1)[lo:lo + width]``, for out's width.  The states are
+    jumped past the first lo draws all at once, in 64-bit words (one LCG
+    step a double, see :func:`_pcg_jump`); each is then loaded into one
+    reused PCG64 through its public ``state`` setter, from one reused dict,
+    and one reused Generator fills the row.  ``states`` is read, not
+    changed, so a chunk is seeded once per stream and each of its time
+    segments draws from the same states.  Returns ``out``.
     """
-    if out is None:
-        out = np.empty((stop - start, t + 1 - lo))
+    high, low, inc_high, inc_low = states.T
+    if lo:
+        a, b = _pcg_jump(lo)
+        high, low = _add128(*_mul128(high, low, a), *_mul128(inc_high, inc_low, b))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
-    for row, state in zip(out, _pcg64_states(seed, t, start, stop, stream)):
-        bit_gen.state = {
-            "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
-        }
-        if lo:
-            bit_gen.advance(lo)
+    held = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = held["state"]
+    words = (high.tolist(), low.tolist(), inc_high.tolist(), inc_low.tolist())
+    for row, s_high, s_low, i_high, i_low in zip(out, *words):
+        pcg["state"], pcg["inc"] = s_high << 64 | s_low, i_high << 64 | i_low
+        bit_gen.state = held
         rng.random(out=row)
     return out
 
@@ -483,22 +518,23 @@ def _sampled_rates(xm, ym, chain, coder, seed, t, start, stop) -> np.ndarray:
     The t + 1 draws are cut into as few balanced segments as keep a
     segment's (rows, draws) uniforms within ``_SEGMENT_CELLS``, the widest
     first, so a later segment's arrays fit where an earlier one's were.  The
+    rows' PCG64 states of both streams are computed once, before the first
+    segment, and every segment draws from them (see :func:`_uniforms`).  The
     walks and the forward carry their state from segment to segment.
     """
     rows = stop - start
     parts = -(-(t + 1) // max(1, _SEGMENT_CELLS // rows))
     cuts = [-(-(t + 1) * part // parts) for part in range(parts + 1)]
+    x_states, y_states = (_pcg64_states(seed, t, start, stop, stream) for stream in (0, 1))
     # one buffer holds every segment's uniforms, of both streams in turn: a new
     # array a segment, one draw wider or narrower, did not take the memory the
-    # last one freed, and smb peaked some 4 MB higher at t = 800
+    # last one freed, and smb on S = 128 at t = 800 peaked at 49.6 MB, not 43.0
     cells = np.empty(rows * cuts[1])
     x_walk, y_walk, front = _Walk(t), _Walk(t), _Front(t)
     for lo, hi in zip(cuts, cuts[1:]):
         uniforms = cells[: rows * (hi - lo)].reshape(rows, hi - lo)
-        x_words, log_px = _walk_batch(xm, _uniforms(seed, t, start, stop, 0, lo, uniforms),
-                                      x_walk)
-        y_words, log_py = _walk_batch(ym, _uniforms(seed, t, start, stop, 1, lo, uniforms),
-                                      y_walk)
+        x_words, log_px = _walk_batch(xm, _uniforms(x_states, lo, uniforms), x_walk)
+        y_words, log_py = _walk_batch(ym, _uniforms(y_states, lo, uniforms), y_walk)
         z_words = coder[x_words, y_words]
         del x_words, y_words
         log_pz = chain.forward_log2(z_words, front)
@@ -529,16 +565,17 @@ def concentration_experiment(
     order plus one (see :meth:`runkey.inference._ProductChain.forward_log2`).
     Sample i at length t draws its plaintext and key uniforms from
     ``default_rng(SeedSequence((seed, t, i, stream)))``, stream 0 and 1, bit
-    for bit; the seeding is computed a chunk at once (see :func:`_uniforms`),
-    not constructed per sample.  So identical arguments give identical
-    reports, and the batch width moves the statistics only by float
-    rounding.  ``seed`` must be a non-negative integer, and epsilon and a
-    given ``h_ref`` finite.  A row of t + 1 uniforms must be within
-    ``_CELL``, the samples within ``DEFAULT_WORD_CAP`` (a length keeps each
-    one's statistic) and ``samples * sum(t + 1)`` within
-    ``_SAMPLED_SYMBOLS``, or EnumerationCapError, as must the forward's
-    factor table.  All are checked before the bracket is enumerated or
-    anything sampled.
+    for bit; the seeding is computed once per chunk and stream (see
+    :func:`_pcg64_states`), not constructed per sample, and every time
+    segment draws from those states (see :func:`_uniforms`).  So identical
+    arguments give identical reports, and the batch width moves the
+    statistics only by float rounding.  ``seed`` must be a non-negative
+    integer, and epsilon and a given ``h_ref`` finite.  A row of t + 1
+    uniforms must be within ``_CELL``, the samples within
+    ``DEFAULT_WORD_CAP`` (a length keeps each one's statistic) and
+    ``samples * sum(t + 1)`` within ``_SAMPLED_SYMBOLS``, or
+    EnumerationCapError, as must the forward's factor table.  All are
+    checked before the bracket is enumerated or anything sampled.
 
     Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows and of at most
     ``_CELL // max(S, t + 1)`` rows (one at least), which bounds the
@@ -554,7 +591,8 @@ def concentration_experiment(
     through the coder and the forward: one byte a symbol up to n = 256, an
     eighth of the uniforms' bytes.  The plaintext and key words are dropped
     once the ciphertext words exist.  So the working memory is one
-    segment's uniforms and words and the chunk's front, whatever t.
+    segment's uniforms and words, the chunk's front and its rows' PCG64
+    states (32 bytes a row and stream), whatever t.
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)

@@ -252,9 +252,11 @@ def _numpy_rows(seed, t, start, stop, stream):
 
 def _assert_seeded_like_numpy(seed, t, start, stop, stream):
     states, rows = _numpy_rows(seed, t, start, stop, stream)
-    assert list(secrecy._pcg64_states(seed, t, start, stop, stream)) == states
-    got = secrecy._uniforms(seed, t, start, stop, stream)
-    assert got.shape == rows.shape
+    words = secrecy._pcg64_states(seed, t, start, stop, stream)
+    assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+    assert [{"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+            for s_hi, s_lo, i_hi, i_lo in words.tolist()] == states
+    got = secrecy._uniforms(words, 0, np.empty(rows.shape))
     assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
 
 
@@ -289,23 +291,39 @@ def test_uniforms_from_any_draw_are_the_slice_of_the_row(seed, t, start, data):
     lo = data.draw(st.integers(0, t), label="lo")
     hi = data.draw(st.integers(lo + 1, t + 1), label="hi")
     stop = start + data.draw(st.integers(1, 5), label="rows")
-    full = secrecy._uniforms(seed, t, start, stop, 1)
+    states = secrecy._pcg64_states(seed, t, start, stop, 1)
+    full = secrecy._uniforms(states, 0, np.empty((stop - start, t + 1)))
     cells = np.full((stop - start) * (t + 2), np.nan)
     out = cells[: (stop - start) * (hi - lo)].reshape(stop - start, hi - lo)
-    got = secrecy._uniforms(seed, t, start, stop, 1, lo, out)
+    got = secrecy._uniforms(states, lo, out)
     assert got is out
     assert np.array_equal(got.view(np.uint64), full[:, lo:hi].view(np.uint64))
-    assert np.array_equal(secrecy._uniforms(seed, t, start, stop, 1, lo)[:, : hi - lo], got)
+    # the states are read, not consumed: the rest of the rows from the same ones
+    rest = secrecy._uniforms(states, lo, np.empty((stop - start, t + 1 - lo)))
+    assert np.array_equal(rest[:, : hi - lo], got)
 
 
 def test_uniforms_slices_across_the_two_word_index_boundary():
     # rows on both sides of 2**32, where SeedSequence takes a second entropy word
     t, start, stop = 6, 2**32 - 2, 2**32 + 2
     _, rows = _numpy_rows(9, t, start, stop, 0)
+    states = secrecy._pcg64_states(9, t, start, stop, 0)
     for lo, hi in [(0, t + 1), (0, 1), (3, 5), (t, t + 1)]:
         out = np.empty((stop - start, hi - lo))
-        secrecy._uniforms(9, t, start, stop, 0, lo, out)
+        secrecy._uniforms(states, lo, out)
         assert np.array_equal(out.view(np.uint64), rows[:, lo:hi].view(np.uint64))
+
+
+@pytest.mark.parametrize("lo", [1, 2**31 + 5, 2**64 + 7, 2**128 - 1], ids=hex)
+def test_uniforms_jump_as_far_as_advance(lo):
+    # the states' jump past lo draws is numpy's advance, for any 128-bit lo
+    states = secrecy._pcg64_states(5, 9, 2**32 - 1, 2**32 + 1, 1)
+    got = secrecy._uniforms(states, lo, np.empty((2, 3)))
+    for i, row in zip([2**32 - 1, 2**32], got):
+        bit_gen = np.random.PCG64(np.random.SeedSequence((5, 9, i, 1)))
+        bit_gen.advance(lo)
+        want = np.random.Generator(bit_gen).random(3)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 def test_concentration_determinism_across_chunk_sizes(monkeypatch):
@@ -326,15 +344,57 @@ def test_concentration_chunks_hold_at_most_cell_uniforms(monkeypatch):
                   h_ref=0.5)
     reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
     shapes = []
-    uniforms = secrecy._uniforms
-    monkeypatch.setattr(secrecy, "_uniforms",
-                        lambda *args: shapes.append(args[1:4]) or uniforms(*args))
+    states = secrecy._pcg64_states
+    monkeypatch.setattr(secrecy, "_pcg64_states",
+                        lambda *args: shapes.append(args[1:4]) or states(*args))
     monkeypatch.setattr(secrecy, "_CELL", 1000)
     report = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
     assert all((stop - start) * (t + 1) <= 1000 for t, start, stop in shapes)
     assert {(t, stop - start) for t, start, stop in shapes} >= {(99, 10), (300, 3)}
     assert np.allclose(report.means, reference.means, rtol=0.0, atol=1e-12)
     assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
+
+
+def test_concentration_seeds_each_chunk_once_per_stream(monkeypatch):
+    # the rows' PCG64 states are computed once a chunk and stream, before its
+    # first time segment: at t = 800, three segments of 2048 rows seed 2 x 2048
+    # rows, as does t = 40 in one segment
+    seeded, widths = [], []
+    states = secrecy._pcg64_states
+    monkeypatch.setattr(secrecy, "_pcg64_states",
+                        lambda *args: seeded.append(args[1:4]) or states(*args))
+    walk = secrecy._walk_batch
+    monkeypatch.setattr(secrecy, "_walk_batch",
+                        lambda model, uniforms, *rest: widths.append(uniforms.shape[1])
+                        or walk(model, uniforms, *rest))
+    monkeypatch.setattr(secrecy, "_SEGMENT_CELLS", 2048 * 300)
+    secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [40, 800], 2048, 0.05, 0.01,
+                                     seed=5, h_ref=0.5)
+    assert widths == [41] * 2 + [267] * 6
+    assert seeded == [(40, 0, 2048)] * 2 + [(800, 0, 2048)] * 2
+
+
+def test_concentration_front_holds_at_most_cell_over_s_rows(monkeypatch):
+    # with S > t + 1 a chunk's rows are _CELL // S, so each forward call gets
+    # at most that many and its front, (n**K, rows) floats, stays within _CELL
+    xm, ym, _ = _SEGMENT_PAIRS["markov-markov"]
+    size = inference._ProductChain(xm, ym, SPEC2).size
+    t, cell = 5, 100
+    assert size > t + 1 and cell // size == 3
+    rows, fronts = [], []
+    forward = inference._ProductChain.forward_log2
+
+    def recorded(chain, observations, front=None):
+        rows.append(observations.shape[0])
+        result = forward(chain, observations, front)
+        fronts.append(front.alpha.size)
+        return result
+
+    monkeypatch.setattr(inference._ProductChain, "forward_log2", recorded)
+    monkeypatch.setattr(secrecy, "_CELL", cell)
+    secrecy.concentration_experiment(xm, ym, SPEC2, [t], 10, 0.2, 0.05, seed=4, h_ref=0.7)
+    assert rows == [3, 3, 3, 1]
+    assert max(fronts) <= cell
 
 
 _SEGMENT_PAIRS = {
@@ -372,15 +432,19 @@ def test_concentration_in_one_draw_segments_gives_the_same_bits(pair, monkeypatc
 
 def test_concentration_sampling_memory_is_one_segment_whatever_t():
     # a chunk's (rows, t + 1) draws are walked in segments of at most
-    # _SEGMENT_CELLS uniforms, 8 bytes each, beside the segment's three word
-    # arrays of a byte a symbol: the same bound at t = 800 (2048 rows, two
-    # segments; 13 MB of uniforms a stream unsegmented) and at t = 4000 (1048
-    # rows, five; 34 MB), on a Markov pair and on an order-0 pair, whose
-    # walks carry their row sums' open leaf
-    bound = 1.5 * 8 * secrecy._SEGMENT_CELLS
+    # _SEGMENT_CELLS cells: the traced peak is at most one segment's uniforms
+    # (8 bytes a cell) and its three word arrays (a byte a cell each), plus a
+    # fixed 2 MiB for what does not scale with the segment (the rows' PCG64
+    # states, the order-0 walk's open leaf and row blocks, the forward's
+    # front; 0.9-1.6 MB measured at 2**19 and 2**20).  The same bound at
+    # t = 600 (a full chunk of 2048 rows, three segments; 9.8 MB of uniforms
+    # a stream unsegmented) and at t = 4000 (1048 rows, nine; 34 MB), on a
+    # Markov pair and on an order-0 pair, whose walks carry their row sums'
+    # open leaf
+    bound = (8 + 3) * secrecy._SEGMENT_CELLS + (2 << 20)
     key = sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]])
     text = sources.make_bernoulli([0.8, 0.2])
-    for xm, ym, t, samples in [(MARKOV, key, 800, 2048), (text, BIASED, 4000, 1048)]:
+    for xm, ym, t, samples in [(MARKOV, key, 600, 2048), (text, BIASED, 4000, 1048)]:
         secrecy.concentration_experiment(xm, ym, SPEC2, [2], 2, 0.05, 0.01, seed=1)
         tracemalloc.start()
         try:
