@@ -58,7 +58,10 @@ _SAMPLE_CHUNK = 2048
 _SEGMENT_CELLS = 1 << 19
 
 # sampled symbols, samples * sum(t + 1), per concentration experiment: some two
-# minutes of walks and forward steps on a binary pair of S = 128 states
+# minutes of walks and forward steps on a binary pair of S = 128 states.  A
+# row's steps, sum(t + 1), are capped at a 512th of it: at one row a step costs
+# what some 300 symbols do in full chunks (36-45 us against 0.13-0.15 us on a
+# 2-vCPU machine)
 _SAMPLED_SYMBOLS = 1 << 30
 
 
@@ -570,8 +573,9 @@ def concentration_experiment(
     segment draws from those states (see :func:`_uniforms`).  So identical
     arguments give identical reports, and the batch width moves the
     statistics only by float rounding.  ``seed`` must be a non-negative
-    integer, and epsilon and a given ``h_ref`` finite.  A row of t + 1
-    uniforms must be within ``_CELL``, the samples within
+    integer, and epsilon and a given ``h_ref`` finite.  A sample's uniforms
+    over all lengths, ``sum(t + 1)``, must be within a 512th of
+    ``_SAMPLED_SYMBOLS`` (they bound the steps of one row), the samples within
     ``DEFAULT_WORD_CAP`` (a length keeps each one's statistic) and
     ``samples * sum(t + 1)`` within ``_SAMPLED_SYMBOLS``, or
     EnumerationCapError, as must the forward's factor table.  All are
@@ -584,7 +588,9 @@ def concentration_experiment(
     uniforms are drawn, walked, enciphered and run through the forward,
     and the walks (:func:`runkey.sources._walk_batch`) and the forward
     (:meth:`runkey.inference._ProductChain.forward_log2`) carry their state
-    to the next, so the statistics are bit for bit those of whole rows.
+    to the next.  Both step every model order a position at a time and add
+    each row's log terms in sequence, so the statistics are bit for bit
+    those of whole rows, wherever the segments are cut.
     Within a segment one stream's uniforms are alive at a time: they are
     walked before the other's are drawn into the same buffer.  The
     plaintext, key and ciphertext words stay in the walk's symbol type
@@ -601,9 +607,11 @@ def concentration_experiment(
         raise ValueError("need 0 < delta < 1")
     if samples < 1:
         raise ValueError("need at least one sample per length")
-    for value, cap, what in ((max(lengths, default=0) + 1, _CELL, "uniforms a row, t + 1"),
+    steps = sum(t + 1 for t in lengths)
+    for value, cap, what in ((steps, _SAMPLED_SYMBOLS >> 9,
+                              "uniforms a row over all lengths, sum(t + 1)"),
                              (samples, DEFAULT_WORD_CAP, "samples a length"),
-                             (samples * sum(t + 1 for t in lengths), _SAMPLED_SYMBOLS,
+                             (samples * steps, _SAMPLED_SYMBOLS,
                               "sampled symbols, samples * sum(t + 1)")):
         if value > cap:
             raise EnumerationCapError(f"sampling exceeds cap {cap} {what}")

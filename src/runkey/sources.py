@@ -70,9 +70,6 @@ _LOAD_CACHE_SHARE = 1 / 32
 # the same text, until it holds more distinct rows than this share of the
 # table's rows; a cached row's text takes ~2.6 times its table row's bytes
 _LOAD_ROW_SHARE = 1 / 2
-# the order-0 walk draws its words and their log terms in row blocks of at most
-# this many cells, so it holds no batch-sized array beside its words
-_GATHER_CELLS = 1 << 16
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:
@@ -407,66 +404,16 @@ class SourceModel:
         return words[0].astype(np.int64)
 
 
-def _pairwise_plan(length: int, start: int = 0) -> list:
-    """numpy's pairwise sum of ``length`` values, as steps in order.
-
-    A step ``(lo, hi)`` sums values lo..hi-1 with numpy, and None adds the
-    last two sums.  numpy sums a run of up to 128 values in one loop and
-    splits a longer one at the multiple of 8 below its half, so these steps
-    give ``sum(axis=-1)`` of the whole run bit for bit, in whatever pieces
-    the values arrive.
-    """
-    if length <= 128:
-        return [(start, start + length)]
-    half = length // 2 - length // 2 % 8
-    return _pairwise_plan(half, start) + _pairwise_plan(length - half, start + half) + [None]
-
-
 class _Walk:
     """A batch's walk between calls of :func:`_walk_batch`, on rows of t + 1 uniforms.
 
     It carries each row's context, running log-probability and head context
-    (the one after the first k symbols); for an order-0 model, the row sums'
-    next step of :func:`_pairwise_plan`, their partial sums, and the words
-    of the leaf still open.
+    (the one after the first k symbols; for order 0, the initial one).
     """
 
     def __init__(self, t: int):
         self.t, self.drawn = int(t), 0
         self.state = self.head = self.log_probs = None
-        self.plan, self.done, self.sums, self.open = None, 0, [], None
-
-
-def _sum_leaves(walk: _Walk, log_t: np.ndarray, words: np.ndarray, first: int) -> None:
-    """Take an order-0 walk's row sums through every leaf that ends by the
-    words of symbols ``first, first + 1, ...``; keep the open leaf's words."""
-    if walk.plan is None:
-        walk.plan, walk.open = _pairwise_plan(walk.t), words[:, :0]
-    plan, sums, batch = walk.plan, walk.sums, words.shape[0]
-    end, opened = first + words.shape[1], first - walk.open.shape[1]
-
-    def columns(lo, hi):  # the words of symbols lo..hi-1, lo no earlier than the open leaf
-        if lo >= first:
-            return words[:, lo - first:hi - first]
-        return np.concatenate([walk.open[:, lo - opened:], words[:, :hi - first]], axis=1)
-
-    while walk.done < len(plan):
-        leaf = plan[walk.done]
-        if leaf is None:
-            right = sums.pop()
-            sums[-1] = sums[-1] + right
-        elif leaf[1] > end:
-            break
-        else:
-            cells = columns(*leaf)
-            total = np.empty(batch)
-            # row blocks: a gather holds one float per symbol
-            step = max(1, _GATHER_CELLS // max(cells.shape[1], 1))
-            for lo in range(0, batch, step):
-                total[lo:lo + step] = log_t.take(cells[lo:lo + step]).sum(axis=1)
-            sums.append(total)
-        walk.done += 1
-    walk.open = columns(plan[walk.done][0] if walk.done < len(plan) else end, end).copy()
 
 
 def _walk_batch(model: SourceModel, uniforms: np.ndarray, walk: _Walk | None = None):
@@ -483,22 +430,22 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray, walk: _Walk | None = N
     rows' next columns, any number of them: the walk carries each row's
     context, running log-probability and head context from call to call,
     ``words`` are the segment's symbols and ``log2_probs`` is None until the
-    last column is in.  The results are bit for bit those of one call on
-    the whole rows, however the rows are cut, so the working memory of a
-    long walk is one segment's uniforms and words.
+    last column is in.  One loop steps every order a position at a time and
+    adds each row's log terms in sequence, so the results are bit for bit
+    those of one call on the whole rows, however the rows are cut, and the
+    working memory of a long walk is one segment's uniforms and words.
 
     From context s, uniform u emits the number of the row's first n-1
-    cumulative probabilities that are <= u.  The last one is left out: the
+    cumulative probabilities that are <= u; an order-0 model, with one such
+    row, finds it by a binary search.  The last one is left out: the
     cumulative sums never decrease, so it could only raise a count of n-1 to
-    n.  For order k >= 1 the words are written time-major, one contiguous
-    row per position, and returned as that array's transpose: a (batch, t)
-    view in Fortran order, whose columns, read one position at a time by
-    the forward recursion, are contiguous.  For order 0 each row's log terms
-    are summed as numpy sums a whole row (see :func:`_pairwise_plan`).
-    Words are of the smallest unsigned type that holds n - 1 (one byte up to
-    n = 256), which the coder and the forward take as they are; arithmetic
-    on them must widen first, as a one-byte sum wraps.
-    :meth:`SourceModel.sample` returns int64.
+    n.  The words are written time-major, one contiguous row per position,
+    and returned as that array's transpose: a (batch, t) view in Fortran
+    order, whose columns, read one position at a time by the forward
+    recursion, are contiguous.  Words are of the smallest unsigned type that
+    holds n - 1 (one byte up to n = 256), which the coder and the forward
+    take as they are; arithmetic on them must widen first, as a one-byte sum
+    wraps.  :meth:`SourceModel.sample` returns int64.
     """
     n, k = model.alphabet_size, model.order
     states = model.num_states
@@ -507,39 +454,30 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray, walk: _Walk | None = N
         walk = _Walk(uniforms.shape[1] - 1)
     if not walk.drawn:
         cum_init = np.cumsum(model.stationary)
-        walk.state = np.minimum(
+        walk.state = walk.head = np.minimum(
             np.searchsorted(cum_init, uniforms[:, 0], side="right"), states - 1
         )
         walk.log_probs = np.zeros(batch)
         uniforms, walk.drawn = uniforms[:, 1:], 1
     t, first, width = walk.t, walk.drawn - 1, uniforms.shape[1]
     walk.drawn += width
-    symbols = np.min_scalar_type(n - 1)
-    if k == 0:
-        thresholds = np.cumsum(model.transition[0])[:-1]
-        words = np.empty((batch, width), dtype=symbols)
-        # row blocks: searchsorted copies its strided input
-        step = max(1, _GATHER_CELLS // max(width, 1))
-        for lo in range(0, batch, step):
-            words[lo:lo + step] = np.searchsorted(thresholds, uniforms[lo:lo + step],
-                                                  side="right")
-        _sum_leaves(walk, _log2_safe(model.transition[0]), words, first)
-        return words, (walk.sums[0] if walk.drawn > t else None)
-
     thresholds = np.ascontiguousarray(np.cumsum(model.transition, axis=1)[:, :-1].T)
     # a step's log term and next context, indexed by state * n + symbol
     log_terms = _log2_safe(model.transition).ravel()
     successor = np.arange(states * n) % states
-    words = np.empty((width, batch), dtype=symbols)
+    words = np.empty((width, batch), dtype=np.min_scalar_type(n - 1))
     state = walk.state
     for j in range(width):
         i = first + j
-        sym = (np.take(thresholds, state, axis=1) <= uniforms[:, j]).sum(axis=0)
+        if k:
+            sym = (np.take(thresholds, state, axis=1) <= uniforms[:, j]).sum(axis=0)
+            index = state * n + sym
+            state = successor.take(index)
+        else:  # one context, which leads to itself, and one threshold row
+            sym = index = np.searchsorted(thresholds[:, 0], uniforms[:, j], side="right")
         words[j] = sym
-        index = state * n + sym
         if i >= k:
             walk.log_probs += log_terms.take(index)
-        state = successor.take(index)
         if i == k - 1:
             walk.head = state
     walk.state = state

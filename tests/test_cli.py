@@ -895,6 +895,8 @@ _HUGE_POWERS = {
               "--out", "{out}"],
     "smb-samples": [*_SMB, "--t", "11", "--samples", "99999999999", "--out", "{out}"],
     "smb-row": [*_SMB, "--t", "100000000", "--samples", "1", "--out", "{out}"],
+    # within every memory cap, but some three minutes of one-row steps
+    "smb-steps": [*_SMB, "--t", "4000000", "--samples", "1", "--out", "{out}"],
 }
 
 

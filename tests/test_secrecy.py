@@ -398,13 +398,15 @@ def test_concentration_front_holds_at_most_cell_over_s_rows(monkeypatch):
 
 
 _SEGMENT_PAIRS = {
-    # K = 3 over a Markov key; an order-0 key, whose row sums span leaves of
-    # 128 terms; t below the plaintext's order 4, so the walk and the forward
-    # end inside their heads
+    # K = 3 over a Markov key; an order-0 key, and an order-0 pair, whose
+    # walks add their log terms in sequence across every cut, past 128 terms;
+    # t below the plaintext's order 4, so the walk and the forward end inside
+    # their heads
     "markov-markov": (sources.make_markov(2, 3, np.full((8, 2), 0.5) + [0.3, -0.3]),
                       sources.make_markov(2, 2, [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5],
                                                  [0.8, 0.2]]), [1, 2, 3, 4, 57]),
     "order0-key": (MARKOV, BIASED, [1, 130, 300]),
+    "order0-order0": (sources.make_bernoulli([0.8, 0.2]), BIASED, [1, 130, 300]),
     "t-below-kx": (sources.make_markov(2, 4, np.tile([[0.7, 0.3], [0.4, 0.6]], (8, 1))),
                    MARKOV, [1, 2, 3, 5]),
 }
@@ -435,12 +437,12 @@ def test_concentration_sampling_memory_is_one_segment_whatever_t():
     # _SEGMENT_CELLS cells: the traced peak is at most one segment's uniforms
     # (8 bytes a cell) and its three word arrays (a byte a cell each), plus a
     # fixed 2 MiB for what does not scale with the segment (the rows' PCG64
-    # states, the order-0 walk's open leaf and row blocks, the forward's
-    # front; 0.9-1.6 MB measured at 2**19 and 2**20).  The same bound at
-    # t = 600 (a full chunk of 2048 rows, three segments; 9.8 MB of uniforms
-    # a stream unsegmented) and at t = 4000 (1048 rows, nine; 34 MB), on a
-    # Markov pair and on an order-0 pair, whose walks carry their row sums'
-    # open leaf
+    # states, the walks' contexts and running log-probabilities, the
+    # forward's front; 0.9-1.6 MB measured at 2**19 and 2**20).  The same
+    # bound at t = 600 (a full chunk of 2048 rows, three segments; 9.8 MB of
+    # uniforms a stream unsegmented) and at t = 4000 (1048 rows, nine; 34 MB),
+    # on a Markov pair and on an order-0 pair, whose walks step one position
+    # at a time as the Markov walks do
     bound = (8 + 3) * secrecy._SEGMENT_CELLS + (2 << 20)
     key = sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]])
     text = sources.make_bernoulli([0.8, 0.2])
@@ -487,10 +489,10 @@ class _Bracket(Exception):
 
 
 @pytest.mark.parametrize("t_list, samples, over", [
-    ([4, 2**22], 1, "uniforms a row"),
+    ([4, 2**21 - 5], 1, "uniforms a row"),  # 2**21 + 1 over both lengths
     ([1], 2**24 + 1, "samples a length"),
     ([200, 20_000], 2**16, "sampled symbols"),
-    ([2**22 - 1], 1, None),  # a row of 2**22 uniforms
+    ([2**21 - 1], 1, None),  # a row of 2**21 uniforms
     ([1], 2**24, None),
     ([20_000], 2048, None),
 ])
@@ -726,7 +728,7 @@ def test_posterior_halves_move_the_certify_rows_within_1e_12(seed, tmp_path):
 
 def test_concentration_peak_stays_below_two_uniform_chunks():
     # one chunk of 256 rows at t = 1000: a stream's uniforms are the largest
-    # array; the one-byte words and the order-0 walk's row blocks add less than
+    # array; the one-byte words and the walks' per-position rows add less than
     # that again (with int64 words the peak was 3.5 times the uniforms)
     t, samples = 1000, 256
     size = inference._ProductChain(MARKOV, BIASED, SPEC2).size

@@ -417,8 +417,8 @@ def test_walk_matches_the_row_gather_oracle_bit_for_bit(case):
     expected_words, expected_log = oracles.markov_walk(model, uniforms)
     assert words.dtype == np.min_scalar_type(model.alphabet_size - 1)  # one byte
     assert np.array_equal(words, expected_words)
-    if model.order:  # a transposed time-major array, so each position is contiguous
-        assert words.flags.f_contiguous
+    # a transposed time-major array, so each position is contiguous
+    assert words.flags.f_contiguous
     got, want = np.asarray(log_probs), np.asarray(expected_log)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -453,17 +453,20 @@ def test_walk_in_segments_gives_the_same_bits(case, data):
     assert np.array_equal(np.asarray(log_probs).view(np.uint64), whole_log.view(np.uint64))
 
 
-@pytest.mark.parametrize("t", [129, 1000, 5000])
-@pytest.mark.parametrize("width", [1, 7, 200])
-def test_order0_row_sums_in_segments_are_numpy_row_sums(t, width):
-    # the order-0 log terms are summed as numpy sums a whole row, pairwise in
-    # leaves of up to 128 terms, which the cuts split
+@given(st.integers(1, 5000), st.data())
+def test_order0_log_probs_in_any_segments_are_one_sequential_sum(t, data):
+    # the order-0 log terms are added one position at a time, so any cuts give
+    # the bits of one whole-row call, within (t - 1) 2**-53 sum|terms| of the
+    # exact sum
     model = sources.make_bernoulli([0.3, 0.2, 0.5])
-    uniforms = np.random.default_rng(t + width).random((9, t + 1))
-    cuts = list(range(0, t + 1, width)) + [t + 1]
-    words, log_probs = _walk_in_segments(model, uniforms, cuts)
-    terms = np.log2(model.transition[0])[words]
-    assert np.array_equal(log_probs.view(np.uint64), terms.sum(axis=1).view(np.uint64))
+    uniforms = np.random.default_rng(t).random((9, t + 1))
+    cuts = set(data.draw(st.lists(st.integers(1, t), max_size=30)))
+    words, log_probs = _walk_in_segments(model, uniforms, [0, *sorted(cuts), t + 1])
+    whole_words, whole_log = sources._walk_batch(model, uniforms)
+    assert np.array_equal(words, whole_words)
+    assert np.array_equal(log_probs.view(np.uint64), whole_log.view(np.uint64))
+    for terms, got in zip(np.log2(model.transition[0])[words], log_probs):
+        assert abs(got - math.fsum(terms)) <= (t - 1) * 2.0**-53 * np.abs(terms).sum()
 
 
 def test_train_alternating_stream_is_deterministic_flip():
