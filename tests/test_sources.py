@@ -453,6 +453,20 @@ def test_walk_in_segments_gives_the_same_bits(case, data):
     assert np.array_equal(np.asarray(log_probs).view(np.uint64), whole_log.view(np.uint64))
 
 
+@pytest.mark.parametrize("t", [129, 1000, 5000])
+@pytest.mark.parametrize("width", [1, 7, 200])
+def test_order0_row_sums_in_segments_are_numpy_row_sums(t, width):
+    # the order-0 log terms are summed as numpy sums a row in sequence: the
+    # last running sum of np.cumsum, whatever the cuts
+    model = sources.make_bernoulli([0.3, 0.2, 0.5])
+    uniforms = np.random.default_rng(t + width).random((9, t + 1))
+    cuts = list(range(0, t + 1, width)) + [t + 1]
+    words, log_probs = _walk_in_segments(model, uniforms, cuts)
+    terms = np.log2(model.transition[0])[words]
+    row_sums = np.cumsum(terms, axis=1)[:, -1]
+    assert np.array_equal(log_probs.view(np.uint64), row_sums.view(np.uint64))
+
+
 @given(st.integers(1, 5000), st.data())
 def test_order0_log_probs_in_any_segments_are_one_sequential_sum(t, data):
     # the order-0 log terms are added one position at a time, so any cuts give
