@@ -132,11 +132,11 @@ class _Front:
     """A batch's forward between calls of :meth:`_ProductChain.forward_log2`,
     on rows of t symbols: the symbols in so far, the first K while they
     wait, and the front, its scale, accumulated log, dead mask and cipher
-    windows once they are in."""
+    windows once they are in, with a second front to step into."""
 
     def __init__(self, t: int):
         self.t, self.seen, self.head = int(t), 0, None
-        self.alpha = self.scale = self.acc = self.dead = self.recent = None
+        self.alpha = self.fresh = self.scale = self.acc = self.dead = self.recent = None
 
 
 class _ProductChain:
@@ -286,11 +286,11 @@ class _ProductChain:
                 powers = n ** np.arange(other.order, -1, -1)
                 front.recent = front.head[:, k - other.order - 1 : k] @ powers
             front.head = None
-        alpha, scale, acc, dead, recent = (
-            front.alpha, front.scale, front.acc, front.dead, front.recent
+        if obs.shape[1] and front.fresh is None:
+            front.fresh = np.empty_like(front.alpha)
+        alpha, fresh, scale, acc, dead, recent = (
+            front.alpha, front.fresh, front.scale, front.acc, front.dead, front.recent
         )
-        if obs.shape[1]:
-            fresh = np.empty_like(alpha)
         for j in range(obs.shape[1]):
             recent = recent % (window // n) * n + obs[:, j]
             factor = np.take(lookup, recent, axis=1)
@@ -307,7 +307,7 @@ class _ProductChain:
             acc += np.log2(scale)
             alpha, fresh = fresh, alpha
         front.seen += obs.shape[1]
-        front.alpha, front.scale, front.recent = alpha, scale, recent
+        front.alpha, front.fresh, front.scale, front.recent = alpha, fresh, scale, recent
         if front.seen < t:
             return None
         acc[dead] = -np.inf

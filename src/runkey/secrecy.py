@@ -52,10 +52,13 @@ DEFAULT_MEMBER_CAP = 1 << 22
 # most _CELL floats (one row at least); it exists to bound working memory
 _SAMPLE_CHUNK = 2048
 
-# uniforms a batch draws at once (4 MiB of floats): a batch whose rows hold more
-# is walked in balanced time segments, four at S = 128 and t = 800; a segment
-# costs a state load and a fill call per row and stream, not a seeding
-_SEGMENT_CELLS = 1 << 19
+# uniforms a batch draws at once (512 KiB of floats): a batch whose rows hold
+# more is walked in balanced time segments, 26 at S = 128 and t = 800; a
+# segment costs no seeding and no call per row, the generators carry on
+_SEGMENT_CELLS = 1 << 16
+# PCG64 lanes * rows of a stream's generator (128 KiB a uint64 array): of 2**12
+# to 2**16, the fewest nanoseconds a draw at 2048 rows
+_LANE_CELLS = 1 << 14
 
 # sampled symbols, samples * sum(t + 1), per concentration experiment: some two
 # minutes of walks and forward steps on a binary pair of S = 128 states.  A
@@ -430,31 +433,34 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _add128(high, low, add_high, add_low):
-    """(high, low) + (add_high, add_low) mod 2**128, on uint64 words, high word first."""
-    low = low + add_low
-    return high + add_high + (low < add_low), low
-
-
-def _mul128(high, low, mult: int):
-    """(high, low) * mult mod 2**128, on uint64 words, high word first."""
-    m_high, m_low = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
-    x0, x1, y0, y1 = low & _LOW, low >> _HALF, m_low & _LOW, m_low >> _HALF
-    mid = (x0 * y0 >> _HALF) + (x1 * y0 & _LOW) + (x0 * y1 & _LOW)
-    carry = x1 * y1 + (x1 * y0 >> _HALF) + (x0 * y1 >> _HALF) + (mid >> _HALF)
-    return carry + low * m_high + high * m_low, low * m_low
-
-
-def _pcg_jump(steps: int) -> tuple[int, int]:
-    """(a, b): PCG64's state after that many LCG steps is a * state + b * inc
-    mod 2**128, by squaring the step as numpy's ``advance`` does."""
-    mult, plus, a, b = _PCG_MULT, 1, 1, 0
-    while steps:
-        if steps & 1:
-            a, b = a * mult & _MASK128, (b * mult + plus) & _MASK128
-        mult, plus = mult * mult & _MASK128, (mult + 1) * plus & _MASK128
-        steps >>= 1
-    return a, b
+def _lcg128(high, low, mult, add=(0, 0), work=None):
+    """(high, low) <- (high, low) * mult + add mod 2**128, in place on uint64 words,
+    high word first; ``mult`` is an int or a pair of words, ``add`` a pair, and
+    ``work`` four scratch arrays of the words' shape (made if None).  The low
+    words' product's high word is Hacker's Delight's mulhu.  Returns (high, low)."""
+    if isinstance(mult, int):
+        mult = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
+    (m_high, m_low), (add_high, add_low) = mult, add
+    y0, y1 = m_low & _LOW, m_low >> _HALF
+    x0, x1, mid, part = np.empty((4, *low.shape), np.uint64) if work is None else work
+    np.bitwise_and(low, _LOW, out=x0)
+    np.right_shift(low, _HALF, out=x1)
+    np.right_shift(np.multiply(x0, y0, out=mid), _HALF, out=mid)
+    mid += np.multiply(x1, y0, out=part)  # below 2**64, as is part + x0 * y1 below
+    np.bitwise_and(mid, _LOW, out=part)
+    part += np.multiply(x0, y1, out=x0)
+    part >>= _HALF
+    mid >>= _HALF
+    x1 *= y1
+    x1 += np.add(mid, part, out=mid)  # the high word of low * m_low
+    high *= m_low
+    high += x1
+    high += np.multiply(low, m_high, out=x0)
+    low *= m_low
+    low += add_low
+    high += add_high
+    high += low < add_low
+    return high, low
 
 
 def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int) -> np.ndarray:
@@ -478,66 +484,85 @@ def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int) -> np.n
         words += [(index >> np.uint64(32 * j)).astype(np.uint32) for j in range(width)]
         words += [np.full(hi - lo, word, dtype=np.uint32) for word in tail]
         s_high, s_low, i_high, i_low = _seed_sequence_states(np.array(words)).T
-        one = np.uint64(1)
-        inc = i_high << one | i_low >> np.uint64(63), i_low << one | one
-        state = _add128(*_mul128(*_add128(*inc, s_high, s_low), _PCG_MULT), *inc)
+        inc = _lcg128(i_high, i_low, 2, (0, 1))
+        state = _lcg128(*_lcg128(s_high, s_low, 1, inc), _PCG_MULT, inc)  # srandom
         states[lo - start:hi - start] = np.stack([*state, *inc], axis=1)
         lo = hi
     return states
 
 
-def _uniforms(states: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
-    """Draws lo, lo + 1, ... of every row's stream, into the rows of ``out``.
+class _Draws:
+    """One stream's PCG64 doubles for rows of :func:`_pcg64_states`, carried on.
 
-    ``states`` are rows of :func:`_pcg64_states`, sample i's of stream s:
-    out's row is bit for bit ``default_rng(SeedSequence((seed, t, i,
-    s))).random(t + 1)[lo:lo + width]``, for out's width.  The states are
-    jumped past the first lo draws all at once, in 64-bit words (one LCG
-    step a double, see :func:`_pcg_jump`); each is then loaded into one
-    reused PCG64 through its public ``state`` setter, from one reused dict,
-    and one reused Generator fills the row.  ``states`` is read, not
-    changed, so a chunk is seeded once per stream and each of its time
-    segments draws from the same states.  Returns ``out``.
-    """
-    high, low, inc_high, inc_low = states.T
-    if lo:
-        a, b = _pcg_jump(lo)
-        high, low = _add128(*_mul128(high, low, a), *_mul128(inc_high, inc_low, b))
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    held = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    pcg = held["state"]
-    words = (high.tolist(), low.tolist(), inc_high.tolist(), inc_low.tolist())
-    for row, s_high, s_low, i_high, i_low in zip(out, *words):
-        pcg["state"], pcg["inc"] = s_high << 64 | s_low, i_high << 64 | i_low
-        bit_gen.state = held
-        rng.random(out=row)
-    return out
+    Draw d is ``(xsl_rr(state) >> 11) * 2**-53`` of the state d + 1 LCG steps
+    on, as in numpy's ``Generator.random``; XSL-RR rotates the xor of the
+    state's words right by its top six bits.  A row's state is held in
+    ``lanes`` lanes, lane b at its next draw plus b, so one LCG jump of
+    ``lanes`` steps, ``a * state + c * inc`` (Brown's arbitrary strides),
+    advances them all.  ``work`` is four (lanes, rows) uint64 arrays, which
+    the streams of a chunk may share."""
+
+    def __init__(self, states: np.ndarray, lanes: int, work: np.ndarray | None = None):
+        self.inc = states.T[2:]
+        self.words = np.broadcast_to(states.T[:2, None], (2, lanes, len(states))).copy()
+        self.work = np.empty((4, *self.words.shape[1:]), np.uint64) if work is None else work
+        jumps, a, c = [], 1, 0  # (a, c) of b + 1 steps, where lane b starts
+        for _ in range(lanes):
+            a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+            jumps.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+        self.jumps = np.array(jumps, dtype=np.uint64).T[:, :, None]
+        inc = np.broadcast_to(self.inc[:, None], self.words.shape).copy()
+        _lcg128(*self.words, self.jumps[:2], _lcg128(*inc, self.jumps[2:], work=self.work),
+                self.work)
+        self.strides = {}  # jumps by lanes steps, and by fewer at a segment's end
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """The rows' next draws into time-major ``out``, (draws, rows).  Returns ``out``."""
+        for first in range(0, len(out), self.words.shape[1]):
+            steps = min(self.words.shape[1], len(out) - first)
+            (high, low), (bits, turn, right) = self.words[:, :steps], self.work[:3, :steps]
+            np.bitwise_xor(high, low, out=bits)
+            np.right_shift(high, np.uint64(58), out=turn)
+            np.right_shift(bits, turn, out=right)
+            np.negative(turn, out=turn)
+            turn &= np.uint64(63)
+            bits <<= turn
+            bits |= right
+            bits >>= np.uint64(11)
+            np.multiply(bits, 2.0**-53, out=out[first:first + steps])
+            if steps not in self.strides:
+                jump = self.jumps[:, steps - 1]
+                self.strides[steps] = jump[:2], _lcg128(*self.inc.copy(), jump[2:])
+            _lcg128(*self.words, *self.strides[steps], self.work)
+        return out
 
 
 def _sampled_rates(xm, ym, chain, coder, seed, t, start, stop) -> np.ndarray:
     """The statistic W of samples start..stop-1 at length t, a time segment at a time.
 
     The t + 1 draws are cut into as few balanced segments as keep a
-    segment's (rows, draws) uniforms within ``_SEGMENT_CELLS``, the widest
+    segment's (draws, rows) uniforms within ``_SEGMENT_CELLS``, the widest
     first, so a later segment's arrays fit where an earlier one's were.  The
-    rows' PCG64 states of both streams are computed once, before the first
-    segment, and every segment draws from them (see :func:`_uniforms`).  The
-    walks and the forward carry their state from segment to segment.
+    rows' PCG64 states of both streams are computed once, and each stream's
+    :class:`_Draws` carries them from segment to segment, in as many lanes
+    a row as keep its arrays within ``_LANE_CELLS`` cells (at most a
+    segment's draws).  The walks and the forward carry their state too.
     """
     rows = stop - start
     parts = -(-(t + 1) // max(1, _SEGMENT_CELLS // rows))
     cuts = [-(-(t + 1) * part // parts) for part in range(parts + 1)]
-    x_states, y_states = (_pcg64_states(seed, t, start, stop, stream) for stream in (0, 1))
+    lanes = max(1, min(_LANE_CELLS // rows, cuts[1]))
+    x_draws = _Draws(_pcg64_states(seed, t, start, stop, 0), lanes)
+    y_draws = _Draws(_pcg64_states(seed, t, start, stop, 1), lanes, x_draws.work)
     # one buffer holds every segment's uniforms, of both streams in turn: a new
     # array a segment, one draw wider or narrower, did not take the memory the
     # last one freed, and smb on S = 128 at t = 800 peaked at 49.6 MB, not 43.0
     cells = np.empty(rows * cuts[1])
     x_walk, y_walk, front = _Walk(t), _Walk(t), _Front(t)
     for lo, hi in zip(cuts, cuts[1:]):
-        uniforms = cells[: rows * (hi - lo)].reshape(rows, hi - lo)
-        x_words, log_px = _walk_batch(xm, _uniforms(x_states, lo, uniforms), x_walk)
-        y_words, log_py = _walk_batch(ym, _uniforms(y_states, lo, uniforms), y_walk)
+        uniforms = cells[: rows * (hi - lo)].reshape(hi - lo, rows)  # time-major
+        x_words, log_px = _walk_batch(xm, x_draws.fill(uniforms).T, x_walk)
+        y_words, log_py = _walk_batch(ym, y_draws.fill(uniforms).T, y_walk)
         z_words = coder[x_words, y_words]
         del x_words, y_words
         log_pz = chain.forward_log2(z_words, front)
@@ -569,8 +594,8 @@ def concentration_experiment(
     Sample i at length t draws its plaintext and key uniforms from
     ``default_rng(SeedSequence((seed, t, i, stream)))``, stream 0 and 1, bit
     for bit; the seeding is computed once per chunk and stream (see
-    :func:`_pcg64_states`), not constructed per sample, and every time
-    segment draws from those states (see :func:`_uniforms`).  So identical
+    :func:`_pcg64_states`), not constructed per sample, and so are the
+    draws, with no numpy.random (see :class:`_Draws`).  So identical
     arguments give identical reports, and the batch width moves the
     statistics only by float rounding.  ``seed`` must be a non-negative
     integer, and epsilon and a given ``h_ref`` finite.  A sample's uniforms
@@ -597,8 +622,8 @@ def concentration_experiment(
     through the coder and the forward: one byte a symbol up to n = 256, an
     eighth of the uniforms' bytes.  The plaintext and key words are dropped
     once the ciphertext words exist.  So the working memory is one
-    segment's uniforms and words, the chunk's front and its rows' PCG64
-    states (32 bytes a row and stream), whatever t.
+    segment's uniforms and words, the chunk's front and its generators'
+    eight arrays of at most ``_LANE_CELLS`` words, whatever t.
     """
     lengths = [int(t) for t in t_list]
     _check_band(epsilon, h_ref=h_ref, lengths=lengths)

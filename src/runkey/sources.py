@@ -408,12 +408,13 @@ class _Walk:
     """A batch's walk between calls of :func:`_walk_batch`, on rows of t + 1 uniforms.
 
     It carries each row's context, running log-probability and head context
-    (the one after the first k symbols; for order 0, the initial one).
+    (the one after the first k symbols; for order 0, the initial one), and
+    the model's step tables.
     """
 
     def __init__(self, t: int):
         self.t, self.drawn = int(t), 0
-        self.state = self.head = self.log_probs = None
+        self.state = self.head = self.log_probs = self.tables = None
 
 
 def _walk_batch(model: SourceModel, uniforms: np.ndarray, walk: _Walk | None = None):
@@ -458,13 +459,13 @@ def _walk_batch(model: SourceModel, uniforms: np.ndarray, walk: _Walk | None = N
             np.searchsorted(cum_init, uniforms[:, 0], side="right"), states - 1
         )
         walk.log_probs = np.zeros(batch)
+        # a step's thresholds, and its log term and next context by state * n + symbol
+        walk.tables = (np.ascontiguousarray(np.cumsum(model.transition, axis=1)[:, :-1].T),
+                       _log2_safe(model.transition).ravel(), np.arange(states * n) % states)
         uniforms, walk.drawn = uniforms[:, 1:], 1
     t, first, width = walk.t, walk.drawn - 1, uniforms.shape[1]
     walk.drawn += width
-    thresholds = np.ascontiguousarray(np.cumsum(model.transition, axis=1)[:, :-1].T)
-    # a step's log term and next context, indexed by state * n + symbol
-    log_terms = _log2_safe(model.transition).ravel()
-    successor = np.arange(states * n) % states
+    thresholds, log_terms, successor = walk.tables
     words = np.empty((width, batch), dtype=np.min_scalar_type(n - 1))
     state = walk.state
     for j in range(width):

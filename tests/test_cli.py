@@ -1169,6 +1169,9 @@ def test_scipy_imported_only_for_sparse_operators(tmp_path):
         "--h-ref 0.7 --out smb.json",
     ]
     assert _modules_after("scipy", dense, tmp_path) == []
+    # the sampler computes its PCG64 draws: numpy.random (and the hashlib and
+    # OpenSSL it pulls in through secrets) stays unloaded; one more subprocess
+    assert _modules_after("numpy.random", dense[3:], tmp_path) == []
     # order 9 against order 2: S = 2048, over the dense cell budget; neither the
     # forward nor the bracket enumeration builds operators
     sparse = "--x-model x9.model --y-model y2.model"

@@ -250,13 +250,25 @@ def _numpy_rows(seed, t, start, stop, stream):
     return states, rows.reshape(stop - start, t + 1)
 
 
-def _assert_seeded_like_numpy(seed, t, start, stop, stream):
+def _drawn(states, cuts, lanes):
+    """Rows drawn a segment at a time, each into a view of one wider buffer of
+    NaNs, time-major as the sampler's; (rows, draws)."""
+    draws, rows = secrecy._Draws(states, lanes), len(states)
+    cells, out = np.full(rows * (cuts[-1] + 1), np.nan), []
+    for lo, hi in zip(cuts, cuts[1:]):
+        segment = cells[: rows * (hi - lo)].reshape(hi - lo, rows)
+        assert draws.fill(segment) is segment
+        out.append(segment.copy())
+    return np.concatenate(out).T
+
+
+def _assert_seeded_like_numpy(seed, t, start, stop, stream, lanes=3):
     states, rows = _numpy_rows(seed, t, start, stop, stream)
     words = secrecy._pcg64_states(seed, t, start, stop, stream)
     assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
     assert [{"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
             for s_hi, s_lo, i_hi, i_lo in words.tolist()] == states
-    got = secrecy._uniforms(words, 0, np.empty(rows.shape))
+    got = _drawn(words, [0, t + 1], lanes)
     assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
 
 
@@ -267,11 +279,13 @@ def _assert_seeded_like_numpy(seed, t, start, stop, stream):
     boundary=st.integers(0, 2),
     offset=st.integers(-4, 4),
     width=st.integers(1, 9),
+    lanes=st.integers(1, 60),
 )
-def test_uniforms_are_seeded_like_numpy(seed, t, stream, boundary, offset, width):
-    # spans around a chunk boundary, as concentration_experiment cuts them
+def test_uniforms_are_seeded_like_numpy(seed, t, stream, boundary, offset, width, lanes):
+    # spans around a chunk boundary, as concentration_experiment cuts them, in
+    # one segment of any lane count, fewer or more than the row's draws
     start = max(0, boundary * secrecy._SAMPLE_CHUNK + offset)
-    _assert_seeded_like_numpy(seed, t, start, start + width, stream)
+    _assert_seeded_like_numpy(seed, t, start, start + width, stream, lanes)
 
 
 @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(2**64 - 1)], ids=str)
@@ -287,43 +301,43 @@ def test_uniforms_across_the_two_word_index_boundary(seed):
     data=st.data(),
 )
 def test_uniforms_from_any_draw_are_the_slice_of_the_row(seed, t, start, data):
-    # draws lo..hi-1 of each row, into a view of a wider buffer, as a segment's
-    lo = data.draw(st.integers(0, t), label="lo")
-    hi = data.draw(st.integers(lo + 1, t + 1), label="hi")
+    # a row cut into segments anywhere, one-draw ones too, and held in any
+    # number of lanes, is bit for bit the row: the lanes carry across the cuts
+    inner = data.draw(st.sets(st.integers(1, t)) if t else st.just(set()), label="cuts")
+    lanes = data.draw(st.integers(1, t + 2), label="lanes")
     stop = start + data.draw(st.integers(1, 5), label="rows")
+    _, rows = _numpy_rows(seed, t, start, stop, 1)
     states = secrecy._pcg64_states(seed, t, start, stop, 1)
-    full = secrecy._uniforms(states, 0, np.empty((stop - start, t + 1)))
-    cells = np.full((stop - start) * (t + 2), np.nan)
-    out = cells[: (stop - start) * (hi - lo)].reshape(stop - start, hi - lo)
-    got = secrecy._uniforms(states, lo, out)
-    assert got is out
-    assert np.array_equal(got.view(np.uint64), full[:, lo:hi].view(np.uint64))
-    # the states are read, not consumed: the rest of the rows from the same ones
-    rest = secrecy._uniforms(states, lo, np.empty((stop - start, t + 1 - lo)))
-    assert np.array_equal(rest[:, : hi - lo], got)
+    got = _drawn(states, [0, *sorted(inner), t + 1], lanes)
+    assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
 
 
 def test_uniforms_slices_across_the_two_word_index_boundary():
-    # rows on both sides of 2**32, where SeedSequence takes a second entropy word
+    # rows on both sides of 2**32, where SeedSequence takes a second entropy
+    # word, in one-draw segments and wider ones, as one lane and as more
     t, start, stop = 6, 2**32 - 2, 2**32 + 2
     _, rows = _numpy_rows(9, t, start, stop, 0)
     states = secrecy._pcg64_states(9, t, start, stop, 0)
-    for lo, hi in [(0, t + 1), (0, 1), (3, 5), (t, t + 1)]:
-        out = np.empty((stop - start, hi - lo))
-        secrecy._uniforms(states, lo, out)
-        assert np.array_equal(out.view(np.uint64), rows[:, lo:hi].view(np.uint64))
+    for cuts in [[0, t + 1], list(range(t + 2)), [0, 3, 5, t + 1]]:
+        for lanes in (1, 2, 4, t + 1, t + 5):
+            got = _drawn(states, cuts, lanes)
+            assert np.array_equal(got.view(np.uint64), rows.view(np.uint64)), (cuts, lanes)
 
 
 @pytest.mark.parametrize("lo", [1, 2**31 + 5, 2**64 + 7, 2**128 - 1], ids=hex)
 def test_uniforms_jump_as_far_as_advance(lo):
-    # the states' jump past lo draws is numpy's advance, for any 128-bit lo
-    states = secrecy._pcg64_states(5, 9, 2**32 - 1, 2**32 + 1, 1)
-    got = secrecy._uniforms(states, lo, np.empty((2, 3)))
-    for i, row in zip([2**32 - 1, 2**32], got):
+    # rows from the states numpy's advance reaches past lo draws, for any
+    # 128-bit lo, go on as the advanced generators, lanes jumping and all
+    want, states = [], []
+    for i in [2**32 - 1, 2**32]:
         bit_gen = np.random.PCG64(np.random.SeedSequence((5, 9, i, 1)))
         bit_gen.advance(lo)
-        want = np.random.Generator(bit_gen).random(3)
-        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        state, inc = bit_gen.state["state"]["state"], bit_gen.state["state"]["inc"]
+        states.append([state >> 64, state % 2**64, inc >> 64, inc % 2**64])
+        want.append(np.random.Generator(bit_gen).random(7))
+    for lanes in (1, 2, 5):
+        got = _drawn(np.array(states, dtype=np.uint64), [0, 1, 3, 7], lanes)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_concentration_determinism_across_chunk_sizes(monkeypatch):
@@ -339,27 +353,39 @@ def test_concentration_determinism_across_chunk_sizes(monkeypatch):
 
 def test_concentration_chunks_hold_at_most_cell_uniforms(monkeypatch):
     # past _CELL / _SAMPLE_CHUNK symbols, a length's chunks narrow so each
-    # (rows, t+1) array stays within _CELL floats; statistics move by rounding
+    # (rows, t+1) array stays within _CELL floats; statistics move by rounding.
+    # Each stream's generator of a chunk holds lanes of at most one segment's
+    # draws, at most _LANE_CELLS cells of them
     kwargs = dict(t_list=[99, 300], samples=20, epsilon=0.05, delta=0.01, seed=3,
                   h_ref=0.5)
     reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
-    shapes = []
+    shapes, built = [], []
     states = secrecy._pcg64_states
     monkeypatch.setattr(secrecy, "_pcg64_states",
                         lambda *args: shapes.append(args[1:4]) or states(*args))
+    draws = secrecy._Draws
+    monkeypatch.setattr(secrecy, "_Draws",
+                        lambda *args: built.append(draws(*args)) or built[-1])
     monkeypatch.setattr(secrecy, "_CELL", 1000)
+    monkeypatch.setattr(secrecy, "_LANE_CELLS", 400)
     report = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
     assert all((stop - start) * (t + 1) <= 1000 for t, start, stop in shapes)
     assert {(t, stop - start) for t, start, stop in shapes} >= {(99, 10), (300, 3)}
+    assert len(built) == len(shapes)
+    for (t, start, stop), draws in zip(shapes, built):
+        lanes = min(400 // (stop - start), t + 1)
+        assert draws.words.shape == (2, lanes, stop - start)
+        assert draws.work.shape == (4, lanes, stop - start)
     assert np.allclose(report.means, reference.means, rtol=0.0, atol=1e-12)
     assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
 
 
 def test_concentration_seeds_each_chunk_once_per_stream(monkeypatch):
-    # the rows' PCG64 states are computed once a chunk and stream, before its
-    # first time segment: at t = 800, three segments of 2048 rows seed 2 x 2048
-    # rows, as does t = 40 in one segment
-    seeded, widths = [], []
+    # the rows' PCG64 states are computed once a chunk and stream, and one
+    # generator a stream carries them through every time segment: at t = 800,
+    # three segments of 2048 rows seed 2 x 2048 rows, as does t = 40 in one
+    # segment; their generators step 8 lanes a row at _LANE_CELLS = 2048 * 8
+    seeded, widths, built = [], [], []
     states = secrecy._pcg64_states
     monkeypatch.setattr(secrecy, "_pcg64_states",
                         lambda *args: seeded.append(args[1:4]) or states(*args))
@@ -367,11 +393,16 @@ def test_concentration_seeds_each_chunk_once_per_stream(monkeypatch):
     monkeypatch.setattr(secrecy, "_walk_batch",
                         lambda model, uniforms, *rest: widths.append(uniforms.shape[1])
                         or walk(model, uniforms, *rest))
+    draws = secrecy._Draws
+    monkeypatch.setattr(secrecy, "_Draws",
+                        lambda *args: built.append((len(args[0]), args[1])) or draws(*args))
     monkeypatch.setattr(secrecy, "_SEGMENT_CELLS", 2048 * 300)
+    monkeypatch.setattr(secrecy, "_LANE_CELLS", 2048 * 8)
     secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [40, 800], 2048, 0.05, 0.01,
                                      seed=5, h_ref=0.5)
     assert widths == [41] * 2 + [267] * 6
     assert seeded == [(40, 0, 2048)] * 2 + [(800, 0, 2048)] * 2
+    assert built == [(2048, 8)] * 4
 
 
 def test_concentration_front_holds_at_most_cell_over_s_rows(monkeypatch):
@@ -437,10 +468,11 @@ def test_concentration_sampling_memory_is_one_segment_whatever_t():
     # _SEGMENT_CELLS cells: the traced peak is at most one segment's uniforms
     # (8 bytes a cell) and its three word arrays (a byte a cell each), plus a
     # fixed 2 MiB for what does not scale with the segment (the rows' PCG64
-    # states, the walks' contexts and running log-probabilities, the
-    # forward's front; 0.9-1.6 MB measured at 2**19 and 2**20).  The same
-    # bound at t = 600 (a full chunk of 2048 rows, three segments; 9.8 MB of
-    # uniforms a stream unsegmented) and at t = 4000 (1048 rows, nine; 34 MB),
+    # states and their generators' eight arrays of _LANE_CELLS words, 1 MiB;
+    # the walks' contexts and running log-probabilities, the forward's front;
+    # 1.8 and 1.5 MB measured).  The same bound at t = 600 (a full chunk of
+    # 2048 rows, 19 segments; 9.8 MB of uniforms a stream unsegmented) and at
+    # t = 4000 (1048 rows, 65; 34 MB),
     # on a Markov pair and on an order-0 pair, whose walks step one position
     # at a time as the Markov walks do
     bound = (8 + 3) * secrecy._SEGMENT_CELLS + (2 << 20)
