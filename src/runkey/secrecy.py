@@ -48,8 +48,8 @@ from .words import as_word
 
 DEFAULT_MEMBER_CAP = 1 << 22
 
-# Monte Carlo samples per batch, lowered so each of a batch's arrays holds at
-# most _CELL floats (one row at least); it exists to bound working memory
+# Monte Carlo samples per batch, lowered to _CELL // S so the forward's front,
+# (S, rows) floats, holds at most _CELL (one row at least) whatever t
 _SAMPLE_CHUNK = 2048
 
 # uniforms a batch draws at once (512 KiB of floats): a batch whose rows hold
@@ -430,7 +430,7 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(*_HASH_B)
     state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def _lcg128(high, low, mult, add=(0, 0), work=None):
@@ -463,32 +463,24 @@ def _lcg128(high, low, mult, add=(0, 0), work=None):
     return high, low
 
 
-def _pcg64_states(seed: int, t: int, start: int, stop: int, stream: int) -> np.ndarray:
+def _pcg64_states(seed: int, t: int, start: int, stop: int) -> np.ndarray:
     """``PCG64(SeedSequence((seed, t, i, stream)))``'s state, start <= i < stop.
 
-    Computed, not constructed: the entropy words of all indices with the same
-    number of 32-bit words (below 2**32, from 2**32 to 2**64) go through
-    :func:`_seed_sequence_states` at once, and so does PCG64's srandom (two
-    LCG steps from state 0), in 64-bit words.  Returns (stop - start, 4)
-    uint64, a row per index: the 128-bit ``state`` and ``inc`` of its
-    ``state["state"]``, each high word first.  Indices must be below 2**64.
+    Computed, not constructed: the entropy words of both streams' indices go
+    through :func:`_seed_sequence_states` at once, and so does PCG64's
+    srandom (two LCG steps from state 0), in 64-bit words.  Returns
+    (2, stop - start, 4) uint64, a row per stream and index: the 128-bit
+    ``state`` and ``inc`` of its ``state["state"]``, each high word first.
+    Indices must be below 2**32, one entropy word each, as every sample
+    index within ``DEFAULT_WORD_CAP`` is.
     """
-    head, tail = _int_words(seed) + _int_words(t), _int_words(stream)
-    states = np.empty((stop - start, 4), dtype=np.uint64)
-    lo = start
-    while lo < stop:
-        width = len(_int_words(lo))
-        hi = min(stop, 1 << 32 * width)
-        index = np.arange(lo, hi, dtype=np.uint64)
-        words = [np.full(hi - lo, word, dtype=np.uint32) for word in head]
-        words += [(index >> np.uint64(32 * j)).astype(np.uint32) for j in range(width)]
-        words += [np.full(hi - lo, word, dtype=np.uint32) for word in tail]
-        s_high, s_low, i_high, i_low = _seed_sequence_states(np.array(words)).T
-        inc = _lcg128(i_high, i_low, 2, (0, 1))
-        state = _lcg128(*_lcg128(s_high, s_low, 1, inc), _PCG_MULT, inc)  # srandom
-        states[lo - start:hi - start] = np.stack([*state, *inc], axis=1)
-        lo = hi
-    return states
+    head = np.array(_int_words(seed) + _int_words(t), dtype=np.uint32)[:, None, None]
+    words = np.empty((len(head) + 2, 2, stop - start), dtype=np.uint32)
+    words[:-2], words[-2], words[-1] = head, np.arange(start, stop), [[0], [1]]  # i, stream
+    s_high, s_low, i_high, i_low = _seed_sequence_states(words.reshape(len(words), -1)).T
+    inc = _lcg128(i_high, i_low, 2, (0, 1))
+    state = _lcg128(*_lcg128(s_high, s_low, 1, inc), _PCG_MULT, inc)  # srandom
+    return np.stack([*state, *inc], axis=1).reshape(2, stop - start, 4)
 
 
 class _Draws:
@@ -543,17 +535,20 @@ def _sampled_rates(xm, ym, chain, coder, seed, t, start, stop) -> np.ndarray:
     The t + 1 draws are cut into as few balanced segments as keep a
     segment's (draws, rows) uniforms within ``_SEGMENT_CELLS``, the widest
     first, so a later segment's arrays fit where an earlier one's were.  The
-    rows' PCG64 states of both streams are computed once, and each stream's
-    :class:`_Draws` carries them from segment to segment, in as many lanes
-    a row as keep its arrays within ``_LANE_CELLS`` cells (at most a
-    segment's draws).  The walks and the forward carry their state too.
+    rows' PCG64 states of both streams come from one :func:`_pcg64_states`
+    call, and each stream's :class:`_Draws` carries them from segment to
+    segment, in as many lanes a row as keep its arrays within
+    ``_LANE_CELLS`` cells (at most a segment's draws).  The walks and the
+    forward carry their state too.  The rows are sample indices below
+    ``DEFAULT_WORD_CAP``; their number moves the statistics by rounding at most.
     """
     rows = stop - start
     parts = -(-(t + 1) // max(1, _SEGMENT_CELLS // rows))
     cuts = [-(-(t + 1) * part // parts) for part in range(parts + 1)]
     lanes = max(1, min(_LANE_CELLS // rows, cuts[1]))
-    x_draws = _Draws(_pcg64_states(seed, t, start, stop, 0), lanes)
-    y_draws = _Draws(_pcg64_states(seed, t, start, stop, 1), lanes, x_draws.work)
+    x_states, y_states = _pcg64_states(seed, t, start, stop)
+    x_draws = _Draws(x_states, lanes)
+    y_draws = _Draws(y_states, lanes, x_draws.work)
     # one buffer holds every segment's uniforms, of both streams in turn: a new
     # array a segment, one draw wider or narrower, did not take the memory the
     # last one freed, and smb on S = 128 at t = 800 peaked at 49.6 MB, not 43.0
@@ -593,8 +588,8 @@ def concentration_experiment(
     order plus one (see :meth:`runkey.inference._ProductChain.forward_log2`).
     Sample i at length t draws its plaintext and key uniforms from
     ``default_rng(SeedSequence((seed, t, i, stream)))``, stream 0 and 1, bit
-    for bit; the seeding is computed once per chunk and stream (see
-    :func:`_pcg64_states`), not constructed per sample, and so are the
+    for bit; the seeding of both streams is computed in one call per chunk
+    (see :func:`_pcg64_states`), not constructed per sample, and so are the
     draws, with no numpy.random (see :class:`_Draws`).  So identical
     arguments give identical reports, and the batch width moves the
     statistics only by float rounding.  ``seed`` must be a non-negative
@@ -607,7 +602,7 @@ def concentration_experiment(
     checked before the bracket is enumerated or anything sampled.
 
     Samples go in chunks of up to ``_SAMPLE_CHUNK`` rows and of at most
-    ``_CELL // max(S, t + 1)`` rows (one at least), which bounds the
+    ``_CELL // S`` rows (one at least), whatever t, which bounds the
     front's (n**K, rows) floats.  A chunk goes in time segments of at most
     ``_SEGMENT_CELLS`` uniforms (see :func:`_sampled_rates`): a segment's
     uniforms are drawn, walked, enciphered and run through the forward,
@@ -655,7 +650,7 @@ def concentration_experiment(
     means: list[float] = []
     variances: list[float] = []
     for t in lengths:
-        chunk = max(1, min(_SAMPLE_CHUNK, _CELL // max(chain.size, t + 1)))
+        chunk = max(1, min(_SAMPLE_CHUNK, _CELL // chain.size))
         stats = np.concatenate([
             _sampled_rates(xm, ym, chain, coder, seed, t, start, min(start + chunk, samples))
             for start in range(0, samples, chunk)

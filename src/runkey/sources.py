@@ -529,14 +529,17 @@ def train_markov(
     Every (context, next symbol) transition gets ``alpha`` pseudo-counts, so
     any ``alpha > 0`` yields strictly positive rows.  Contexts that never
     occur in the stream (possible only with ``alpha = 0``) get uniform rows.
-    A table of more than ``DEFAULT_WORD_CAP`` entries raises
-    EnumerationCapError before anything is counted.
+    A negative order or a negative or non-finite ``alpha`` raises
+    InvalidDistributionError, and a table of more than ``DEFAULT_WORD_CAP``
+    entries EnumerationCapError, before anything is counted.
     """
     n = int(alphabet_size)
     k = int(order)
+    if k < 0:
+        raise InvalidDistributionError("order must be non-negative")
     _check_cap(n, k + 1, "model table entries")
-    if alpha < 0.0:
-        raise InvalidDistributionError("smoothing constant must be >= 0")
+    if not 0.0 <= alpha < np.inf:
+        raise InvalidDistributionError("smoothing constant must be finite and >= 0")
     if np.asarray(stream).size <= k:
         raise InvalidDistributionError(
             f"stream of {np.asarray(stream).size} symbols is too short for order {k}"

@@ -688,6 +688,14 @@ _CONFIG_ERRORS = {
                          "--seed", "1"], None),
     "config-key-abbreviated": (["bounds", "--config", "{short}", "--y-model", KEY,
                                 "--m", "2"], None),
+    # any file is a corpus; the order and the smoothing constant are checked
+    # before anything is counted, so no numpy warning or model comes first
+    "train-negative-order": (["train", "--corpus", "{json}", "--bits", "--order", "-1",
+                              "--out", "-"], "order must be non-negative"),
+    "train-alpha-nan": (["train", "--corpus", "{json}", "--bits", "--alpha", "nan",
+                         "--out", "-"], "smoothing constant must be finite and >= 0"),
+    "train-alpha-inf": (["train", "--corpus", "{json}", "--bits", "--alpha", "inf",
+                         "--out", "-"], "smoothing constant must be finite and >= 0"),
 }
 
 

@@ -262,42 +262,49 @@ def _drawn(states, cuts, lanes):
     return np.concatenate(out).T
 
 
-def _assert_seeded_like_numpy(seed, t, start, stop, stream, lanes=3):
-    states, rows = _numpy_rows(seed, t, start, stop, stream)
-    words = secrecy._pcg64_states(seed, t, start, stop, stream)
-    assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
-    assert [{"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
-            for s_hi, s_lo, i_hi, i_lo in words.tolist()] == states
-    got = _drawn(words, [0, t + 1], lanes)
-    assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+def _assert_seeded_like_numpy(seed, t, start, stop, lanes=3):
+    words = secrecy._pcg64_states(seed, t, start, stop)
+    assert words.dtype == np.uint64 and words.shape == (2, stop - start, 4)
+    for stream in (0, 1):
+        states, rows = _numpy_rows(seed, t, start, stop, stream)
+        assert [{"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+                for s_hi, s_lo, i_hi, i_lo in words[stream].tolist()] == states
+        got = _drawn(words[stream], [0, t + 1], lanes)
+        assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+
+
+# start and stop of the three highest sample indices concentration_experiment
+# reaches, just below its cap
+_TOP_INDICES = sources.DEFAULT_WORD_CAP - 3, sources.DEFAULT_WORD_CAP
 
 
 @given(
     seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**70),
     t=st.integers(0, 50),
-    stream=st.integers(0, 1),
     boundary=st.integers(0, 2),
     offset=st.integers(-4, 4),
     width=st.integers(1, 9),
     lanes=st.integers(1, 60),
 )
-def test_uniforms_are_seeded_like_numpy(seed, t, stream, boundary, offset, width, lanes):
+def test_uniforms_are_seeded_like_numpy(seed, t, boundary, offset, width, lanes):
     # spans around a chunk boundary, as concentration_experiment cuts them, in
     # one segment of any lane count, fewer or more than the row's draws
     start = max(0, boundary * secrecy._SAMPLE_CHUNK + offset)
-    _assert_seeded_like_numpy(seed, t, start, start + width, stream, lanes)
+    _assert_seeded_like_numpy(seed, t, start, start + width, lanes)
 
 
 @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(2**64 - 1)], ids=str)
-def test_uniforms_across_the_two_word_index_boundary(seed):
-    # indices below 2**32 give SeedSequence one entropy word, from 2**32 two
-    _assert_seeded_like_numpy(seed, 3, 2**32 - 2, 2**32 + 2, 1)
+def test_uniforms_at_the_top_sample_indices(seed):
+    # each index is one SeedSequence entropy word: a cap past 2**32 would need
+    # a second word for the higher indices, and must trip this first
+    assert sources.DEFAULT_WORD_CAP <= 2**32
+    _assert_seeded_like_numpy(seed, 3, *_TOP_INDICES)
 
 
 @given(
     seed=st.integers(0, 2**70),
     t=st.integers(0, 40),
-    start=st.sampled_from([0, 5, 2**32 - 3]),
+    start=st.sampled_from([0, 5, _TOP_INDICES[0]]),
     data=st.data(),
 )
 def test_uniforms_from_any_draw_are_the_slice_of_the_row(seed, t, start, data):
@@ -305,23 +312,24 @@ def test_uniforms_from_any_draw_are_the_slice_of_the_row(seed, t, start, data):
     # number of lanes, is bit for bit the row: the lanes carry across the cuts
     inner = data.draw(st.sets(st.integers(1, t)) if t else st.just(set()), label="cuts")
     lanes = data.draw(st.integers(1, t + 2), label="lanes")
-    stop = start + data.draw(st.integers(1, 5), label="rows")
+    stop = min(start + data.draw(st.integers(1, 5), label="rows"), _TOP_INDICES[1])
     _, rows = _numpy_rows(seed, t, start, stop, 1)
-    states = secrecy._pcg64_states(seed, t, start, stop, 1)
+    states = secrecy._pcg64_states(seed, t, start, stop)[1]
     got = _drawn(states, [0, *sorted(inner), t + 1], lanes)
     assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
 
 
-def test_uniforms_slices_across_the_two_word_index_boundary():
-    # rows on both sides of 2**32, where SeedSequence takes a second entropy
-    # word, in one-draw segments and wider ones, as one lane and as more
-    t, start, stop = 6, 2**32 - 2, 2**32 + 2
-    _, rows = _numpy_rows(9, t, start, stop, 0)
-    states = secrecy._pcg64_states(9, t, start, stop, 0)
-    for cuts in [[0, t + 1], list(range(t + 2)), [0, 3, 5, t + 1]]:
-        for lanes in (1, 2, 4, t + 1, t + 5):
-            got = _drawn(states, cuts, lanes)
-            assert np.array_equal(got.view(np.uint64), rows.view(np.uint64)), (cuts, lanes)
+def test_uniforms_slices_at_the_top_sample_indices():
+    # the highest reachable rows of both streams, in one-draw segments and
+    # wider ones, as one lane and as more
+    t = 6
+    states = secrecy._pcg64_states(9, t, *_TOP_INDICES)
+    for stream in (0, 1):
+        _, rows = _numpy_rows(9, t, *_TOP_INDICES, stream)
+        for cuts in [[0, t + 1], list(range(t + 2)), [0, 3, 5, t + 1]]:
+            for lanes in (1, 2, 4, t + 1, t + 5):
+                got = _drawn(states[stream], cuts, lanes)
+                assert np.array_equal(got.view(np.uint64), rows.view(np.uint64)), (cuts, lanes)
 
 
 @pytest.mark.parametrize("lo", [1, 2**31 + 5, 2**64 + 7, 2**128 - 1], ids=hex)
@@ -352,39 +360,42 @@ def test_concentration_determinism_across_chunk_sizes(monkeypatch):
 
 
 def test_concentration_chunks_hold_at_most_cell_uniforms(monkeypatch):
-    # past _CELL / _SAMPLE_CHUNK symbols, a length's chunks narrow so each
-    # (rows, t+1) array stays within _CELL floats; statistics move by rounding.
-    # Each stream's generator of a chunk holds lanes of at most one segment's
+    # a length's chunks narrow to _CELL // S rows whatever t, so the front's
+    # (S, rows) floats stay within _CELL; statistics move by rounding.  Each
+    # stream's generator of a chunk holds lanes of at most one segment's
     # draws, at most _LANE_CELLS cells of them
     kwargs = dict(t_list=[99, 300], samples=20, epsilon=0.05, delta=0.01, seed=3,
                   h_ref=0.5)
     reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
+    size = inference._ProductChain(MARKOV, BIASED, SPEC2).size
     shapes, built = [], []
     states = secrecy._pcg64_states
     monkeypatch.setattr(secrecy, "_pcg64_states",
-                        lambda *args: shapes.append(args[1:4]) or states(*args))
+                        lambda *args: shapes.append(args[1:]) or states(*args))
     draws = secrecy._Draws
     monkeypatch.setattr(secrecy, "_Draws",
                         lambda *args: built.append(draws(*args)) or built[-1])
-    monkeypatch.setattr(secrecy, "_CELL", 1000)
+    monkeypatch.setattr(secrecy, "_CELL", 7 * size)
     monkeypatch.setattr(secrecy, "_LANE_CELLS", 400)
     report = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
-    assert all((stop - start) * (t + 1) <= 1000 for t, start, stop in shapes)
-    assert {(t, stop - start) for t, start, stop in shapes} >= {(99, 10), (300, 3)}
-    assert len(built) == len(shapes)
-    for (t, start, stop), draws in zip(shapes, built):
+    assert {(t, stop - start) for t, start, stop in shapes} == {(99, 7), (99, 6),
+                                                               (300, 7), (300, 6)}
+    assert len(built) == 2 * len(shapes)  # a generator a stream
+    for k, draws in enumerate(built):
+        t, start, stop = shapes[k // 2]
         lanes = min(400 // (stop - start), t + 1)
         assert draws.words.shape == (2, lanes, stop - start)
         assert draws.work.shape == (4, lanes, stop - start)
+        assert draws.words[0].size <= 400
     assert np.allclose(report.means, reference.means, rtol=0.0, atol=1e-12)
     assert np.allclose(report.variances, reference.variances, rtol=0.0, atol=1e-12)
 
 
 def test_concentration_seeds_each_chunk_once_per_stream(monkeypatch):
-    # the rows' PCG64 states are computed once a chunk and stream, and one
-    # generator a stream carries them through every time segment: at t = 800,
-    # three segments of 2048 rows seed 2 x 2048 rows, as does t = 40 in one
-    # segment; their generators step 8 lanes a row at _LANE_CELLS = 2048 * 8
+    # the rows' PCG64 states of both streams come from one call a chunk, and
+    # one generator a stream carries them through every time segment: at
+    # t = 800, three segments of 2048 rows are seeded once, as is t = 40 in
+    # one segment; their generators step 8 lanes a row at _LANE_CELLS = 2048 * 8
     seeded, widths, built = [], [], []
     states = secrecy._pcg64_states
     monkeypatch.setattr(secrecy, "_pcg64_states",
@@ -401,8 +412,26 @@ def test_concentration_seeds_each_chunk_once_per_stream(monkeypatch):
     secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [40, 800], 2048, 0.05, 0.01,
                                      seed=5, h_ref=0.5)
     assert widths == [41] * 2 + [267] * 6
-    assert seeded == [(40, 0, 2048)] * 2 + [(800, 0, 2048)] * 2
+    assert seeded == [(40, 0, 2048), (800, 0, 2048)]
     assert built == [(2048, 8)] * 4
+
+
+def test_concentration_chunk_rows_do_not_narrow_with_t(monkeypatch):
+    # the front's (S, rows) floats are all the chunk rule bounds: with _CELL
+    # below rows * (t + 1) a chunk still takes min(samples, _SAMPLE_CHUNK,
+    # _CELL // S) rows, at every t
+    size = inference._ProductChain(MARKOV, BIASED, SPEC2).size
+    lengths, samples, cell = [99, 300], 30, 1000
+    assert cell // (lengths[0] + 1) < samples <= cell // size
+    seeded = []
+    states = secrecy._pcg64_states
+    monkeypatch.setattr(secrecy, "_pcg64_states",
+                        lambda *args: seeded.append(args[1:4]) or states(*args))
+    monkeypatch.setattr(secrecy, "_CELL", cell)
+    secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, lengths, samples, 0.05, 0.01,
+                                     seed=3, h_ref=0.5)
+    rows = min(samples, secrecy._SAMPLE_CHUNK, cell // size)
+    assert seeded == [(t, 0, rows) for t in lengths]
 
 
 def test_concentration_front_holds_at_most_cell_over_s_rows(monkeypatch):
@@ -764,7 +793,7 @@ def test_concentration_peak_stays_below_two_uniform_chunks():
     # that again (with int64 words the peak was 3.5 times the uniforms)
     t, samples = 1000, 256
     size = inference._ProductChain(MARKOV, BIASED, SPEC2).size
-    rows = min(samples, secrecy._SAMPLE_CHUNK, secrecy._CELL // max(size, t + 1))
+    rows = min(samples, secrecy._SAMPLE_CHUNK, secrecy._CELL // size)
     run = (MARKOV, BIASED, SPEC2, [t], samples, 0.05, 0.01)
     secrecy.concentration_experiment(*run, seed=3, h_ref=0.5)  # a first call's imports
     tracemalloc.start()

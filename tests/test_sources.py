@@ -509,6 +509,19 @@ def test_train_rejects_short_stream():
         sources.train_markov([], 2, 0)
 
 
+@pytest.mark.parametrize("order, alpha, message", [
+    (-1, 0.5, "order must be non-negative"),
+    (1, math.nan, "smoothing constant must be finite and >= 0"),
+    (1, math.inf, "smoothing constant must be finite and >= 0"),
+    (1, -0.5, "smoothing constant must be finite and >= 0"),
+], ids=["negative-order", "alpha-nan", "alpha-inf", "alpha-negative"])
+def test_train_rejects_a_bad_order_or_smoothing_constant(order, alpha, message):
+    # checked before counting: no uniform model from NaN totals, no numpy
+    # warning from inf / inf, no float table size from n**-1
+    with pytest.raises(InvalidDistributionError, match=message):
+        sources.train_markov(np.tile([0, 1, 1], 20), 2, order, alpha=alpha)
+
+
 def test_train_counts_match_manual_count():
     stream = [0, 0, 1, 0, 1, 1, 0, 0]
     model = sources.train_markov(stream, 2, 1, alpha=0.0)
