@@ -45,7 +45,6 @@ from .sources import (
     entropy_bits,
     load_model,
     make_bernoulli,
-    make_markov,
     make_uniform,
     save_model,
     train_markov,
@@ -96,7 +95,6 @@ __all__ = [
     "load_model",
     "log_marginal_forward",
     "make_bernoulli",
-    "make_markov",
     "make_uniform",
     "posterior",
     "robustness_sweep",

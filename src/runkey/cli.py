@@ -28,6 +28,7 @@ import contextlib
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -41,6 +42,7 @@ from .inference import (
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
 from .secrecy import (
+    DEFAULT_MEMBER_CAP,
     build_typical_set,
     certify_bounds,
     concentration_experiment,
@@ -77,6 +79,10 @@ class ConfigError(RunkeyError, ValueError, argparse.ArgumentTypeError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # -1e-3 is a value, not an option, as in CPython 3.13
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # single-line, machine-parseable failures
         raise ConfigError(message)
 
@@ -588,7 +594,7 @@ def _build_parser() -> _Parser:
                         "|W - h_ref| < eps/2")
     p.add_argument("--m", type=_int, default=8, help="bracket order for h_ref")
     p.add_argument("--h-ref", type=_float, default=None)
-    p.add_argument("--member-cap", type=_int, default=1 << 22)
+    p.add_argument("--member-cap", type=_int, default=DEFAULT_MEMBER_CAP)
     add_report(p, seed=True)
 
     p = sub.add_parser("smb", help="posterior surprisal concentration experiment")

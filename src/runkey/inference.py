@@ -58,7 +58,6 @@ import numpy as np
 from .cipher import CipherSpec
 from .errors import CertificationError, EnumerationCapError, UnsupportedCipherError
 from .sources import (
-    DEFAULT_WORD_CAP,  # noqa: F401 (re-exported; tests read it here)
     SourceModel,
     _check_cap,
     _log2_safe,

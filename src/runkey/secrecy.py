@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cipher import CipherSpec
-from . import inference  # the enumeration's helpers are read from it at call time
 from .errors import CertificationError, EnumerationCapError, UnsupportedCipherError
 from .inference import (
     _CELL,
@@ -38,8 +37,11 @@ from .inference import (
     _Front,
     _certify_mass,
     _check_alphabets,
+    _joint_blocks,
     _log_marginal,
     _ProductChain,
+    _right_half,
+    _split,
     hxz_bracket,
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
@@ -152,6 +154,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
+def _check_growth(spec, order: int, t_list, epsilon, seed, h_ref, member_cap) -> None:
+    """Reject a growth series' band, a length's split at model order ``order``, or its seed."""
+    _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
+    for t in t_list:
+        _split(spec.alphabet_size, order, t)
+    _check_seed(seed)
+
+
 def build_typical_set(
     xm: SourceModel,
     ym: SourceModel,
@@ -201,12 +211,12 @@ def build_typical_set(
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
     t = z.size
-    h = inference._split(n, max(xm.order, ym.order), t)
-    left_blocks = inference._joint_blocks(xm, ym, spec, z[:h])  # checks the cipher
+    h = _split(n, max(xm.order, ym.order), t)
+    left_blocks = _joint_blocks(xm, ym, spec, z[:h])  # checks the cipher
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     log_marginal = _log_marginal(xm, ym, spec, z)
-    right = inference._right_half(xm, ym, spec, z, h)
+    right = _right_half(xm, ym, spec, z, h)
     order = np.argsort(right, axis=1).astype(np.int32)  # a row is within the word cap
     right = np.take_along_axis(right, order, axis=1)
     contexts, width = right.shape
@@ -306,10 +316,7 @@ def typical_set_growth(
     :func:`build_typical_set`); both are checked before anything is sampled
     or enumerated.
     """
-    _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
-    for t in t_list:
-        inference._split(spec.alphabet_size, max(xm.order, ym.order), t)
-    _check_seed(seed)
+    _check_growth(spec, max(xm.order, ym.order), t_list, epsilon, seed, h_ref, member_cap)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     points = []
@@ -764,24 +771,22 @@ def robustness_sweep(
 
     At tau = 0 the key is the exact one-time pad and the report collapses to
     ``h(X|Z) = h(X)`` with zero key redundancy.  With ``t_list`` given (and a
-    seed for sampling, a non-negative integer checked before any bracket),
-    each report also carries a typical-set growth series.
+    non-negative integer seed for sampling), each report also carries a
+    typical-set growth series.  Every tau and growth argument is checked first.
     """
     if spec.alphabet_size != 2 or xm.alphabet_size != 2:
         raise ValueError("the bias sweep is defined for the binary alphabet")
     if t_list is not None:
         if seed is None:
             raise ValueError("growth series sampling needs a seed")
-        _check_band(epsilon, member_cap=member_cap, lengths=t_list)
-        for t in t_list:
-            inference._split(spec.alphabet_size, xm.order, t)  # the key models are order 0
-        _check_seed(seed)
-    reports = []
-    for tau in taus:
-        tau = float(tau)
+        _check_growth(spec, xm.order, t_list, epsilon, seed, None, member_cap)  # keys: order 0
+    keys = []
+    for tau in map(float, taus):
         if not 0.0 <= tau < 0.5:
             raise ValueError(f"tau {tau!r} outside [0, 0.5)")
-        ym = make_bernoulli((0.5 - tau, 0.5 + tau))
+        keys.append((tau, make_bernoulli((0.5 - tau, 0.5 + tau))))
+    reports = []
+    for tau, ym in keys:
         base = certify_bounds(xm, ym, spec, m)
         series: tuple[GrowthPoint, ...] = ()
         if t_list is not None:

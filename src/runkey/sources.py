@@ -44,7 +44,7 @@ from .errors import (
     ModelFormatError,
     NotErgodicError,
 )
-from .words import as_word, digits, word_to_index
+from .words import as_word, word_to_index
 
 # exhaustive enumerations (words, blocks, plaintexts) stop at this many entries
 DEFAULT_WORD_CAP = 1 << 24
@@ -341,7 +341,7 @@ class SourceModel:
             raise ValueError("block entropy order must be >= 0")
         length = m + 1
         head = min(length, self._k)
-        logp = self._log2_marginal(head) if head else np.zeros(1)
+        logp = self._log2_marginal(head)
         finite = np.isfinite(logp)
         total = -float(np.sum(np.exp2(logp[finite]) * logp[finite]))
         return (total + (length - head) * self.entropy_rate()) / length
@@ -350,7 +350,7 @@ class SourceModel:
     def _log2_marginal(self, length: int) -> np.ndarray:
         """log2 of the stationary law of ``length <= k`` consecutive symbols."""
         n, k = self._n, self._k
-        pi = self._stationary.reshape((n,) * k) if k else self._stationary
+        pi = self._stationary.reshape((n,) * k)
         if length < k:
             pi = pi.sum(axis=tuple(range(length, k)))
         return _log2_safe(np.asarray(pi, dtype=float).reshape(-1))
@@ -367,7 +367,7 @@ class SourceModel:
         _check_cap(n, length, "words")
         if length <= k:
             return self._log2_marginal(length)
-        logp = self._log2_marginal(k) if k else np.zeros(1)
+        logp = self._log2_marginal(k)
         log_t = _log2_safe(self._transition)
         states = n**k
         for _ in range(k, length):
@@ -381,12 +381,12 @@ class SourceModel:
         word = as_word(word, self._n)
         n, k = self._n, self._k
         head = min(len(word), k)
-        state = word_to_index(word[:head], n) if head else 0
-        total = float(self._log2_marginal(head)[state]) if head else 0.0
+        state = word_to_index(word[:head], n) if head else 0  # it refuses an empty word
+        total = float(self._log2_marginal(head)[state])
         log_t = _log2_safe(self._transition)
         for sym in word[head:].tolist():
             total += float(log_t[state, sym])
-            state = (state * n + sym) % (n**k) if k else 0
+            state = (state * n + sym) % n**k
         return total
 
     # -- sampling ------------------------------------------------------------
@@ -509,15 +509,6 @@ def make_uniform(alphabet_size: int) -> SourceModel:
     return make_bernoulli(np.full(alphabet_size, 1.0 / alphabet_size))
 
 
-def make_markov(alphabet_size: int, order: int, transition) -> SourceModel:
-    """Order-k Markov source from a (n**k, n) symbol-emission table.
-
-    The stationary context law is solved and certified against ``pi = pi P``;
-    the table must give exactly one closed class (see :class:`SourceModel`).
-    """
-    return SourceModel(alphabet_size, order, transition)
-
-
 def train_markov(
     stream,
     alphabet_size: int,
@@ -561,6 +552,12 @@ def train_markov(
 # -- model files ---------------------------------------------------------------
 
 
+def _row_labels(n: int, k: int):
+    """A model file's row labels in state order, lazily (see :func:`save_model`)."""
+    symbols = map(str, range(n))
+    return (",".join(context) or "-" for context in itertools.product(symbols, repeat=k))
+
+
 def save_model(model: SourceModel, path, header_lines: Sequence[str] = ()) -> None:
     """Write a model as the key-value text format (one probability row per line).
 
@@ -579,25 +576,24 @@ def save_model(model: SourceModel, path, header_lines: Sequence[str] = ()) -> No
     """
     n, k = model.alphabet_size, model.order
     table = model.transition
-    label = ",".join(["%d"] * k) or "-"
     bits = table.view(np.uint64)
     # one sort: np.unique took 0.69 s on an all-distinct 9216x96 table, this 10 ms
     keys = np.sort(bits, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     if keys.size <= _SAVE_DISTINCT_SHARE * table.size:
         texts = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
-        row_format = f"row {label} %s\n"
+        row_format = "row %s %s\n"
         rows = ([" ".join(row)] for row in texts[np.searchsorted(keys, bits)].tolist())
     else:
-        row_format = f"row {label} " + " ".join(["%.17g"] * n) + "\n"
+        row_format = "row %s " + " ".join(["%.17g"] * n) + "\n"
         rows = table.tolist()
     with _open_for(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"n {n}\n")
         fh.write(f"order {k}\n")
-        for context, row in zip(digits(n, k).tolist(), rows):
-            fh.write(row_format % (*context, *row))
+        for label, row in zip(_row_labels(n, k), rows):
+            fh.write(row_format % (label, *row))
 
 
 class _Floats(dict):
@@ -629,11 +625,6 @@ def load_model(path) -> SourceModel:
     Missing headers or rows name no line, and row sums are checked by
     :class:`SourceModel`.
     """
-    return SourceModel(*_read_table(path))
-
-
-def _read_table(path) -> tuple[int, int, np.ndarray]:
-    """``(n, k, table)`` of a model file; see :func:`load_model`."""
     header: dict[str, int] = {}
     table = lines = None  # lines[state]: the line of the state's row, 0 before it
     labels = None  # while rows come in state order, the labels of the rows to come
@@ -676,9 +667,8 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
                         state = _parse_state_label(parts[1], n, k)
                     if table is None:
                         table, lines = np.empty((n**k, n)), array("q", [0]) * n**k
-                        if k and state == 0:  # save_model's order: the labels after 0,...,0
-                            symbols = map(str, range(n))
-                            labels = map(",".join, itertools.product(symbols, repeat=k))
+                        if state == 0:  # save_model's order: the labels after the first
+                            labels = _row_labels(n, k)
                             next(labels)
                     if lines[state]:
                         raise ModelFormatError(f"line {lineno}: duplicate row")
@@ -722,7 +712,7 @@ def _read_table(path) -> tuple[int, int, np.ndarray]:
     if bad.any():
         first = min(lines[state] for state in np.flatnonzero(bad).tolist())
         raise ModelFormatError(f"line {first}: probabilities must be finite and >= 0")
-    return n, k, table
+    return SourceModel(n, k, table)
 
 
 def _parse_state_label(label: str, n: int, k: int) -> int:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -24,7 +26,7 @@ from runkey.words import (
     word_to_text,
 )
 
-MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
+MARKOV = sources.SourceModel(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 KEY = "bernoulli:0.45,0.55"
 
 
@@ -164,6 +166,19 @@ def test_report_header_replays(case, fmt, report_argv, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_with_a_negative_exponent_value_replays(fmt, x_model, tmp_path):
+    # the header echoes h-ref -1e-05, which replays as the tokens --h-ref -1e-05
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["smb", "--x-model", x_model, "--y-model", KEY, "--t", "4", "--samples", "8",
+            "--eps", "0.1", "--delta", "0.1", "--h-ref=-1e-05", "--seed", "2",
+            "--format", fmt]
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    assert "-1e-05" in first.read_text(encoding="utf-8")
+    assert cli.main(["smb", "--config", str(first), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
 @pytest.mark.parametrize("case, fmt", RUNS)
 def test_out_does_not_change_the_report(case, fmt, report_argv, tmp_path, capsys):
     out = tmp_path / "report"
@@ -270,7 +285,7 @@ def test_psi_reaches_length_30_on_the_certify_orders(tmp_path, capsys):
     paths = []
     for order, low, high in ((5, 0.05, 0.95), (2, 0.3, 0.7)):
         p1 = rng.uniform(low, high, size=2**order)
-        model = sources.make_markov(2, order, np.column_stack([1.0 - p1, p1]))
+        model = sources.SourceModel(2, order, np.column_stack([1.0 - p1, p1]))
         paths.append(tmp_path / f"order{order}.model")
         sources.save_model(model, str(paths[-1]))
         if order == 5:
@@ -696,6 +711,11 @@ _CONFIG_ERRORS = {
                          "--out", "-"], "smoothing constant must be finite and >= 0"),
     "train-alpha-inf": (["train", "--corpus", "{json}", "--bits", "--alpha", "inf",
                          "--out", "-"], "smoothing constant must be finite and >= 0"),
+    # a negative number in exponent form is a value, not an option
+    "train-alpha-exponent": (["train", "--corpus", "{json}", "--bits", "--alpha", "-1e3",
+                              "--out", "-"], "smoothing constant must be finite and >= 0"),
+    "sweep-tau-exponent": (["sweep", "--x-model", "uniform:2", "--tau", "-1e-3", "--m", "1"],
+                           "tau -0.001 outside [0, 0.5)"),
 }
 
 
@@ -775,9 +795,25 @@ def test_help_says_what_eps_and_m_mean(subcommand, option, ending, capsys):
     assert _option_help(subcommand, option, capsys).endswith(ending)
 
 
+def test_cli_defaults_are_the_library_defaults_they_feed():
+    (subcommands,) = [action.choices for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    fed = [("train", "alpha", sources.train_markov, "alpha"),
+           ("sweep", "eps", secrecy.robustness_sweep, "epsilon"),
+           ("psi", "m", secrecy.build_typical_set, "bracket_order"),
+           ("psi", "m", secrecy.typical_set_growth, "bracket_order"),
+           ("psi", "member_cap", secrecy.build_typical_set, "member_cap"),
+           ("psi", "member_cap", secrecy.typical_set_growth, "member_cap"),
+           ("smb", "m", secrecy.concentration_experiment, "bracket_order")]
+    for subcommand, dest, library, parameter in fed:
+        default = inspect.signature(library).parameters[parameter].default
+        assert subcommands[subcommand].get_default(dest) == default, (subcommand, dest)
+    assert subcommands["psi"].get_default("member_cap") == secrecy.DEFAULT_MEMBER_CAP
+
+
 def test_smb_over_the_factor_table_cap_exits_3(tmp_path, monkeypatch, capsys):
     # two order-1 models over n=4: the forward's factor table has 4**4 entries
-    model = sources.make_markov(4, 1, np.full((4, 4), 0.25))
+    model = sources.SourceModel(4, 1, np.full((4, 4), 0.25))
     path = tmp_path / "x.model"
     sources.save_model(model, str(path))
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 4**4 - 1)
@@ -1165,7 +1201,7 @@ def test_scipy_imported_only_for_sparse_operators(tmp_path):
     rng = np.random.default_rng(3)
     for name, order in (("x5", 5), ("y2", 2), ("x9", 9)):
         table = rng.uniform(0.05, 0.95, size=(2**order, 1))
-        sources.save_model(sources.make_markov(2, order, np.hstack([table, 1 - table])),
+        sources.save_model(sources.SourceModel(2, order, np.hstack([table, 1 - table])),
                            str(tmp_path / f"{name}.model"))
     # binary order-5 against order-2: S = 128 and dense operators, as in `certify`
     pair = "--x-model x5.model --y-model y2.model"
@@ -1194,7 +1230,7 @@ def test_smb_does_not_import_numpy_ma(x_model, tmp_path):
     # np.unique imports numpy.ma on first use (numpy 2.4), a cost every run
     # paid; the key table and the sampler need neither
     key = tmp_path / "y.model"
-    sources.save_model(sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]]), str(key))
+    sources.save_model(sources.SourceModel(2, 1, [[0.45, 0.55], [0.6, 0.4]]), str(key))
     smb = [f"smb --x-model {x_model} --y-model {key} --t 20 --samples 8 --eps 0.05 "
            "--delta 0.05 --seed 1 --out smb.json"]
     assert _modules_after("numpy.ma", smb, tmp_path) == []

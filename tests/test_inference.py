@@ -22,12 +22,12 @@ from runkey.errors import (
 SPEC2 = cipher.additive_cipher(2)
 UNIFORM2 = sources.make_uniform(2)
 BIASED = sources.make_bernoulli([0.49, 0.51])
-MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
+MARKOV = sources.SourceModel(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 
 
 def random_model(rng, n, k):
     rows = rng.dirichlet(np.ones(n), size=n**k)
-    return sources.make_bernoulli(rows[0]) if k == 0 else sources.make_markov(n, k, rows)
+    return sources.make_bernoulli(rows[0]) if k == 0 else sources.SourceModel(n, k, rows)
 
 
 def random_instance(rng, max_t=9):
@@ -164,11 +164,11 @@ def _key40():
 # (plaintext model, key model, cipher, ciphertext)
 _CSV_CASES = {
     # t = 12 over blocks of 2**10 words and chunks of 2**8 rows: 4 blocks of 4 chunks
-    "binary-blocks": lambda: (sources.make_markov(2, 2, [[0.7, 0.3], [0.4, 0.6],
+    "binary-blocks": lambda: (sources.SourceModel(2, 2, [[0.7, 0.3], [0.4, 0.6],
                                                          [0.2, 0.8], [0.5, 0.5]]),
                               MARKOV, SPEC2, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]),
     # a zero in the plaintext table: -inf rows
-    "zeros": lambda: (sources.make_markov(2, 1, [[1.0, 0.0], [0.4, 0.6]]), MARKOV,
+    "zeros": lambda: (sources.SourceModel(2, 1, [[1.0, 0.0], [0.4, 0.6]]), MARKOV,
                       SPEC2, [1, 0, 1, 1, 0, 1, 0, 0]),
     # one plaintext has P(x | z) > 1/2, so |log2 P(x | z)| < 1
     "certain": lambda: (sources.make_bernoulli([0.95, 0.05]),
@@ -282,7 +282,7 @@ def models_with_zeros(draw, n, order):
     try:
         if order == 0:
             return sources.make_bernoulli(rows[0])
-        return sources.make_markov(n, order, rows)
+        return sources.SourceModel(n, order, rows)
     except NotErgodicError:
         assume(False)
 
@@ -359,7 +359,7 @@ def test_forward_in_segments_gives_the_same_bits(case, data):
 def test_entry_cap_checked_before_the_build(monkeypatch):
     # two order-3 binary models: the forward's factor table has 2**8 entries and
     # a bracket word 2 * 2 * 64 multiply-adds; each kernel checks its own
-    xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
+    xm = sources.SourceModel(2, 3, np.full((8, 2), 0.5))
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 256)
     assert inference.log_marginal_forward(xm, xm, SPEC2, [0, 1]) == -2.0
     assert inference.hz_bracket(xm, xm, SPEC2, 0).upper == 1.0
@@ -375,7 +375,7 @@ def test_forward_factor_table_checked_against_the_entry_cap(monkeypatch):
     # under the identity cipher the key drives and the order-3 plaintext weighs
     # it through a (2**4, 2**4) table; a bracket word needs only 2*2*8
     identity = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
-    xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
+    xm = sources.SourceModel(2, 3, np.full((8, 2), 0.5))
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 256)
     z = [0, 1, 1, 0, 1]
     assert abs(inference.log_marginal_forward(xm, BIASED, identity, z) + 5.0) <= 1e-12
@@ -390,7 +390,7 @@ def test_entry_cap_admits_byte_pair_and_rejects_byte_contexts():
     # multiply-adds per parent word of the bracket descent, and 2**32 factor
     # table entries in the forward
     spec = cipher.additive_cipher(256)
-    byte = sources.make_markov(256, 1, np.full((256, 256), 1.0 / 256))
+    byte = sources.SourceModel(256, 1, np.full((256, 256), 1.0 / 256))
     key = sources.make_uniform(256)
     bracket = inference.hz_bracket(byte, key, spec, 0)
     assert abs(bracket.lower - 8.0) <= 1e-9 and abs(bracket.upper - 8.0) <= 1e-9
@@ -565,7 +565,7 @@ def sharp_model(n, order, weights):
     try:
         if order == 0:
             return sources.make_bernoulli(rows[0])
-        return sources.make_markov(n, order, rows)
+        return sources.SourceModel(n, order, rows)
     except NotErgodicError:
         return None
 
@@ -608,8 +608,8 @@ def test_block_entropies_and_bracket_match_oracle_for_any_cipher(case):
 
 
 def test_chunked_enumeration_bit_identical(monkeypatch):
-    xm = sources.make_markov(2, 2, np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]))
-    ym = sources.make_markov(2, 1, [[0.6, 0.4], [0.3, 0.7]])
+    xm = sources.SourceModel(2, 2, np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]))
+    ym = sources.SourceModel(2, 1, [[0.6, 0.4], [0.3, 0.7]])
     z = ym.sample(14, 3)
     # an i.i.d. key under a Latin square: an order-0 side and no additive structure
     rng = np.random.default_rng(3)
@@ -630,8 +630,8 @@ def _certify_pair():
     """The pair of the certify benchmark workload at seed 0: S = 32 * 4 = 128."""
     rng = np.random.default_rng(np.random.SeedSequence([0, *b"certify"]))
     px, py = rng.uniform(0.05, 0.95, size=32), rng.uniform(0.3, 0.7, size=4)
-    xm = sources.make_markov(2, 5, np.column_stack([1.0 - px, px]))
-    ym = sources.make_markov(2, 2, np.column_stack([1.0 - py, py]))
+    xm = sources.SourceModel(2, 5, np.column_stack([1.0 - px, px]))
+    ym = sources.SourceModel(2, 2, np.column_stack([1.0 - py, py]))
     return xm, ym
 
 
@@ -655,7 +655,7 @@ def test_byte_pair_bracket_builds_no_step_table():
     # an order-1 byte plaintext against an i.i.d. byte key, S = 256 at the
     # bracket's cap: one float64 table of n * n * S entries would take 128 MB
     rng = np.random.default_rng(6)
-    xm = sources.make_markov(256, 1, rng.dirichlet(np.ones(256), size=256))
+    xm = sources.SourceModel(256, 1, rng.dirichlet(np.ones(256), size=256))
     ym = sources.make_bernoulli(rng.dirichlet(np.ones(256)))
     spec = cipher.additive_cipher(256)
     reference = inference.hz_bracket(xm, ym, spec, 0)  # first-use allocations
@@ -733,12 +733,12 @@ def test_block_boundaries_change_no_value(size, monkeypatch):
     # words split into 2**10 left words and rows of 2**7 right words.  A block
     # holds one left word at the least, one period of the 2**3 contexts, 384
     # left words (so the last block holds 256), or the default 2**16 words
-    xm = sources.make_markov(2, 3, [[0.7, 0.3], [0.4, 0.6], [1.0, 0.0], [0.5, 0.5],
+    xm = sources.SourceModel(2, 3, [[0.7, 0.3], [0.4, 0.6], [1.0, 0.0], [0.5, 0.5],
                                     [0.2, 0.8], [0.9, 0.1], [0.6, 0.4], [0.35, 0.65]])
-    ym = sources.make_markov(2, 1, [[0.6, 0.4], [0.3, 0.7]])
+    ym = sources.SourceModel(2, 1, [[0.6, 0.4], [0.3, 0.7]])
     z = SPEC2.encrypt(xm.sample(17, 4), ym.sample(17, 5))
     with monkeypatch.context() as patch:
-        patch.setattr(inference_module, "_BLOCK_WORDS", inference.DEFAULT_WORD_CAP)
+        patch.setattr(inference_module, "_BLOCK_WORDS", sources.DEFAULT_WORD_CAP)
         ((_, whole),) = inference_module._joint_blocks(xm, ym, SPEC2, z)
         reference = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.2, 0.8)
     width = 2 ** (17 - inference_module._split(2, 3, 17))
@@ -824,7 +824,7 @@ def test_typical_set_split_matches_the_enumeration(case, epsilon, offset, pick,
         lengths.append(length)
         return h if length == t else split(n, k, length)
 
-    with mock.patch.object(inference_module, "_split", at_h):
+    with mock.patch.object(secrecy, "_split", at_h):
         built = secrecy.build_typical_set(xm, ym, spec, z, epsilon, h_ref,
                                           member_cap=member_cap)
     assert lengths[0] == t
@@ -843,7 +843,7 @@ IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
 def test_bracket_runs_under_a_cap_that_stops_the_forward_factor_table(monkeypatch):
     # the key drives the forward, and the order-3 plaintext weighs it through a
     # (2**4, 2**4) factor table; a bracket word needs only 2*2*8 multiply-adds
-    xm = sources.make_markov(2, 3, np.full((8, 2), 0.5))
+    xm = sources.SourceModel(2, 3, np.full((8, 2), 0.5))
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 255)
     bracket = inference.hz_bracket(xm, BIASED, IDENTITY2, 4)  # z = x, uniform
     assert abs(bracket.lower - 1.0) <= 1e-12 and abs(bracket.upper - 1.0) <= 1e-12

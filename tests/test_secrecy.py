@@ -17,7 +17,7 @@ from runkey.words import text_to_word
 SPEC2 = cipher.additive_cipher(2)
 UNIFORM2 = sources.make_uniform(2)
 BIASED = sources.make_bernoulli([0.49, 0.51])
-MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
+MARKOV = sources.SourceModel(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 ZERO_KEY = sources.make_bernoulli([1.0, 0.0])
 
 
@@ -74,7 +74,7 @@ def test_typical_set_spread_below_epsilon():
     (UNIFORM2, BIASED, 16, 31),
     (MARKOV, BIASED, 14, 3),
     (MARKOV, sources.make_bernoulli([0.3, 0.7]), 12, 8),
-    (sources.make_markov(2, 2, [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]),
+    (sources.SourceModel(2, 2, [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]),
      BIASED, 15, 4),
 ], ids=["uniform-biased", "markov-biased", "markov-skewed", "order2-biased"])
 def test_typical_set_count_lies_in_the_band_of_its_mass(xm, ym, t, seed):
@@ -462,12 +462,12 @@ _SEGMENT_PAIRS = {
     # walks add their log terms in sequence across every cut, past 128 terms;
     # t below the plaintext's order 4, so the walk and the forward end inside
     # their heads
-    "markov-markov": (sources.make_markov(2, 3, np.full((8, 2), 0.5) + [0.3, -0.3]),
-                      sources.make_markov(2, 2, [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5],
+    "markov-markov": (sources.SourceModel(2, 3, np.full((8, 2), 0.5) + [0.3, -0.3]),
+                      sources.SourceModel(2, 2, [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5],
                                                  [0.8, 0.2]]), [1, 2, 3, 4, 57]),
     "order0-key": (MARKOV, BIASED, [1, 130, 300]),
     "order0-order0": (sources.make_bernoulli([0.8, 0.2]), BIASED, [1, 130, 300]),
-    "t-below-kx": (sources.make_markov(2, 4, np.tile([[0.7, 0.3], [0.4, 0.6]], (8, 1))),
+    "t-below-kx": (sources.SourceModel(2, 4, np.tile([[0.7, 0.3], [0.4, 0.6]], (8, 1))),
                    MARKOV, [1, 2, 3, 5]),
 }
 
@@ -505,7 +505,7 @@ def test_concentration_sampling_memory_is_one_segment_whatever_t():
     # on a Markov pair and on an order-0 pair, whose walks step one position
     # at a time as the Markov walks do
     bound = (8 + 3) * secrecy._SEGMENT_CELLS + (2 << 20)
-    key = sources.make_markov(2, 1, [[0.45, 0.55], [0.6, 0.4]])
+    key = sources.SourceModel(2, 1, [[0.45, 0.55], [0.6, 0.4]])
     text = sources.make_bernoulli([0.8, 0.2])
     for xm, ym, t, samples in [(MARKOV, key, 600, 2048), (text, BIASED, 4000, 1048)]:
         secrecy.concentration_experiment(xm, ym, SPEC2, [2], 2, 0.05, 0.01, seed=1)
@@ -574,7 +574,7 @@ def test_concentration_checks_the_factor_table_before_the_bracket_and_any_walk(
     # a binary order-12 pair: the forward's factor table has 2**26 entries,
     # and at t = 20,000 the first chunk's walks took 0.3 s before it was read
     rng = np.random.default_rng(12)
-    xm, ym = (sources.make_markov(2, 12, rng.dirichlet([1.0, 1.0], size=4096))
+    xm, ym = (sources.SourceModel(2, 12, rng.dirichlet([1.0, 1.0], size=4096))
               for _ in range(2))
 
     def walked(*args):
@@ -696,11 +696,18 @@ def test_sweep_lower_bounds_monotone_as_bias_shrinks():
         assert all(b >= a - 1e-12 for a, b in zip(lowers, lowers[1:]))
 
 
-def test_sweep_rejects_out_of_range_tau():
+def test_sweep_rejects_out_of_range_tau(monkeypatch):
     with pytest.raises(ValueError):
         secrecy.robustness_sweep(UNIFORM2, SPEC2, [0.5], 4)
     with pytest.raises(ValueError):
         secrecy.robustness_sweep(UNIFORM2, SPEC2, [-0.01], 4)
+    # every tau is checked before the first bracket
+    certify, calls = secrecy.certify_bounds, []
+    monkeypatch.setattr(secrecy, "certify_bounds",
+                        lambda *args: calls.append(args) or certify(*args))
+    with pytest.raises(ValueError, match="tau 0.7 outside"):
+        secrecy.robustness_sweep(UNIFORM2, SPEC2, [0.1, 0.0, 0.7], 4)
+    assert calls == []
 
 
 def test_sweep_growth_series_needs_seed():
@@ -753,7 +760,7 @@ def test_direct_stationary_solve_moves_the_certify_reports_within_1e_9(seed, tmp
     # spread, and 13,281 and 18,103 of the posterior CSV's 262,144 rows)
     xm, ym, z_psi, z_post = _certify_inputs(seed, tmp_path)
     monkeypatch.setattr(sources, "_SOLVE_CONTEXTS", 0)  # power iteration at every size
-    xp, yp = (sources.make_markov(2, m.order, m.transition) for m in (xm, ym))
+    xp, yp = (sources.SourceModel(2, m.order, m.transition) for m in (xm, ym))
     assert not np.array_equal(xm.stationary, xp.stationary)
 
     def close(solved, iterated):

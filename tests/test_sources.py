@@ -26,14 +26,14 @@ from runkey.errors import (
 
 UNIFORM2 = sources.make_uniform(2)
 BIASED = sources.make_bernoulli([0.49, 0.51])
-MARKOV = sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])
+MARKOV = sources.SourceModel(2, 1, [[0.9, 0.1], [0.2, 0.8]])
 
 
 def random_model(rng, n, k, concentration=1.0):
     rows = rng.dirichlet(np.full(n, concentration), size=n**k)
     if k == 0:
         return sources.make_bernoulli(rows[0])
-    return sources.make_markov(n, k, rows)
+    return sources.SourceModel(n, k, rows)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -68,12 +68,12 @@ def test_bernoulli_rejects_bad_distributions():
 
 
 def test_markov_symmetric_stationary():
-    model = sources.make_markov(2, 1, [[0.9, 0.1], [0.1, 0.9]])
+    model = sources.SourceModel(2, 1, [[0.9, 0.1], [0.1, 0.9]])
     assert np.allclose(model.stationary, [0.5, 0.5], atol=1e-10)
 
 
 def test_markov_memoryless_rows_equal_bernoulli_block_law():
-    model = sources.make_markov(2, 1, [[0.5, 0.5], [0.5, 0.5]])
+    model = sources.SourceModel(2, 1, [[0.5, 0.5], [0.5, 0.5]])
     for t in range(1, 7):
         for word in itertools.product(range(2), repeat=t):
             assert abs(
@@ -89,7 +89,7 @@ def test_markov_asymmetric_stationary_analytic():
 
 def test_markov_rejects_reducible_chain():
     with pytest.raises(NotErgodicError):
-        sources.make_markov(2, 1, [[1.0, 0.0], [0.0, 1.0]])
+        sources.SourceModel(2, 1, [[1.0, 0.0], [0.0, 1.0]])
 
 
 _IID_STREAM = np.array([0, 2, 2, 1, 2, 0, 2, 2, 1])
@@ -120,7 +120,7 @@ def test_order_0_law_is_exactly_one(case, tmp_path):
 
 def stationary_law(matrix):
     """The stationary law of a square chain, the order-1 table over its size."""
-    return sources.make_markov(len(matrix), 1, matrix).stationary
+    return sources.SourceModel(len(matrix), 1, matrix).stationary
 
 
 def test_stationary_distribution_examples():
@@ -214,7 +214,7 @@ def test_entropy_rate_markov_closed_form():
 
 def test_entropy_rate_equals_block_entropy_difference():
     # for an order-k chain the conditional block entropy is exact at m >= k
-    for model in (MARKOV, sources.make_markov(3, 1, np.random.default_rng(3).dirichlet(np.ones(3), size=3))):
+    for model in (MARKOV, sources.SourceModel(3, 1, np.random.default_rng(3).dirichlet(np.ones(3), size=3))):
         h3 = model.block_entropy(3)
         h2 = model.block_entropy(2)
         conditional = 4 * h3 - 3 * h2
@@ -286,7 +286,7 @@ def test_entropy_rate_peaks_near_the_table_bytes():
     rows = np.random.default_rng(9).dirichlet(np.ones(64), size=64 * 64)
     rows[:, 0] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
-    model = sources.make_markov(64, 2, rows)
+    model = sources.SourceModel(64, 2, rows)
     tracemalloc.start()
     try:
         model.entropy_rate()
@@ -393,7 +393,7 @@ def walk_cases(draw):
         rows[row] = tiny
         rows[row, draw(st.integers(0, n - 1))] = 1.0 - (n - 1) * tiny
     try:
-        model = sources.make_bernoulli(rows[0]) if k == 0 else sources.make_markov(n, k, rows)
+        model = sources.make_bernoulli(rows[0]) if k == 0 else sources.SourceModel(n, k, rows)
     except NotErgodicError:
         # also raised when the stationary law's elimination multiplies two
         # subnormal-sized entries to 0, which leaves the chain numerically
@@ -552,7 +552,7 @@ def test_train_rows_bit_identical_to_the_masked_formula(alpha):
 
 
 def test_model_file_round_trip_exact():
-    for model in (BIASED, MARKOV, sources.make_markov(2, 2, np.array(
+    for model in (BIASED, MARKOV, sources.SourceModel(2, 2, np.array(
             [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.5, 0.5]]))):
         buf = io.StringIO()
         sources.save_model(model, buf, header_lines=["written by tests"])
@@ -589,7 +589,7 @@ def test_model_file_rows_out_of_state_order_load_the_same_table(monkeypatch):
     # the first label is parsed; the labels after it, while in save_model's
     # order, are matched as text; from the first one off that order (here the
     # fourth row) every label is parsed
-    model = sources.make_markov(3, 2, np.random.default_rng(5).dirichlet(np.ones(3), size=9))
+    model = sources.SourceModel(3, 2, np.random.default_rng(5).dirichlet(np.ones(3), size=9))
     buf = io.StringIO()
     sources.save_model(model, buf)
     head, rows = buf.getvalue().split("row ", 1)
@@ -620,7 +620,7 @@ def test_power_iteration_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError):
         stationary_law(matrix)
     with pytest.raises(ConvergenceError):
-        sources.make_markov(2, 10, table)
+        sources.SourceModel(2, 10, table)
 
 
 def test_slow_mixing_small_chain_is_solved_exactly():
@@ -636,7 +636,7 @@ def test_slow_binary_order_7_chain_is_solved_exactly():
     flip = rng.random(128) < 0.5
     table = np.where(flip[:, None], [1e-5, 1 - 1e-5], [1 - 1e-5, 1e-5])
     started = time.perf_counter()
-    model = sources.make_markov(2, 7, table)
+    model = sources.SourceModel(2, 7, table)
     assert time.perf_counter() - started < 1.0
     pi = model.stationary
     assert np.abs(sources._step(pi, model.transition) - pi).sum() <= 1e-15
@@ -704,10 +704,10 @@ def test_ergodicity_check_matches_closure_oracle():
         ergodic = oracles.closed_class_count(chain) == 1
         verdicts["context"].append(ergodic)
         if ergodic:
-            sources.make_markov(n, k, table)
+            sources.SourceModel(n, k, table)
         else:
             with pytest.raises(NotErgodicError):
-                sources.make_markov(n, k, table)
+                sources.SourceModel(n, k, table)
     for outcomes in verdicts.values():
         assert 10 <= sum(outcomes) <= len(outcomes) - 10
 
@@ -718,7 +718,7 @@ def test_transient_states_feeding_one_closed_class():
     assert pi[0] <= 1e-10
     assert np.allclose(pi, [0.0, 6 / 13, 7 / 13], atol=1e-10)
     # context 0 is transient once context 1 only ever emits 1
-    model = sources.make_markov(2, 1, [[0.5, 0.5], [0.0, 1.0]])
+    model = sources.SourceModel(2, 1, [[0.5, 0.5], [0.0, 1.0]])
     assert model.stationary[0] <= 1e-10
     assert abs(model.stationary[1] - 1.0) <= 1e-10
 
@@ -739,7 +739,7 @@ def test_stationary_law_matches_direct_solve():
         size = n**k
         # pi (I - P + 1 1^T) = 1^T has the stationary law as its only solution
         exact = np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size))
-        pi = sources.make_markov(n, k, table).stationary
+        pi = sources.SourceModel(n, k, table).stationary
         assert np.abs(pi - exact).max() <= 1e-10
         solved[zeros] += 1
     assert min(solved.values()) >= 15
@@ -759,8 +759,8 @@ def test_graph_search_import_only_for_tables_with_zeros(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     loaded = {}
     # an order-0 table's one context is its closed class, zeros or not
-    for name, model in (("positive", sources.make_markov(2, 1, [[0.9, 0.1], [0.2, 0.8]])),
-                        ("zero", sources.make_markov(2, 1, [[0.5, 0.5], [1.0, 0.0]])),
+    for name, model in (("positive", sources.SourceModel(2, 1, [[0.9, 0.1], [0.2, 0.8]])),
+                        ("zero", sources.SourceModel(2, 1, [[0.5, 0.5], [1.0, 0.0]])),
                         ("order0", sources.make_bernoulli([0.5, 0.0, 0.5]))):
         path = tmp_path / f"{name}.model"
         sources.save_model(model, str(path))
@@ -798,7 +798,7 @@ def test_model_file_matches_the_per_entry_writer_and_reads_back_bit_identical(
     rng = np.random.default_rng(21)
     for _ in range(5):
         n, k, table = _model_table(kind, rng)
-        model = sources.make_markov(n, k, table)
+        model = sources.SourceModel(n, k, table)
         distinct = np.unique(model.transition.view(np.uint64)).size
         repetitive = distinct <= sources._SAVE_DISTINCT_SHARE * table.size
         assert repetitive == (kind == "pool")
@@ -863,7 +863,7 @@ def test_model_loader_memory_bounded_by_the_table(kind, tmp_path):
         model = _trained_model(n, k, rng)
         assert np.unique(model.transition).size <= n**(k + 1) // 64
     else:
-        model = sources.make_markov(n, k, rng.dirichlet(np.ones(n), size=n**k))
+        model = sources.SourceModel(n, k, rng.dirichlet(np.ones(n), size=n**k))
     path = tmp_path / "m.model"
     sources.save_model(model, str(path))
     sources.load_model(str(path))  # first-use allocations stay out of the peak
@@ -880,7 +880,7 @@ def test_model_loader_memory_bounded_by_the_table(kind, tmp_path):
 def test_save_model_rows_match_per_float_format():
     third = 1.0 / 3.0
     table = np.array([[0.0, 0.1, 0.9], [third, third, 1.0 - 2 * third], [5e-324, 0.25, 0.75]])
-    model = sources.make_markov(3, 1, table)
+    model = sources.SourceModel(3, 1, table)
     buf = io.StringIO()
     sources.save_model(model, buf, header_lines=["pinned"])
     text = oracles.model_file_text(3, 1, model.transition, ["pinned"])
