@@ -1,11 +1,15 @@
-"""Running-key ciphers: symbol-wise coder/decoder pairs over a shared alphabet.
+"""Running-key ciphers: a symbol-wise coder over a shared alphabet.
 
-A cipher is a pair of tables ``c(x, y) -> z`` and ``d(z, y) -> x`` satisfying
-``d(c(x, y), y) = x`` for every plaintext symbol x and key symbol y.  That
-identity forces ``x -> c(x, y)`` to be a bijection for each fixed key symbol,
-which is what makes a uniformly random key stream produce a uniformly random
-ciphertext.  The shipped family is the additive (mod-n) cipher, whose binary
-case is plain XOR; arbitrary valid tables are accepted and validated.
+A cipher is a coder table ``c(x, y) -> z`` in which ``x -> c(x, y)`` is a
+bijection for each key symbol y, so that the decoder ``d(z, y) -> x`` with
+``d(c(x, y), y) = x`` exists; it is derived from the coder, never given.
+Under a uniformly random key the ciphertext law given x is
+``P(z | x) = #{y : c(x, y) = z} / n``, uniform for every plaintext law iff
+each row ``y -> c(x, y)`` is a permutation too, that is iff the key is
+recoverable from (x, z) (``key_table`` is not None).  The identity
+``c(x, y) = x`` is a cipher with no such row, and it gives z = x.  The
+shipped family is the additive (mod-n) cipher, whose binary case is plain
+XOR; arbitrary tables are accepted and validated.
 """
 
 from __future__ import annotations
@@ -15,20 +19,37 @@ import numpy as np
 from .words import as_word
 
 
+def _inverse(table: np.ndarray, axis: int):
+    """Invert each line of ``table`` along ``axis``, or None unless each is a permutation.
+
+    Along axis 0 the result is ``inv[table[x, y], y] = x``, along axis 1
+    ``inv[x, table[x, y]] = y``; it is read-only.
+    """
+    line = np.expand_dims(np.arange(table.shape[axis]), 1 - axis)
+    line = np.broadcast_to(line, table.shape)
+    if not np.array_equal(np.sort(table, axis=axis), line):
+        return None
+    inverse = np.empty_like(table)
+    np.put_along_axis(inverse, table, line, axis=axis)
+    inverse.flags.writeable = False
+    return inverse
+
+
 class CipherSpec:
-    """A validated coder/decoder table pair over ``{0..n-1}``.
+    """A validated coder table over ``{0..n-1}`` and the inverses it determines.
 
     Parameters
     ----------
     alphabet_size : int
         Alphabet size n >= 2.
-    coder, decoder : ndarray, shape (n, n)
-        ``coder[x, y]`` is the ciphertext symbol, ``decoder[z, y]`` the
-        recovered plaintext symbol.  Construction verifies the deciphering
-        identity (and with it per-key bijectivity) exhaustively.
+    coder : ndarray, shape (n, n)
+        ``coder[x, y]`` is the ciphertext symbol.  Every column
+        ``x -> coder[x, y]`` must be a permutation of the alphabet.
 
     Attributes
     ----------
+    decoder : ndarray
+        ``decoder[z, y]`` is the plaintext symbol x with ``c(x, y) = z``.
     key_table : ndarray or None
         ``key_table[x, z]`` is the unique key symbol y with ``c(x, y) = z``;
         every row is a permutation of the alphabet.  ``None`` when some
@@ -36,39 +57,20 @@ class CipherSpec:
         require a key-recoverable cipher and reject those tables.
     """
 
-    def __init__(self, alphabet_size: int, coder, decoder):
+    def __init__(self, alphabet_size: int, coder):
         n = int(alphabet_size)
         if n < 2:
             raise ValueError("alphabet size must be at least 2")
-        c = np.asarray(coder, dtype=np.int64)
-        d = np.asarray(decoder, dtype=np.int64)
-        if c.shape != (n, n) or d.shape != (n, n):
-            raise ValueError(f"coder/decoder tables must have shape ({n}, {n})")
-        for name, table in (("coder", c), ("decoder", d)):
-            if table.min() < 0 or table.max() >= n:
-                raise ValueError(f"{name} table contains out-of-range symbols")
-        xs = np.arange(n)[:, None]
-        ys = np.arange(n)[None, :]
-        if not np.array_equal(d[c[xs, ys], ys], np.broadcast_to(xs, (n, n))):
-            raise ValueError("decoder does not invert coder: d(c(x,y),y) != x")
-        # d(c(x,y),y) = x for all x forces x -> c(x,y) injective, hence bijective
+        c = np.array(coder, dtype=np.int64)  # a copy: the caller's array stays writeable
+        if c.shape != (n, n):
+            raise ValueError(f"coder table must have shape ({n}, {n})")
+        self._decoder = _inverse(c, axis=0)
+        if self._decoder is None:
+            raise ValueError("coder is not a bijection x -> c(x, y) for every key symbol y")
+        self._key_table = _inverse(c, axis=1)
         self._n = n
         self._coder = c
-        self._decoder = d
-        self._key_table = self._build_key_table()
         c.flags.writeable = False
-        d.flags.writeable = False
-
-    def _build_key_table(self):
-        # key-recoverable iff every row c(x, .) is a permutation; then
-        # table[x, c(x, y)] = y
-        keys = np.broadcast_to(np.arange(self._n), (self._n, self._n))
-        if not np.array_equal(np.sort(self._coder, axis=1), keys):
-            return None
-        table = np.empty_like(self._coder)
-        np.put_along_axis(table, self._coder, keys, axis=1)
-        table.flags.writeable = False
-        return table
 
     @property
     def alphabet_size(self) -> int:
@@ -88,23 +90,18 @@ class CipherSpec:
 
     def encrypt(self, plaintext, key) -> np.ndarray:
         """Apply the coder symbol-wise; plaintext and key must have equal length."""
-        x = as_word(plaintext, self._n)
-        y = as_word(key, self._n)
-        if x.size != y.size:
-            raise ValueError(
-                f"plaintext length {x.size} != key length {y.size}"
-            )
-        return self._coder[x, y]
+        return self._apply(self._coder, plaintext, key, "plaintext")
 
     def decrypt(self, ciphertext, key) -> np.ndarray:
         """Apply the decoder symbol-wise; inverse of :meth:`encrypt`."""
-        z = as_word(ciphertext, self._n)
+        return self._apply(self._decoder, ciphertext, key, "ciphertext")
+
+    def _apply(self, table, text, key, name: str) -> np.ndarray:
+        a = as_word(text, self._n)
         y = as_word(key, self._n)
-        if z.size != y.size:
-            raise ValueError(
-                f"ciphertext length {z.size} != key length {y.size}"
-            )
-        return self._decoder[z, y]
+        if a.size != y.size:
+            raise ValueError(f"{name} length {a.size} != key length {y.size}")
+        return table[a, y]
 
     def __repr__(self) -> str:
         return f"CipherSpec(n={self._n})"
@@ -117,7 +114,4 @@ def additive_cipher(alphabet_size: int) -> CipherSpec:
     """
     n = int(alphabet_size)
     idx = np.arange(n)
-    coder = (idx[:, None] + idx[None, :]) % n
-    decoder = (idx[:, None] - idx[None, :]) % n
-    return CipherSpec(n, coder, decoder)
-
+    return CipherSpec(n, (idx[:, None] + idx[None, :]) % n)

@@ -42,7 +42,6 @@ from .inference import (
     posterior,  # noqa: F401 (the benchmark's tracer wraps this name here)
 )
 from .secrecy import (
-    DEFAULT_MEMBER_CAP,
     build_typical_set,
     certify_bounds,
     concentration_experiment,
@@ -79,9 +78,10 @@ class ConfigError(RunkeyError, ValueError, argparse.ArgumentTypeError):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):  # -1e-3 is a value, not an option, as in CPython 3.13
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # -1e-3 (as in CPython 3.13), -inf and -nan are values, not options
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.I)
 
     def error(self, message):  # single-line, machine-parseable failures
         raise ConfigError(message)
@@ -429,10 +429,7 @@ def _cmd_psi(args) -> int:
     xm, ym, spec = _load_pair(args)
     if args.z is not None:
         z = text_to_word(args.z, spec.alphabet_size)
-        built = build_typical_set(
-            xm, ym, spec, z, args.eps, args.h_ref,
-            bracket_order=args.m, member_cap=args.member_cap,
-        )
+        built = build_typical_set(xm, ym, spec, z, args.eps, args.h_ref, bracket_order=args.m)
         results = built.as_dict()
         rows = [(built.length, k, v) for k, v in results.items() if k != "t"]
         print(
@@ -445,7 +442,6 @@ def _cmd_psi(args) -> int:
         points = typical_set_growth(
             xm, ym, spec, args.t_list, args.eps, args.seed,
             h_ref=args.h_ref, bracket_order=args.m,
-            member_cap=args.member_cap,
         )
         results = {"series": [p.as_dict() for p in points]}
         rows = _series_rows(results["series"], "t")
@@ -594,7 +590,6 @@ def _build_parser() -> _Parser:
                         "|W - h_ref| < eps/2")
     p.add_argument("--m", type=_int, default=8, help="bracket order for h_ref")
     p.add_argument("--h-ref", type=_float, default=None)
-    p.add_argument("--member-cap", type=_int, default=DEFAULT_MEMBER_CAP)
     add_report(p, seed=True)
 
     p = sub.add_parser("smb", help="posterior surprisal concentration experiment")

@@ -79,7 +79,8 @@ class TypicalSet:
     log-posterior difference between two members (strictly below epsilon by
     construction), and ``growth`` the exponent ``log2(count) / t``.
     ``members`` holds packed plaintext indices, or None when the set is
-    larger than ``member_cap`` and only the summary statistics are kept.
+    larger than :func:`build_typical_set`'s ``member_cap`` and only the
+    summary statistics are kept.
 
     :func:`build_typical_set` splits each plaintext's log-probability into
     a left half (itself split so) and a right half and sums them in that
@@ -99,7 +100,6 @@ class TypicalSet:
     spread: float
     growth: float
     members: np.ndarray | None
-    member_cap: int
 
     def __post_init__(self):
         if not 0.0 <= self.mass <= 1.0 + 1e-12:
@@ -154,9 +154,9 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
-def _check_growth(spec, order: int, t_list, epsilon, seed, h_ref, member_cap) -> None:
+def _check_growth(spec, order: int, t_list, epsilon, seed, h_ref=None) -> None:
     """Reject a growth series' band, a length's split at model order ``order``, or its seed."""
-    _check_band(epsilon, h_ref=h_ref, member_cap=member_cap, lengths=t_list)
+    _check_band(epsilon, h_ref=h_ref, lengths=t_list)
     for t in t_list:
         _split(spec.alphabet_size, order, t)
     _check_seed(seed)
@@ -279,7 +279,6 @@ def build_typical_set(
         spread=spread,
         growth=growth,
         members=np.concatenate(kept) if kept is not None else None,
-        member_cap=member_cap,
     )
 
 
@@ -305,7 +304,6 @@ def typical_set_growth(
     *,
     h_ref: float | None = None,
     bracket_order: int = 8,
-    member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> list[GrowthPoint]:
     """Growth exponent of the typical set along a ladder of lengths.
 
@@ -316,7 +314,7 @@ def typical_set_growth(
     :func:`build_typical_set`); both are checked before anything is sampled
     or enumerated.
     """
-    _check_growth(spec, max(xm.order, ym.order), t_list, epsilon, seed, h_ref, member_cap)
+    _check_growth(spec, max(xm.order, ym.order), t_list, epsilon, seed, h_ref)
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     points = []
@@ -324,9 +322,9 @@ def typical_set_growth(
         x = xm.sample(t, np.random.SeedSequence((seed, t, 0)))
         y = ym.sample(t, np.random.SeedSequence((seed, t, 1)))
         z = spec.encrypt(x, y)
-        built = build_typical_set(
-            xm, ym, spec, z, epsilon, h_ref, member_cap=member_cap
-        )
+        # a point holds growth and mass only: 1, the least cap the band check
+        # accepts, keeps no member list past a single member
+        built = build_typical_set(xm, ym, spec, z, epsilon, h_ref, member_cap=1)
         points.append(GrowthPoint(t=int(t), growth=built.growth, mass=built.mass))
     return points
 
@@ -765,7 +763,6 @@ def robustness_sweep(
     t_list=None,
     epsilon: float = 0.05,
     seed: int | None = None,
-    member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> list[SecrecyReport]:
     """Certified bounds for key models ``P(0) = 0.5 - tau, P(1) = 0.5 + tau``.
 
@@ -779,7 +776,7 @@ def robustness_sweep(
     if t_list is not None:
         if seed is None:
             raise ValueError("growth series sampling needs a seed")
-        _check_growth(spec, xm.order, t_list, epsilon, seed, None, member_cap)  # keys: order 0
+        _check_growth(spec, xm.order, t_list, epsilon, seed)  # keys: order 0
     keys = []
     for tau in map(float, taus):
         if not 0.0 <= tau < 0.5:
@@ -790,11 +787,8 @@ def robustness_sweep(
         base = certify_bounds(xm, ym, spec, m)
         series: tuple[GrowthPoint, ...] = ()
         if t_list is not None:
-            series = tuple(
-                typical_set_growth(
-                    xm, ym, spec, t_list, epsilon, seed,
-                    h_ref=base.bracket.midpoint, member_cap=member_cap,
-                )
-            )
+            series = tuple(typical_set_growth(
+                xm, ym, spec, t_list, epsilon, seed, h_ref=base.bracket.midpoint
+            ))
         reports.append(replace(base, growth_series=series, tau=tau))
     return reports

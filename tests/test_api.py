@@ -6,7 +6,8 @@ from pathlib import Path
 
 import runkey
 
-REMOVED_KNOBS = {"cap", "state_cap", "workers", "tol", "max_iter", "stationary", "initial"}
+REMOVED_KNOBS = {"cap", "state_cap", "workers", "tol", "max_iter", "stationary", "initial",
+                 "decoder"}
 
 
 def _public_callables():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-import oracles
-from runkey import cipher, sources
+from runkey import cipher
 from test_inference import latin_square_cipher
+
+IDENTITY3 = cipher.CipherSpec(3, np.repeat(np.arange(3)[:, None], 3, axis=1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 26, 256])
@@ -62,48 +62,47 @@ def test_symbol_range_rejected():
 
 
 def test_uniform_key_output_uniformity():
-    # the mechanism behind perfect secrecy: uniform key, uniform ciphertext
-    xm = sources.make_bernoulli([0.8, 0.15, 0.05])
-    spec = cipher.additive_cipher(3)
-    x = xm.sample(100000, 99)
-    y = sources.make_uniform(3).sample(100000, 100)
-    counts = np.bincount(spec.encrypt(x, y), minlength=3)
-    expected = [len(x) / 3.0] * 3
-    assert oracles.chi_square_stat(counts.tolist(), expected) < stats.chi2.ppf(
-        1.0 - 1e-3, df=2
-    )
+    # the mechanism behind perfect secrecy: under a uniform key the exact law
+    # P(z | x) = #{y : c(x, y) = z} / n is uniform for every x, so for every
+    # plaintext law, iff every row y -> c(x, y) is a permutation
+    for spec, uniform in [(cipher.additive_cipher(3), True),
+                          (latin_square_cipher(np.random.default_rng(1), 5), True),
+                          (IDENTITY3, False)]:
+        n = spec.alphabet_size
+        x, y = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        law = np.bincount(x * n + spec.encrypt(x, y), minlength=n * n).reshape(n, n) / n
+        assert np.array_equal(law, np.full((n, n), 1.0 / n)) == uniform
+        assert (spec.key_table is not None) == uniform
+    # the identity passes every plaintext through: z = x
+    assert IDENTITY3.encrypt([2, 0, 1], [0, 1, 2]).tolist() == [2, 0, 1]
 
 
 def test_arbitrary_valid_table_accepted():
     # a substitution applied after XOR is still per-key bijective
-    perm = np.array([1, 0])
-    coder = perm[(np.arange(2)[:, None] + np.arange(2)[None, :]) % 2]
-    decoder = np.empty((2, 2), dtype=int)
-    for z in range(2):
-        for y in range(2):
-            decoder[z, y] = next(x for x in range(2) if coder[x, y] == z)
-    spec = cipher.CipherSpec(2, coder, decoder)
+    coder = np.array([1, 0])[(np.arange(2)[:, None] + np.arange(2)[None, :]) % 2]
+    spec = cipher.CipherSpec(2, coder)
     assert spec.key_table is not None
+    assert coder.flags.writeable and not spec.coder.flags.writeable
     x = np.array([0, 1, 1, 0])
     y = np.array([1, 1, 0, 0])
     assert np.array_equal(spec.decrypt(spec.encrypt(x, y), y), x)
 
 
 def test_invalid_tables_rejected():
-    with pytest.raises(ValueError):
-        # coder ignores the plaintext: not per-key bijective
-        cipher.CipherSpec(2, [[0, 0], [0, 0]], [[0, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        # decoder does not invert coder
-        cipher.CipherSpec(2, [[0, 1], [1, 0]], [[0, 0], [1, 1]])
-    with pytest.raises(ValueError):
-        cipher.CipherSpec(2, [[0, 2], [1, 0]], [[0, 1], [1, 0]])
+    for coder in ([[0, 0], [0, 0]],  # ignores the plaintext: not per-key bijective
+                  [[0, 1], [0, 1]],  # a repeated symbol in column 0
+                  [[0, 2], [1, 0]],  # an out-of-range symbol
+                  [[0, 1], [-1, 0]],
+                  [[0, 1, 2], [1, 2, 0]]):  # not (n, n)
+        with pytest.raises(ValueError, match="coder"):
+            cipher.CipherSpec(2, coder)
 
 
 def test_identity_cipher_has_no_key_table():
     # c(x, y) = x is valid but the key cannot be recovered from (x, z)
-    ident = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    ident = cipher.CipherSpec(2, [[0, 0], [1, 1]])
     assert ident.key_table is None
+    assert ident.decoder.tolist() == [[0, 0], [1, 1]]
 
 
 @pytest.mark.parametrize("spec", [
@@ -132,13 +131,11 @@ def _brute_key_table(coder):
     return table
 
 
-def _spec_of(coder):
-    coder = np.asarray(coder)
+def _brute_decoder(coder):
+    """The decoder by search: the one x with c(x, y) = z."""
     n = coder.shape[0]
-    decoder = np.empty_like(coder)
-    for y in range(n):
-        decoder[coder[:, y], y] = np.arange(n)
-    return cipher.CipherSpec(n, coder, decoder)
+    return np.array([[next(x for x in range(n) if coder[x, y] == z) for y in range(n)]
+                     for z in range(n)])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -147,15 +144,16 @@ def test_key_table_matches_the_brute_force_table(seed):
     n = int(rng.integers(2, 12))
     spec = latin_square_cipher(rng, n)
     # permuting the key symbols keeps every row c(x, .) a permutation
-    shuffled = _spec_of(spec.coder[:, rng.permutation(n)])
+    shuffled = cipher.CipherSpec(n, spec.coder[:, rng.permutation(n)])
     for each in (spec, shuffled):
         assert np.array_equal(each.key_table, _brute_key_table(each.coder))
-        assert not each.key_table.flags.writeable
+        assert np.array_equal(each.decoder, _brute_decoder(each.coder))
+        assert not each.key_table.flags.writeable and not each.decoder.flags.writeable
 
 
 def test_key_table_is_none_when_a_later_row_repeats_a_symbol():
     # every column is a bijection (a valid cipher) and row 0 is a permutation,
     # but rows 1 and 2 reach a ciphertext symbol through two keys
-    spec = _spec_of([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+    spec = cipher.CipherSpec(3, [[0, 1, 2], [1, 0, 1], [2, 2, 0]])
     assert _brute_key_table(spec.coder) is None
     assert spec.key_table is None

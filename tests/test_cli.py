@@ -112,10 +112,10 @@ REPORTS = {
                   ["x-model", "y-model", "z", "max-rows", "format"]),
     "psi-z": (["psi", "--x-model", X, "--y-model", KEY, "--z", "0110100",
                "--eps", "0.2", "--h-ref", "0.8"],
-              ["x-model", "y-model", "z", "eps", "m", "h-ref", "member-cap", "format"]),
+              ["x-model", "y-model", "z", "eps", "m", "h-ref", "format"]),
     "psi-t": (["psi", "--x-model", X, "--y-model", KEY, "--t", "5,7", "--seed", "4",
                "--eps", "0.2", "--m", "3"],
-              ["x-model", "y-model", "t", "eps", "m", "member-cap", "seed", "format"]),
+              ["x-model", "y-model", "t", "eps", "m", "seed", "format"]),
     "smb": (["smb", "--x-model", X, "--y-model", KEY, "--t", "4,9", "--samples", "8",
              "--eps", "0.1", "--delta", "0.1", "--h-ref", "0.7", "--seed", "2"],
             ["x-model", "y-model", "t", "samples", "eps", "delta", "m", "h-ref",
@@ -294,11 +294,11 @@ def test_psi_reaches_length_30_on_the_certify_orders(tmp_path, capsys):
             z = word_to_text(additive_cipher(2).encrypt(x, model.sample(30, 2)), 2)
     out = tmp_path / "psi.json"
     argv = ["psi", "--x-model", str(paths[0]), "--y-model", str(paths[1]), "--z", z,
-            "--eps", "0.1", "--h-ref", "0.7", "--member-cap", "1", "--out", str(out)]
+            "--eps", "0.1", "--h-ref", "0.7", "--out", str(out)]
     assert cli.main(argv) == 0
     results = json.loads(out.read_text())["results"]
     assert results["t"] == 30 and results["member_count"] > 1
-    assert 0.0 < results["mass"] <= 1.0 and not results["members_kept"]
+    assert 0.0 < results["mass"] <= 1.0
 
 
 def test_failed_command_keeps_the_earlier_file_at_out(x_model, tmp_path, monkeypatch,
@@ -565,8 +565,7 @@ def test_psi_takes_exactly_one_of_z_and_t(x_model, capsys):
     assert _error_line(capsys).startswith("error: config:")
 
 
-@pytest.mark.parametrize("bad", [["--member-cap", "0"], ["--eps", "0"], ["--t", "0"]],
-                         ids=["member-cap", "eps", "length"])
+@pytest.mark.parametrize("bad", [["--eps", "0"], ["--t", "0"]], ids=["eps", "length"])
 def test_psi_t_rejects_bad_input_before_the_bracket(bad, x_model, monkeypatch, capsys):
     def enumerated(*args, **kwargs):
         raise AssertionError("the bracket was enumerated")
@@ -697,7 +696,7 @@ _CONFIG_ERRORS = {
     "posterior-m-abbreviated": (["posterior", "--x-model", "uniform:2", "--y-model",
                                  "uniform:2", "--z", "0101", "--m", "3"], "--m 3"),
     "psi-abbreviated": (["psi", "--x-model", "uniform:2", "--y-model", "uniform:2",
-                         "--z", "01", "--eps", "0.1", "--member", "1"], "--member"),
+                         "--z", "01", "--eps", "0.1", "--h-r", "0.5"], "--h-r"),
     "smb-abbreviated": (["smb", "--x-model", "uniform:2", "--y-model", "uniform:2",
                          "--t", "4", "--sample", "4", "--eps", "0.1", "--delta", "0.1",
                          "--seed", "1"], None),
@@ -716,6 +715,12 @@ _CONFIG_ERRORS = {
                               "--out", "-"], "smoothing constant must be finite and >= 0"),
     "sweep-tau-exponent": (["sweep", "--x-model", "uniform:2", "--tau", "-1e-3", "--m", "1"],
                            "tau -0.001 outside [0, 0.5)"),
+    # and so are -inf and -nan, in any case
+    "smb-h-ref-minus-inf": (["smb", "--x-model", "uniform:2", "--y-model", "uniform:2",
+                             "--t", "3", "--samples", "2", "--eps", "0.1", "--delta", "0.1",
+                             "--seed", "1", "--h-ref", "-inf"], "h_ref must be finite, got -inf"),
+    "train-alpha-minus-nan": (["train", "--corpus", "{json}", "--bits", "--alpha", "-NaN",
+                               "--out", "-"], "smoothing constant must be finite and >= 0"),
 }
 
 
@@ -802,13 +807,10 @@ def test_cli_defaults_are_the_library_defaults_they_feed():
            ("sweep", "eps", secrecy.robustness_sweep, "epsilon"),
            ("psi", "m", secrecy.build_typical_set, "bracket_order"),
            ("psi", "m", secrecy.typical_set_growth, "bracket_order"),
-           ("psi", "member_cap", secrecy.build_typical_set, "member_cap"),
-           ("psi", "member_cap", secrecy.typical_set_growth, "member_cap"),
            ("smb", "m", secrecy.concentration_experiment, "bracket_order")]
     for subcommand, dest, library, parameter in fed:
         default = inspect.signature(library).parameters[parameter].default
         assert subcommands[subcommand].get_default(dest) == default, (subcommand, dest)
-    assert subcommands["psi"].get_default("member_cap") == secrecy.DEFAULT_MEMBER_CAP
 
 
 def test_smb_over_the_factor_table_cap_exits_3(tmp_path, monkeypatch, capsys):
@@ -995,8 +997,7 @@ _LONG_NUMBER_OPTIONS = {
     "train-alpha": ["train", "--alpha"], "entropy-m": ["entropy", "--m"],
     "encrypt-n": ["encrypt", "--n"], "posterior-max-rows": ["posterior", "--max-rows"],
     "psi-t": ["psi", "--t"], "psi-m": ["psi", "--m"], "psi-eps": ["psi", "--eps"],
-    "psi-h-ref": ["psi", "--h-ref"], "psi-member-cap": ["psi", "--member-cap"],
-    "psi-seed": ["psi", "--seed"], "smb-t": ["smb", "--t"],
+    "psi-h-ref": ["psi", "--h-ref"], "psi-seed": ["psi", "--seed"], "smb-t": ["smb", "--t"],
     "smb-samples": ["smb", "--samples"], "smb-delta": ["smb", "--delta"],
     "smb-m": ["smb", "--m"], "bounds-m": ["bounds", "--m"], "sweep-tau": ["sweep", "--tau"],
     "sweep-m": ["sweep", "--m"], "sweep-t": ["sweep", "--t"],
@@ -1016,14 +1017,6 @@ def test_long_number_option_exits_2_with_one_short_line(case, capsys):
     line = _error_line(capsys)
     assert line.startswith("error: config: ") and len(line) < 200
     assert "(5000 characters)" in line or "(5008 characters)" in line
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_psi_rejects_member_cap_below_one(cap, x_model, capsys):
-    argv = ["psi", "--x-model", x_model, "--y-model", KEY, "--z", "0110",
-            "--eps", "0.1", "--h-ref", "0.5", "--member-cap", cap]
-    assert cli.main(argv) == 2
-    assert _error_line(capsys).startswith("error: config:")
 
 
 @pytest.mark.parametrize("argv", [

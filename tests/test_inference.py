@@ -125,7 +125,7 @@ def test_perfect_secrecy_log_identity():
 def test_posterior_cap_and_bad_cipher():
     with pytest.raises(EnumerationCapError):
         inference.posterior(UNIFORM2, UNIFORM2, SPEC2, np.zeros(30, int))
-    ident = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    ident = cipher.CipherSpec(2, [[0, 0], [1, 1]])
     with pytest.raises(UnsupportedCipherError):
         inference.posterior(UNIFORM2, UNIFORM2, ident, [0, 1])
 
@@ -295,8 +295,7 @@ def ciphers(draw, n):
         return cipher.additive_cipher(n)
     if kind == "latin":
         return latin_square_cipher(np.random.default_rng(draw(st.integers(0, 2**16))), n)
-    coder = np.repeat(np.arange(n)[:, None], n, axis=1)
-    return cipher.CipherSpec(n, coder, coder)
+    return cipher.CipherSpec(n, np.repeat(np.arange(n)[:, None], n, axis=1))
 
 
 @st.composite
@@ -374,7 +373,7 @@ def test_entry_cap_checked_before_the_build(monkeypatch):
 def test_forward_factor_table_checked_against_the_entry_cap(monkeypatch):
     # under the identity cipher the key drives and the order-3 plaintext weighs
     # it through a (2**4, 2**4) table; a bracket word needs only 2*2*8
-    identity = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    identity = cipher.CipherSpec(2, [[0, 0], [1, 1]])
     xm = sources.SourceModel(2, 3, np.full((8, 2), 0.5))
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 256)
     z = [0, 1, 1, 0, 1]
@@ -777,11 +776,7 @@ def test_product_chain_dense_and_csr_operators_identical(monkeypatch):
 def latin_square_cipher(rng, n):
     """The cipher c(a, b) = p[(q[a] + b) mod n] for random permutations p, q."""
     p, q = rng.permutation(n), rng.permutation(n)
-    coder = p[(q[:, None] + np.arange(n)[None, :]) % n]
-    decoder = np.empty_like(coder)
-    for b in range(n):
-        decoder[coder[:, b], b] = np.arange(n)
-    return cipher.CipherSpec(n, coder, decoder)
+    return cipher.CipherSpec(n, p[(q[:, None] + np.arange(n)[None, :]) % n])
 
 
 @st.composite
@@ -837,7 +832,7 @@ def test_typical_set_split_matches_the_enumeration(case, epsilon, offset, pick,
     assert abs(built.spread - spread) <= 1e-12
 
 
-IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+IDENTITY2 = cipher.CipherSpec(2, [[0, 0], [1, 1]])
 
 
 def test_bracket_runs_under_a_cap_that_stops_the_forward_factor_table(monkeypatch):

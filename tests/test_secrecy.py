@@ -95,6 +95,8 @@ def test_typical_set_member_cap_keeps_summary():
     assert built.member_count > 16
     assert 0.0 < built.mass <= 1.0
     assert np.isfinite(built.growth)
+    with pytest.raises(ValueError, match="member cap"):
+        secrecy.build_typical_set(UNIFORM2, BIASED, SPEC2, z, 0.05, member_cap=0)
 
 
 def test_typical_set_default_h_ref_is_bracket_midpoint():
@@ -176,21 +178,40 @@ def test_growth_series_deterministic_in_seed():
     assert a == b
 
 
-@pytest.mark.parametrize("epsilon, member_cap, t_list", [
-    (0.05, 0, [6]), (0.0, 4, [6]), (0.05, 4, [6, 0]),
-], ids=["member-cap", "epsilon", "length"])
-def test_growth_series_validates_before_the_bracket(epsilon, member_cap, t_list,
-                                                    monkeypatch):
+def test_growth_series_keeps_no_member_list(tmp_path):
+    # a point reads growth and mass only.  Without a member list the peak is
+    # one left block (at t = 26 and K = 5, all 2**16 left words) with its dozen
+    # arrays of 8 or 16 bytes a word, and the right table's 2**15 cells at 28
+    # bytes: 6.5 MiB measured, within 16 arrays of 8 bytes a block word
+    # (8 MiB).  One copy of the point's list, some 600,000 members at 8 bytes,
+    # would take it past that; kept and concatenated, 18.4 MiB was measured
+    xm, ym, _, _ = _certify_inputs(0, tmp_path)
+    h_ref = inference.hxz_bracket(xm, ym, SPEC2, 8).midpoint
+    secrecy.typical_set_growth(xm, ym, SPEC2, [6], 0.1, 0, h_ref=h_ref)
+    tracemalloc.start()
+    try:
+        (point,) = secrecy.typical_set_growth(xm, ym, SPEC2, [26], 0.1, 0, h_ref=h_ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 16 * 8 * inference._BLOCK_WORDS
+    assert (xm.order, ym.order) == (5, 2)
+    assert 8 * 2.0 ** (26 * point.growth) > bound / 2, point  # a list would show
+    assert peak <= bound, peak
+
+
+@pytest.mark.parametrize("epsilon, t_list", [(0.0, [6]), (0.05, [6, 0])],
+                         ids=["epsilon", "length"])
+def test_growth_series_validates_before_the_bracket(epsilon, t_list, monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("the bracket was enumerated")
 
     monkeypatch.setattr(secrecy, "hxz_bracket", enumerated)
     with pytest.raises(ValueError):
-        secrecy.typical_set_growth(MARKOV, BIASED, SPEC2, t_list, epsilon, seed=1,
-                                   member_cap=member_cap)
+        secrecy.typical_set_growth(MARKOV, BIASED, SPEC2, t_list, epsilon, seed=1)
     with pytest.raises(ValueError):
         secrecy.robustness_sweep(MARKOV, SPEC2, [0.01], 4, t_list=t_list,
-                                 epsilon=epsilon, seed=1, member_cap=member_cap)
+                                 epsilon=epsilon, seed=1)
 
 
 # -- concentration experiment ---------------------------------------------------------
@@ -349,7 +370,8 @@ def test_uniforms_jump_as_far_as_advance(lo):
 
 
 def test_concentration_determinism_across_chunk_sizes(monkeypatch):
-    kwargs = dict(t_list=[40, 80], samples=500, epsilon=0.05, delta=0.01, seed=12)
+    # 50 samples: 50 chunks of one row, and seven of 7 rows with a last one of 1
+    kwargs = dict(t_list=[40, 80], samples=50, epsilon=0.05, delta=0.01, seed=12)
     reference = secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs)
     assert secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, **kwargs) == reference
     for chunk in (1, 7):
@@ -527,7 +549,7 @@ def test_concentration_validates_arguments():
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10], 5, -1.0, 0.01, seed=1)
     with pytest.raises(ValueError):
         secrecy.concentration_experiment(MARKOV, BIASED, SPEC2, [10, 0], 5, 0.05, 0.01, seed=1)
-    ident = cipher.CipherSpec(2, [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    ident = cipher.CipherSpec(2, [[0, 0], [1, 1]])
     with pytest.raises(UnsupportedCipherError):
         secrecy.concentration_experiment(MARKOV, BIASED, ident, [10], 5, 0.05, 0.01, seed=1)
 
