@@ -358,7 +358,8 @@ def _cmd_cipher(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    n = 2 if args.bits else args.n
+    # under --bits the alphabet is binary, and the echoed n says so
+    n = args.n = 2 if args.bits else args.n
     with _open(args.corpus, "rb") as fh:
         raw = fh.read()
     stream = bytes_to_symbols(raw, n, bits=args.bits)

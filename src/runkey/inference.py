@@ -368,8 +368,8 @@ def _split(n: int, k: int, t: int) -> int:
     h balances the left half's n**h words against the right half's
     n**(K + t - h) cells (K context symbols, then t - h); h >= max(K, 1),
     or h = t, with no right half, when t <= K + 1.  Each half must be within
-    ``DEFAULT_WORD_CAP``, and the packed words' n**t below 2**63; all is
-    checked without computing a large power, before anything is computed.
+    ``DEFAULT_WORD_CAP``, and n**t below 2**63, so word indices and counts
+    fit int64; all checked without a large power, before anything else.
     """
     h = t if t <= k else (t + k + 1) // 2
     _check_cap(n, h, "left-half plaintexts")

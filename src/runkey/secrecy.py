@@ -48,6 +48,8 @@ from .inference import (
 from .sources import DEFAULT_WORD_CAP, SourceModel, _Walk, _walk_batch, make_bernoulli
 from .words import as_word
 
+# no member list is built: the constant only sets a report's members_kept,
+# which reads member_count <= DEFAULT_MEMBER_CAP
 DEFAULT_MEMBER_CAP = 1 << 22
 
 # Monte Carlo samples per batch, lowered to _CELL // S so the forward's front,
@@ -77,19 +79,18 @@ class TypicalSet:
     ``mass`` is the total posterior probability of the members (its
     complement is the measured delta), ``spread`` the largest per-letter
     log-posterior difference between two members (strictly below epsilon by
-    construction), and ``growth`` the exponent ``log2(count) / t``.
-    ``members`` holds packed plaintext indices, or None when the set is
-    larger than :func:`build_typical_set`'s ``member_cap`` and only the
-    summary statistics are kept.
+    construction), and ``growth`` the exponent ``log2(count) / t``.  The
+    members themselves are not kept, only these summaries; a report's
+    ``members_kept`` reads ``member_count <= DEFAULT_MEMBER_CAP``.
 
     :func:`build_typical_set` splits each plaintext's log-probability into
     a left half (itself split so) and a right half and sums them in that
     grouping, so against the sequential sums of ``joint_log2_table``
     ``mass`` and ``spread`` move by rounding only (held to 1e-12; at most
-    6.4e-16 on ten certify workload ciphertexts), and ``member_count`` and
-    ``members`` are exact except for a word within rounding of a band end.
-    Each half holds at most ``DEFAULT_WORD_CAP`` words or cells, not the
-    n**t plaintexts.
+    6.4e-16 on ten certify workload ciphertexts), and ``member_count`` is
+    exact except for a word within rounding of a band end.  Each half holds
+    at most ``DEFAULT_WORD_CAP`` words or cells (24 bytes a right cell), not
+    the n**t plaintexts.
     """
 
     ciphertext: np.ndarray
@@ -99,7 +100,6 @@ class TypicalSet:
     mass: float
     spread: float
     growth: float
-    members: np.ndarray | None
 
     def __post_init__(self):
         if not 0.0 <= self.mass <= 1.0 + 1e-12:
@@ -122,13 +122,11 @@ class TypicalSet:
             "mass": self.mass,
             "spread": self.spread,
             "growth": self.growth,
-            "members_kept": self.members is not None,
+            "members_kept": self.member_count <= DEFAULT_MEMBER_CAP,
         }
 
 
-def _check_band(
-    epsilon: float, *, h_ref: float | None = None, member_cap: int = 1, lengths=()
-) -> None:
+def _check_band(epsilon: float, *, h_ref: float | None = None, lengths=()) -> None:
     """Reject a band request before any enumeration is spent on it.
 
     NaN compares false with everything, so the band's parameters are
@@ -138,8 +136,6 @@ def _check_band(
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if h_ref is not None and not math.isfinite(h_ref):
         raise ValueError(f"h_ref must be finite, got {h_ref!r}")
-    if member_cap < 1:
-        raise ValueError("member cap must be at least 1")
     if any(t < 1 for t in lengths):
         raise ValueError("every length must be >= 1")
 
@@ -171,7 +167,6 @@ def build_typical_set(
     h_ref: float | None = None,
     *,
     bracket_order: int = 8,
-    member_cap: int = DEFAULT_MEMBER_CAP,
 ) -> TypicalSet:
     """The typical deciphering set of a ciphertext, by meet in the middle.
 
@@ -186,14 +181,12 @@ def build_typical_set(
     sorted with prefix sums of their powers of 2 (scaled by the row's
     largest), so for each left word the band is two ``searchsorted`` calls
     with strict ends: its count, its mass as a difference of two prefix
-    sums, and its two ends, which give the spread.  Members (kept while the
-    count is at most ``member_cap``) are the packed indices
-    ``left * n**(t - h) + right``, sorted.  h balances the n**h left words
-    against the n**(K + t - h) right cells; each must be within
-    ``DEFAULT_WORD_CAP`` (and n**t below 2**63), checked before anything is
-    computed.  Working memory is one left block (and its halves) and the
-    right table, which takes 28 bytes a cell (search keys, int32 ranks,
-    prefix sums), also while it is built.
+    sums, and its two ends, which give the spread.  No member list is
+    kept.  h balances the n**h left words against the n**(K + t - h) right
+    cells; each must be within ``DEFAULT_WORD_CAP`` (and n**t below 2**63),
+    checked before anything is computed.  Working memory is one left block
+    (and its halves) and the right table, which takes 24 bytes a cell
+    (search keys, prefix sums), also while it is built.
 
     L + R groups the sum differently from the sequential
     :func:`runkey.inference.joint_log2_table`, so values move by rounding
@@ -207,7 +200,7 @@ def build_typical_set(
     width is then a stated slack on top of epsilon and is the caller's to
     account for.
     """
-    _check_band(epsilon, h_ref=h_ref, member_cap=member_cap)
+    _check_band(epsilon, h_ref=h_ref)
     n = _check_alphabets(xm, ym, spec)
     z = as_word(ciphertext, n)
     t = z.size
@@ -216,9 +209,7 @@ def build_typical_set(
     if h_ref is None:
         h_ref = hxz_bracket(xm, ym, spec, bracket_order).midpoint
     log_marginal = _log_marginal(xm, ym, spec, z)
-    right = _right_half(xm, ym, spec, z, h)
-    order = np.argsort(right, axis=1).astype(np.int32)  # a row is within the word cap
-    right = np.take_along_axis(right, order, axis=1)
+    right = np.sort(_right_half(xm, ym, spec, z, h), axis=1)
     contexts, width = right.shape
     # the rows as one ascending array: complex numbers sort lexicographically,
     # so row c's values are the imaginary parts of those with real part c
@@ -232,14 +223,12 @@ def build_typical_set(
     shift = np.where(top == -np.inf, 0.0, top)[:, None]
     np.exp2(np.subtract(keys.imag, shift, out=sums[:, 1:]), out=sums[:, 1:])
     np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
-    keys, sums, order = keys.ravel(), sums.ravel(), order.ravel()
+    keys, sums = keys.ravel(), sums.ravel()
     # a word's log posterior b is a member iff low < b < high
     low, high = -t * (h_ref + 0.5 * epsilon), -t * (h_ref - 0.5 * epsilon)
     total, count, mass, least, most = 0.0, 0, 0.0, np.inf, -np.inf
-    kept: list[np.ndarray] | None = [np.empty(0, dtype=np.intp)]
     for start, left in left_blocks:
-        words = np.arange(start, start + left.size)
-        context = words % contexts
+        context = np.arange(start, start + left.size) % contexts
         left = left - log_marginal
         # at most 1 (no joint exceeds P(z)), and 0 before a -inf row
         scale = np.exp2(left + top[context])
@@ -255,18 +244,13 @@ def build_typical_set(
         hit = np.flatnonzero(sizes)
         if not hit.size:
             continue
-        first, stop, sizes, left = first[hit], stop[hit], sizes[hit], left[hit]
+        first, stop, left = first[hit], stop[hit], left[hit]
         count += int(sizes.sum())
         # exact to the ulp of the row's total, however small the band's share
         band = sums[stop + context[hit]] - sums[first + context[hit]]
         mass += float(np.einsum("i,i", scale[hit], band))
         least = min(least, float((left + keys.imag[first]).min()))
         most = max(most, float((left + keys.imag[stop - 1]).max()))
-        if kept is not None and count <= member_cap:
-            cells = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-            kept.append(np.sort(np.repeat(words[hit] * width, sizes) + order[cells]))
-        else:
-            kept = None
     _certify_mass(total)
     spread = (most - least) / t if count >= 2 else 0.0
     growth = float(np.log2(count) / t) if count else float("-inf")
@@ -278,7 +262,6 @@ def build_typical_set(
         mass=min(mass, 1.0),
         spread=spread,
         growth=growth,
-        members=np.concatenate(kept) if kept is not None else None,
     )
 
 
@@ -321,10 +304,7 @@ def typical_set_growth(
     for t in t_list:
         x = xm.sample(t, np.random.SeedSequence((seed, t, 0)))
         y = ym.sample(t, np.random.SeedSequence((seed, t, 1)))
-        z = spec.encrypt(x, y)
-        # a point holds growth and mass only: 1, the least cap the band check
-        # accepts, keeps no member list past a single member
-        built = build_typical_set(xm, ym, spec, z, epsilon, h_ref, member_cap=1)
+        built = build_typical_set(xm, ym, spec, spec.encrypt(x, y), epsilon, h_ref)
         points.append(GrowthPoint(t=int(t), growth=built.growth, mass=built.mass))
     return points
 
@@ -770,6 +750,9 @@ def robustness_sweep(
     ``h(X|Z) = h(X)`` with zero key redundancy.  With ``t_list`` given (and a
     non-negative integer seed for sampling), each report also carries a
     typical-set growth series.  Every tau and growth argument is checked first.
+    To second order the bias costs 8 tau**2 p0 p1 / ln 2 bits a symbol of
+    h(X|Z), (p0, p1) the plaintext's one-symbol law: at most 2 tau**2 / ln 2,
+    2.9e-4 at the paper's P(0) = 0.49, whatever the plaintext's memory.
     """
     if spec.alphabet_size != 2 or xm.alphabet_size != 2:
         raise ValueError("the bias sweep is defined for the binary alphabet")

@@ -324,3 +324,20 @@ def typical_set_by_enumeration(xm, ym, spec, z, epsilon, h_ref):
     mass = float(np.exp2(selected).sum())
     spread = float((selected.max() - selected.min()) / t) if count >= 2 else 0.0
     return count, mass, spread, np.flatnonzero(band)
+
+
+def bias_loss_expansion(p, delta):
+    """Second-order loss h(Z) - h(Y) of an additive cipher whose key law is 1/n + delta.
+
+    ``p`` is the plaintext's one-symbol (stationary) law and ``delta`` sums
+    to 0.  To first order in delta, P(z^t) - n**-t is a sum of one-position
+    terms of mean 0 whose cross terms vanish, so h(Y) = log2 n - n|delta|^2 /
+    (2 ln 2) and h(Z) = log2 n - n|p * delta|^2 / (2 ln 2), * the cyclic
+    convolution, each up to O(|delta|^3); the plaintext's memory does not
+    enter.  For a binary key (1/2 - eps, 1/2 + eps) it is 8 eps**2 p0 p1 / ln 2.
+    """
+    p, delta = np.asarray(p, dtype=float), np.asarray(delta, dtype=float)
+    n = delta.size
+    shifted = delta[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]  # [z, x]: delta[z - x]
+    convolved = shifted @ p
+    return n * (delta @ delta - convolved @ convolved) / (2.0 * math.log(2.0))

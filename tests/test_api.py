@@ -7,7 +7,7 @@ from pathlib import Path
 import runkey
 
 REMOVED_KNOBS = {"cap", "state_cap", "workers", "tol", "max_iter", "stationary", "initial",
-                 "decoder"}
+                 "decoder", "member_cap"}
 
 
 def _public_callables():

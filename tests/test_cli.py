@@ -226,6 +226,18 @@ def test_train_order_0_writes_the_smoothed_frequencies(tmp_path, capsys):
     assert np.array_equal(model.transition, [probs])
 
 
+@pytest.mark.parametrize("n", [[], ["--n", "7"]], ids=["default-n", "n-7"])
+def test_train_bits_echoes_the_binary_alphabet(n, report_argv, tmp_path):
+    # --bits trains a binary model whatever --n says, and the header echoes
+    # the n it used; the header still replays to the same model file
+    first, second = tmp_path / "first.model", tmp_path / "second.model"
+    assert cli.main(report_argv("train") + n + ["--out", str(first)]) == 0
+    lines = first.read_text(encoding="utf-8").splitlines()
+    assert "# n 2" in lines and "n 2" in lines
+    assert cli.main(["train", "--config", str(first), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
 @pytest.mark.parametrize("z", ["1,,2", ",1,2", "1,2,"])
 def test_posterior_rejects_an_empty_symbol_field(z, capsys):
     argv = ["posterior", "--x-model", "uniform:40", "--y-model", "uniform:40", "--z", z]
@@ -1227,6 +1239,38 @@ def test_smb_does_not_import_numpy_ma(x_model, tmp_path):
     smb = [f"smb --x-model {x_model} --y-model {key} --t 20 --samples 8 --eps 0.05 "
            "--delta 0.05 --seed 1 --out smb.json"]
     assert _modules_after("numpy.ma", smb, tmp_path) == []
+
+
+def _flat_keys(value, prefix=""):
+    """The dotted keys of a JSON value's leaves, as bench/checker.py flattens them."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {prefix}
+    return set().union(*(_flat_keys(item, f"{prefix}.{key}" if prefix else str(key))
+                         for key, item in items))
+
+
+def test_reports_carry_the_keys_the_benchmark_pins(x_model, tmp_path):
+    # bench/reference.json pins these reports' result keys; a renamed or
+    # dropped field (psi's members_kept) must fail here, not at the benchmark
+    reference = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                            / "reference.json").read_text(encoding="utf-8"))
+    out, pair = tmp_path / "report.json", ["--x-model", x_model, "--y-model", KEY]
+    runs = {
+        ("certify", "bounds"): ["bounds", *pair, "--m", "2"],
+        ("certify", "psi"): ["psi", *pair, "--z", "0110100", "--eps", "0.2", "--m", "2"],
+        ("concentrate", "smb"): ["smb", *pair, "--t", "4,9", "--samples", "8", "--eps",
+                                 "0.1", "--delta", "0.1", "--h-ref", "0.7", "--seed", "2"],
+        ("bytes", "entropy"): ["entropy", "--x-model", x_model, "--m", "0,1,2"],
+    }
+    for (workload, label), argv in runs.items():
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        results = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert _flat_keys(results) == set(reference[workload][label]), (workload, label)
+    assert set(reference["bytes"]["smb"]) == set(reference["concentrate"]["smb"])
 
 
 _TRACED = """

@@ -30,7 +30,6 @@ def test_typical_set_uniform_pair_contains_everything():
     assert built.mass == pytest.approx(1.0, abs=1e-12)
     assert built.growth == 1.0
     assert built.spread == 0.0
-    assert built.members is not None and built.members.size == 4096
 
 
 @pytest.mark.parametrize("h_ref, count", [(0.75, 0), (1.0, 2**7), (1.25, 0)])
@@ -49,7 +48,9 @@ def test_typical_set_deterministic_key_single_member():
     assert built.mass == pytest.approx(1.0, abs=1e-12)
     assert built.growth == 0.0
     # the single member is the plaintext itself (identity cipher under zero key)
-    assert built.members.tolist() == [int(idx) for idx in [0b011010]]
+    count, _, _, members = oracles.typical_set_by_enumeration(
+        MARKOV, ZERO_KEY, SPEC2, z, 0.01, 0.0)
+    assert (count, members.tolist()) == (1, [0b011010])
 
 
 def test_typical_set_membership_band_soundness_and_completeness():
@@ -59,9 +60,9 @@ def test_typical_set_membership_band_soundness_and_completeness():
     table = inference.posterior(UNIFORM2, BIASED, SPEC2, z)
     rate = -table.log_posterior / 14
     inside = np.abs(rate - h_ref) < epsilon / 2
-    assert np.array_equal(np.flatnonzero(inside), built.members)
-    assert built.member_count == int(inside.sum())
+    assert built.member_count == int(inside.sum()) > 1
     assert built.mass == pytest.approx(np.exp2(table.log_posterior[inside]).sum(), abs=1e-12)
+    assert built.spread == pytest.approx(np.ptp(rate[inside]), abs=1e-12)
 
 
 def test_typical_set_spread_below_epsilon():
@@ -88,15 +89,17 @@ def test_typical_set_count_lies_in_the_band_of_its_mass(xm, ym, t, seed):
     assert low * (1 - 1e-9) <= built.member_count <= high * (1 + 1e-9)
 
 
-def test_typical_set_member_cap_keeps_summary():
+def test_typical_set_member_cap_keeps_summary(monkeypatch):
+    # no member list is built: the cap only sets the report's members_kept
     z = BIASED.sample(12, 9)
-    built = secrecy.build_typical_set(UNIFORM2, BIASED, SPEC2, z, 0.05, member_cap=16)
-    assert built.members is None
+    built = secrecy.build_typical_set(UNIFORM2, BIASED, SPEC2, z, 0.05)
     assert built.member_count > 16
     assert 0.0 < built.mass <= 1.0
     assert np.isfinite(built.growth)
-    with pytest.raises(ValueError, match="member cap"):
-        secrecy.build_typical_set(UNIFORM2, BIASED, SPEC2, z, 0.05, member_cap=0)
+    assert built.as_dict()["members_kept"] is True
+    for cap, kept in ((built.member_count - 1, False), (built.member_count, True)):
+        monkeypatch.setattr(secrecy, "DEFAULT_MEMBER_CAP", cap)
+        assert built.as_dict()["members_kept"] is kept
 
 
 def test_typical_set_default_h_ref_is_bracket_midpoint():
@@ -109,12 +112,12 @@ def test_typical_set_default_h_ref_is_bracket_midpoint():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_typical_set_split_matches_the_enumeration_on_certify(seed, tmp_path):
     # the certify workload's psi: mass and spread to rounding (L + R sums in
-    # another order), count and members exact
+    # another order), count exact
     xm, ym, z, _ = _certify_inputs(seed, tmp_path)
     built = secrecy.build_typical_set(xm, ym, SPEC2, z, 0.1)
-    count, mass, spread, members = oracles.typical_set_by_enumeration(
+    count, mass, spread, _ = oracles.typical_set_by_enumeration(
         xm, ym, SPEC2, z, 0.1, built.h_ref)
-    assert built.member_count == count and np.array_equal(built.members, members)
+    assert built.member_count == count
     assert abs(built.mass - mass) <= 1e-12 and abs(built.spread - spread) <= 1e-12
 
 
@@ -129,8 +132,8 @@ def test_split_caps_each_half_not_the_plaintexts(k, monkeypatch):
         assert 2**h <= 1 << 10 and (h == t or 2 ** (k + t - h) <= 1 << 10)
     with pytest.raises(EnumerationCapError, match="left-half"):
         inference._split(2, k, 21 - k)
-    # packed members need n**t < 2**63, which only a cap of 2**32 or more
-    # leaves to check
+    # a count of words (and its log2) needs n**t < 2**63, which only a cap of
+    # 2**32 or more leaves to check
     monkeypatch.setattr(sources, "DEFAULT_WORD_CAP", 1 << 40)
     inference._split(2, k, 62)
     with pytest.raises(EnumerationCapError, match="2\\*\\*63"):
@@ -179,25 +182,36 @@ def test_growth_series_deterministic_in_seed():
 
 
 def test_growth_series_keeps_no_member_list(tmp_path):
-    # a point reads growth and mass only.  Without a member list the peak is
-    # one left block (at t = 26 and K = 5, all 2**16 left words) with its dozen
-    # arrays of 8 or 16 bytes a word, and the right table's 2**15 cells at 28
-    # bytes: 6.5 MiB measured, within 16 arrays of 8 bytes a block word
-    # (8 MiB).  One copy of the point's list, some 600,000 members at 8 bytes,
-    # would take it past that; kept and concatenated, 18.4 MiB was measured
+    # a growth point, and psi --z's build_typical_set, hold count, mass and
+    # spread only.  Without a member list the peak is one left block (at t =
+    # 26 and K = 5, all 2**16 left words) with its dozen arrays of 8 or 16
+    # bytes a word, and the right table's 2**15 cells at 24 bytes: 5.8 MiB
+    # measured on either path, within 16 arrays of 8 bytes a block word
+    # (8 MiB).  One copy of the point's list, some 600,000 members at 8
+    # bytes, would take it past that; kept and concatenated, 18.3 MiB was
+    # measured
     xm, ym, _, _ = _certify_inputs(0, tmp_path)
     h_ref = inference.hxz_bracket(xm, ym, SPEC2, 8).midpoint
     secrecy.typical_set_growth(xm, ym, SPEC2, [6], 0.1, 0, h_ref=h_ref)
-    tracemalloc.start()
-    try:
-        (point,) = secrecy.typical_set_growth(xm, ym, SPEC2, [26], 0.1, 0, h_ref=h_ref)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the point's ciphertext, sampled as typical_set_growth samples it
+    z = SPEC2.encrypt(xm.sample(26, np.random.SeedSequence((0, 26, 0))),
+                      ym.sample(26, np.random.SeedSequence((0, 26, 1))))
     bound = 16 * 8 * inference._BLOCK_WORDS
     assert (xm.order, ym.order) == (5, 2)
-    assert 8 * 2.0 ** (26 * point.growth) > bound / 2, point  # a list would show
-    assert peak <= bound, peak
+    growths = []
+    for measure in (
+        lambda: secrecy.typical_set_growth(xm, ym, SPEC2, [26], 0.1, 0, h_ref=h_ref)[0],
+        lambda: secrecy.build_typical_set(xm, ym, SPEC2, z, 0.1, h_ref),
+    ):
+        tracemalloc.start()
+        try:
+            growths.append(measure().growth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * 2.0 ** (26 * growths[-1]) > bound / 2, growths  # a list would show
+        assert peak <= bound, peak
+    assert growths[0] == growths[1]
 
 
 @pytest.mark.parametrize("epsilon, t_list", [(0.0, [6]), (0.05, [6, 0])],
@@ -745,6 +759,45 @@ def test_sweep_with_growth_series():
         assert [p.t for p in report.growth_series] == [8, 12]
     # exact one-time pad: growth pinned at the plaintext entropy level
     assert all(p.growth == 1.0 for p in reports[1].growth_series)
+
+
+# binary plaintexts of orders 0, 1 and 3 (a zero in the last), fixed
+BIAS_PLAINTEXTS = {
+    0: sources.make_bernoulli([0.3, 0.7]),
+    1: MARKOV,
+    3: sources.SourceModel(2, 3, [[0.7, 0.3], [0.4, 0.6], [1.0, 0.0], [0.5, 0.5],
+                                  [0.2, 0.8], [0.9, 0.1], [0.6, 0.4], [0.35, 0.65]]),
+}
+BIASES = (0.01, 0.005, 0.0025)
+
+
+def _expansion_gaps(losses, xm):
+    """Each loss's relative gap to the expansion, the key (1/2 - eps, 1/2 + eps)."""
+    p = xm.stationary @ xm.transition  # the one-symbol law
+    gaps = []
+    for eps, loss in zip(BIASES, losses):
+        expansion = oracles.bias_loss_expansion(p, [-eps, eps])
+        assert expansion == pytest.approx(8 * eps**2 * p[0] * p[1] / math.log(2), rel=1e-12)
+        gaps.append((loss - expansion) / expansion)
+    return gaps
+
+
+@pytest.mark.parametrize("k", sorted(BIAS_PLAINTEXTS))
+def test_bias_loss_approaches_its_second_order_expansion(k):
+    # the paper's robustness as a closed form: a key (1/2 - eps, 1/2 + eps)
+    # costs h(Z) - h(Y) = 8 eps**2 p0 p1 / ln 2 + O(eps**3) bits a symbol, at
+    # the bracket's upper h(Z) end for every m.  The relative gap is O(eps),
+    # so it at least halves with eps (it falls some 4x)
+    xm = BIAS_PLAINTEXTS[k]
+    keys = [sources.make_bernoulli((0.5 - eps, 0.5 + eps)) for eps in BIASES]
+    losses = [inference.hz_bracket(xm, ym, SPEC2, 4).upper - ym.entropy_rate()
+              for ym in keys]
+    gaps = _expansion_gaps(losses, xm)
+    assert all(abs(b) <= abs(a) / 2 for a, b in zip(gaps, gaps[1:])), gaps
+    # the paper's own command: the sweep's loss h(X) - lower h(X|Z) is the same
+    reports = secrecy.robustness_sweep(xm, SPEC2, BIASES, 4)
+    swept = _expansion_gaps([r.h_x - r.bracket.lower for r in reports], xm)
+    assert np.allclose(swept, gaps, rtol=0, atol=1e-9), (swept, gaps)
 
 
 def test_certification_error_surfaces(monkeypatch):
