@@ -14,7 +14,10 @@ byte-identical reports.
 lines are comments) or replays a report: a CSV report (first line
 ``# subcommand <name>``) through its leading ``# key value`` block, a JSON
 report (first character ``{``) through its ``config`` object.  A file naming
-another subcommand is rejected.
+another subcommand is rejected.  A value replays as one ``--key=value`` token,
+so it may start with ``-``.  A header carries no value with a line break
+(``\\n``, ``\\r``) or whitespace at an end, so in any format a command given
+one (all but ``encrypt`` and ``decrypt``) exits 2 naming it before it runs.
 
 Exit codes: 0 success, 2 invalid configuration or input data, 3 a cap
 exceeded (enumerated words, table entries, a kernel's work or sampled
@@ -168,6 +171,9 @@ def _echo(args: argparse.Namespace) -> dict[str, str]:
     out = {"subcommand": args.subcommand}
     for flag, dest in args.echo_keys:
         value = _echo_value(getattr(args, dest))
+        if value is not None and ("\n" in value or "\r" in value or value != value.strip()):
+            raise ConfigError(f"--{flag} value {_shown(value)} cannot be echoed into a report "
+                              "header: it holds a line break or has whitespace at an end")
         if value is not None:
             out[flag] = value
     return out
@@ -200,8 +206,11 @@ def _config_pairs(fh) -> list[tuple[str, str]]:
     return pairs
 
 
-def _read_config_file(path: str, subcommand: str) -> list[str]:
-    """Turn a config file's options into command-line tokens (flags win later)."""
+def _read_config_file(path: str, subcommand: str, flags) -> list[str]:
+    """Turn a config file's options into command-line tokens (flags win later).
+
+    A key in ``flags`` (no value) is bare for ``true`` or none, gone for ``false``.
+    """
     try:
         with _open_for(path, "r") as fh:
             pairs = _config_pairs(fh)
@@ -214,10 +223,10 @@ def _read_config_file(path: str, subcommand: str) -> list[str]:
                 raise ConfigError(
                     f"config file {path!r} is for {value!r}, not {subcommand!r}"
                 )
-        elif value.lower() == "true" or value == "":
+        elif key in flags and value.lower() in ("true", ""):
             tokens.append(f"--{key}")
-        elif value.lower() != "false":
-            tokens.extend([f"--{key}", value])
+        elif key not in flags or value.lower() != "false":
+            tokens.append(f"--{key}={value}")
     return tokens
 
 
@@ -313,14 +322,8 @@ def _write_report(args, results, columns=(), rows=()) -> None:
 
 def _series_rows(results_rows, first_column: str):
     """Flatten [{first: v, metric: value, ...}] into (first, metric, value) rows."""
-    flat = []
-    for row in results_rows:
-        lead = row[first_column]
-        for key, value in row.items():
-            if key == first_column:
-                continue
-            flat.append((lead, key, value))
-    return flat
+    return [(row[first_column], key, value) for row in results_rows
+            for key, value in row.items() if key != first_column]
 
 
 # -- byte/symbol IO for encrypt/decrypt ------------------------------------------
@@ -494,16 +497,13 @@ def _cmd_sweep(args) -> int:
     )
     results = [r.as_dict() for r in reports]
     rows = []
-    for report in reports:
-        entry = report.as_dict()
-        series = entry.pop("growth_series", None)
-        for key, value in entry.items():
-            if key != "tau":
-                rows.append((report.tau, key, value))
-        if series:
-            for point in series:
-                rows.append((report.tau, f"growth_t{point['t']}", point["growth"]))
-                rows.append((report.tau, f"mass_t{point['t']}", point["mass"]))
+    for entry in results:
+        tau = entry["tau"]
+        rows += [(tau, key, value) for key, value in entry.items()
+                 if key not in ("tau", "growth_series")]
+        for point in entry.get("growth_series", ()):
+            rows += [(tau, f"growth_t{point['t']}", point["growth"]),
+                     (tau, f"mass_t{point['t']}", point["mass"])]
     print(
         "h(X|Z) lower bounds:",
         ", ".join(f"tau={r.tau:g}: {r.bracket.lower:.12g}" for r in reports),
@@ -520,7 +520,8 @@ def _build_parser() -> _Parser:
 
     A subparser names its handler (``run``), and its options, in the order
     added, are the report's echoed configuration (``echo_keys``), so model
-    options come first and ``seed``, ``out`` and ``format`` last.
+    options come first and ``seed``, ``out`` and ``format`` last; ``flags``
+    are the keys of the options that take no value.
     """
     parser = _Parser(prog="runkey", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
@@ -630,10 +631,12 @@ def _build_parser() -> _Parser:
             (action.option_strings[0][2:], action.dest)
             for action in p._actions if action.dest not in ("help", "out")
         ])
+    parser.flags = {action.option_strings[0][2:] for p in sub.choices.values()
+                    for action in p._actions if action.nargs == 0}
     return parser
 
 
-def _splice_config(argv: list[str]) -> list[str]:
+def _splice_config(argv: list[str], flags) -> list[str]:
     """``argv`` with each ``--config`` file's options right after the subcommand.
 
     The subcommand is ``argv[0]``; the rest (a missing or misplaced
@@ -644,15 +647,17 @@ def _splice_config(argv: list[str]) -> list[str]:
     pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config", action="append", default=[])
     known, rest = pre.parse_known_args(argv[1:])
-    tokens = [token for path in known.config for token in _read_config_file(path, argv[0])]
+    tokens = [token for path in known.config for token in _read_config_file(path, argv[0], flags)]
     return argv[:1] + tokens + rest
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        spliced = _splice_config(argv)
-        args = _build_parser().parse_args(spliced)
+        parser = _build_parser()
+        args = parser.parse_args(_splice_config(argv, parser.flags))
+        if args.run is not _cmd_cipher:  # encrypt and decrypt echo nothing
+            _echo(args)  # a value no header can carry stops the run before it starts
         return args.run(args)
     except (EnumerationCapError, MemoryError) as exc:
         return _fail("cap", exc, 3)

@@ -59,9 +59,10 @@ _POWER_STEPS = 10**6
 # 0.14 s at 512 on a 2-vCPU machine, against ~5 ms of power iteration for a
 # trained 256-context byte model
 _SOLVE_CONTEXTS = 128
-# save_model formats each distinct value once when at most this share of the
-# table's entries are distinct; an all-distinct table formats faster per entry
-_SAVE_DISTINCT_SHARE = 0.25
+# save_model's block of entries: an all-distinct 9216x96 table took 0.55 s at
+# 2^10 or 2^12, 0.60 s at 2^14, 0.67 s at 2^16 and 0.79 s at 2^18 (best of 5,
+# 2-vCPU machine), a trained one 0.04 s at each
+_SAVE_ENTRIES = 1 << 12
 # load_model parses each distinct token once until its cache holds more tokens
 # than this share of the table's entries; a cached token takes ~110 bytes,
 # against its table entry's 8
@@ -561,39 +562,31 @@ def _row_labels(n: int, k: int):
 def save_model(model: SourceModel, path, header_lines: Sequence[str] = ()) -> None:
     """Write a model as the key-value text format (one probability row per line).
 
-    A row is labelled by its context's k symbols, comma-separated decimals
-    for every n, or ``-`` for order 0, and holds its n probabilities, each
-    written as ``%.17g`` of its float, which reads back to the same float.
-
-    The format does not change with how the table is written: the cost
-    grows with the number of distinct values, not of entries, and the bytes
-    are those of formatting every entry on its own.  The table's bit
-    patterns are sorted once (so ``-0.0`` stays apart from ``0.0``); when at
-    most a quarter of the entries are distinct, as in a trained table, each
-    distinct value is formatted once and the rows are joined from those
-    strings.  A table with more distinct values is formatted entry by entry,
-    which is then faster.
+    Each header line is a ``# `` comment; one holding a line break raises
+    ModelFormatError before anything is written.  A row is labelled by its
+    context's k symbols, comma-separated decimals for every n, or ``-`` for
+    order 0, and holds its n probabilities, each ``%.17g`` of its float,
+    which reads back to the same float.  Rows go out in blocks of at most
+    ``_SAVE_ENTRIES`` entries (or one row), whose bit patterns are sorted
+    once (so ``-0.0`` stays apart from ``0.0``) for each distinct value to
+    be formatted once: repeats cost little, and the memory is one block's.
     """
+    if any("\n" in line or "\r" in line for line in header_lines):
+        raise ModelFormatError("a model file's header line holds a line break")
     n, k = model.alphabet_size, model.order
-    table = model.transition
-    bits = table.view(np.uint64)
-    # one sort: np.unique took 0.69 s on an all-distinct 9216x96 table, this 10 ms
-    keys = np.sort(bits, axis=None)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    if keys.size <= _SAVE_DISTINCT_SHARE * table.size:
-        texts = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
-        row_format = "row %s %s\n"
-        rows = ([" ".join(row)] for row in texts[np.searchsorted(keys, bits)].tolist())
-    else:
-        row_format = "row %s " + " ".join(["%.17g"] * n) + "\n"
-        rows = table.tolist()
+    bits = model.transition.view(np.uint64)
+    step = max(1, _SAVE_ENTRIES // n)
+    labels = _row_labels(n, k)
     with _open_for(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"n {n}\n")
-        fh.write(f"order {k}\n")
-        for label, row in zip(_row_labels(n, k), rows):
-            fh.write(row_format % (label, *row))
+        fh.writelines([f"# {line}\n" for line in header_lines] + [f"n {n}\norder {k}\n"])
+        for start in range(0, len(bits), step):
+            block = bits[start : start + step]
+            keys = np.sort(block, axis=None)
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            texts = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+            # rows first: zip stops on the block's last row without taking a label
+            for row, label in zip(texts[np.searchsorted(keys, block)].tolist(), labels):
+                fh.write(f"row {label} {' '.join(row)}\n")
 
 
 class _Floats(dict):

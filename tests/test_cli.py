@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from runkey import cli, inference, secrecy, sources
 from runkey.cipher import additive_cipher
@@ -168,7 +170,7 @@ def test_report_header_replays(case, fmt, report_argv, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_with_a_negative_exponent_value_replays(fmt, x_model, tmp_path):
-    # the header echoes h-ref -1e-05, which replays as the tokens --h-ref -1e-05
+    # the header echoes h-ref -1e-05, which replays as the token --h-ref=-1e-05
     first, second = tmp_path / "first", tmp_path / "second"
     argv = ["smb", "--x-model", x_model, "--y-model", KEY, "--t", "4", "--samples", "8",
             "--eps", "0.1", "--delta", "0.1", "--h-ref=-1e-05", "--seed", "2",
@@ -637,6 +639,81 @@ def test_negative_seed_is_rejected_by_the_parser(case, x_model, capsys):
     assert cli.main([subcommand, *models, *rest]) == 2
     assert _error_line(capsys) == (
         "error: config: argument --seed: must be a non-negative integer, got -1")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_value_starting_with_a_dash_replays(fmt, tmp_path, monkeypatch):
+    # the header's "x-model -m.model" replays as --x-model=-m.model, which the
+    # parser cannot take for an option
+    monkeypatch.chdir(tmp_path)
+    sources.save_model(MARKOV, "-m.model")
+    argv = ["entropy", "--x-model=-m.model", "--m", "2", "--format", fmt]
+    assert cli.main(argv + ["--out", "first"]) == 0
+    assert cli.main(["entropy", "--config", "first", "--out", "second"]) == 0
+    assert (tmp_path / "first").read_bytes() == (tmp_path / "second").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, fmt", [
+    ("corpus", "co\nrpus", None), ("corpus", "co\rrpus", None),
+    ("x-model", " m.model", "csv"), ("x-model", "m.model\t", "json"),
+    ("z", " 0101", "csv"), ("z", " 0101", "json"),
+], ids=["train-lf", "train-cr", "entropy-leading-space-csv", "entropy-trailing-tab-json",
+        "posterior-leading-space-csv", "posterior-leading-space-json"])
+def test_value_no_header_can_carry_is_refused_before_the_run(flag, value, fmt, tmp_path,
+                                                             monkeypatch, capsys):
+    # a line break would end the header line early, and a header line loses
+    # the value's outer whitespace; the command exits 2 naming the option
+    # before it prints, writes or computes anything
+    monkeypatch.chdir(tmp_path)
+    if flag == "corpus":
+        (tmp_path / value).write_bytes(b"0101")
+    sources.save_model(MARKOV, value if flag == "x-model" else "m.model")
+    argv = {
+        "corpus": ["train", f"--corpus={value}", "--n", "256", "--order", "0"],
+        "x-model": ["entropy", f"--x-model={value}"],
+        "z": ["posterior", "--x-model", "m.model", "--y-model", KEY, f"--z={value}"],
+    }[flag]
+    assert cli.main(argv + ["--format", fmt] * bool(fmt) + ["--out", "report"]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.startswith(f"error: config: --{flag} value {value!r} cannot be echoed")
+    assert not (tmp_path / "report").exists()
+
+
+# option values with spaces, '-', '#', '=' and line breaks, and the values the
+# replay reads as flags
+_OPTION_TEXT = st.one_of(st.text(" -#=\n\r\t0a.", max_size=6),
+                         st.sampled_from(["", "true", "False", "-m", "--z=1"]))
+
+
+@given(_OPTION_TEXT, _OPTION_TEXT, _OPTION_TEXT, st.booleans())
+@example(" 0", "x", "y", False)
+@example("-m", "true", "", True)
+def test_header_round_trip(x, y, z, bits):
+    # 0.3-0.4 s for the tier-1 profile's 60 examples: no command runs
+    parser = cli._build_parser()
+    argvs = [["train", f"--corpus={x}", "--n", "7", "--order", "2", "--alpha", "0.25"]
+             + ["--bits"] * bits + ["--out", "m"]]
+    argvs += [["posterior", f"--x-model={x}", f"--y-model={y}", f"--z={z}",
+               "--max-rows", "3", "--format", fmt, "--out", "r"] for fmt in ("csv", "json")]
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        values = [(flag, getattr(args, dest)) for flag, dest in args.echo_keys]
+        bad = [flag for flag, value in values if isinstance(value, str)
+               and ("\n" in value or "\r" in value or value != value.strip())]
+        if bad:
+            with pytest.raises(cli.ConfigError, match=f"^--{bad[0]} value "):
+                cli._echo(args)
+            continue
+        for write in (lambda fh: cli._write_csv(fh, cli._echo(args), (), ()),
+                      lambda fh: cli._write_json(fh, cli._echo(args), {})):
+            header = io.StringIO()
+            write(header)
+            # read back with a text file's universal newlines
+            tokens = cli._read_config_file(io.StringIO(header.getvalue(), newline=None),
+                                           argv[0], parser.flags)
+            again = parser.parse_args(argv[:1] + tokens + ["--out", argv[-1]])
+            assert vars(again) == vars(args)
 
 
 def test_report_for_another_subcommand_is_rejected(x_model, tmp_path, capsys):

@@ -800,8 +800,9 @@ def test_model_file_matches_the_per_entry_writer_and_reads_back_bit_identical(
         n, k, table = _model_table(kind, rng)
         model = sources.SourceModel(n, k, table)
         distinct = np.unique(model.transition.view(np.uint64)).size
-        repetitive = distinct <= sources._SAVE_DISTINCT_SHARE * table.size
-        assert repetitive == (kind == "pool")
+        # one block of the writer: a few values repeated, or nearly all distinct
+        assert table.size <= sources._SAVE_ENTRIES
+        assert (distinct <= table.size // 4) == (kind == "pool")
         buf = io.StringIO()
         sources.save_model(model, buf, header_lines=["pinned"])
         text = buf.getvalue()
@@ -832,6 +833,65 @@ def test_model_file_matches_the_per_entry_writer_and_reads_back_bit_identical(
             assert len(parsed) == distinct
         else:
             assert table.size // 32 < len(parsed) <= table.size // 32 + n
+
+
+@pytest.mark.parametrize("n, k", [(3, 8), (97, 1), (5000, 0)])
+def test_model_file_spanning_blocks_matches_the_per_entry_writer(n, k):
+    # blocks of 1365 rows for n = 3 and 42 for n = 97 (neither n divides the
+    # block's entries); n = 5000 is more than a block, so its row is one alone
+    rng = np.random.default_rng(23)
+    table = rng.dirichlet(np.ones(n), size=n**k)
+    step = max(1, sources._SAVE_ENTRIES // n)
+    assert sources._SAVE_ENTRIES % n
+    negative, positive = np.full(n, -0.0), np.zeros(n)
+    negative[0] = positive[0] = 1.0
+    table[-1, 1:3] = 0.0, -0.0
+    table[-1, 0] = 1.0 - table[-1, 3:].sum()
+    for edge in range(step, n**k, step):
+        # a block that ends in -0.0 only and a block that opens on 0.0 only,
+        # and repeats of a row of the block before
+        table[edge - 1], table[edge] = negative, positive
+        table[edge + 1] = table[edge + 2] = table[edge - 2]
+    model = sources.SourceModel(n, k, table)
+    buf = io.StringIO()
+    sources.save_model(model, buf, header_lines=["pinned"])
+    text = buf.getvalue()
+    # as lines: a failing comparison of the whole texts takes minutes to show
+    expected = oracles.model_file_text(n, k, model.transition, ["pinned"])
+    assert text.splitlines() == expected.splitlines()
+    assert " -0 " in text and " 0 " in text
+    again = sources.load_model(io.StringIO(text))
+    assert np.array_equal(again.transition.view(np.uint64), model.transition.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind, n, k", [("trained", 64, 2), ("distinct", 16, 3)])
+def test_save_model_memory_is_one_block_whatever_the_table(kind, n, k):
+    # the two writers before blocks held the whole table's texts: 4.3 MiB on
+    # this 2^18-entry trained table and 2.8 MiB on this 2^16-entry distinct
+    # one (14.2 and 34.3 MiB at 9216x96); one block's take 0.1 and 0.8 MiB
+    rng = np.random.default_rng(24)
+    if kind == "trained":
+        model = _trained_model(n, k, rng)
+    else:
+        model = sources.SourceModel(n, k, rng.dirichlet(np.ones(n), size=n**k))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        sources.save_model(model, sink)  # first-use allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            sources.save_model(model, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("line", ["co\nrpus", "co\rrpus"], ids=["lf", "cr"])
+def test_save_model_refuses_a_header_line_with_a_line_break(line, tmp_path):
+    # the line's second half would be read as a key of the model file
+    path = tmp_path / "m.model"
+    with pytest.raises(ModelFormatError, match="line break"):
+        sources.save_model(MARKOV, str(path), header_lines=["subcommand train", line])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("text, message", [
