@@ -43,9 +43,11 @@ working memory stays bounded.  The caps are module constants
 checked where the memory is allocated, not arguments.
 
 The posterior CSV is written ``_CSV_ROWS`` rows at a time, each chunk one
-byte matrix of plaintext texts (looked up a group of digits at a time) and
-``.12g`` values (digits from integer arithmetic, exact; Python formats only
-near-ties and values outside [1, 1e12)), so no Python code runs per row.
+byte matrix of plaintext texts and ``.12g`` values, so no Python code runs
+per row.  Both are read off the one array codec of :mod:`runkey.words`: a
+plaintext is the :func:`~runkey.words.text_bytes` of its index, and a
+value's twelve digits are those of an integer found by exact arithmetic
+(Python formats only near-ties and values outside [1, 1e12)).
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ _CSV_ROWS = 1 << 13
 _TIE_WINDOW = 1e-3
 
 _POW10 = 10.0 ** np.arange(13)  # exact: every power of ten up to 1e22 is a double
-_TRIPLES = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype="S3")
 
 # float64 cells (128 KiB), S x words, in the children of one block of the
 # ciphertext block enumeration; it bounds working memory whatever the depth
@@ -485,8 +486,8 @@ def _g12(values: np.ndarray) -> np.ndarray:
     d = rint(|v| * 10**(11 - e)): the power is exact, so the product is
     rounded once, off by at most 2**-13, and rint rounds it as Python rounds
     |v| unless its fraction lies within ``_TIE_WINDOW`` of 1/2.  The digits
-    come from a table of digit triples; trailing fraction zeros and a bare
-    point are dropped.  -inf is written as such.  Python formats the rest:
+    are d's :func:`~runkey.words.text_bytes`; trailing fraction zeros and a
+    bare point are dropped.  -inf is written as such.  Python formats the rest:
     near-ties, a d rounded up to 1e12, and |v| outside [1, 1e12) (in a
     posterior, only the one plaintext that can have P(x | z) > 1/2).  Rows
     are 14 bytes wide, or as wide as the longest text Python wrote.
@@ -503,9 +504,7 @@ def _g12(values: np.ndarray) -> np.ndarray:
     out = np.zeros((values.size, max([14, *map(len, texts)])), dtype=np.uint8)
     # the other rows get digits of 1e11, then are overwritten
     d = np.where(fast, rounded, 1e11).astype(np.int64)
-    high, low = np.divmod(d, 1000000)
-    triples = np.stack([high // 1000, high % 1000, low // 1000, low % 1000], axis=1)
-    digits12 = _TRIPLES[triples].view(np.uint8).reshape(-1, 12)
+    digits12 = text_bytes(10, 12, d)
     out[:, 0] = np.where(values < 0, ord("-"), 0)
     counts = np.bincount(exponent, minlength=12)
     for e in np.flatnonzero(counts).tolist():
@@ -553,7 +552,7 @@ def _write_posterior(fh, n: int, t: int, blocks, json: bool = False) -> None:
         for first in range(0, block.size, _CSV_ROWS):
             values = block[first : first + _CSV_ROWS]
             size = values.size
-            text = text_bytes(n, t, start + first, start + first + size)
+            text = text_bytes(n, t, np.arange(start + first, start + first + size))
             quote = b'"' if not json and (text[0] == ord(",")).any() else b""
             marks = np.zeros((size, 1), dtype=np.uint8)
             if json:

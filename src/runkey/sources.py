@@ -603,24 +603,26 @@ def load_model(path) -> SourceModel:
     A header whose table of ``n**k * n`` entries would exceed
     ``DEFAULT_WORD_CAP`` raises EnumerationCapError naming the line that
     completes it.  Each row is converted as it is read and written straight
-    into the table, which is allocated at the first row.  The cost grows
-    with the number of distinct rows and values while they are few.  A row
-    whose text (everything after its label) repeats an earlier row's is
-    copied from that row's table entries instead of being parsed again,
-    until more distinct rows are cached than half the table's rows.  The rows that are parsed send their tokens
+    into the table, which is allocated at the first row, at the state its
+    label names (:func:`_parse_state_label`), so rows may come in any
+    order.  The cost grows with the number of distinct rows and values
+    while they are few.  A row whose text (everything after its label)
+    repeats an earlier row's is copied from that row's table entries
+    instead of being parsed again, until more distinct rows are cached than
+    half the table's rows.  The rows that are parsed send their tokens
     through a per-file cache, so each distinct one is parsed once; when the
     cache outgrows 1/32 of the table's entries, the file is mostly distinct
     values, so the cache is dropped and the rest is parsed token by token.
     Either cache, once dropped, is not rebuilt.  Malformed input raises
-    ModelFormatError naming its line: a bad header value, row label or
-    token, and the first row in the file holding a negative or non-finite
-    probability (found by one check of the whole table once it is read).
+    ModelFormatError naming its line: a header key or row with nothing
+    after it, a bad header value, row label or token, and the first row in
+    the file holding a negative or non-finite probability (found by one
+    check of the whole table once it is read).
     Missing headers or rows name no line, and row sums are checked by
     :class:`SourceModel`.
     """
     header: dict[str, int] = {}
     table = lines = None  # lines[state]: the line of the state's row, 0 before it
-    labels = None  # while rows come in state order, the labels of the rows to come
     count = 0
     rows: dict[str, int] | None = {}  # a row's text (after its label) -> its first state
     tokens = _Floats()
@@ -633,6 +635,9 @@ def load_model(path) -> SourceModel:
             parts = line.split(None, 2)
             key = parts[0]
             try:
+                if len(parts) == 1 and key in ("n", "order", "row"):
+                    missing = "state label" if key == "row" else "value"
+                    raise ModelFormatError(f"line {lineno}: {key!r} has no {missing}")
                 if key in ("n", "order"):
                     if len(parts[1]) > 20:  # past the cap's 8 digits; int() refuses 4300
                         raise EnumerationCapError(f"{key} of {len(parts[1])} characters "
@@ -653,16 +658,9 @@ def load_model(path) -> SourceModel:
                             f"line {lineno}: rows must follow 'n' and 'order'"
                         )
                     n, k = header["n"], header["order"]
-                    if labels is not None and parts[1] == next(labels, None):
-                        state = count  # the label save_model writes for the next state
-                    else:
-                        labels = None  # off that order: parse this and every later label
-                        state = _parse_state_label(parts[1], n, k)
+                    state = _parse_state_label(parts[1], n, k)
                     if table is None:
                         table, lines = np.empty((n**k, n)), array("q", [0]) * n**k
-                        if state == 0:  # save_model's order: the labels after the first
-                            labels = _row_labels(n, k)
-                            next(labels)
                     if lines[state]:
                         raise ModelFormatError(f"line {lineno}: duplicate row")
                     text = parts[2] if len(parts) > 2 else ""
@@ -689,7 +687,7 @@ def load_model(path) -> SourceModel:
                     raise ModelFormatError(f"line {lineno}: unknown key {key!r}")
             except EnumerationCapError as exc:
                 raise EnumerationCapError(f"line {lineno}: {exc}") from exc
-            except (ValueError, IndexError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 if isinstance(exc, ModelFormatError):
                     raise
                 raise ModelFormatError(f"line {lineno}: {exc}") from exc

@@ -10,11 +10,13 @@ lives in the model and inference modules.
 One table, ``_cells``, defines the text of every symbol, and every
 plaintext or ciphertext written as text is read off it:
 :func:`word_to_text` for one word of any length, and :func:`text_bytes`
-for a range of packed indices, as rows of bytes (the posterior reports).
-:func:`digits` gives the digit rows of a range of indices.
-:func:`word_to_index` and :func:`index_to_word` are the exact scalar pair
-on Python ints, which stay exact beyond int64 where ``digits`` would
-overflow.
+for an array of packed indices, as rows of bytes (the posterior reports).
+:func:`digits` is the one array split of integers into base-n digits:
+``text_bytes`` reads its rows from the digits of each index in base
+``n**g``, and the posterior's ``.12g`` values take their twelve decimal
+digits from ``text_bytes``.  :func:`word_to_index` and
+:func:`index_to_word` are the exact scalar pair on Python ints, which
+stay exact beyond int64 where ``digits`` would overflow.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(_DIGITS)}
 
 # entries of text_bytes' table of digit groups: a group of g digits has
-# n**g <= this texts
+# n**g <= this texts.  Both callers read such a table: the posterior's
+# plaintext texts, and _g12's decimal digits (n = 10, the 1000 triples)
 _GROUP_TEXTS = 1 << 12
 
 
@@ -67,14 +70,13 @@ def index_to_word(index: int, alphabet_size: int, length: int) -> np.ndarray:
     return out
 
 
-def digits(
-    n: int, width: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Digits (most significant first) of the base-n integers in [start, stop).
+def digits(n: int, width: int, index=None) -> np.ndarray:
+    """Digits (most significant first) of the base-n integers ``index``.
 
-    ``stop`` defaults to ``n**width``, which gives every width-digit integer.
+    ``index`` is an array of int64 integers below ``n**width``, in any order
+    and with repeats; it defaults to every width-digit integer in order.
     """
-    idx = np.arange(start, n**width if stop is None else stop, dtype=np.int64)
+    idx = np.asarray(np.arange(n**width) if index is None else index, dtype=np.int64)
     out = np.empty((idx.size, width), dtype=np.int64)
     for pos in range(width - 1, -1, -1):
         idx, out[:, pos] = np.divmod(idx, n)
@@ -107,27 +109,24 @@ def _group_texts(n: int, group: int) -> np.ndarray:
     return table
 
 
-def text_bytes(n: int, width: int, start: int, stop: int) -> np.ndarray:
-    """The text of the base-n integers in [start, stop) as rows of ASCII bytes.
+def text_bytes(n: int, width: int, index) -> np.ndarray:
+    """The text of the base-n integers ``index`` as rows of ASCII bytes.
 
     Row i, with its NUL bytes dropped, is the :func:`word_to_text` of the
-    width-digit word with index ``start + i``.  Digits are looked up g at a
-    time in a table of each group's text (``n**g <= _GROUP_TEXTS``), so a
-    row costs one divmod per group, not one per digit.
+    width-digit word with index ``index[i]``.  The word is split into
+    groups of g digits (``n**g <= _GROUP_TEXTS``), so the index's
+    :func:`digits` in base ``n**g`` pick each group's text from one table;
+    the leading group's extra symbols, zeros, are sliced off.
     """
     group = 1
     while group < width and n ** (group + 1) <= _GROUP_TEXTS:
         group += 1
+    groups = -(-width // group)
     table = _group_texts(n, group)
     c = table.shape[1] // group
-    index = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((index.size, width * c), dtype=np.uint8)
-    end = width * c
-    while end:  # least significant group first; the leading one may be shorter
-        take = min(group, end // c)
-        index, value = np.divmod(index, n**group)
-        out[:, end - take * c : end] = table[value, (group - take) * c :]
-        end -= take * c
+    # each table row as one item: a text row is `groups` item copies, not a byte gather
+    texts = np.take(table.view(f"V{table.shape[1]}"), digits(n**group, groups, index))
+    out = texts.view(np.uint8)[:, (groups * group - width) * c :]
     if c > 1:
         out[:, 0] = 0
     return out

@@ -948,6 +948,9 @@ _BAD_MODELS = {
     "n-fraction": ("n 2.5\norder 1\nrow 0 0.5 0.5\n", 1),
     "trailing-comment": ("n 2\norder 1\nrow 0 0.5 0.5 # c\nrow 1 0.25 0.75\n", 3),
     "missing-header": ("order 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 2),
+    "n-no-value": ("n\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 1),
+    "order-no-value": ("n 2\norder\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 2),
+    "row-no-label": ("n 2\norder 1\nrow\nrow 1 0.25 0.75\n", 3),
     "empty": ("", None),
     "undecodable": (b"n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 \xff0.75\n", None),
 }
@@ -963,6 +966,9 @@ def test_malformed_model_file_exits_2(case, tmp_path, capsys):
     assert message.startswith("error: config:")
     if line is not None:
         assert message.startswith(f"error: config: line {line}:")
+    assert "index out of range" not in message
+    if "-no-" in case:  # the key and the field it lacks are named
+        assert f"'{case.split('-')[0]}' has no" in message
 
 
 def test_tiny_off_diagonal_model_gets_its_exact_law(tmp_path, capsys):

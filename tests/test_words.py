@@ -69,15 +69,19 @@ def test_bit_expansion_msb_first():
         words.symbols_to_bytes([1, 0, 1], 2, bits=True)
 
 
-@pytest.mark.parametrize("n, t", [(2, 6), (26, 2), (36, 3), (37, 2), (256, 2)])
+@pytest.mark.parametrize("n, t", [(2, 6), (10, 4), (26, 2), (36, 3), (37, 2), (256, 2)])
 def test_vectorized_codec_matches_the_scalar_pair(n, t):
     scalar = [words.index_to_word(u, n, t) for u in range(n**t)]
     expected = [oracles.word_text(word.tolist(), n) for word in scalar]
     assert [words.word_to_text(word, n) for word in scalar] == expected
-    start, stop = n**t // 3, n**t // 2
-    assert np.array_equal(words.digits(n, t, start, stop), words.digits(n, t)[start:stop])
-    rows = words.text_bytes(n, t, start, stop)
-    assert [bytes(row[row != 0]).decode("ascii") for row in rows] == expected[start:stop]
+    assert np.array_equal(words.digits(n, t), scalar)
+    # unsorted, with repeats and both ends of the range
+    index = np.random.default_rng(n).integers(0, n**t, 64)
+    index = np.concatenate([index, [n**t - 1, 0], index[:8], [0]])
+    assert np.array_equal(words.digits(n, t, index), [scalar[u] for u in index])
+    for chosen in (index, np.arange(n**t)):
+        rows = words.text_bytes(n, t, chosen)
+        assert [bytes(row[row != 0]).decode("ascii") for row in rows] == [expected[u] for u in chosen]
 
 
 @pytest.mark.parametrize("n", [26, 40, 256])
