@@ -130,7 +130,7 @@ def _float_list(text: str) -> list[float]:
     return _values(text, float)
 
 
-def _seed(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     value = _int(text)
     if value < 0:
         shown = value if len(text) <= _SHOWN_CHARS else _shown(text)
@@ -535,7 +535,7 @@ def _build_parser() -> _Parser:
 
     def add_report(p, *, seed=False, seed_required=False):
         if seed:
-            p.add_argument("--seed", type=_seed, required=seed_required)
+            p.add_argument("--seed", type=_nonnegative_int, required=seed_required)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -570,7 +570,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_posterior)
     add_models(p)
     p.add_argument("--z", required=True, help="ciphertext as base-n text")
-    p.add_argument("--max-rows", type=_int, default=4096,
+    p.add_argument("--max-rows", type=_nonnegative_int, default=4096,
                    help="largest table included in JSON output")
     add_report(p)
 
@@ -590,7 +590,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=_float, required=True,
                    help="set width: a member's per-letter surprisal W has "
                         "|W - h_ref| < eps/2")
-    p.add_argument("--m", type=_int, default=8, help="bracket order for h_ref")
+    p.add_argument("--m", type=_nonnegative_int, default=8, help="bracket order for h_ref")
     p.add_argument("--h-ref", type=_float, default=None)
     add_report(p, seed=True)
 
@@ -603,7 +603,7 @@ def _build_parser() -> _Parser:
                    help="band half-width: a sample counts when its per-letter "
                         "surprisal W has |W - h_ref| < eps")
     p.add_argument("--delta", type=_float, required=True)
-    p.add_argument("--m", type=_int, default=10,
+    p.add_argument("--m", type=_nonnegative_int, default=10,
                    help="bracket order for h_ref when --h-ref is not given")
     p.add_argument("--h-ref", type=_float, default=None)
     add_report(p, seed=True, seed_required=True)
@@ -611,7 +611,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="certified equivocation bounds")
     p.set_defaults(run=_cmd_bounds)
     add_models(p)
-    p.add_argument("--m", type=_int, required=True,
+    p.add_argument("--m", type=_nonnegative_int, required=True,
                    help="bracket order: H(Z_m+1 | Z^m, S_1) <= h(Z) <= "
                         "H(Z_m+1 | Z^m)")
     add_report(p)
@@ -620,7 +620,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_sweep)
     add_models(p, needs_y=False)
     p.add_argument("--tau", dest="tau_list", type=_float_list, required=True)
-    p.add_argument("--m", type=_int, required=True)
+    p.add_argument("--m", type=_nonnegative_int, required=True)
     p.add_argument("--t", dest="t_list", type=_int_list, default=None)
     p.add_argument("--eps", type=_float, default=0.05)
     add_report(p, seed=True)

@@ -15,16 +15,14 @@ Conventions used throughout:
   ``(s*n + a) % n**k``;
 - the stationary vector is the law of any k consecutive symbols, which makes
   block probabilities position-independent;
-- the stationary law of up to ``_SOLVE_CONTEXTS`` contexts is the GTH
-  (Grassmann-Taksar-Heyman) elimination on the dense context matrix, which
-  is exact however slowly the chain mixes;
-- beyond that the context chain P is never stored: one step ``pi P`` is a
-  closed-form contraction of ``pi`` with the table.  It drives the power
-  iteration for the stationary law (undamped for a positive table, which
-  is aperiodic; half-lazy for one with a zero) and, at every size, the
-  ``pi = pi P`` residual certificate; only a table with a zero entry builds
-  the chain's edge list, for the strong-component search of the ergodicity
-  check.
+- one function, ``_stationary_law``, takes a table to its stationary law: a
+  strong-component search checks ergodicity when the table has a zero, and
+  up to ``_SOLVE_CONTEXTS`` contexts the GTH (Grassmann-Taksar-Heyman)
+  elimination on the dense context matrix gives the law exactly, however
+  slowly the chain mixes; beyond that power iteration gives it;
+- one step ``pi P`` is a closed-form contraction of ``pi`` with the table,
+  so the power iteration and, at every size, the ``pi = pi P`` residual
+  certificate never build P.
 """
 
 from __future__ import annotations
@@ -131,56 +129,6 @@ def _step(pi: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ijk->jk", pi.reshape(n, -1), table.reshape(n, -1, n)).ravel()
 
 
-def _closed_class(table: np.ndarray) -> np.ndarray:
-    """Boolean mask of the states in the context chain's one closed class.
-
-    Raises NotErgodicError unless the chain has exactly one closed class.  A
-    positive table needs no search: every context then reaches every other
-    within k steps; nor does an order-0 table, whose one context is the
-    class.  Only the others pay for the edge list, the strong-component
-    search and its import.  A class is closed when no edge leaves it.
-    """
-    if table.all() or table.shape[0] == 1:
-        return np.ones(table.shape[0], dtype=bool)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    size, n = table.shape
-    rows, syms = np.nonzero(table)
-    cols = (rows * n + syms) % size
-    graph = csr_matrix((table[rows, syms], (rows, cols)), shape=(size, size))
-    count, labels = connected_components(graph, connection="strong")
-    leaving = labels[rows] != labels[cols]
-    closed = np.setdiff1d(np.arange(count), labels[rows[leaving]])
-    if closed.size != 1:
-        raise NotErgodicError("the chain has more than one closed class")
-    return labels == closed[0]
-
-
-def _power_iteration(table: np.ndarray) -> np.ndarray:
-    """Stationary law of the context chain of ``table`` by power iteration.
-
-    A positive table is aperiodic (the context a...a leads to itself), so
-    it steps ``pi <- pi @ P``; a table with a zero takes the half-lazy step
-    ``(pi + pi @ P) / 2``, which has the same fixed point and converges even
-    for periodic chains.  The returned vector satisfies
-    ``||pi @ P - pi||_1 < _POWER_TOL``.
-    """
-    size = table.shape[0]
-    lazy = not table.all()
-    pi = np.full(size, 1.0 / size)
-    for _ in range(_POWER_STEPS):
-        nxt = _step(pi, table)
-        if np.abs(nxt - pi).sum() < _POWER_TOL:
-            pi = np.maximum(pi, 0.0)
-            return pi / pi.sum()
-        pi = 0.5 * (nxt + pi) if lazy else nxt
-    raise ConvergenceError(
-        f"power iteration did not reach residual {_POWER_TOL:g} "
-        f"in {_POWER_STEPS} steps"
-    )
-
-
 def _gth(chain: np.ndarray) -> np.ndarray:
     """Stationary law of an irreducible stochastic matrix by GTH elimination.
 
@@ -218,21 +166,56 @@ def _gth(chain: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _stationary_law(table: np.ndarray, closed: np.ndarray) -> np.ndarray:
+def _stationary_law(table: np.ndarray) -> np.ndarray:
     """Stationary law of the context chain of a (n**k, n) emission table.
 
-    ``closed`` is the chain's one closed class, as :func:`_closed_class`
-    gives it.  Up to ``_SOLVE_CONTEXTS`` contexts the law is exact: GTH
-    elimination on the dense context matrix of the closed class, with mass
-    0 on the transient states.  Larger chains use power iteration, whose
-    result is clipped at 0 and renormalised.
+    Raises NotErgodicError unless the chain has exactly one closed class.
+    Only a table with a zero and more than one context is searched (scipy,
+    imported only then): in a positive one every context reaches every
+    other within k steps.  Entry i of the flat table is the edge from
+    context i // n to context i % n**k; the search finds the strong
+    components of the nonzero edges, and a class is closed when no edge
+    leaves it.  Up to ``_SOLVE_CONTEXTS`` contexts the law is exact: GTH
+    elimination on the dense context matrix of the closed class, summed
+    from the same edges, with mass 0 on the transient states.  Larger
+    chains use power iteration, undamped for a positive table, which is
+    aperiodic (the context a...a leads to itself), and half-lazy,
+    ``(pi + pi P) / 2``, for one with a zero, which has the same fixed point
+    and converges even for a periodic chain.  It stops once a step moves
+    ``pi`` less than ``_POWER_TOL`` in L1 and is clipped at 0 and
+    renormalised, or raises ConvergenceError after ``_POWER_STEPS`` steps.
     """
     size, n = table.shape
-    if size > _SOLVE_CONTEXTS:
-        return _power_iteration(table)
-    rows = np.repeat(np.arange(size), n)
-    cols = (rows * n + np.tile(np.arange(n), size)) % size
-    chain = np.bincount(rows * size + cols, table.ravel(), size * size).reshape(size, size)
+    positive = size == 1 or table.all()
+    solve = size <= _SOLVE_CONTEXTS
+    closed = np.ones(size, dtype=bool)
+    if solve or not positive:
+        edges = np.flatnonzero(table)
+        rows, cols, probs = edges // n, edges % size, table.ravel()[edges]
+    if not positive:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        graph = csr_matrix((probs, (rows, cols)), shape=(size, size))
+        count, labels = connected_components(graph, connection="strong")
+        leaving = labels[rows] != labels[cols]
+        classes = np.setdiff1d(np.arange(count), labels[rows[leaving]])
+        if classes.size != 1:
+            raise NotErgodicError("the chain has more than one closed class")
+        closed = labels == classes[0]
+    if not solve:
+        pi = np.full(size, 1.0 / size)
+        for _ in range(_POWER_STEPS):
+            nxt = _step(pi, table)
+            if np.abs(nxt - pi).sum() < _POWER_TOL:
+                pi = np.maximum(pi, 0.0)
+                return pi / pi.sum()
+            pi = nxt if positive else 0.5 * (nxt + pi)
+        raise ConvergenceError(
+            f"power iteration did not reach residual {_POWER_TOL:g} "
+            f"in {_POWER_STEPS} steps"
+        )
+    chain = np.bincount(rows * size + cols, probs, size * size).reshape(size, size)
     pi = np.zeros(size)
     pi[closed] = _gth(chain[np.ix_(closed, closed)])
     return pi
@@ -251,10 +234,9 @@ class SourceModel:
         ``transition[s, a]`` is the probability of emitting ``a`` from the
         packed context ``s``.  Rows must be probability vectors.
     The context chain P moves context s to ``(s*n + a) % n**k`` with
-    probability ``transition[s, a]``; it is applied from the table, never
-    stored.  Its stationary law over contexts is solved (GTH elimination up
-    to 128 contexts, power iteration beyond; exactly ``[1.0]`` for k = 0)
-    and certified.  Construction raises EnumerationCapError when the table's
+    probability ``transition[s, a]``.  Its stationary law over contexts is
+    solved by :func:`_stationary_law` (exactly ``[1.0]`` for k = 0) and
+    certified.  Construction raises EnumerationCapError when the table's
     ``n**(k+1)`` entries exceed ``DEFAULT_WORD_CAP``, NotErgodicError unless
     P has exactly one closed class, and InvalidDistributionError unless the
     law satisfies ``pi = pi P`` to within 1e-10 in L1.
@@ -277,7 +259,7 @@ class SourceModel:
                 f"transition table must have shape ({n**k}, {n}), got {table.shape}"
             )
         _validate_rows(table)
-        pi = _stationary_law(table, _closed_class(table))
+        pi = _stationary_law(table)
         residual = float(np.abs(_step(pi, table) - pi).sum())
         if residual > _STATIONARY_TOL:
             raise InvalidDistributionError(
@@ -615,7 +597,8 @@ def load_model(path) -> SourceModel:
     values, so the cache is dropped and the rest is parsed token by token.
     Either cache, once dropped, is not rebuilt.  Malformed input raises
     ModelFormatError naming its line: a header key or row with nothing
-    after it, a bad header value, row label or token, and the first row in
+    after it, a header key given twice or with more than one value, a bad
+    header value, row label or token, and the first row in
     the file holding a negative or non-finite probability (found by one
     check of the whole table once it is read).
     Missing headers or rows name no line, and row sums are checked by
@@ -639,12 +622,14 @@ def load_model(path) -> SourceModel:
                     missing = "state label" if key == "row" else "value"
                     raise ModelFormatError(f"line {lineno}: {key!r} has no {missing}")
                 if key in ("n", "order"):
+                    if key in header:
+                        raise ModelFormatError(f"line {lineno}: {key!r} given twice")
+                    if len(parts) > 2:
+                        raise ModelFormatError(f"line {lineno}: {key!r} takes one value")
                     if len(parts[1]) > 20:  # past the cap's 8 digits; int() refuses 4300
                         raise EnumerationCapError(f"{key} of {len(parts[1])} characters "
                                                   f"exceeds cap {DEFAULT_WORD_CAP}")
                     value = int(parts[1])
-                    if table is not None and value != header[key]:
-                        raise ModelFormatError(f"line {lineno}: {key!r} changed after rows")
                     if key == "n" and value < 2:
                         raise ValueError("alphabet size must be at least 2")
                     if key == "order" and value < 0:

@@ -7,7 +7,9 @@ package's former code kept as references: ``markov_walk``, the
 per-step walk (a bit-identical log-probability needs the same numpy
 arithmetic), ``posterior_csv``, the per-row posterior CSV writer, and
 ``typical_set_by_enumeration``, the typical set reduced from the sequential
-joint table of every plaintext.
+joint table of every plaintext; and ``solved_stationary_law``, one dense
+numpy solve, which shares no step with the package's elimination or power
+iteration.
 """
 
 import itertools
@@ -163,6 +165,15 @@ def closed_class_count(matrix):
         if all(reach[j][i] for j in reached):
             classes.add(tuple(reached))
     return len(classes)
+
+
+def solved_stationary_law(chain):
+    """Stationary law of a chain with one closed class, by one dense linear solve.
+
+    ``pi (I - P + 1 1^T) = 1^T`` has the stationary law as its only solution.
+    """
+    size = len(chain)
+    return np.linalg.solve((np.eye(size) - np.asarray(chain) + 1.0).T, np.ones(size))
 
 
 def chi_square_stat(counts, expected):

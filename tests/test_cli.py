@@ -629,16 +629,36 @@ NEGATIVE_SEED_ARGV = {
     "sweep": ["sweep", "--tau", "0.01", "--m", "2", "--t", "10", "--seed", "-1"],
 }
 
+NEGATIVE_COUNT_ARGV = {
+    "psi-m": ["psi", "--z", "0101", "--eps", "0.1", "--h-ref", "0.5", "--m", "-3"],
+    "smb-m": ["smb", "--t", "10", "--samples", "4", "--eps", "0.05", "--delta", "0.1",
+              "--h-ref", "0.5", "--seed", "1", "--m", "-3"],
+    "bounds-m": ["bounds", "--m", "-3"],
+    "sweep-m": ["sweep", "--tau", "0.01", "--m", "-3"],
+    "posterior-max-rows": ["posterior", "--z", "0101", "--max-rows", "-5"],
+}
 
-@pytest.mark.parametrize("case", sorted(NEGATIVE_SEED_ARGV))
-def test_negative_seed_is_rejected_by_the_parser(case, x_model, capsys):
-    subcommand, *rest = NEGATIVE_SEED_ARGV[case]
+
+def _refused_by_the_parser(argv, x_model, capsys):
+    """``argv``, ending in a negative value for an option, exits 2 naming both."""
+    subcommand, *rest = argv
     models = ["--x-model", x_model]
     if subcommand != "sweep":
         models += ["--y-model", KEY]
     assert cli.main([subcommand, *models, *rest]) == 2
+    flag, value = rest[-2:]
     assert _error_line(capsys) == (
-        "error: config: argument --seed: must be a non-negative integer, got -1")
+        f"error: config: argument {flag}: must be a non-negative integer, got {value}")
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEED_ARGV))
+def test_negative_seed_is_rejected_by_the_parser(case, x_model, capsys):
+    _refused_by_the_parser(NEGATIVE_SEED_ARGV[case], x_model, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_COUNT_ARGV))
+def test_negative_count_is_rejected_by_the_parser(case, x_model, capsys):
+    _refused_by_the_parser(NEGATIVE_COUNT_ARGV[case], x_model, capsys)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -951,6 +971,10 @@ _BAD_MODELS = {
     "n-no-value": ("n\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 1),
     "order-no-value": ("n 2\norder\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 2),
     "row-no-label": ("n 2\norder 1\nrow\nrow 1 0.25 0.75\n", 3),
+    "n-two-values": ("n 2 7\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 1),
+    "order-two-values": ("n 2\norder 1 x\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 2),
+    "n-twice": ("n 2\nn 3\norder 0\nrow - 0.25 0.25 0.5\n", 2),
+    "order-twice": ("n 2\norder 0\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 0.75\n", 3),
     "empty": ("", None),
     "undecodable": (b"n 2\norder 1\nrow 0 0.5 0.5\nrow 1 0.25 \xff0.75\n", None),
 }
@@ -967,8 +991,11 @@ def test_malformed_model_file_exits_2(case, tmp_path, capsys):
     if line is not None:
         assert message.startswith(f"error: config: line {line}:")
     assert "index out of range" not in message
-    if "-no-" in case:  # the key and the field it lacks are named
-        assert f"'{case.split('-')[0]}' has no" in message
+    key, _, kind = case.partition("-")
+    fault = {"no-value": "has no", "no-label": "has no", "two-values": "takes one value",
+             "twice": "given twice", "after-rows": "given twice"}
+    if kind in fault:  # the key and what is wrong with it are named
+        assert f"'{key}' {fault[kind]}" in message
 
 
 def test_tiny_off_diagonal_model_gets_its_exact_law(tmp_path, capsys):

@@ -633,8 +633,7 @@ def test_slow_binary_order_7_chain_is_solved_exactly():
     assert time.perf_counter() - started < 1.0
     pi = model.stationary
     assert np.abs(sources._step(pi, model.transition) - pi).sum() <= 1e-15
-    chain = np.array(oracles.context_matrix(table.tolist(), 2, 7))
-    exact = np.linalg.solve((np.eye(128) - chain + 1.0).T, np.ones(128))
+    exact = oracles.solved_stationary_law(oracles.context_matrix(table.tolist(), 2, 7))
     assert np.abs(pi - exact).max() <= 1e-9
 
 
@@ -676,7 +675,14 @@ def _table_with_zeros(rng, rows, cols):
     return table / table.sum(axis=1, keepdims=True)
 
 
-def test_ergodicity_check_matches_closure_oracle():
+# the law's two paths: GTH elimination up to the default's contexts, power
+# iteration (and the strong-component search alone for the check) at 0
+SOLVE_CONTEXTS = [sources._SOLVE_CONTEXTS, 0]
+
+
+@pytest.mark.parametrize("solve_contexts", SOLVE_CONTEXTS)
+def test_ergodicity_check_matches_closure_oracle(solve_contexts, monkeypatch):
+    monkeypatch.setattr(sources, "_SOLVE_CONTEXTS", solve_contexts)
     rng = np.random.default_rng(11)
     verdicts = {"square": [], "context": []}
     for _ in range(120):
@@ -716,7 +722,9 @@ def test_transient_states_feeding_one_closed_class():
     assert abs(model.stationary[1] - 1.0) <= 1e-10
 
 
-def test_stationary_law_matches_direct_solve():
+@pytest.mark.parametrize("solve_contexts", SOLVE_CONTEXTS)
+def test_stationary_law_matches_direct_solve(solve_contexts, monkeypatch):
+    monkeypatch.setattr(sources, "_SOLVE_CONTEXTS", solve_contexts)
     rng = np.random.default_rng(12)
     solved = {False: 0, True: 0}
     for trial in range(80):
@@ -726,12 +734,10 @@ def test_stationary_law_matches_direct_solve():
             table = _table_with_zeros(rng, n**k, n)
         else:
             table = rng.dirichlet(np.ones(n), size=n**k)
-        chain = np.array(oracles.context_matrix(table.tolist(), n, k))
-        if oracles.closed_class_count(chain.tolist()) != 1:
+        chain = oracles.context_matrix(table.tolist(), n, k)
+        if oracles.closed_class_count(chain) != 1:
             continue
-        size = n**k
-        # pi (I - P + 1 1^T) = 1^T has the stationary law as its only solution
-        exact = np.linalg.solve((np.eye(size) - chain + 1.0).T, np.ones(size))
+        exact = oracles.solved_stationary_law(chain)
         pi = sources.SourceModel(n, k, table).stationary
         assert np.abs(pi - exact).max() <= 1e-10
         solved[zeros] += 1
@@ -751,17 +757,24 @@ def test_graph_search_import_only_for_tables_with_zeros(tmp_path):
     src = str(Path(sources.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     loaded = {}
+    # 256 contexts, past the elimination; context 0 of "zero-256" only emits 1
+    wide = np.random.default_rng(3).dirichlet(np.ones(2), size=256)
+    wide_zero = wide.copy()
+    wide_zero[0] = [0.0, 1.0]
     # an order-0 table's one context is its closed class, zeros or not
     for name, model in (("positive", sources.SourceModel(2, 1, [[0.9, 0.1], [0.2, 0.8]])),
                         ("zero", sources.SourceModel(2, 1, [[0.5, 0.5], [1.0, 0.0]])),
-                        ("order0", sources.make_bernoulli([0.5, 0.0, 0.5]))):
+                        ("order0", sources.make_bernoulli([0.5, 0.0, 0.5])),
+                        ("positive-256", sources.SourceModel(2, 8, wide)),
+                        ("zero-256", sources.SourceModel(2, 8, wide_zero))):
         path = tmp_path / f"{name}.model"
         sources.save_model(model, str(path))
         probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(path)],
                                capture_output=True, text=True, env=env, check=True)
         loaded[name] = probe.stdout.split()
-    assert loaded["positive"] == [] and loaded["order0"] == []
+    assert loaded["positive"] == loaded["order0"] == loaded["positive-256"] == []
     assert "scipy.sparse.csgraph" in loaded["zero"]
+    assert "scipy.sparse.csgraph" in loaded["zero-256"]
 
 
 def _special_rows(n):
